@@ -45,6 +45,15 @@ def channel_index(n: int, p: int, q: int):
     return {key: i for i, key in enumerate(basis(n, p, q))}
 
 
+@lru_cache(maxsize=None)
+def subsets(n: int, p: int):
+    """(C(n,p), p) array of the 0-based p-subsets of range(n), in
+    `combinations` order, for 0 <= p <= n."""
+    S = np.array(list(combinations(range(n), p)), dtype=np.intp)
+    S.flags.writeable = False
+    return S
+
+
 def merge_sign(a, b):
     """Sign of sorting the concatenation of two increasing multi-indices.
 

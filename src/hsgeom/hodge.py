@@ -17,6 +17,9 @@ Conventions, locked by the test suite:
   a ^ star(conj b) = <a,b>_pt dV_omega pointwise; hence star(star a) =
   (-1)^{p+q} a and the adjoints are del* = -star dbar star,
   dbar* = -star del star.
+* <phi^I ^ phibar^J, phi^K ^ phibar^L> = det(H^{-T}[I,K]) det(H^{-1}[J,L]),
+  an entry of the Kronecker product of the p-th and q-th compound matrices
+  (Metric.pairing).
 
 Green operators: the finite invariant backend uses an eigendecomposition in
 metric-orthonormal coordinates with a relative singular-value cutoff; the
@@ -82,6 +85,13 @@ def _leading(mat):
     return np.moveaxis(mat, (-2, -1), (0, 1))
 
 
+def _compound(M, p):
+    """p-th compound of (*grid, n, n) M: C[..., a, b] = det M[..., S_a, S_b]
+    over the p-subsets S of range(n), all minors in one batched det."""
+    S = _basis.subsets(M.shape[-1], p)
+    return np.linalg.det(M[..., S[:, None, :, None], S[None, :, None, :]])
+
+
 class Metric:
     """A positive (1,1)-form with cached pointwise linear-algebra data."""
 
@@ -128,24 +138,37 @@ class Metric:
     # -- pointwise Gram data -------------------------------------------------
 
     def pairing(self, p, q):
-        """Matrix P with P[u, w] = <e_u, e_w> pointwise, channel-first."""
+        """Matrix P with P[u, w] = <e_u, e_w> pointwise, channel-first.
+
+        For e_u = phi^I ^ phibar^J and e_w = phi^K ^ phibar^L the entry is
+        C_p(M1)[I, K] * C_q(M2)[J, L], with M1 = H^{-T}, M2 = H^{-1} and
+        C_p the p-th compound, built by one batched det.  Channels run
+        I-major, so P is the Kronecker product of the two compounds.
+
+        P is bitwise equal to one det(M1[I, K]) * det(M2[J, L]) per entry:
+        a batched det gives the same bits as a det per minor, and the
+        product is formed as numpy multiplies those factors, as complex
+        arrays (with fused multiply-adds) on a grid and as complex scalars
+        (rounded real products) on the invariant backend.  Out-of-range
+        bidegrees give an empty (0, 0, *grid) matrix.
+        """
         key = (p, q)
         if key not in self._pairing_cache:
-            bas = _basis.basis(self.n, p, q)
-            d = len(bas)
             grid = self.model.grid_shape
-            M1 = np.swapaxes(self.Hinv, -1, -2)   # <phi^j, phi^k>
-            M2 = self.Hinv                        # <phibar^j, phibar^k>
-            P = np.empty(grid + (d, d), dtype=np.complex128)
-            for u, (I, J) in enumerate(bas):
-                for w, (K, L) in enumerate(bas):
-                    i0 = np.array(I, dtype=int) - 1
-                    k0 = np.array(K, dtype=int) - 1
-                    j0 = np.array(J, dtype=int) - 1
-                    l0 = np.array(L, dtype=int) - 1
-                    d1 = np.linalg.det(M1[..., i0[:, None], k0[None, :]])
-                    d2 = np.linalg.det(M2[..., j0[:, None], l0[None, :]])
-                    P[..., u, w] = d1 * d2
+            d = _basis.degree_dims(self.n, p, q)
+            if d == 0:
+                P = np.empty(grid + (0, 0), dtype=np.complex128)
+            else:
+                M1 = np.swapaxes(self.Hinv, -1, -2)   # <phi^j, phi^k>
+                M2 = self.Hinv                        # <phibar^j, phibar^k>
+                A = _compound(M1, p)[..., :, None, :, None]
+                B = _compound(M2, q)[..., None, :, None, :]
+                if grid:
+                    P = (A * B).reshape(grid + (d, d))
+                else:
+                    P = np.empty((d, d), dtype=np.complex128)
+                    P.real = (A.real * B.real - A.imag * B.imag).reshape(d, d)
+                    P.imag = (A.real * B.imag + A.imag * B.real).reshape(d, d)
             self._pairing_cache[key] = _leading(P)
         return self._pairing_cache[key]
 

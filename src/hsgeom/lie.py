@@ -331,7 +331,6 @@ def hs_feasibility(model: LieModel, omega: Form, tol: float = 1e-10) -> Feasibil
     A_del = model.operator_matrix("del", n - 1, 0)
     A_dbar = model.operator_matrix("dbar", n - 1, 0)
     d_omega = model.operator_matrix("del", 1, 1) @ omega.coeffs
-    rhs = np.concatenate([np.zeros(A_del.shape[0], dtype=np.complex128), -d_omega])
 
     # weight rows and unknowns by metric Cholesky factors so the least-squares
     # residual and the minimal norm are the geometric ones
@@ -339,7 +338,7 @@ def hs_feasibility(model: LieModel, omega: Form, tol: float = 1e-10) -> Feasibil
     L_t1 = metric.gram_cholesky(n, 0)
     L_t2 = metric.gram_cholesky(n - 1, 1)
     A = np.vstack([L_t1.conj().T @ A_del, L_t2.conj().T @ A_dbar])
-    b = np.concatenate([L_t1.conj().T @ np.zeros(A_del.shape[0]), L_t2.conj().T @ (-d_omega)])
+    b = np.concatenate([np.zeros(A_del.shape[0], dtype=np.complex128), L_t2.conj().T @ (-d_omega)])
     Aw = A @ np.linalg.inv(L_src.conj().T)
     y, *_ = np.linalg.lstsq(Aw, b, rcond=None)
     resid = float(np.linalg.norm(Aw @ y - b))

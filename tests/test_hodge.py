@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsgeom import _basis
 from hsgeom.forms import (
     BidegreeError,
     basis_form,
@@ -79,6 +80,33 @@ def test_metric_from_form(two_coord):
 
 
 # -- inner products ------------------------------------------------------------
+
+
+def _minor_determinant_pairing(g, p, q):
+    """Reference pairing, one det(M1[I,K]) * det(M2[J,L]) per Gram entry."""
+    bas = _basis.basis(g.n, p, q)
+    M1 = np.swapaxes(g.Hinv, -1, -2)
+    M2 = g.Hinv
+    P = np.empty(g.model.grid_shape + (len(bas), len(bas)), dtype=np.complex128)
+    for u, (I, J) in enumerate(bas):
+        for w, (K, L) in enumerate(bas):
+            i0, k0 = np.array(I, dtype=int) - 1, np.array(K, dtype=int) - 1
+            j0, l0 = np.array(J, dtype=int) - 1, np.array(L, dtype=int) - 1
+            d1 = np.linalg.det(M1[..., i0[:, None], k0[None, :]])
+            d2 = np.linalg.det(M2[..., j0[:, None], l0[None, :]])
+            P[..., u, w] = d1 * d2
+    return np.moveaxis(P, (-2, -1), (0, 1))
+
+
+def test_pairing_matches_minor_determinants(heis3, eps_metric):
+    metrics = [random_metric(heis3, np.random.default_rng(3)), eps_metric]
+    for g in metrics:
+        for p in range(4):
+            for q in range(4):
+                P = g.pairing(p, q)
+                assert np.array_equal(P, _minor_determinant_pairing(g, p, q)), (p, q)
+        for p, q in [(-1, 0), (4, 1), (1, 4)]:
+            assert g.pairing(p, q).shape == (0, 0) + g.model.grid_shape
 
 
 @settings(max_examples=25, deadline=None)
