@@ -18,6 +18,7 @@ ways and cross-asserted; disagreement raises instead of warning.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -185,6 +186,9 @@ def torsion_form(metric: Metric, mode: str = "dim3",
     dim3:   rho = -G_dbar[dbar* del omega]           (n = 3 shortcut)
     skt:    the same formula, but only Im(dbar*)-minimality is claimed and
             the metric must be pluriclosed.
+
+    A successful report is memoised on the metric per (mode, tol), so every
+    caller gets the same object: treat it as read-only.
     """
     if mode not in TORSION_MODES:
         raise ValueError(f"unknown torsion mode {mode!r}")
@@ -192,6 +196,9 @@ def torsion_form(metric: Metric, mode: str = "dim3",
     n = metric.n
     if tol is None:
         tol = _default_tol(model)
+    key = (mode, tol)
+    if key in metric._torsion_cache:
+        return metric._torsion_cache[key]
     omega = metric.omega
     d_omega = differential("del", omega)
     scale = max(1.0, norm(metric, d_omega))
@@ -253,13 +260,15 @@ def torsion_form(metric: Metric, mode: str = "dim3",
             norm(metric, d_omega) if F < tol else None
         ),
     }
-    return TorsionReport(
+    report = TorsionReport(
         mode=mode, rho20=rho, rho02=rho02,
         energy=F, volume=vol, generalized_volume=A,
         dv_mass=None, g_energy=None, g_marker=None,
         residuals=residuals, diagnostics=diagnostics,
         tolerances={"constraint": tol},
     )
+    metric._torsion_cache[key] = report
+    return report
 
 
 def e2_obstruction(metric: Metric, rho02: Form, tol: float = None):
@@ -323,15 +332,16 @@ def energy_and_volume(metric: Metric, mode: str = "dim3",
     tilde_kernel = harmonic_basis(metric, "tilde", 0, 2)
     tilde_pairings = [abs(inner(metric, rho02, h)) for h in tilde_kernel]
 
-    report.dv_mass = dv_mass
-    report.g_energy = g_val
-    report.g_marker = g_marker
-    report.diagnostics.update(g_diag)
-    report.diagnostics["energy_wedge_route"] = f_wedge
-    report.diagnostics["tilde_harmonic_pairings"] = tilde_pairings
-    report.diagnostics["rho_norm"] = math.sqrt(max(report.energy, 0.0))
-    report.residuals["dv_mass_vs_A"] = abs(dv_mass - report.generalized_volume)
-    return report
+    # a new report: the one from torsion_form is memoised on the metric
+    return dataclasses.replace(
+        report, dv_mass=dv_mass, g_energy=g_val, g_marker=g_marker,
+        residuals=dict(report.residuals, dv_mass_vs_A=abs(
+            dv_mass - report.generalized_volume)),
+        diagnostics=dict(report.diagnostics, **g_diag,
+                         energy_wedge_route=f_wedge,
+                         tilde_harmonic_pairings=tilde_pairings,
+                         rho_norm=math.sqrt(max(report.energy, 0.0))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ computation of the generalized volume.
 All subquotients carry explicit orthonormal bases with respect to the flat
 reference metric of the model, so class coordinates are reproducible across
 calls and across metrics.
+
+Every zig-zag tower (the page ladders, the side towers of page-exact forms,
+the closed/exact membership towers) is laid out by one builder, `_zigzag`.
+The metric-free objects (operator complex, page data per r, page-r
+Bott-Chern/Aeppli tables) are memoised on the model, so a report builds
+each of them once.
 """
 
 from __future__ import annotations
@@ -63,27 +69,29 @@ def _require_lie(model):
 # dense linear algebra over channel coordinates
 
 
-def _nullspace(M, tol=_RANK_TOL):
+def _kept(s):
+    """Mask of the singular values `s` (descending) counted into a rank."""
+    return s > _RANK_TOL * max(1.0, s[0] if s.size else 0.0)
+
+
+def _nullspace(M):
     M = np.asarray(M, dtype=np.complex128)
     if M.shape[1] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
     if M.shape[0] == 0:
         return np.eye(M.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(M)
-    top = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(1.0, top)))
-    return vh[rank:].conj().T
+    return vh[int(np.sum(_kept(s))):].conj().T
 
 
-def _rank(M, tol=_RANK_TOL):
+def _rank(M):
     M = np.asarray(M)
     if M.size == 0 or min(M.shape) == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return int(np.sum(_kept(np.linalg.svd(M, compute_uv=False))))
 
 
-def _lstsq(M, b, tol=_RANK_TOL):
+def _lstsq(M, b):
     """Minimum-norm least squares with the achieved residual."""
     M = np.asarray(M, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -139,11 +147,89 @@ class _BlockSystem:
         return out
 
 
+def _target(part, p, q):
+    return (p + 1, q) if part == "del" else (p, q + 1)
+
+
+def _step(part, p, q, i=1):
+    """Bidegree i zig-zag steps on from (p,q) along a tower of `part`."""
+    return (p + i, q - i) if part == "del" else (p - i, q + i)
+
+
+_BACK = {"del": "dbar", "dbar": "del"}
+
+
+def _zigzag(sys, cx, x0, pq, names, part):
+    """Append the tower part(x_{i-1}) = back(x_i) to a _BlockSystem.
+
+    back is the other half of d.  x_0 sits in bidegree pq and is either a
+    declared variable name or known coefficients, which go to the right-hand
+    side; x_1, x_2, ... are declared here under `names`, one zig-zag step
+    apart.  Returns the name and bidegree of the last tower form.
+    """
+    back = _BACK[part]
+    for name in names:
+        nxt = _step(part, *pq)
+        sys.variable(name, cx.dim(*nxt))
+        entries = [(name, -cx.op(back, *nxt))]
+        rhs = None
+        if isinstance(x0, str):
+            entries.insert(0, (x0, cx.op(part, *pq)))
+        else:
+            rhs = -(cx.op(part, *pq) @ x0)
+        sys.equation(entries, cx.dim(*_target(part, *pq)), rhs=rhs)
+        x0, pq = name, nxt
+    return x0, pq
+
+
+def _ladder(cx, pq, steps, part):
+    """Kernel of back(x_0) = 0 plus a `steps`-long tower of `part` from
+    x_0 in bidegree pq, split into its blocks x0, x1, ..."""
+    sys = _BlockSystem()
+    sys.variable("x0", cx.dim(*pq))
+    back = _BACK[part]
+    sys.equation([("x0", cx.op(back, *pq))], cx.dim(*_target(back, *pq)))
+    _zigzag(sys, cx, "x0", pq, [f"x{i}" for i in range(1, steps + 1)], part)
+    return sys.split(_nullspace(sys.assemble()[0]))
+
+
+def _side_image(cx, p, q, r, part):
+    """Image under `part` (into bidegree (p,q)) of the forms that end a tower
+    of r-2 steps of `part` started from a form killed by the other half of d.
+
+    For part='del' and r=3: del x1 with dbar x0 = 0, del x0 = dbar x1.
+    """
+    src = (p - 1, q) if part == "del" else (p, q - 1)
+    tower = _ladder(cx, _step(part, *src, 2 - r), r - 2, part)
+    return cx.op(part, *src) @ tower[f"x{r - 2}"]
+
+
+def _quotient(cx, N, D, p, q):
+    """Reference-orthonormal basis of span N / span D, for D inside span N."""
+    Do = cx.orth(D, p, q)
+    return cx.orth(cx.project_out(N, Do, p, q), p, q)
+
+
+def _memo(model, key, build):
+    """build() memoised on the model, like LieModel._matrices."""
+    _require_lie(model)
+    if key not in model._cohomology:
+        model._cohomology[key] = build()
+    return model._cohomology[key]
+
+
+def _complex(model):
+    return _memo(model, "complex", lambda: _Complex(model))
+
+
+def _page(model, r):
+    return _memo(model, ("page", r), lambda: _PageData(model, r))
+
+
 class _Complex:
     """Operator matrices and the reference inner product of one model."""
 
     def __init__(self, model: LieModel):
-        _require_lie(model)
         self.model = model
         self.n = model.n
         self.ref = Metric(flat_metric_form(model))
@@ -152,7 +238,7 @@ class _Complex:
         return _basis.degree_dims(self.n, p, q)
 
     def op(self, part, p, q):
-        tgt = (p + 1, q) if part == "del" else (p, q + 1)
+        tgt = _target(part, p, q)
         if self.dim(p, q) == 0 or self.dim(*tgt) == 0:
             return np.zeros((self.dim(*tgt), self.dim(p, q)),
                             dtype=np.complex128)
@@ -174,7 +260,7 @@ class _Complex:
             return np.zeros((d, 0), dtype=np.complex128)
         L = np.linalg.cholesky(self.gram(p, q))
         u, s, _ = np.linalg.svd(L.conj().T @ cols, full_matrices=False)
-        keep = s > _RANK_TOL * max(1.0, (s[0] if s.size else 0.0))
+        keep = _kept(s)
         if not np.any(keep):
             return np.zeros((d, 0), dtype=np.complex128)
         return np.linalg.solve(L.conj().T, u[:, keep])
@@ -213,18 +299,9 @@ class ClassicalTable:
         }
 
 
-def _quotient_dim(cx, numerator_cols, denominator_cols, p, q):
-    """dim(span N / span D) given D ⊆ span N mathematically."""
-    N = np.asarray(numerator_cols, dtype=np.complex128)
-    if N.ndim == 1:
-        N = N[:, None]
-    Do = cx.orth(denominator_cols, p, q)
-    return cx.orth(cx.project_out(N, Do, p, q), p, q).shape[1]
-
-
 def classical_groups(model: LieModel) -> ClassicalTable:
     """Dimension table of the four classical groups on the invariant complex."""
-    cx = _Complex(model)
+    cx = _complex(model)
     n = cx.n
 
     def total_d(k):
@@ -259,17 +336,17 @@ def classical_groups(model: LieModel) -> ClassicalTable:
     ae = np.zeros((n + 1, n + 1), dtype=int)
     for p in range(n + 1):
         for q in range(n + 1):
-            dol[p, q] = _quotient_dim(
+            dol[p, q] = _quotient(
                 cx, _nullspace(cx.op("dbar", p, q)),
-                cx.op("dbar", p, q - 1), p, q)
+                cx.op("dbar", p, q - 1), p, q).shape[1]
             ker_d = _nullspace(np.vstack([cx.op("del", p, q),
                                           cx.op("dbar", p, q)]))
             im_ddb = cx.op("del", p - 1, q) @ cx.op("dbar", p - 1, q - 1)
-            bc[p, q] = _quotient_dim(cx, ker_d, im_ddb, p, q)
+            bc[p, q] = _quotient(cx, ker_d, im_ddb, p, q).shape[1]
             ker_ddb = _nullspace(cx.op("del", p, q + 1) @ cx.op("dbar", p, q))
             im_sum = np.hstack([cx.op("del", p - 1, q),
                                 cx.op("dbar", p, q - 1)])
-            ae[p, q] = _quotient_dim(cx, ker_ddb, im_sum, p, q)
+            ae[p, q] = _quotient(cx, ker_ddb, im_sum, p, q).shape[1]
 
     duality = all(
         bc[p, q] == ae[n - p, n - q]
@@ -301,25 +378,6 @@ class PageSummary:
         }
 
 
-def _ladder_system(cx, p, q, r):
-    """alpha in (p,q), witnesses eta_i in (p+i, q-i): dbar alpha = 0 and
-    del alpha = dbar eta_1, del eta_i = dbar eta_{i+1}."""
-    sys = _BlockSystem()
-    sys.variable("alpha", cx.dim(p, q))
-    for i in range(1, r):
-        sys.variable(f"eta{i}", cx.dim(p + i, q - i))
-    sys.equation([("alpha", cx.op("dbar", p, q))], cx.dim(p, q + 1))
-    for i in range(r - 1):
-        src = "alpha" if i == 0 else f"eta{i}"
-        src_pq = (p + i, q - i)
-        sys.equation(
-            [(src, cx.op("del", *src_pq)),
-             (f"eta{i + 1}", -cx.op("dbar", p + i + 1, q - i - 1))],
-            cx.dim(p + i + 1, q - i),
-        )
-    return sys
-
-
 class _PageData:
     """Orthonormal representatives of one spectral page of one model.
 
@@ -333,49 +391,16 @@ class _PageData:
     def __init__(self, model: LieModel, r: int):
         if r not in (1, 2, 3):
             raise ValueError("pages r = 1, 2, 3 are supported")
-        self.cx = _Complex(model)
+        self.cx = cx = _complex(model)
         self.r = r
-        n = self.cx.n
-        self.den = {}
         self.basis = {}
-        for p in range(n + 1):
-            for q in range(n + 1):
-                X = self._numerator_span(p, q)
-                Yo = self.cx.orth(self._denominator_span(p, q), p, q)
-                Q = self.cx.orth(self.cx.project_out(X, Yo, p, q), p, q)
-                self.den[(p, q)] = Yo
-                self.basis[(p, q)] = Q
-
-    def _numerator_span(self, p, q):
-        sys = _ladder_system(self.cx, p, q, self.r)
-        M, _ = sys.assemble()
-        N = _nullspace(M)
-        return N[: self.cx.dim(p, q), :]
-
-    def _denominator_span(self, p, q):
-        cx = self.cx
-        parts = [cx.op("dbar", p, q - 1)]
-        if self.r == 2:
-            parts.append(cx.op("del", p - 1, q)
-                         @ _nullspace(cx.op("dbar", p - 1, q)))
-        elif self.r == 3:
-            # del of beta_1 admitting a chain: dbar beta_0 = 0,
-            # del beta_0 = dbar beta_1, with beta_0 in (p-2, q+1)
-            sys = _BlockSystem()
-            sys.variable("b0", cx.dim(p - 2, q + 1))
-            sys.variable("b1", cx.dim(p - 1, q))
-            sys.equation([("b0", cx.op("dbar", p - 2, q + 1))],
-                         cx.dim(p - 2, q + 2))
-            sys.equation([("b0", cx.op("del", p - 2, q + 1)),
-                          ("b1", -cx.op("dbar", p - 1, q))],
-                         cx.dim(p - 1, q + 1))
-            M, _ = sys.assemble()
-            N = _nullspace(M)
-            parts.append(cx.op("del", p - 1, q) @ N[cx.dim(p - 2, q + 1):, :])
-        cols = [c for c in parts if c.size]
-        if not cols:
-            return np.zeros((cx.dim(p, q), 0), dtype=np.complex128)
-        return np.hstack(cols)
+        for p in range(cx.n + 1):
+            for q in range(cx.n + 1):
+                X = _ladder(cx, (p, q), r - 1, "del")["x0"]
+                D = [cx.op("dbar", p, q - 1)]
+                if r > 1:
+                    D.append(_side_image(cx, p, q, r, "del"))
+                self.basis[(p, q)] = _quotient(cx, X, np.hstack(D), p, q)
 
     # -- classes ---------------------------------------------------------
 
@@ -391,16 +416,8 @@ class _PageData:
         scale = max(1.0, float(np.linalg.norm(a)))
         dbar_res = float(np.linalg.norm(cx.op("dbar", p, q) @ a))
         sys = _BlockSystem()
-        for i in range(1, self.r):
-            sys.variable(f"eta{i}", cx.dim(p + i, q - i))
-        prev_rhs = -(cx.op("del", p, q) @ a)
-        for i in range(self.r - 1):
-            entries = [(f"eta{i + 1}", -cx.op("dbar", p + i + 1, q - i - 1))]
-            if i > 0:
-                entries.append((f"eta{i}", cx.op("del", p + i, q - i)))
-            sys.equation(entries, cx.dim(p + i + 1, q - i),
-                         rhs=prev_rhs if i == 0 else None)
-            prev_rhs = None
+        _zigzag(sys, cx, a, (p, q), [f"eta{i}" for i in range(1, self.r)],
+                "del")
         M, b = sys.assemble()
         x, resid = _lstsq(M, b)
         resid = max(resid, dbar_res)
@@ -435,7 +452,7 @@ class _PageData:
 
 def spectral_page(model: LieModel, r: int) -> PageSummary:
     """One page of the filtration spectral sequence with its differential."""
-    data = _PageData(model, r)
+    data = _page(model, r)
     dims = {pq: Q.shape[1] for pq, Q in data.basis.items()}
     d_maps = {}
     degenerate = True
@@ -506,7 +523,7 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
         except analysis.NotFeasibleError as exc:
             raise NotHSError(str(exc)) from exc
     rho02 = torsion_report.rho02
-    page = _PageData(model, 2)
+    page = _page(model, 2)
     coords = page.coordinates(rho02)
     scale = max(1.0, norm(metric, rho02))
     vanishing = bool(np.linalg.norm(coords) <= 1e-8 * scale)
@@ -573,7 +590,7 @@ def er_closed_exact(form: Form, r: int = 2, tol: float = 1e-8):
     _require_lie(model)
     if r not in (2, 3):
         raise ValueError("r = 2 or 3")
-    cx = _Complex(model)
+    cx = _complex(model)
     p, q = form.p, form.q
     a = np.asarray(form.coeffs, dtype=np.complex128)
     scale = max(1.0, float(np.linalg.norm(a)))
@@ -582,67 +599,38 @@ def er_closed_exact(form: Form, r: int = 2, tol: float = 1e-8):
         cx.op("del", p, q + 1) @ cx.op("dbar", p, q) @ a))
 
     # -- closedness: eta_i in (p+i, q-i), rho_i in (p-i, q+i)
+    towers = {"eta": "del", "rho": "dbar"}
     sys = _BlockSystem()
-    for i in range(1, r):
-        sys.variable(f"eta{i}", cx.dim(p + i, q - i))
-        sys.variable(f"rho{i}", cx.dim(p - i, q + i))
-    for i in range(r - 1):
-        entries = [(f"eta{i + 1}", -cx.op("dbar", p + i + 1, q - i - 1))]
-        if i > 0:
-            entries.append((f"eta{i}", cx.op("del", p + i, q - i)))
-        sys.equation(entries, cx.dim(p + i + 1, q - i),
-                     rhs=-(cx.op("del", p, q) @ a) if i == 0 else None)
-    for i in range(r - 1):
-        entries = [(f"rho{i + 1}", -cx.op("del", p - i - 1, q + i + 1))]
-        if i > 0:
-            entries.append((f"rho{i}", cx.op("dbar", p - i, q + i)))
-        sys.equation(entries, cx.dim(p - i, q + i + 1),
-                     rhs=-(cx.op("dbar", p, q) @ a) if i == 0 else None)
+    for nm, part in towers.items():
+        _zigzag(sys, cx, a, (p, q), [f"{nm}{i}" for i in range(1, r)], part)
     M, b = sys.assemble()
     x, tower_res = _lstsq(M, b)
     closed = (ddbar_res <= tol * scale) and (tower_res <= tol * scale)
     parts = sys.split(x)
     closed_witnesses = {
-        nm: Form(model, p + i, q - i, parts[nm])
-        for i in range(1, r) for nm in (f"eta{i}",)
+        f"{nm}{i}": Form(model, *_step(part, p, q, i), parts[f"{nm}{i}"])
+        for nm, part in towers.items() for i in range(1, r)
     }
-    closed_witnesses.update({
-        nm: Form(model, p - i, q + i, parts[nm])
-        for i in range(1, r) for nm in (f"rho{i}",)
-    })
 
     # -- exactness: alpha = del zeta + del dbar xi + dbar eta, side towers
+    # zeta -> v0 and eta -> u0 of r-2 steps, each ending closed
+    bidegrees = {"zeta": (p - 1, q), "xi": (p - 1, q - 1), "eta": (p, q - 1),
+                 "v0": (p - 2, q + 1), "u0": (p + 1, q - 2)}
     sys = _BlockSystem()
-    sys.variable("zeta", cx.dim(p - 1, q))
-    sys.variable("xi", cx.dim(p - 1, q - 1))
-    sys.variable("eta", cx.dim(p, q - 1))
+    for nm in ("zeta", "xi", "eta"):
+        sys.variable(nm, cx.dim(*bidegrees[nm]))
     sys.equation(
         [("zeta", cx.op("del", p - 1, q)),
          ("xi", cx.op("del", p - 1, q) @ cx.op("dbar", p - 1, q - 1)),
          ("eta", cx.op("dbar", p, q - 1))],
         cx.dim(p, q), rhs=a,
     )
-    if r == 2:
-        sys.equation([("zeta", cx.op("dbar", p - 1, q))], cx.dim(p - 1, q + 1))
-        sys.equation([("eta", cx.op("del", p, q - 1))], cx.dim(p + 1, q - 1))
-    else:
-        sys.variable("v0", cx.dim(p - 2, q + 1))
-        sys.variable("u0", cx.dim(p + 1, q - 2))
-        sys.equation([("zeta", cx.op("dbar", p - 1, q)),
-                      ("v0", -cx.op("del", p - 2, q + 1))],
-                     cx.dim(p - 1, q + 1))
-        sys.equation([("v0", cx.op("dbar", p - 2, q + 1))],
-                     cx.dim(p - 2, q + 2))
-        sys.equation([("eta", cx.op("del", p, q - 1)),
-                      ("u0", -cx.op("dbar", p + 1, q - 2))],
-                     cx.dim(p + 1, q - 1))
-        sys.equation([("u0", cx.op("del", p + 1, q - 2))],
-                     cx.dim(p + 2, q - 2))
+    for x0, side, part in (("zeta", "v0", "dbar"), ("eta", "u0", "del")):
+        last, pq = _zigzag(sys, cx, x0, bidegrees[x0], [side][:r - 2], part)
+        sys.equation([(last, cx.op(part, *pq))], cx.dim(*_target(part, *pq)))
     M2, b2 = sys.assemble()
     x2, exact_res = _lstsq(M2, b2)
     parts2 = sys.split(x2)
-    bidegrees = {"zeta": (p - 1, q), "xi": (p - 1, q - 1), "eta": (p, q - 1),
-                 "v0": (p - 2, q + 1), "u0": (p + 1, q - 2)}
     exact_witnesses = {
         nm: Form(model, *bidegrees[nm], vec) for nm, vec in parts2.items()
     }
@@ -687,38 +675,10 @@ def _er_exact_span(cx: _Complex, p, q, r):
     # closedness conditions each and disappear entirely on the first page,
     # so E_{1,BC} is the classical Bott-Chern group.
     parts = [cx.op("del", p - 1, q) @ cx.op("dbar", p - 1, q - 1)]
-    if r == 2:
-        parts.append(cx.op("del", p - 1, q)
-                     @ _nullspace(cx.op("dbar", p - 1, q)))
-        parts.append(cx.op("dbar", p, q - 1)
-                     @ _nullspace(cx.op("del", p, q - 1)))
-    elif r == 3:
-        sys = _BlockSystem()
-        sys.variable("v0", cx.dim(p - 2, q + 1))
-        sys.variable("zeta", cx.dim(p - 1, q))
-        sys.equation([("zeta", cx.op("dbar", p - 1, q)),
-                      ("v0", -cx.op("del", p - 2, q + 1))],
-                     cx.dim(p - 1, q + 1))
-        sys.equation([("v0", cx.op("dbar", p - 2, q + 1))],
-                     cx.dim(p - 2, q + 2))
-        M, _ = sys.assemble()
-        N = _nullspace(M)
-        parts.append(cx.op("del", p - 1, q) @ N[cx.dim(p - 2, q + 1):, :])
-        sys = _BlockSystem()
-        sys.variable("u0", cx.dim(p + 1, q - 2))
-        sys.variable("eta", cx.dim(p, q - 1))
-        sys.equation([("eta", cx.op("del", p, q - 1)),
-                      ("u0", -cx.op("dbar", p + 1, q - 2))],
-                     cx.dim(p + 1, q - 1))
-        sys.equation([("u0", cx.op("del", p + 1, q - 2))],
-                     cx.dim(p + 2, q - 2))
-        M, _ = sys.assemble()
-        N = _nullspace(M)
-        parts.append(cx.op("dbar", p, q - 1) @ N[cx.dim(p + 1, q - 2):, :])
-    cols = [c for c in parts if c.size]
-    if not cols:
-        return np.zeros((cx.dim(p, q), 0), dtype=np.complex128)
-    return np.hstack(cols)
+    if r > 1:
+        parts += [_side_image(cx, p, q, r, "del"),
+                  _side_image(cx, p, q, r, "dbar")]
+    return np.hstack(parts)
 
 
 def _er_closed_span(cx: _Complex, p, q, r):
@@ -726,33 +686,27 @@ def _er_closed_span(cx: _Complex, p, q, r):
     d = cx.dim(p, q)
     sys = _BlockSystem()
     sys.variable("alpha", d)
-    for i in range(1, r):
-        sys.variable(f"eta{i}", cx.dim(p + i, q - i))
-        sys.variable(f"rho{i}", cx.dim(p - i, q + i))
     sys.equation([("alpha", cx.op("del", p, q + 1) @ cx.op("dbar", p, q))],
                  cx.dim(p + 1, q + 1))
-    for i in range(r - 1):
-        src = ("alpha", cx.op("del", p, q)) if i == 0 \
-            else (f"eta{i}", cx.op("del", p + i, q - i))
-        sys.equation([src, (f"eta{i + 1}",
-                            -cx.op("dbar", p + i + 1, q - i - 1))],
-                     cx.dim(p + i + 1, q - i))
-    for i in range(r - 1):
-        src = ("alpha", cx.op("dbar", p, q)) if i == 0 \
-            else (f"rho{i}", cx.op("dbar", p - i, q + i))
-        sys.equation([src, (f"rho{i + 1}",
-                            -cx.op("del", p - i - 1, q + i + 1))],
-                     cx.dim(p - i, q + i + 1))
+    for nm, part in (("eta", "del"), ("rho", "dbar")):
+        _zigzag(sys, cx, "alpha", (p, q), [f"{nm}{i}" for i in range(1, r)],
+                part)
     M, _ = sys.assemble()
     return _nullspace(M)[:d, :]
 
 
 def higher_page_groups(model: LieModel, r: int = 2) -> HigherPageTable:
-    """Dims of the page-r Bott-Chern/Aeppli groups and the comparison maps."""
-    _require_lie(model)
-    cx = _Complex(model)
+    """Dims of the page-r Bott-Chern/Aeppli groups and the comparison maps.
+
+    Memoised on the model per r; treat the table as read-only.
+    """
+    return _memo(model, ("higher", r), lambda: _higher_page_groups(model, r))
+
+
+def _higher_page_groups(model, r):
+    cx = _complex(model)
     n = cx.n
-    page = _PageData(model, r)
+    page = _page(model, r)
     bc = np.zeros((n + 1, n + 1), dtype=int)
     ae = np.zeros((n + 1, n + 1), dtype=int)
     pg = np.zeros((n + 1, n + 1), dtype=int)
@@ -763,13 +717,10 @@ def higher_page_groups(model: LieModel, r: int = 2) -> HigherPageTable:
             pg[p, q] = page.dim(p, q)
             Z = _nullspace(np.vstack([cx.op("del", p, q),
                                       cx.op("dbar", p, q)]))
-            Bo = cx.orth(_er_exact_span(cx, p, q, r), p, q)
-            Qbc = cx.orth(cx.project_out(Z, Bo, p, q), p, q)
+            Qbc = _quotient(cx, Z, _er_exact_span(cx, p, q, r), p, q)
             bc[p, q] = Qbc.shape[1]
-            Za = _er_closed_span(cx, p, q, r)
             Ba = np.hstack([cx.op("del", p - 1, q), cx.op("dbar", p, q - 1)])
-            Bao = cx.orth(Ba, p, q)
-            Qa = cx.orth(cx.project_out(Za, Bao, p, q), p, q)
+            Qa = _quotient(cx, _er_closed_span(cx, p, q, r), Ba, p, q)
             ae[p, q] = Qa.shape[1]
             # comparison maps on representatives
             T = np.zeros((pg[p, q], bc[p, q]), dtype=complex)
@@ -836,7 +787,7 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
             raise HypothesisFailed("hermitian-symplectic metric",
                                    exc.certificate) from exc
     rho, rho02 = torsion_report.rho20, torsion_report.rho02
-    page = _PageData(model, 2)
+    page = _page(model, 2)
     coords = page.coordinates(rho02)
     if np.linalg.norm(coords) > 1e-8 * max(1.0, norm(metric, rho02)):
         raise HypothesisFailed(
@@ -844,7 +795,7 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
             CohomClass("E_2", (0, 2), rho02, coords),
         )
 
-    cx = _Complex(model)
+    cx = page.cx
     omega = metric.omega
     Omega = wedge(omega, omega) + 2.0 * wedge(rho, rho02)
     b = differential("dbar", Omega)

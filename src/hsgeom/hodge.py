@@ -44,6 +44,7 @@ _EIG_CUTOFF = 1e-10        # relative eigenvalue cutoff, finite backend
 _SYMBOL_RCOND = 1e-8       # relative cutoff for symbol pseudoinverses
 _CG_TOL = 1e-9             # default relative residual for iterative solves
 _KERNEL_RESIDUAL = 1e-9    # relative residual demanded of deflated kernels
+_KERNEL_SWEEPS = 400       # Richardson sweeps allowed to a deflated kernel
 
 
 class NotPositiveError(ValueError):
@@ -133,6 +134,7 @@ class Metric:
         self._eig_cache: dict = {}
         self._kernel_cache: dict = {}
         self._symbol_cache: dict = {}
+        self._torsion_cache: dict = {}     # analysis.torsion_form reports
         self._averaged = None
 
     # -- pointwise Gram data -------------------------------------------------
@@ -458,28 +460,7 @@ def _symbol_apply(metric: Metric, kind: str, b: Form) -> Form:
     return Form(b.model, b.p, b.q, out)
 
 
-def _lie_opnorm(metric: Metric, kind: str, p, q) -> float:
-    """Largest-eigenvalue estimate by plain power iteration."""
-    d = _basis.degree_dims(metric.n, p, q)
-    rng = np.random.default_rng(7)
-    v = Form(metric.model, p, q,
-             rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    nv = norm(metric, v)
-    if nv == 0:
-        return 0.0
-    v = (1.0 / nv) * v
-    lam = 0.0
-    for _ in range(60):
-        w = laplacian(metric, kind, v)
-        lam = norm(metric, w)
-        if lam < 1e-300:
-            return 0.0
-        v = (1.0 / lam) * w
-    return lam
-
-
-def _deflated_kernel(metric: Metric, kind: str, p, q, precond, scale,
-                     max_sweeps=400):
+def _deflated_kernel(metric: Metric, kind: str, p, q, precond, scale):
     """Kernel basis by preconditioned Richardson deflation.
 
     Starts from the constant channel basis, repeatedly removes the
@@ -500,7 +481,7 @@ def _deflated_kernel(metric: Metric, kind: str, p, q, precond, scale,
          for j in range(d)]
     V = _mgs(metric, V)
     res = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(_KERNEL_SWEEPS):
         V = [v - precond(laplacian(metric, kind, v)) for v in V]
         V = _mgs(metric, V)
         if not V:
@@ -629,20 +610,17 @@ def _pcg(metric, kind, b, precond, kernel, rtol, cap):
 
 
 def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
-                max_iter: int = None, method: str = None,
-                with_info: bool = False):
+                max_iter: int = None, with_info: bool = False):
     """Solve Laplacian x = (b minus its harmonic part), x orthogonal to ker.
 
     The right-hand side is projected onto the operator's range first; the
-    discarded harmonic mass is reported in the info record.
+    discarded harmonic mass is reported in the info record.  The invariant
+    backend solves directly in the eigenbasis of the operator; the grid
+    backend runs kernel-deflated PCG to relative residual `tol`, preconditioned
+    by the Fourier symbol.
     """
     model = metric.model
-    if method is None:
-        method = "direct" if model.kind == "lie" else "cg"
-
-    if method == "direct":
-        if model.kind != "lie":
-            raise ValueError("direct solves need the finite backend")
+    if model.kind == "lie":
         LH, lam, U = _lie_eig(metric, kind, b.p, b.q)
         if lam.size == 0:
             info = GreenInfo("direct", 0, 0.0, 0.0, 0.0)
@@ -662,29 +640,13 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
         info = GreenInfo("direct", 0, 0.0, 0.0, discarded)
         return (out, info) if with_info else out
 
-    if method != "cg":
-        raise ValueError(f"unknown solve method {method!r}")
-
     rtol = _CG_TOL if tol is None else tol
-    if model.kind == "torus":
-        _, opnorm, _ = _symbol_pinv(metric, kind, b.p, b.q)
-        precond = lambda f: _symbol_apply(metric, kind, f)
-        kernel = harmonic_basis(metric, kind, b.p, b.q)
-        active = 1
-        for a in model.active:
-            active *= model.resolutions[a]
-        cap = max_iter or max(50, int(10 * math.sqrt(active)))
-    else:
-        opnorm = _lie_opnorm(metric, kind, b.p, b.q)
-        tau = 1.0 / opnorm if opnorm > 0 else 1.0
-        precond = lambda f: tau * f
-        key = ("cg-kernel", kind, b.p, b.q)
-        if key not in metric._kernel_cache:
-            metric._kernel_cache[key] = _deflated_kernel(
-                metric, kind, b.p, b.q, precond, opnorm, max_sweeps=3000
-            )
-        kernel = metric._kernel_cache[key]
-        cap = max_iter or 600
+    precond = lambda f: _symbol_apply(metric, kind, f)
+    kernel = harmonic_basis(metric, kind, b.p, b.q)
+    active = 1
+    for a in model.active:
+        active *= model.resolutions[a]
+    cap = max_iter or max(50, int(10 * math.sqrt(active)))
     out, info = _pcg(metric, kind, b, precond, kernel, rtol, cap)
     return (out, info) if with_info else out
 

@@ -173,6 +173,7 @@ class LieModel:
         self.name = spec.name
         self._dgen = self._build_generator_d()
         self._matrices: dict = {}
+        self._cohomology: dict = {}   # metric-free objects of cohomology.py
         self._validate(jacobi_tol)
 
     # -- structure data -----------------------------------------------------

@@ -246,12 +246,6 @@ def resample(form: Form, target: TorusModel) -> Form:
 # standard fixtures
 
 
-def flat_form(model: TorusModel) -> Form:
-    from .forms import flat_metric_form
-
-    return flat_metric_form(model)
-
-
 def standard_potential(model: TorusModel, name: str, eps: float = 0.05) -> Form:
     """Named (1,0)-form potentials for the perturbed-torus fixtures.
 

@@ -116,10 +116,31 @@ def test_mode_guard(eps_metric):
 
 def test_infeasible_lie(iwasawa):
     g = Metric(flat_metric_form(iwasawa))
-    with pytest.raises(NotFeasibleError) as ei:
-        torsion_form(g, mode="dim3")
-    assert ei.value.residuals
-    assert max(ei.value.residuals.values()) > 0.1
+    for _ in range(2):      # a failure is raised again, never memoised
+        with pytest.raises(NotFeasibleError) as ei:
+            torsion_form(g, mode="dim3")
+        assert ei.value.residuals
+        assert max(ei.value.residuals.values()) > 0.1
+
+
+def test_torsion_form_memoised_per_metric(torus3):
+    g = Metric(flat_metric_form(torus3))
+    rep = torsion_form(g, "dim3")
+    assert torsion_form(g, "dim3") is rep
+    assert torsion_form(g, "dim3", tol=1e-9) is rep     # the lie default
+    assert torsion_form(g, "dim3", tol=1e-8) is not rep
+    assert torsion_form(g, "hs_min") is not rep
+
+
+def test_energy_and_volume_leaves_memo_intact(torus3):
+    g = Metric(flat_metric_form(torus3))
+    rep = torsion_form(g)
+    full = energy_and_volume(g)
+    assert torsion_form(g) is rep
+    assert full.dv_mass is not None and "dv_mass_vs_A" in full.residuals
+    assert rep.dv_mass is None
+    assert "dv_mass_vs_A" not in rep.residuals
+    assert "rho_norm" not in rep.diagnostics
 
 
 def test_infeasible_torus(two_coord):

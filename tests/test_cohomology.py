@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from hsgeom import analysis, cli, cohomology
 from hsgeom.forms import (
     basis_form,
     coeff_norm,
@@ -208,20 +210,43 @@ def test_er_closed_exact_on_flat_omega(torus3):
     assert out["closed_residual"] < 1e-12
 
 
-def test_er_exact_witnesses_verify(heis3):
-    # dbar(phi3) = phi1 ^ phibar1 is exact on the page and the witnesses
-    # returned must reproduce it
-    target = differential("dbar", basis_form(heis3, 1, 0, (3,), ()))
-    out = er_closed_exact(target, r=2)
-    assert out["exact"]
-    assert out["exact_residual"] < 1e-10
-    zeta, xi, eta = (out["exact_witnesses"][k] for k in ("zeta", "xi", "eta"))
-    recon = (
-        differential("del", zeta)
-        + differential("del", differential("dbar", xi))
-        + differential("dbar", eta)
-    )
-    assert coeff_norm(recon - target) < 1e-9
+def test_er_exact_witnesses_verify(heis3, iwasawa):
+    # on heis3, dbar(phi3) = phi1 ^ phibar1 is closed and exact on pages 2
+    # and 3; on iwasawa, del(phi3 ^ phibar3) is closed through a nonzero
+    # tower but not exact.  Every witness returned must satisfy its tower.
+    d = lambda f: differential("del", f)
+    db = lambda f: differential("dbar", f)
+    exact = db(basis_form(heis3, 1, 0, (3,), ()))
+    closed = d(basis_form(iwasawa, 1, 1, (3,), (3,)))
+    for r in (2, 3):
+        out = er_closed_exact(exact, r=r)
+        assert out["exact"]
+        assert out["exact_residual"] < 1e-10
+        w = out["exact_witnesses"]
+        recon = d(w["zeta"]) + d(db(w["xi"])) + db(w["eta"])
+        assert coeff_norm(recon - exact) < 1e-9
+        if r == 2:
+            sides = [db(w["zeta"]), d(w["eta"])]
+        else:
+            sides = [db(w["zeta"]) - d(w["v0"]), db(w["v0"]),
+                     d(w["eta"]) - db(w["u0"]), d(w["u0"])]
+        assert max(coeff_norm(f) for f in sides) < 1e-9
+        assert not er_closed_exact(closed, r=r)["exact"]
+
+        # del a = dbar eta1, del eta1 = dbar eta2, ... and
+        # dbar a = del rho1, dbar rho1 = del rho2, ...
+        for target in (exact, closed):
+            out = er_closed_exact(target, r=r)
+            assert out["closed"]
+            c = out["closed_witnesses"]
+            assert list(c) == [f"{nm}{i}" for nm in ("eta", "rho")
+                               for i in range(1, r)]
+            for nm, part, back in (("eta", d, db), ("rho", db, d)):
+                prev = target
+                for i in range(1, r):
+                    assert coeff_norm(part(prev) - back(c[f"{nm}{i}"])) < 1e-9
+                    prev = c[f"{nm}{i}"]
+        assert coeff_norm(c["rho1"]) > 0.5
 
 
 def test_er_guards(torus3, two_coord):
@@ -230,6 +255,35 @@ def test_er_guards(torus3, two_coord):
         er_closed_exact(omega, r=5)
     with pytest.raises(ValueError):
         er_closed_exact(flat_metric_form(two_coord[0]), r=2)
+
+
+def test_report_builds_each_result_once(tmp_path, monkeypatch):
+    """One report on a freshly loaded model: one torsion solve per metric,
+    one page-data object per r."""
+    path = tmp_path / "torus3.model"
+    path.write_text(resources.files("hsgeom.catalogue")
+                    .joinpath("torus3.model").read_text())
+    pages, solves = [], []
+    page_init = cohomology._PageData.__init__
+    green = analysis.green_solve
+
+    def counting_page_init(self, model, r):
+        pages.append(r)
+        page_init(self, model, r)
+
+    def counting_green(metric, kind, b, **kw):
+        if (b.p, b.q) == (2, 0):        # the torsion right-hand side
+            solves.append(metric)
+        return green(metric, kind, b, **kw)
+
+    monkeypatch.setattr(cohomology._PageData, "__init__", counting_page_init)
+    monkeypatch.setattr(analysis, "green_solve", counting_green)
+    code = cli.main(["report", "--model", str(path),
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert sorted(pages) == [1, 2, 3]
+    # the report metric and the perturbed metric of the class recheck
+    assert len(solves) == 2 and solves[0] is not solves[1]
 
 
 # -- the torsion class -------------------------------------------------------------------
