@@ -8,19 +8,24 @@ residual |rho_u - (rho_0 + del u)|.  Both should sit at solver accuracy and
 shrink with resolution; a systematic plateau would indicate a discretisation
 bias in the volume or torsion solves.
 
+A sample whose torsion solve fails (SolveDiverged or NotFeasibleError) is
+counted in the `failed` column and left out of the worst-case columns; the
+script exits with status 1 if any sample failed.
+
     python scripts/aeppli_invariance_sweep.py --resolutions 8 16 32 \
         --samples 20 --seed 2026 --csv out/sweep.csv
 """
 
 import argparse
 import pathlib
+import sys
 import time
 
 import numpy as np
 
 from hsgeom import standard_fixture
-from hsgeom.analysis import aeppli_perturb, energy_and_volume
-from hsgeom.hodge import Metric
+from hsgeom.analysis import NotFeasibleError, aeppli_perturb, energy_and_volume
+from hsgeom.hodge import Metric, SolveDiverged
 from hsgeom.torus import synthesize_form
 
 
@@ -50,14 +55,19 @@ def sweep(fixture, resolution, eps, samples, seed):
     rng = np.random.default_rng(seed)
     worst_da = 0.0
     worst_transport = 0.0
+    failed = 0
     t0 = time.perf_counter()
     for _ in range(samples):
         u = random_potential(model, rng)
-        _, rep = aeppli_perturb(g, u, mode="dim3")
+        try:
+            _, rep = aeppli_perturb(g, u, mode="dim3")
+        except (SolveDiverged, NotFeasibleError):
+            failed += 1
+            continue
         worst_da = max(worst_da, abs(rep.a_change) / abs(base.generalized_volume))
         worst_transport = max(worst_transport, rep.transport_residual)
     dt = time.perf_counter() - t0
-    return base, worst_da, worst_transport, dt
+    return base, worst_da, worst_transport, failed, dt
 
 
 def main():
@@ -73,21 +83,23 @@ def main():
 
     rows = []
     print(f"{'N':>4s} {'F':>12s} {'A':>12s} {'max|dA|/A':>12s} "
-          f"{'transport':>12s} {'secs':>8s}")
+          f"{'transport':>12s} {'failed':>6s} {'secs':>8s}")
     for n in args.resolutions:
-        base, da, tr, dt = sweep(args.fixture, n, args.eps,
-                                 args.samples, args.seed)
+        base, da, tr, failed, dt = sweep(args.fixture, n, args.eps,
+                                         args.samples, args.seed)
         print(f"{n:4d} {base.energy:12.5e} {base.generalized_volume:12.9f} "
-              f"{da:12.3e} {tr:12.3e} {dt:8.2f}")
-        rows.append((n, base.energy, base.generalized_volume, da, tr))
+              f"{da:12.3e} {tr:12.3e} {failed:6d} {dt:8.2f}")
+        rows.append((n, base.energy, base.generalized_volume, da, tr, failed))
 
     if args.csv:
         path = pathlib.Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["resolution,F,A,max_rel_dA,max_transport"]
+        lines = ["resolution,F,A,max_rel_dA,max_transport,failed"]
         lines += [",".join(repr(v) for v in row) for row in rows]
         path.write_text("\n".join(lines) + "\n")
         print(f"wrote {path}")
+    if any(row[-1] for row in rows):
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from . import _basis
 from .forms import (Form, conjugate, differential, integrate_top, is_real,
                     wedge, zero_form)
 from .hodge import (Metric, adjoint_diff, contract, contract_trace,
-                    green_solve, harmonic_basis, inner, laplacian,
+                    form_of_11, green_solve, harmonic_basis, inner, laplacian,
                     metric_from_form, norm, pointwise_inner, star)
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
@@ -528,7 +528,6 @@ def root_of_22(Omega: Form, pos_tol: float = 1e-9) -> Form:
     and inverts the adjugate in closed form: G = adj(M)/sqrt(det M), using
     adj(adj(G)) = det(G) G for 3x3 matrices.
     """
-    model = Omega.model
     K = _matrix_of_22(Omega)
     sign = np.array([[(-1) ** (i + j) for j in range(3)] for i in range(3)])
     M = 0.5 * np.swapaxes(K * sign, -1, -2)     # candidate adjugate of G
@@ -545,14 +544,7 @@ def root_of_22(Omega: Form, pos_tol: float = 1e-9) -> Form:
         )
     det = np.linalg.det(M).real
     adjM = det[..., None, None] * np.linalg.inv(M)
-    G = adjM / np.sqrt(det)[..., None, None]
-    coeffs = np.zeros((_basis.degree_dims(3, 1, 1),) + model.grid_shape,
-                      dtype=np.complex128)
-    idx = _basis.channel_index(3, 1, 1)
-    for j in range(1, 4):
-        for k in range(1, 4):
-            coeffs[idx[((j,), (k,))]] = 1j * G[..., j - 1, k - 1]
-    return Form(model, 1, 1, coeffs)
+    return form_of_11(Omega.model, adjM / np.sqrt(det)[..., None, None])
 
 
 def sg_and_completion(metric: Metric, mode: str = "dim3",
@@ -631,6 +623,37 @@ class PerturbReport:
                 for k, v in self.__dict__.items()}
 
 
+def _perturbation(metric: Metric, omega2: Form, du, weight, mode, tol):
+    """Torsion on both sides of omega -> omega2 and the report.
+
+    du is the expected torsion shift (rho' = rho + du; None for no shift).
+    weight is omega2 - omega when the torsion form is unchanged, so that
+    F' = F + int rho ^ conj rho ^ weight exactly, and None otherwise.
+    """
+    if tol is None:
+        tol = _default_tol(metric.model)
+    metric2 = metric_from_form(omega2)
+    rep1 = torsion_form(metric, mode=mode, tol=tol)
+    rep2 = torsion_form(metric2, mode=mode, tol=tol)
+    transported = rep1.rho20 if du is None else rep1.rho20 + du
+    tres = norm(metric2, rep2.rho20 - transported) / max(
+        1.0, norm(metric2, transported))
+    quad = None
+    if weight is not None:
+        shift = _real_integral(
+            integrate_top(wedge(wedge(rep1.rho20, rep1.rho02), weight)),
+            what="energy shift")
+        quad = abs(rep2.energy - rep1.energy - shift)
+    return metric2, PerturbReport(
+        transport_residual=tres,
+        volume_change=rep2.volume - rep1.volume,
+        energy_change=rep2.energy - rep1.energy,
+        a_change=rep2.generalized_volume - rep1.generalized_volume,
+        closed_direction=weight is not None,
+        quadratic_residual=quad,
+    )
+
+
 def aeppli_perturb(metric: Metric, u: Form, mode: str = "dim3",
                    tol: float = None):
     """Perturb omega by del(conj u) + dbar(u) and track the torsion.
@@ -645,30 +668,11 @@ def aeppli_perturb(metric: Metric, u: Form, mode: str = "dim3",
         tol = _default_tol(metric.model)
     omega2 = metric.omega + differential("del", conjugate(u)) \
         + differential("dbar", u)
-    metric2 = metric_from_form(omega2)
-    rep1 = torsion_form(metric, mode=mode, tol=tol)
-    rep2 = torsion_form(metric2, mode=mode, tol=tol)
     du = differential("del", u)
-    transported = rep1.rho20 + du
-    tres = norm(metric2, rep2.rho20 - transported) / max(
-        1.0, norm(metric2, transported))
+    # del u = 0: same torsion, re-weighted by omega2 - omega
     closed = norm(metric, du) <= tol * max(1.0, norm(metric, u))
-    quad = None
-    if closed:
-        # same torsion, re-weighted: F' = F + int rho ^ conj rho ^ (w' - w)
-        shift = _real_integral(
-            integrate_top(wedge(wedge(rep1.rho20, rep1.rho02),
-                                omega2 - metric.omega)),
-            what="energy shift")
-        quad = abs(rep2.energy - rep1.energy - shift)
-    return metric2, PerturbReport(
-        transport_residual=tres,
-        volume_change=rep2.volume - rep1.volume,
-        energy_change=rep2.energy - rep1.energy,
-        a_change=rep2.generalized_volume - rep1.generalized_volume,
-        closed_direction=closed,
-        quadratic_residual=quad,
-    )
+    weight = omega2 - metric.omega if closed else None
+    return _perturbation(metric, omega2, du, weight, mode, tol)
 
 
 def bc_perturb(metric: Metric, phi: Form, mode: str = "dim3",
@@ -680,27 +684,8 @@ def bc_perturb(metric: Metric, phi: Form, mode: str = "dim3",
     """
     if (phi.p, phi.q) != (0, 0):
         raise ValueError("expected a function")
-    if tol is None:
-        tol = _default_tol(metric.model)
     bump = 1j * differential("del", differential("dbar", phi))
-    omega2 = metric.omega + bump
-    metric2 = metric_from_form(omega2)
-    rep1 = torsion_form(metric, mode=mode, tol=tol)
-    rep2 = torsion_form(metric2, mode=mode, tol=tol)
-    same = norm(metric2, rep2.rho20 - rep1.rho20) / max(
-        1.0, norm(metric2, rep1.rho20))
-    shift = _real_integral(
-        integrate_top(wedge(wedge(rep1.rho20, rep1.rho02), bump)),
-        what="energy shift")
-    quad = abs(rep2.energy - rep1.energy - shift)
-    return metric2, PerturbReport(
-        transport_residual=same,
-        volume_change=rep2.volume - rep1.volume,
-        energy_change=rep2.energy - rep1.energy,
-        a_change=rep2.generalized_volume - rep1.generalized_volume,
-        closed_direction=True,
-        quadratic_residual=quad,
-    )
+    return _perturbation(metric, metric.omega + bump, None, bump, mode, tol)
 
 
 # ---------------------------------------------------------------------------

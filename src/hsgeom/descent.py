@@ -12,14 +12,19 @@ admissible direction A is constant, so minimizing F is the same as
 maximizing the ordinary volume, which costs one determinant per trial
 instead of a torsion solve.  Accepted iterates recompute F from the torsion
 system, which turns the conservation law into a per-step cross-check.
+
+Positivity is handled by the same backtracking: a trial step whose metric
+form is not positive is shrunk like one that fails the Armijo test.  The
+search gives up below a step of _MIN_STEP, with PositivityBoundary if no
+trial at all was positive (the iterate sits on the boundary of the cone
+along its descent direction) and LineSearchStalled otherwise.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,18 +33,23 @@ from .forms import Form, conjugate, differential, real_part
 from .hodge import Metric, NotPositiveError, adjoint_diff, inner, norm
 
 
-class LineSearchStalled(RuntimeError):
+class _LineSearchError(RuntimeError):
     def __init__(self, message, state=None, trace=None):
         super().__init__(message)
         self.state = state or {}
         self.trace = trace
 
 
-class PositivityBoundary(RuntimeError):
-    def __init__(self, message, state=None, trace=None):
-        super().__init__(message)
-        self.state = state or {}
-        self.trace = trace
+class LineSearchStalled(_LineSearchError):
+    """Some trial steps were positive, but none passed the Armijo test."""
+
+
+class PositivityBoundary(_LineSearchError):
+    """No trial step down to _MIN_STEP gave a positive metric form."""
+
+
+_MIN_STEP = 1e-12          # smallest trial step of the line search
+_KAHLER_BRIDGE = 10.0      # Kahler defect allowance per unit tol
 
 
 @dataclass
@@ -48,11 +58,7 @@ class DescentOptions:
     max_iters: int = 200
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
-    min_step: float = 1e-12
     torsion_mode: str = "dim3"
-    torsion_tol: float = None        # forwarded to the torsion solver
-    positivity_bisections: int = 60
-    kahler_bridge: float = 10.0      # Kahler defect allowance per unit tol
 
     def initial_step(self, grad_norm):
         return 1.0 / (1.0 + grad_norm)
@@ -107,15 +113,7 @@ class CriticalityCertificate:
     kahler: bool
 
     def to_json(self):
-        return {
-            "balanced_defect": self.balanced_defect,
-            "skt_residual": self.skt_residual,
-            "kahler_defect": self.kahler_defect,
-            "tol": self.tol,
-            "kahler_tol": self.kahler_tol,
-            "critical": self.critical,
-            "kahler": self.kahler,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -136,21 +134,22 @@ def _d_norm(metric: Metric) -> float:
     return float(np.sqrt(norm(metric, do) ** 2 + norm(metric, dbo) ** 2))
 
 
-def certify_critical(metric: Metric, tol: float = 1e-6,
-                     bridge: float = 10.0) -> CriticalityCertificate:
+def certify_critical(metric: Metric,
+                     tol: float = 1e-6) -> CriticalityCertificate:
     """Defect report at a candidate critical point.
 
     Criticality of the energy is equivalent to the balanced condition
     dbar* omega = 0; combined with the SKT identity (automatic for a
     hermitian-symplectic metric) it forces d omega = 0.  The Kahler defect
-    is therefore asserted against bridge * tol rather than independently.
+    is therefore asserted against _KAHLER_BRIDGE * tol rather than
+    independently.
     """
     u = gradient_direction(metric)
     balanced = norm(metric, u)
     skt = norm(metric, differential(
         "del", differential("dbar", metric.omega)))
     kahler = _d_norm(metric)
-    kahler_tol = bridge * tol
+    kahler_tol = _KAHLER_BRIDGE * tol
     return CriticalityCertificate(
         balanced_defect=float(balanced),
         skt_residual=float(skt),
@@ -162,43 +161,17 @@ def certify_critical(metric: Metric, tol: float = 1e-6,
     )
 
 
-def _torsion(metric, opts):
-    return analysis.torsion_form(metric, mode=opts.torsion_mode,
-                                 tol=opts.torsion_tol)
-
-
-def _energy_state(metric, opts):
-    rep = _torsion(metric, opts)
-    return {
-        "F": rep.energy,
-        "vol": rep.volume,
-        "gen_vol": rep.generalized_volume,
-    }
-
-
-def _positivity_cap(metric, direction, t_hi, n_bisect):
-    """Largest step (up to t_hi) keeping the metric form positive.
-
-    Returns (cap, boundary_hit).  The feasible set is open and convex, so a
-    single bisection along the ray finds the boundary.
-    """
-    def ok(t):
-        try:
-            Metric(real_part(metric.omega + t * direction))
-            return True
-        except (NotPositiveError, ValueError):
-            return False
-
-    if ok(t_hi):
-        return t_hi, False
-    lo, hi = 0.0, t_hi
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.9 * lo, True
+def _row(k, metric, opts):
+    """Trace row of iterate k, step columns blank, with u and ||u||."""
+    rep = analysis.torsion_form(metric, mode=opts.torsion_mode)
+    u = gradient_direction(metric)
+    g = norm(metric, u)
+    row = {"k": k, "F": rep.energy, "vol": rep.volume,
+           "gen_vol": rep.generalized_volume, "grad_norm": float(g),
+           "d_omega_norm": _d_norm(metric),
+           "step": None, "armijo_trials": None, "slope_formula": None,
+           "slope_secant": None, "slope_rel_err": None}
+    return row, u, g
 
 
 def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
@@ -206,24 +179,22 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
 
     Each iterate records energy, volume, generalized volume, gradient norm,
     Kahler defect, the accepted step, and a secant/derivative cross-check of
-    the first-variation formula over the accepted step.  Raises
-    LineSearchStalled or PositivityBoundary with the partial trace attached.
+    the first-variation formula over the accepted step.  The line search
+    opens at opts.initial_step and multiplies by opts.backtrack after every
+    trial that is not positive or fails the Armijo test.  When no trial down
+    to _MIN_STEP is accepted it raises, with the partial trace attached:
+    PositivityBoundary if none of the trials was positive, LineSearchStalled
+    if some were but none passed the Armijo test.
     """
     opts = opts or DescentOptions()
     trace = DescentTrace(options={
         "tol": opts.tol, "max_iters": opts.max_iters,
         "armijo_c1": opts.armijo_c1, "backtrack": opts.backtrack,
-        "min_step": opts.min_step, "torsion_mode": opts.torsion_mode,
+        "min_step": _MIN_STEP, "torsion_mode": opts.torsion_mode,
     })
 
     metric = metric0
-    state = _energy_state(metric, opts)
-    u = gradient_direction(metric)
-    g = norm(metric, u)
-    row = {"k": 0, **state, "grad_norm": float(g),
-           "d_omega_norm": _d_norm(metric),
-           "step": None, "armijo_trials": None, "slope_formula": None,
-           "slope_secant": None, "slope_rel_err": None}
+    row, u, g = _row(0, metric, opts)
     trace.append(row)
 
     for k in range(opts.max_iters):
@@ -236,64 +207,50 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
                               + differential("dbar", u))
         slope = -2.0 * float(np.real(inner(metric, u, u)))   # dF/dt at t=0
 
-        t_init = opts.initial_step(g)
-        t_cap, hit = _positivity_cap(metric, direction, t_init,
-                                     opts.positivity_bisections)
-        if t_cap < opts.min_step:
-            raise PositivityBoundary(
-                f"feasible step {t_cap:.3e} below minimum {opts.min_step:.3e}"
-                f" at iterate {k}",
-                state={"k": k, "grad_norm": g, "t_cap": t_cap, **state},
-                trace=trace,
-            )
-
         # Armijo on the volume surrogate: A is constant along the direction,
         # so F(t) <= F - c1 t |slope|  <=>  Vol(t) >= Vol + c1 t |slope|.
-        t = t_cap
+        t = opts.initial_step(g)
         trials = 0
+        positive = False
         accepted = None
-        while t >= opts.min_step:
+        while t >= _MIN_STEP:
             trials += 1
             try:
                 cand = Metric(real_part(metric.omega + t * direction))
             except (NotPositiveError, ValueError):
                 t *= opts.backtrack
                 continue
-            if cand.volume >= state["vol"] - opts.armijo_c1 * t * slope:
+            positive = True
+            if cand.volume >= row["vol"] - opts.armijo_c1 * t * slope:
                 accepted = cand
                 break
             t *= opts.backtrack
         if accepted is None:
-            raise LineSearchStalled(
-                f"no Armijo step above {opts.min_step:.3e} at iterate {k}",
-                state={"k": k, "grad_norm": g, "t_last": t,
-                       "slope": slope, **state},
+            error, why = ((LineSearchStalled, "no Armijo step") if positive
+                          else (PositivityBoundary, "no positive step"))
+            raise error(
+                f"{why} above {_MIN_STEP:.3e} at iterate {k}",
+                state={"k": k, "grad_norm": g, "t_last": t, "slope": slope,
+                       "F": row["F"], "vol": row["vol"],
+                       "gen_vol": row["gen_vol"]},
                 trace=trace,
             )
 
-        new_state = _energy_state(accepted, opts)
-        new_u = gradient_direction(accepted)
+        new_row, new_u, new_g = _row(k + 1, accepted, opts)
         # slope of F along the *old* direction at the accepted endpoint;
         # the trapezoid of the endpoint slopes matches the secant exactly
         # for the cubic volume restricted to the ray
         slope_end = -2.0 * float(np.real(inner(accepted, u, new_u)))
-        secant = (new_state["F"] - state["F"]) / t
+        secant = (new_row["F"] - row["F"]) / t
         trapezoid = 0.5 * (slope + slope_end)
         denom = max(abs(trapezoid), abs(secant), 1e-300)
         row.update(step=float(t), armijo_trials=trials,
                    slope_formula=float(slope), slope_secant=float(secant),
                    slope_rel_err=float(abs(secant - trapezoid) / denom))
 
-        metric = accepted
-        state = new_state
-        u = new_u
-        g = norm(metric, u)
-        row = {"k": k + 1, **state, "grad_norm": float(g),
-               "d_omega_norm": _d_norm(metric),
-               "step": None, "armijo_trials": None, "slope_formula": None,
-               "slope_secant": None, "slope_rel_err": None}
+        metric, row, u, g = accepted, new_row, new_u, new_g
         trace.append(row)
 
     trace.termination = "converged" if g < opts.tol else "max_iters"
-    cert = certify_critical(metric, opts.tol, opts.kahler_bridge)
+    cert = certify_critical(metric, opts.tol)
     return DescentResult(trace=trace, metric=metric, certificate=cert)

@@ -36,7 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _basis
-from .forms import BidegreeError, Form, differential, is_real, zero_form
+from .forms import (BidegreeError, Form, differential, is_real, wedge,
+                    zero_form)
 
 LAPLACIAN_KINDS = ("del", "dbar", "bc", "tilde")
 
@@ -249,15 +250,7 @@ class Metric:
             Hbar = self.H
             if grid_axes:
                 Hbar = np.mean(self.H, axis=grid_axes)
-            coeffs = np.zeros(
-                (_basis.degree_dims(self.n, 1, 1),) + self.model.grid_shape,
-                dtype=np.complex128,
-            )
-            idx = _basis.channel_index(self.n, 1, 1)
-            for j in range(1, self.n + 1):
-                for k in range(1, self.n + 1):
-                    coeffs[idx[((j,), (k,))]] = 1j * Hbar[j - 1, k - 1]
-            self._averaged = Metric(Form(self.model, 1, 1, coeffs))
+            self._averaged = Metric(form_of_11(self.model, Hbar))
         return self._averaged
 
     def volume_form(self) -> Form:
@@ -266,13 +259,6 @@ class Metric:
         coeffs = np.zeros((1,) + self.model.grid_shape, dtype=np.complex128)
         coeffs[0] = (1j ** n) * sigma * self.detH
         return Form(self.model, n, n, coeffs)
-
-    def describe(self):
-        return {
-            "backend": self.model.kind,
-            "volume": self.volume,
-            "min_eigenvalue": self.min_eigenvalue,
-        }
 
 
 def _matrix_of_11(a: Form):
@@ -287,6 +273,19 @@ def _matrix_of_11(a: Form):
         for k in range(1, n + 1):
             M[..., j - 1, k - 1] = a.coeffs[idx[((j,), (k,))]] / 1j
     return M
+
+
+def form_of_11(model, M) -> Form:
+    """The (1,1)-form i * sum M_{jk} phi^j ^ phibar^k; the inverse of
+    _matrix_of_11.  M is (*grid, n, n), or (n, n) for constant coefficients."""
+    n = model.n
+    idx = _basis.channel_index(n, 1, 1)
+    coeffs = np.zeros((_basis.degree_dims(n, 1, 1),) + model.grid_shape,
+                      dtype=np.complex128)
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            coeffs[idx[((j,), (k,))]] = 1j * M[..., j - 1, k - 1]
+    return Form(model, 1, 1, coeffs)
 
 
 def metric_from_form(omega: Form, pos_tol: float = 1e-9) -> Metric:
@@ -383,12 +382,21 @@ def _operator_matrix(metric: Metric, kind: str, p, q):
 
 
 def _lie_eig(metric: Metric, kind: str, p, q):
+    """Eigendecomposition of the Laplacian on the finite invariant complex.
+
+    Returns (LH, lam, U, kept): LH = L^H for the Cholesky factor L of the
+    volume-weighted Gram, so y = LH x are metric-orthonormal coordinates;
+    lam ascending and U the eigenvectors of the operator in those
+    coordinates; and kept = lam > _EIG_CUTOFF * max(lam[-1], 1e-300), the
+    one cut between the operator's range (kept) and its kernel (~kept)
+    shared by harmonic_basis and green_solve.  Cached on the metric.
+    """
     key = (kind, p, q)
     if key not in metric._eig_cache:
         d = _basis.degree_dims(metric.n, p, q)
         if d == 0:
             metric._eig_cache[key] = (np.zeros((0, 0)), np.zeros(0),
-                                      np.zeros((0, 0)))
+                                      np.zeros((0, 0)), np.zeros(0, bool))
             return metric._eig_cache[key]
         A = _operator_matrix(metric, kind, p, q)
         L = metric.gram_cholesky(p, q)
@@ -397,7 +405,8 @@ def _lie_eig(metric: Metric, kind: str, p, q):
         Aon = LH @ A @ np.linalg.inv(LH)
         Aon = 0.5 * (Aon + Aon.conj().T)
         lam, U = np.linalg.eigh(Aon)
-        metric._eig_cache[key] = (LH, lam, U)
+        kept = lam > _EIG_CUTOFF * max(float(lam[-1]), 1e-300)
+        metric._eig_cache[key] = (LH, lam, U, kept)
     return metric._eig_cache[key]
 
 
@@ -470,16 +479,11 @@ def _deflated_kernel(metric: Metric, kind: str, p, q, precond, scale):
     """
     model = metric.model
     d = _basis.degree_dims(metric.n, p, q)
-    if d == 0:
-        return ()
+    V = _mgs(metric, [Form(model, p, q, _unit_channel(d, j, model.grid_shape))
+                      for j in range(d)])
     if scale <= 0:
-        # zero operator: the whole space is harmonic
-        basis = [Form(model, p, q, _unit_channel(d, j, model.grid_shape))
-                 for j in range(d)]
-        return tuple(_mgs(metric, basis))
-    V = [Form(model, p, q, _unit_channel(d, j, model.grid_shape))
-         for j in range(d)]
-    V = _mgs(metric, V)
+        # zero operator (or an empty bidegree): the whole space is harmonic
+        return tuple(V)
     res = np.inf
     for _ in range(_KERNEL_SWEEPS):
         V = [v - precond(laplacian(metric, kind, v)) for v in V]
@@ -526,19 +530,10 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
     key = (kind, p, q)
     if key not in metric._kernel_cache:
         if metric.model.kind == "lie":
-            LH, lam, U = _lie_eig(metric, kind, p, q)
-            d = lam.shape[0]
-            if d == 0:
-                metric._kernel_cache[key] = ()
-            else:
-                lmax = float(lam[-1]) if lam.size else 0.0
-                cut = _EIG_CUTOFF * max(lmax, 1e-300)
-                cols = U[:, lam < cut]
-                X = np.linalg.solve(LH, cols)
-                metric._kernel_cache[key] = tuple(
-                    Form(metric.model, p, q, X[:, i])
-                    for i in range(X.shape[1])
-                )
+            LH, _, U, kept = _lie_eig(metric, kind, p, q)
+            X = np.linalg.solve(LH, U[:, ~kept])
+            metric._kernel_cache[key] = tuple(
+                Form(metric.model, p, q, x) for x in X.T)
         else:
             _, opnorm, _ = _symbol_pinv(metric, kind, p, q)
             precond = lambda f: _symbol_apply(metric, kind, f)
@@ -621,17 +616,11 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     """
     model = metric.model
     if model.kind == "lie":
-        LH, lam, U = _lie_eig(metric, kind, b.p, b.q)
-        if lam.size == 0:
-            info = GreenInfo("direct", 0, 0.0, 0.0, 0.0)
-            out = zero_form(model, b.p, b.q)
-            return (out, info) if with_info else out
+        LH, lam, U, kept = _lie_eig(metric, kind, b.p, b.q)
         y = U.conj().T @ (LH @ b.coeffs)
-        lmax = float(lam[-1]) if lam.size else 0.0
-        cut = _EIG_CUTOFF * max(lmax, 1e-300)
-        invlam = np.where(lam > cut, 1.0 / np.where(lam > cut, lam, 1.0), 0.0)
+        invlam = np.where(kept, 1.0 / np.where(kept, lam, 1.0), 0.0)
         nfull = float(np.linalg.norm(y))
-        nkept = float(np.linalg.norm(y[lam > cut]))
+        nkept = float(np.linalg.norm(y[kept]))
         discarded = 0.0
         if nfull > 0:
             discarded = math.sqrt(max(nfull ** 2 - nkept ** 2, 0.0)) / nfull
@@ -707,26 +696,21 @@ def contract_trace(metric: Metric, gamma: Form):
 
 
 def primitive_part(metric: Metric, a: Form) -> Form:
-    """Orthogonal projection onto primitive forms (degree <= n)."""
+    """Orthogonal projection onto primitive forms (degree <= min(n, 3))."""
     n = metric.n
     k = a.p + a.q
-    if k > n:
-        raise ValueError("primitive projection implemented for degree <= n")
+    if k > min(n, 3):
+        raise ValueError("primitive projection implemented for degree "
+                         "<= min(n, 3)")
     if k <= 1:
         return a
-    lam1 = contract(metric, a)
-    if k == 2:
-        from .forms import wedge
-        return a - (1.0 / n) * wedge(metric.omega, lam1)
-    if k == 3:
-        from .forms import wedge
-        return a - (1.0 / (n - 1)) * wedge(metric.omega, lam1)
-    raise ValueError("unexpected degree")
+    # for k <= 3 the contraction is itself primitive, so one Lefschetz
+    # correction suffices
+    return a - (1.0 / (n - k + 2)) * wedge(metric.omega, contract(metric, a))
 
 
 def primitive_star_reference(metric: Metric, v: Form) -> Form:
     """Closed-form star of a primitive form; test oracle for star()."""
-    from .forms import wedge
     n = metric.n
     k = v.p + v.q
     sign = (-1) ** ((k * (k + 1)) // 2)

@@ -6,8 +6,10 @@ import io
 import numpy as np
 import pytest
 
-from hsgeom.forms import coeff_norm, differential, flat_metric_form
-from hsgeom.hodge import Metric, adjoint_diff, norm
+from hsgeom import descent
+from hsgeom.forms import (coeff_norm, conjugate, differential,
+                          flat_metric_form, real_part)
+from hsgeom.hodge import Metric, NotPositiveError, adjoint_diff, norm
 from hsgeom.descent import (
     DescentOptions,
     DescentResult,
@@ -120,6 +122,41 @@ def test_positivity_boundary_type():
     assert issubclass(PositivityBoundary, RuntimeError)
     err = PositivityBoundary("blocked")
     assert isinstance(err, RuntimeError)
+
+
+class _WideOpening(DescentOptions):
+    """Opens every line search far outside the positive cone."""
+
+    def initial_step(self, grad_norm):
+        return 128.0 / (1.0 + grad_norm)
+
+
+def test_opening_step_outside_cone_backtracks(eps_metric):
+    opts = _WideOpening(tol=5e-3, max_iters=60)
+    u = gradient_direction(eps_metric)
+    direction = real_part(differential("del", conjugate(u))
+                          + differential("dbar", u))
+    t0 = opts.initial_step(norm(eps_metric, u))
+    with pytest.raises(NotPositiveError):
+        Metric(real_part(eps_metric.omega + t0 * direction))
+    trace = descend(eps_metric, opts).trace
+    assert trace.termination == "converged"
+    f_vals = trace.column("F")
+    assert all(b <= a for a, b in zip(f_vals, f_vals[1:]))
+    assert trace.iterates[0]["armijo_trials"] > 1
+
+
+def test_positivity_boundary_when_no_trial_is_positive(eps_metric,
+                                                        monkeypatch):
+    def never_positive(omega, pos_tol=1e-9):
+        raise NotPositiveError(-1.0, (0,))
+
+    monkeypatch.setattr(descent, "Metric", never_positive)
+    with pytest.raises(PositivityBoundary) as ei:
+        descend(eps_metric, DescentOptions(tol=1e-9, max_iters=10))
+    assert "iterate 0" in str(ei.value)
+    assert ei.value.trace.iterates
+    assert ei.value.state["F"] > 0
 
 
 # -- trace serialization -------------------------------------------------------

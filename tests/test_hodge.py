@@ -17,6 +17,7 @@ from hsgeom.forms import (
     zero_form,
 )
 from hsgeom.hodge import (
+    LAPLACIAN_KINDS,
     Metric,
     NotPositiveError,
     adjoint_diff,
@@ -282,6 +283,43 @@ def test_green_solve_lie(lie_models, kind, seed):
     # solution is orthogonal to the harmonic space
     for v in harmonic_basis(g, kind, b.p, b.q):
         assert abs(inner(g, x, v)) < 1e-9
+
+
+# On heis3 the tilde Laplacian vanishes identically on these bidegrees; at a
+# random metric its eigenvalues there are round-off (about 1e-33), which the
+# relative eigenvalue cut keeps as range (ROADMAP item 1).
+_ROUND_OFF_TILDE = ((0, 1), (0, 2), (3, 1), (3, 2))
+
+
+@pytest.fixture(scope="module")
+def heis3_random(heis3):
+    return random_metric(heis3, np.random.default_rng(3))
+
+
+def _assert_green_annihilates_harmonic(g, kind, p, q):
+    for h in harmonic_basis(g, kind, p, q):
+        x, info = green_solve(g, kind, h, with_info=True)
+        assert norm(g, x) < 1e-12
+        assert abs(info.discarded_mass - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("kind", LAPLACIAN_KINDS)
+def test_green_solve_annihilates_harmonic_basis(heis3_random, kind):
+    # harmonic_basis and green_solve share one eigenvalue cut on the lie
+    # backend, so every harmonic vector is all discarded mass
+    for p in range(4):
+        for q in range(4):
+            if kind == "tilde" and (p, q) in _ROUND_OFF_TILDE:
+                continue
+            _assert_green_annihilates_harmonic(heis3_random, kind, p, q)
+
+
+@pytest.mark.xfail(strict=True, reason="round-off eigenvalues pass the "
+                   "relative cut (ROADMAP item 1)")
+@pytest.mark.parametrize("bidegree", _ROUND_OFF_TILDE)
+def test_green_solve_annihilates_harmonic_basis_round_off(heis3_random,
+                                                          bidegree):
+    _assert_green_annihilates_harmonic(heis3_random, "tilde", *bidegree)
 
 
 def test_green_solve_torus(eps_metric):
