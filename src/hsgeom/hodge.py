@@ -23,9 +23,9 @@ Conventions, locked by the test suite:
 
 Green operators: the finite invariant backend uses an eigendecomposition in
 metric-orthonormal coordinates with a relative singular-value cutoff; the
-grid backend runs kernel-deflated preconditioned conjugate gradients, with
-the preconditioner built from the (numerically sampled) Fourier symbol of
-the same operator at the grid-averaged metric.
+grid backend runs kernel-deflated conjugate gradients preconditioned by
+1/sigma(k), sigma the closed-form scalar symbol of the Laplacians at the
+grid-mean metric (bc: 1/(sigma^2 + sigma)); see _symbol_pinv.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ class Metric:
         self._kernel_cache: dict = {}
         self._symbol_cache: dict = {}
         self._torsion_cache: dict = {}     # analysis.torsion_form reports
-        self._averaged = None
 
     # -- pointwise Gram data -------------------------------------------------
 
@@ -242,16 +241,6 @@ class Metric:
         return self._lmat_cache[key]
 
     # -- misc ----------------------------------------------------------------
-
-    def averaged(self) -> "Metric":
-        """Constant-coefficient metric with the grid-averaged matrix."""
-        if self._averaged is None:
-            grid_axes = tuple(range(len(self.model.grid_shape)))
-            Hbar = self.H
-            if grid_axes:
-                Hbar = np.mean(self.H, axis=grid_axes)
-            self._averaged = Metric(form_of_11(self.model, Hbar))
-        return self._averaged
 
     def volume_form(self) -> Form:
         n = self.n
@@ -426,107 +415,114 @@ def _mgs(metric: Metric, forms, drop_tol=1e-8):
     return out
 
 
-def _symbol_pinv(metric: Metric, kind: str, p, q):
-    """Per-frequency pseudoinverse of the constant-coefficient symbol.
+def _symbol_pinv(metric: Metric, kind: str):
+    """Closed-form inverse of the Fourier symbol: (inv, opnorm, axes).
 
-    The symbol is sampled numerically: the operator at the grid-averaged
-    metric is applied to forms whose channel field is a delta at the grid
-    origin, whose FFT reads off one symbol column at every frequency
-    simultaneously.
+    At the constant (so Kaehler) metric Hbar, the grid mean of H, the del,
+    dbar and tilde Laplacians act on each channel as the scalar
+    sigma(k) = -sum_{j,l} (Hbar^{-1})_{lj} zh_j zbh_l >= 0, where
+    zh_j = (i/2)(k_{2j-1} - i k_{2j}) and zbh_j = (i/2)(k_{2j-1} + i k_{2j})
+    are the symbols of d/dz_j and d/dzbar_j (harmonic projection there
+    removes only k=0).  The Bott-Chern symbol lies between sigma^2 and
+    sigma^2 + 2 sigma, so bc takes 1/(sigma^2 + sigma): the preconditioned
+    spectrum is inside [sigma/(sigma+1), (sigma+2)/(sigma+1)], [1/3, 5/3]
+    where sigma >= 1/2 as on the fixtures; on larger metrics it is slower.
+    inv is zero where the symbol is at most _SYMBOL_RCOND * opnorm (k=0 in
+    particular); opnorm is max sigma (bc: max sigma^2 + 2 sigma).
     """
-    key = (kind, p, q)
-    if key not in metric._symbol_cache:
-        model = metric.model
-        flat = metric.averaged()
-        d = _basis.degree_dims(metric.n, p, q)
-        grid = model.grid_shape
-        axes = tuple(1 + a for a in model.active)
-        M = np.empty(grid + (d, d), dtype=np.complex128)
-        for j in range(d):
-            x = np.zeros((d,) + grid, dtype=np.complex128)
-            x[(j,) + (0,) * len(grid)] = 1.0
-            y = laplacian(flat, kind, Form(model, p, q, x)).coeffs
-            M[..., :, j] = np.moveaxis(np.fft.fftn(y, axes=axes), 0, -1)
-        # pseudo-invert with a cutoff relative to the largest singular value
-        # over the whole frequency range: per-frequency cutoffs would happily
-        # invert the floating-point dust sitting at exactly-singular symbols
-        U, s, Vh = np.linalg.svd(M)
-        opnorm = float(s.max()) if s.size else 0.0
-        cut = _SYMBOL_RCOND * max(opnorm, 1e-300)
-        sinv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-        pinv = np.swapaxes(Vh, -1, -2).conj() @ (
-            sinv[..., :, None] * np.swapaxes(U, -1, -2).conj()
-        )
-        metric._symbol_cache[key] = (pinv, opnorm, axes)
-    return metric._symbol_cache[key]
+    bc = kind == "bc"
+    if bc not in metric._symbol_cache:
+        k, n = metric.model._freqs, metric.n
+        Hinv = np.linalg.inv(np.mean(metric.H, axis=tuple(range(len(k)))))
+        zh = [0.5j * (k[2 * j] - 1j * k[2 * j + 1]) for j in range(n)]
+        zbh = [0.5j * (k[2 * j] + 1j * k[2 * j + 1]) for j in range(n)]
+        sigma = -sum(Hinv[l, j] * zh[j] * zbh[l]
+                     for j in range(n) for l in range(n)).real
+        if bc:
+            sym, top = sigma ** 2 + sigma, sigma ** 2 + 2 * sigma
+        else:
+            sym = top = sigma
+        opnorm = float(np.max(top))
+        cut = sym > _SYMBOL_RCOND * max(opnorm, 1e-300)
+        inv = np.where(cut, 1.0 / np.where(cut, sym, 1.0), 0.0)
+        axes = tuple(1 + a for a in metric.model.active)
+        metric._symbol_cache[bc] = (inv, opnorm, axes)
+    return metric._symbol_cache[bc]
 
 
 def _symbol_apply(metric: Metric, kind: str, b: Form) -> Form:
-    pinv, _, axes = _symbol_pinv(metric, kind, b.p, b.q)
+    inv, _, axes = _symbol_pinv(metric, kind)
     spec = np.fft.fftn(b.coeffs, axes=axes)
-    z = pinv @ np.moveaxis(spec, 0, -1)[..., None]
-    out = np.fft.ifftn(np.moveaxis(z[..., 0], -1, 0), axes=axes)
-    return Form(b.model, b.p, b.q, out)
+    return Form(b.model, b.p, b.q, np.fft.ifftn(spec * inv, axes=axes))
 
 
-def _deflated_kernel(metric: Metric, kind: str, p, q, precond, scale):
+def _deflated_kernel(metric: Metric, kind: str, p, q, scale):
     """Kernel basis by preconditioned Richardson deflation.
 
-    Starts from the constant channel basis, repeatedly removes the
-    preconditioned image, re-orthonormalizes, and finishes with a
-    Rayleigh-Ritz rotation that separates genuine kernel directions from
-    slow modes.
+    From the constant channel basis, v <- v - sigma^{-1} Laplacian v and
+    re-orthonormalize, until the relative residual is below 1e-12, a sweep
+    changes no vector, or _KERNEL_SWEEPS sweeps have run; then _ritz_kernel.
+    The Laplacian is applied once per changed vector per sweep: a sweep's
+    residual images are the next sweep's (and the Ritz step's).
     """
-    model = metric.model
     d = _basis.degree_dims(metric.n, p, q)
-    V = _mgs(metric, [Form(model, p, q, _unit_channel(d, j, model.grid_shape))
-                      for j in range(d)])
-    if scale <= 0:
-        # zero operator (or an empty bidegree): the whole space is harmonic
-        return tuple(V)
-    res = np.inf
-    for _ in range(_KERNEL_SWEEPS):
-        V = [v - precond(laplacian(metric, kind, v)) for v in V]
-        V = _mgs(metric, V)
-        if not V:
-            return ()
-        res = max(norm(metric, laplacian(metric, kind, v)) for v in V) / scale
-        if res < 1e-12:
-            break
-    # Rayleigh-Ritz cleanup
-    m = len(V)
-    R = np.empty((m, m), dtype=np.complex128)
+    E = np.zeros((d, d) + metric.model.grid_shape, dtype=np.complex128)
+    E[np.arange(d), np.arange(d)] = 1.0
+    V = _mgs(metric, [Form(metric.model, p, q, e) for e in E])
+    if scale <= 0 or not V:
+        return tuple(V)    # a zero operator (or an empty bidegree)
     images = [laplacian(metric, kind, v) for v in V]
-    for i in range(m):
-        for j in range(m):
-            R[i, j] = inner(metric, images[j], V[i])
+    for _ in range(_KERNEL_SWEEPS):
+        W = _mgs(metric, [v - _symbol_apply(metric, kind, a)
+                          for v, a in zip(V, images)])
+        same = [i < len(V) and np.array_equal(w.coeffs, V[i].coeffs)
+                for i, w in enumerate(W)]
+        if len(W) == len(V) and all(same):
+            break          # a fixed point: every further sweep repeats it
+        images = [images[i] if same[i] else laplacian(metric, kind, w)
+                  for i, w in enumerate(W)]
+        V = W
+        if not V or max(norm(metric, a) for a in images) / scale < 1e-12:
+            break
+    return _ritz_kernel(metric, kind, p, q, V, images, scale)
+
+
+def _ritz_kernel(metric: Metric, kind: str, p, q, V, images, scale):
+    """Rayleigh-Ritz cut of the orthonormal forms V to the kernel.
+
+    Keeps the eigenvectors of <Laplacian V_j, V_i> with Ritz value below
+    1e-8 * scale (all of V if scale <= 0: a zero operator); images, if
+    given, are the Laplacians of V.  The same combination of images is the
+    Laplacian of a kept vector, whose relative residual must be at most
+    _KERNEL_RESIDUAL (SolveDiverged otherwise).
+    """
+    if scale <= 0 or not V:
+        return tuple(V)
+    images = images or [laplacian(metric, kind, v) for v in V]
+    R = np.array([[inner(metric, a, v) for a in images] for v in V])
     lam, U = np.linalg.eigh(0.5 * (R + R.conj().T))
-    kept = []
-    for i in range(m):
-        if lam[i] < 1e-8 * scale:
-            w = zero_form(model, p, q)
-            for j in range(m):
-                w = w + U[j, i] * V[j]
-            kept.append(w)
-    kept = _mgs(metric, kept)
-    for w in kept:
-        r = norm(metric, laplacian(metric, kind, w)) / scale
+    U = U[:, lam < 1e-8 * scale]
+    rotate = lambda forms: [Form(metric.model, p, q, c) for c in np.tensordot(
+        U.T, np.stack([f.coeffs for f in forms]), axes=1)]
+    for w in rotate(images):
+        r = norm(metric, w) / scale
         if r > _KERNEL_RESIDUAL:
             raise SolveDiverged(
                 f"harmonic basis for {kind} on ({p},{q}) stalled at relative "
                 f"residual {r:.2e}"
             )
-    return tuple(kept)
-
-
-def _unit_channel(d, j, grid):
-    x = np.zeros((d,) + grid, dtype=np.complex128)
-    x[j] = 1.0
-    return x
+    return tuple(rotate(V))
 
 
 def harmonic_basis(metric: Metric, kind: str, p, q):
-    """Metric-orthonormal basis of ker(Laplacian) in bidegree (p,q)."""
+    """Metric-orthonormal basis of ker(Laplacian) in bidegree (p,q).
+
+    The invariant backend reads it off _lie_eig.  On the grid, del, dbar and
+    bc run _deflated_kernel with opnorm of _symbol_pinv as residual scale.
+    As <tilde h, h> = |p''del* h|^2 + |p''del h|^2 + |dbar h|^2 + |dbar* h|^2,
+    the tilde kernel is {h in ker Delta'' : p''del h = 0 = p''del* h}
+    (Popovici's pseudo-Laplacian): the Ritz cut of the dbar kernel.
+    """
     key = (kind, p, q)
     if key not in metric._kernel_cache:
         if metric.model.kind == "lie":
@@ -534,12 +530,13 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
             X = np.linalg.solve(LH, U[:, ~kept])
             metric._kernel_cache[key] = tuple(
                 Form(metric.model, p, q, x) for x in X.T)
+        elif kind == "tilde":
+            metric._kernel_cache[key] = _ritz_kernel(
+                metric, kind, p, q, harmonic_basis(metric, "dbar", p, q),
+                None, _symbol_pinv(metric, kind)[1])
         else:
-            _, opnorm, _ = _symbol_pinv(metric, kind, p, q)
-            precond = lambda f: _symbol_apply(metric, kind, f)
             metric._kernel_cache[key] = _deflated_kernel(
-                metric, kind, p, q, precond, opnorm
-            )
+                metric, kind, p, q, _symbol_pinv(metric, kind)[1])
     return metric._kernel_cache[key]
 
 
@@ -554,7 +551,7 @@ def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
 # Green operators
 
 
-def _pcg(metric, kind, b, precond, kernel, rtol, cap):
+def _pcg(metric, kind, b, kernel, rtol, cap):
     def proj(f):
         for v in kernel:
             f = f - inner(metric, f, v) * v
@@ -573,17 +570,22 @@ def _pcg(metric, kind, b, precond, kernel, rtol, cap):
 
     x = zero_form(metric.model, b.p, b.q)
     r = bp
-    z = proj(precond(r))
+    z = proj(_symbol_apply(metric, kind, r))
     pdir = z
     rz = inner(metric, r, z).real
     history = []
-    for it in range(cap):
+    for it in range(cap + 1):
         res = norm(metric, r)
         history.append(res)
         if res <= rtol * nb:
             info = GreenInfo("pcg", it, res, res / nb, discarded,
                              tuple(history))
             return proj(x), info
+        if it == cap:
+            raise SolveDiverged(
+                f"cg hit the iteration cap {cap} at relative residual "
+                f"{res / nb:.2e}", history
+            )
         Ap = proj(laplacian(metric, kind, pdir))
         pAp = inner(metric, Ap, pdir).real
         if pAp <= 0.0:
@@ -593,15 +595,11 @@ def _pcg(metric, kind, b, precond, kernel, rtol, cap):
         alpha = rz / pAp
         x = x + alpha * pdir
         r = r - alpha * Ap
-        z = proj(precond(r))
+        z = proj(_symbol_apply(metric, kind, r))
         rz_new = inner(metric, r, z).real
         beta = rz_new / rz
         rz = rz_new
         pdir = z + beta * pdir
-    raise SolveDiverged(
-        f"cg hit the iteration cap {cap} at relative residual "
-        f"{history[-1] / nb:.2e}", history
-    )
 
 
 def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
@@ -612,7 +610,8 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     discarded harmonic mass is reported in the info record.  The invariant
     backend solves directly in the eigenbasis of the operator; the grid
     backend runs kernel-deflated PCG to relative residual `tol`, preconditioned
-    by the Fourier symbol.
+    by the closed-form Fourier symbol (_symbol_pinv), and raises SolveDiverged
+    if the iterate after `max_iter` updates still misses it.
     """
     model = metric.model
     if model.kind == "lie":
@@ -630,13 +629,12 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
         return (out, info) if with_info else out
 
     rtol = _CG_TOL if tol is None else tol
-    precond = lambda f: _symbol_apply(metric, kind, f)
     kernel = harmonic_basis(metric, kind, b.p, b.q)
     active = 1
     for a in model.active:
         active *= model.resolutions[a]
     cap = max_iter or max(50, int(10 * math.sqrt(active)))
-    out, info = _pcg(metric, kind, b, precond, kernel, rtol, cap)
+    out, info = _pcg(metric, kind, b, kernel, rtol, cap)
     return (out, info) if with_info else out
 
 

@@ -1,13 +1,16 @@
 """Metric layer: Gram data, star, adjoints, Laplacians, Green operators."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsgeom import _basis
+from hsgeom import _basis, hodge, make_torus_model, standard_fixture
 from hsgeom.forms import (
     BidegreeError,
+    Form,
     basis_form,
     coeff_norm,
     differential,
@@ -20,10 +23,12 @@ from hsgeom.hodge import (
     LAPLACIAN_KINDS,
     Metric,
     NotPositiveError,
+    SolveDiverged,
     adjoint_diff,
     contract,
     contract_trace,
     decompose_3space,
+    form_of_11,
     green_solve,
     harmonic_basis,
     harmonic_project,
@@ -37,7 +42,7 @@ from hsgeom.hodge import (
     star,
 )
 
-from conftest import random_form, random_metric
+from conftest import random_band_form, random_form, random_metric
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -341,6 +346,154 @@ def test_green_solve_diverges_on_tiny_cap(eps_metric):
     b = random_form(eps_metric.model, 2, 0, rng)
     with pytest.raises(SolveDiverged):
         green_solve(eps_metric, "dbar", b, tol=1e-13, max_iter=2)
+
+
+def test_green_solve_converges_at_its_own_iteration_count(eps_metric):
+    # the iterate after the last allowed update is checked before the cap
+    # is declared hit
+    rng = np.random.default_rng(11)
+    b = random_form(eps_metric.model, 2, 0, rng)
+    x, info = green_solve(eps_metric, "dbar", b, with_info=True)
+    y, again = green_solve(eps_metric, "dbar", b, max_iter=info.iterations,
+                           with_info=True)
+    assert again.iterations == info.iterations
+    assert np.array_equal(x.coeffs, y.coeffs)
+
+
+# -- grid preconditioner and kernels ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def skew_constant_metric():
+    """A constant, non-diagonal metric on a 4-axis N=8 grid (z1, z2 active),
+    eigenvalues 0.003, 0.24 and 0.93 in a random unitary frame."""
+    model = make_torus_model(8, ("x1", "x2", "x3", "x4"))
+    rng = np.random.default_rng(21)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                        + 1j * rng.standard_normal((3, 3)))
+    H = Q @ np.diag([0.003, 0.24, 0.93]) @ Q.conj().T
+    return Metric(form_of_11(model, 0.5 * (H + H.conj().T)))
+
+
+def _sampled_symbol(g, kind, p, q):
+    """The symbol (*grid, d, d) of a constant-coefficient Laplacian, one
+    column per delta-at-the-origin channel field."""
+    model = g.model
+    d = _basis.degree_dims(g.n, p, q)
+    axes = tuple(1 + a for a in model.active)
+    M = np.empty(model.grid_shape + (d, d), dtype=np.complex128)
+    for j in range(d):
+        x = np.zeros((d,) + model.grid_shape, dtype=np.complex128)
+        x[(j,) + (0,) * len(model.grid_shape)] = 1.0
+        y = laplacian(g, kind, Form(model, p, q, x)).coeffs
+        M[..., :, j] = np.moveaxis(np.fft.fftn(y, axes=axes), 0, -1)
+    return M
+
+
+@pytest.mark.parametrize("kind", ["del", "dbar", "tilde"])
+def test_closed_form_symbol_matches_sampled(skew_constant_metric, kind):
+    g = skew_constant_metric
+    inv, opnorm, _ = hodge._symbol_pinv(g, kind)
+    for p in range(4):
+        for q in range(4):
+            M = _sampled_symbol(g, kind, p, q)
+            # pseudo-inverse with a cut relative to the whole frequency range
+            U, s, Vh = np.linalg.svd(M)
+            assert abs(s.max() - opnorm) < 1e-12 * opnorm
+            keep = s > hodge._SYMBOL_RCOND * s.max()
+            sinv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+            pinv = np.swapaxes(Vh, -1, -2).conj() @ (
+                sinv[..., :, None] * np.swapaxes(U, -1, -2).conj())
+            want = inv[..., None, None] * np.eye(M.shape[-1])
+            assert np.abs(pinv - want).max() < 1e-10
+
+
+def test_bc_symbol_within_bracket(skew_constant_metric):
+    # at a Kaehler metric sigma^2 <= sigma_BC <= sigma^2 + 2 sigma
+    g = skew_constant_metric
+    inv, _, _ = hodge._symbol_pinv(g, "dbar")
+    sigma = np.where(inv > 0, 1.0 / np.where(inv > 0, inv, 1.0), 0.0)
+    top = float(np.max(sigma ** 2 + 2 * sigma))
+    assert abs(hodge._symbol_pinv(g, "bc")[1] - top) < 1e-12 * top
+    for p in range(4):
+        for q in range(4):
+            lam = np.linalg.eigvals(_sampled_symbol(g, "bc", p, q))
+            assert np.abs(lam.imag).max() < 1e-9 * top
+            lo = (sigma ** 2)[..., None]
+            hi = (sigma ** 2 + 2 * sigma)[..., None]
+            assert np.all(lam.real >= lo - 1e-9 * top)
+            assert np.all(lam.real <= hi + 1e-9 * top)
+
+
+@pytest.fixture(scope="module")
+def two_coord8():
+    return Metric(standard_fixture("two_coord", resolution=8, eps=0.05)[3])
+
+
+@pytest.mark.parametrize("flavor", ["bc", "tilde"])
+def test_decompose_3space_torus(two_coord8, flavor):
+    g = two_coord8
+    a = random_band_form(g.model, 1, 1, np.random.default_rng(5))
+    h, mid, co = decompose_3space(g, flavor, a)
+    na = norm(g, a)
+    assert coeff_norm(h + mid + co - a) < 1e-12 * coeff_norm(a)
+    assert abs(inner(g, h, mid)) < 1e-9 * na ** 2
+    assert abs(inner(g, h, co)) < 1e-9 * na ** 2
+    assert abs(inner(g, mid, co)) < 1e-9 * na ** 2
+    assert norm(g, laplacian(g, flavor, h)) < 1e-9 * na
+
+
+def test_bc_kernel_and_decomposition_on_scaled_metric(two_coord8):
+    # 4 omega puts the lowest symbol value at 1/8, below the 1/2 of the
+    # fixtures, where the scalar bc preconditioner is slower per sweep
+    g = Metric(4.0 * two_coord8.omega)
+    assert float(hodge._symbol_pinv(g, "dbar")[0].max()) == pytest.approx(8.0)
+    kernel = harmonic_basis(g, "bc", 1, 1)
+    assert len(kernel) == len(harmonic_basis(two_coord8, "bc", 1, 1))
+    a = random_band_form(g.model, 1, 1, np.random.default_rng(5))
+    h, mid, co = decompose_3space(g, "bc", a)
+    na = norm(g, a)
+    assert abs(inner(g, h, mid)) < 1e-9 * na ** 2
+    assert abs(inner(g, h, co)) < 1e-9 * na ** 2
+    assert abs(inner(g, mid, co)) < 1e-9 * na ** 2
+    assert norm(g, laplacian(g, "bc", h)) < 1e-9 * na
+
+
+@pytest.mark.xfail(strict=True, raises=SolveDiverged,
+                   reason="the scalar bc preconditioner slows as 1/(1 + "
+                   "sigma_min) per sweep, so large metrics exhaust "
+                   "_KERNEL_SWEEPS (ROADMAP item 3)")
+def test_bc_kernel_on_large_metric(two_coord8):
+    g = Metric(64.0 * two_coord8.omega)
+    assert len(harmonic_basis(g, "bc", 1, 3)) == len(
+        harmonic_basis(two_coord8, "bc", 1, 3))
+
+
+def test_tilde_kernel_inside_dbar_kernel(two_coord8):
+    g = two_coord8
+    for p in range(4):
+        for q in range(4):
+            tilde = harmonic_basis(g, "tilde", p, q)
+            assert len(tilde) == len(harmonic_basis(g, "dbar", p, q))
+            for w in tilde:
+                off = w - harmonic_project(g, "dbar", w)
+                assert norm(g, off) < 1e-10
+
+
+def test_deflated_kernel_applies_laplacian_once_per_vector(monkeypatch):
+    g = Metric(standard_fixture("two_coord", resolution=8, eps=0.05)[3])
+    applied = collections.Counter()
+    real = hodge.laplacian
+
+    def counting(metric, kind, a):
+        applied[(kind, a.p, a.q, a.coeffs.tobytes())] += 1
+        return real(metric, kind, a)
+
+    monkeypatch.setattr(hodge, "laplacian", counting)
+    for kind in ("del", "dbar", "tilde"):
+        for p, q in ((1, 0), (1, 1), (0, 2), (1, 2)):
+            harmonic_basis(g, kind, p, q)
+    assert applied and max(applied.values()) == 1
 
 
 # -- three-space decomposition -----------------------------------------------------------
