@@ -25,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _basis
-from .forms import (Form, conjugate, differential, integrate_top, is_real,
-                    wedge, zero_form)
+from .forms import (Form, coeff_norm, conjugate, differential,
+                    integrate_top, is_real, wedge, zero_form)
 from .hodge import (Metric, adjoint_diff, contract, contract_trace,
                     form_of_11, green_solve, harmonic_basis, inner, laplacian,
-                    metric_from_form, norm, pointwise_inner, star)
+                    norm, pointwise_inner, star)
+from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
 
@@ -187,18 +188,22 @@ def torsion_form(metric: Metric, mode: str = "dim3",
     skt:    the same formula, but only Im(dbar*)-minimality is claimed and
             the metric must be pluriclosed.
 
-    A successful report is memoised on the metric per (mode, tol), so every
-    caller gets the same object: treat it as read-only.
+    A successful report is memoised on the metric per (mode, tol), tol
+    resolved to the backend default first: treat it as read-only.  A failure
+    is raised on every call; on the invariant backend each rests on the one
+    memoised lie.hs_feasibility certificate of the metric.
     """
     if mode not in TORSION_MODES:
         raise ValueError(f"unknown torsion mode {mode!r}")
+    if tol is None:
+        tol = _default_tol(metric.model)
+    return metric.memo(("torsion", mode, tol),
+                       lambda: _torsion_form(metric, mode, tol))
+
+
+def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     model = metric.model
     n = metric.n
-    if tol is None:
-        tol = _default_tol(model)
-    key = (mode, tol)
-    if key in metric._torsion_cache:
-        return metric._torsion_cache[key]
     omega = metric.omega
     d_omega = differential("del", omega)
     scale = max(1.0, norm(metric, d_omega))
@@ -212,8 +217,7 @@ def torsion_form(metric: Metric, mode: str = "dim3",
             )
 
     if mode in ("hs_min", "dim3") and model.kind == "lie":
-        from .lie import hs_feasibility
-        cert = hs_feasibility(model, omega)
+        cert = hs_feasibility(metric)
         if not cert.feasible:
             raise NotFeasibleError(
                 f"invariant torsion system infeasible "
@@ -260,15 +264,13 @@ def torsion_form(metric: Metric, mode: str = "dim3",
             norm(metric, d_omega) if F < tol else None
         ),
     }
-    report = TorsionReport(
+    return TorsionReport(
         mode=mode, rho20=rho, rho02=rho02,
         energy=F, volume=vol, generalized_volume=A,
         dv_mass=None, g_energy=None, g_marker=None,
         residuals=residuals, diagnostics=diagnostics,
         tolerances={"constraint": tol},
     )
-    metric._torsion_cache[key] = report
-    return report
 
 
 def e2_obstruction(metric: Metric, rho02: Form, tol: float = None):
@@ -412,8 +414,7 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     r_sg = _im_dbar_residual(metric, d_pow)
 
     if model.kind == "lie":
-        from .lie import hs_feasibility
-        cert = hs_feasibility(model, omega)
+        cert = hs_feasibility(metric)
         hs_ok, r_hs = cert.feasible, cert.residual
     else:
         try:
@@ -425,11 +426,7 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
             hs_ok = False
             r_hs = max(exc.residuals.values()) if exc.residuals else math.inf
 
-    alpha, prim, _ = lefschetz_alpha(metric)
-    a_wedge = wedge(alpha, omega)
-    s = (pointwise_inner(metric, a_wedge, a_wedge).real
-         - pointwise_inner(metric, prim, prim).real)
-    s_arr = np.asarray(s)
+    s_arr = np.asarray(_lefschetz_split(metric)[2])
     total = s_arr.size
     frac_u = float(np.count_nonzero(s_arr > tol)) / total
     frac_v = float(np.count_nonzero(s_arr < -tol)) / total
@@ -465,28 +462,35 @@ def lefschetz_alpha(metric: Metric):
     """Split del omega = prim + alpha ^ omega with prim primitive.
 
     Returns (alpha, prim, residual of the pointwise sign-field identity
-    i del omega ^ dbar omega = s dV).
+    i del omega ^ dbar omega = s dV).  The split is memoised on the metric
+    and shared with classify_metric, which reads its sign field s.
     """
-    n = metric.n
-    if n != 3:
-        raise ValueError("implemented for complex dimension 3")
-    omega = metric.omega
-    d_omega = differential("del", omega)
-    alpha = 0.5 * contract(metric, d_omega)
-    prim = d_omega - wedge(alpha, omega)
-    # postcondition: prim really is primitive
-    lp = contract(metric, prim)
-    if norm(metric, lp) > 1e-8 * max(1.0, norm(metric, d_omega)):
-        raise RuntimeError("primitive part failed the contraction test")
-
-    a_wedge = wedge(alpha, omega)
-    s = (pointwise_inner(metric, a_wedge, a_wedge).real
-         - pointwise_inner(metric, prim, prim).real)
-    lhs = 1j * wedge(d_omega, conjugate(d_omega)).coeffs[0]
-    rhs = s * metric.volume_form().coeffs[0]
-    scale = max(1.0, float(np.max(np.abs(lhs))))
-    residual = float(np.max(np.abs(lhs - rhs))) / scale
+    alpha, prim, _, residual = _lefschetz_split(metric)
     return alpha, prim, residual
+
+
+def _lefschetz_split(metric: Metric):
+    """(alpha, prim, s, residual) of lefschetz_alpha, memoised on the metric."""
+    def build():
+        if metric.n != 3:
+            raise ValueError("implemented for complex dimension 3")
+        omega = metric.omega
+        d_omega = differential("del", omega)
+        alpha = 0.5 * contract(metric, d_omega)
+        prim = d_omega - wedge(alpha, omega)
+        # postcondition: prim really is primitive
+        lp = contract(metric, prim)
+        if norm(metric, lp) > 1e-8 * max(1.0, norm(metric, d_omega)):
+            raise RuntimeError("primitive part failed the contraction test")
+
+        a_wedge = wedge(alpha, omega)
+        s = (pointwise_inner(metric, a_wedge, a_wedge).real
+             - pointwise_inner(metric, prim, prim).real)
+        lhs = 1j * wedge(d_omega, conjugate(d_omega)).coeffs[0]
+        rhs = s * metric.volume_form().coeffs[0]
+        scale = max(1.0, float(np.max(np.abs(lhs))))
+        return alpha, prim, s, float(np.max(np.abs(lhs - rhs))) / scale
+    return metric.memo(("lefschetz",), build)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +561,8 @@ def sg_and_completion(metric: Metric, mode: str = "dim3",
     omega = metric.omega
     Omega = wedge(omega, omega) + 2.0 * wedge(rho, rho02)
     gamma = root_of_22(Omega)
-    root_res = norm_of_coeffs(wedge(gamma, gamma) - Omega) / max(
-        1.0, norm_of_coeffs(Omega))
+    root_res = coeff_norm(wedge(gamma, gamma) - Omega) / max(
+        1.0, coeff_norm(Omega))
 
     # quoted integral identities
     lhs1 = _real_integral(integrate_top(wedge(Omega, omega)) / 6.0,
@@ -566,7 +570,7 @@ def sg_and_completion(metric: Metric, mode: str = "dim3",
     rhs1 = (2.0 / 3.0) * report.volume + (1.0 / 3.0) * report.generalized_volume
     dbar_Omega = differential("dbar", Omega)
     closure = dbar_Omega + 2.0 * differential("del", wedge(rho02, omega))
-    r2 = norm_of_coeffs(closure) / max(1.0, norm_of_coeffs(dbar_Omega))
+    r2 = coeff_norm(closure) / max(1.0, coeff_norm(dbar_Omega))
 
     # completion integral: the (3,3)-part of (rho + omega + rho02)^3 / 3!
     top = wedge(wedge(omega, omega), omega) \
@@ -574,12 +578,12 @@ def sg_and_completion(metric: Metric, mode: str = "dim3",
     tilde_vol = _real_integral(integrate_top(top) / 6.0,
                                what="completion volume")
     d_tilde = max(
-        norm_of_coeffs(differential("del", rho)),
-        norm_of_coeffs(differential("dbar", rho)
+        coeff_norm(differential("del", rho)),
+        coeff_norm(differential("dbar", rho)
                        + differential("del", omega)),
-        norm_of_coeffs(differential("dbar", omega)
+        coeff_norm(differential("dbar", omega)
                        + differential("del", rho02)),
-        norm_of_coeffs(differential("dbar", rho02)),
+        coeff_norm(differential("dbar", rho02)),
     )
 
     identities = {
@@ -595,13 +599,6 @@ def sg_and_completion(metric: Metric, mode: str = "dim3",
     return SGCompletion(Omega=Omega, gamma=gamma, rho20=rho,
                         omega_tilde=(rho, omega, rho02),
                         identities=identities)
-
-
-def norm_of_coeffs(a: Form) -> float:
-    """Metric-free coefficient norm; scale gauge for residual reporting."""
-    if a.coeffs.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(np.abs(a.coeffs) ** 2) * a.coeffs.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +629,7 @@ def _perturbation(metric: Metric, omega2: Form, du, weight, mode, tol):
     """
     if tol is None:
         tol = _default_tol(metric.model)
-    metric2 = metric_from_form(omega2)
+    metric2 = Metric(omega2)
     rep1 = torsion_form(metric, mode=mode, tol=tol)
     rep2 = torsion_form(metric2, mode=mode, tol=tol)
     transported = rep1.rho20 if du is None else rep1.rho20 + du

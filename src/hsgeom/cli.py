@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from . import analysis, descent
+from . import analysis, cohomology, descent
 from .forms import Form, conjugate, differential, flat_metric_form
 from .hodge import Metric, NotPositiveError, SolveDiverged
 from .lie import (IntegrabilityError, JacobiError, ModelFormatError,
@@ -200,6 +200,12 @@ def _config_echo(args):
     return {k: getattr(args, k, None) for k in keys}
 
 
+def _error_doc(args, exc):
+    """The document of a run that failed with `exc` before any result."""
+    return {"schema": 1, "ok": False, "config": _config_echo(args),
+            "error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -208,9 +214,7 @@ def cmd_validate(args):
     try:
         model = _resolve_model(args)
     except _INPUT_ERRORS as exc:
-        _emit(args, {"schema": 1, "ok": False, "config": _config_echo(args),
-                     "error": {"type": type(exc).__name__,
-                               "message": str(exc)}})
+        _emit(args, _error_doc(args, exc))
         return EXIT_INPUT
     _emit(args, {"schema": 1, "ok": True, "config": _config_echo(args),
                  "model": model.describe()})
@@ -276,8 +280,6 @@ def _report_body(model, metric, args):
         section("completion", completion)
 
     if model.kind == "lie":
-        from . import cohomology
-
         def tables():
             cl = cohomology.classical_groups(model)
             out = {"classical": cl.to_json(), "pages": {}}
@@ -322,9 +324,7 @@ def cmd_report(args):
         model = _resolve_model(args)
         metric = _resolve_metric(model, args)
     except _INPUT_ERRORS as exc:
-        _emit(args, {"schema": 1, "ok": False, "config": _config_echo(args),
-                     "error": {"type": type(exc).__name__,
-                               "message": str(exc)}})
+        _emit(args, _error_doc(args, exc))
         return EXIT_INPUT
     doc, failed = _report_body(model, metric, args)
     _emit(args, doc)
@@ -337,9 +337,7 @@ def cmd_descend(args):
         metric = _resolve_metric(model, args)
         os.makedirs(args.out, exist_ok=True)
     except _INPUT_ERRORS as exc:
-        sys.stdout.write(_dump_json(
-            {"schema": 1, "ok": False, "config": _config_echo(args),
-             "error": {"type": type(exc).__name__, "message": str(exc)}}))
+        sys.stdout.write(_dump_json(_error_doc(args, exc)))
         return EXIT_INPUT
 
     opts = descent.DescentOptions(tol=args.tol, max_iters=args.max_iters,
@@ -379,9 +377,7 @@ def cmd_descend(args):
                              "message": str(exc), "state": exc.state})
         return EXIT_NUMERICAL
     except (analysis.NotFeasibleError, SolveDiverged) as exc:
-        sys.stdout.write(_dump_json(
-            {"schema": 1, "ok": False, "config": _config_echo(args),
-             "error": {"type": type(exc).__name__, "message": str(exc)}}))
+        sys.stdout.write(_dump_json(_error_doc(args, exc)))
         return EXIT_NUMERICAL
 
     write_outputs(result.trace, result.metric, result.certificate)

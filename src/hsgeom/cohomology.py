@@ -31,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _basis
+from .analysis import NotFeasibleError, torsion_form
 from .forms import (Form, conjugate, differential, flat_metric_form,
                     integrate_top, wedge)
-from .hodge import Metric, NotPositiveError, metric_from_form, norm
+from .hodge import Metric, NotPositiveError, norm
 from .lie import LieModel
 
 _RANK_TOL = 1e-10
@@ -211,11 +212,9 @@ def _quotient(cx, N, D, p, q):
 
 
 def _memo(model, key, build):
-    """build() memoised on the model, like LieModel._matrices."""
+    """build() memoised on the lie model (LieModel.memo)."""
     _require_lie(model)
-    if key not in model._cohomology:
-        model._cohomology[key] = build()
-    return model._cohomology[key]
+    return model.memo(key, build)
 
 
 def _complex(model):
@@ -512,21 +511,16 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
     of the metric.  A precomputed torsion analysis may be injected through
     `torsion_report`; the perturbation recheck is skipped in that case.
     """
-    from . import analysis
-
     model = metric.model
     _require_lie(model)
     injected = torsion_report is not None
     if not injected:
         try:
-            torsion_report = analysis.torsion_form(metric, mode="dim3")
-        except analysis.NotFeasibleError as exc:
+            torsion_report = torsion_form(metric, mode="dim3")
+        except NotFeasibleError as exc:
             raise NotHSError(str(exc)) from exc
     rho02 = torsion_report.rho02
-    page = _page(model, 2)
-    coords = page.coordinates(rho02)
-    scale = max(1.0, norm(metric, rho02))
-    vanishing = bool(np.linalg.norm(coords) <= 1e-8 * scale)
+    page, coords, vanishing = _e2_coordinates(metric, rho02)
 
     cx = page.cx
     certificate = {"vanishing": vanishing}
@@ -561,16 +555,24 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
         m2 = metric
         for _ in range(8):
             try:
-                m2 = metric_from_form(metric.omega + bump)
+                m2 = Metric(metric.omega + bump)
                 break
             except NotPositiveError:
                 bump = 0.5 * bump
-        report2 = analysis.torsion_form(m2, mode="dim3")
+        report2 = torsion_form(m2, mode="dim3")
         coords2 = page.coordinates(report2.rho02)
         certificate["perturbed_coordinate_drift"] = float(
             np.linalg.norm(coords2 - coords))
 
     return CohomClass("E_2", (0, 2), rho02, coords), certificate
+
+
+def _e2_coordinates(metric: Metric, rho02: Form):
+    """(page 2, page-2 coordinates of rho02, whether they vanish)."""
+    page = _page(metric.model, 2)
+    coords = page.coordinates(rho02)
+    scale = max(1.0, norm(metric, rho02))
+    return page, coords, bool(np.linalg.norm(coords) <= 1e-8 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -773,8 +775,6 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
     six times the generalized volume.  `torsion_report` may supply a
     precomputed torsion analysis to reuse (or to inject in tests).
     """
-    from . import analysis
-
     model = metric.model
     _require_lie(model)
     table = higher_page_groups(model, 2)
@@ -782,14 +782,13 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
         raise HypothesisFailed("page-1 identity-map isomorphisms", table)
     if torsion_report is None:
         try:
-            torsion_report = analysis.torsion_form(metric, mode="dim3")
-        except analysis.NotFeasibleError as exc:
+            torsion_report = torsion_form(metric, mode="dim3")
+        except NotFeasibleError as exc:
             raise HypothesisFailed("hermitian-symplectic metric",
                                    exc.certificate) from exc
     rho, rho02 = torsion_report.rho20, torsion_report.rho02
-    page = _page(model, 2)
-    coords = page.coordinates(rho02)
-    if np.linalg.norm(coords) > 1e-8 * max(1.0, norm(metric, rho02)):
+    page, coords, vanishing = _e2_coordinates(metric, rho02)
+    if not vanishing:
         raise HypothesisFailed(
             "vanishing page-2 torsion class",
             CohomClass("E_2", (0, 2), rho02, coords),

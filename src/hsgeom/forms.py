@@ -136,11 +136,12 @@ def integrate_top(a: Form) -> complex:
 
 
 def coeff_norm(a: Form) -> float:
-    """Reference L2 norm of the raw coefficient channels (diagnostic only)."""
+    """Reference L2 norm of the raw coefficient channels: the root of the
+    grid mean of sum over channels of |c|^2.  A metric-free scale gauge for
+    residuals and diagnostics."""
     if a.coeffs.shape[0] == 0:
         return 0.0
-    c = a.coeffs.reshape(a.coeffs.shape[0], -1)
-    return float(np.sqrt(np.mean(np.sum(np.abs(c) ** 2, axis=0))))
+    return float(np.sqrt(np.mean(np.abs(a.coeffs) ** 2) * a.coeffs.shape[0]))
 
 
 def is_real(a: Form, tol: float = 1e-12) -> bool:

@@ -95,7 +95,15 @@ def _compound(M, p):
 
 
 class Metric:
-    """A positive (1,1)-form with cached pointwise linear-algebra data."""
+    """A positive (1,1)-form with cached pointwise linear-algebra data.
+
+    Per-metric results go through `memo(key, build)`, one dict keyed by
+    tagged tuples: Gram Cholesky factors and inverses, wedge-omega matrices,
+    _lie_eig, _symbol_pinv, torsion reports, the feasibility certificate and
+    the Lefschetz split.  Pairings, stars and harmonic kernels keep their
+    own _pairing_cache, _star_cache and _kernel_cache, because the
+    benchmark tracer (perfbench/spans.py) counts their misses by name.
+    """
 
     def __init__(self, omega: Form, pos_tol: float = 1e-9):
         if (omega.p, omega.q) != (1, 1):
@@ -128,14 +136,15 @@ class Metric:
         self.min_eigenvalue = worst
 
         self._pairing_cache: dict = {}
-        self._chol_cache: dict = {}
         self._star_cache: dict = {}
-        self._lmat_cache: dict = {}
-        self._gram_inv_cache: dict = {}
-        self._eig_cache: dict = {}
         self._kernel_cache: dict = {}
-        self._symbol_cache: dict = {}
-        self._torsion_cache: dict = {}     # analysis.torsion_form reports
+        self._memo: dict = {}
+
+    def memo(self, key, build):
+        """build() memoised on the metric under the tagged tuple `key`."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- pointwise Gram data -------------------------------------------------
 
@@ -183,19 +192,12 @@ class Metric:
 
         ||a||^2_{L2} = mean over the grid of |L(x)^H a(x)|^2.
         """
-        key = (p, q)
-        if key not in self._chol_cache:
-            G = _trailing(self.gram(p, q)) * self.density[..., None, None]
-            self._chol_cache[key] = _leading(np.linalg.cholesky(G))
-        return self._chol_cache[key]
+        return self.memo(("chol", p, q), lambda: _leading(np.linalg.cholesky(
+            _trailing(self.gram(p, q)) * self.density[..., None, None])))
 
     def _gram_inverse(self, p, q):
-        key = (p, q)
-        if key not in self._gram_inv_cache:
-            self._gram_inv_cache[key] = _leading(
-                np.linalg.inv(_trailing(self.gram(p, q)))
-            )
-        return self._gram_inv_cache[key]
+        return self.memo(("gram_inv", p, q), lambda: _leading(
+            np.linalg.inv(_trailing(self.gram(p, q)))))
 
     # -- star ----------------------------------------------------------------
 
@@ -228,17 +230,16 @@ class Metric:
 
     def wedge_omega_matrix(self, p, q):
         """Channel matrix of a -> omega ^ a, (p,q) -> (p+1,q+1)."""
-        key = (p, q)
-        if key not in self._lmat_cache:
+        def build():
             n = self.n
             d_in = _basis.degree_dims(n, p, q)
             d_out = _basis.degree_dims(n, p + 1, q + 1)
-            grid = self.model.grid_shape
-            L = np.zeros((d_out, d_in) + grid, dtype=np.complex128)
+            L = np.zeros((d_out, d_in) + self.model.grid_shape,
+                         dtype=np.complex128)
             for c1, c2, c_out, sign in _basis.wedge_table(n, 1, 1, p, q):
                 L[c_out, c2] += sign * self.omega.coeffs[c1]
-            self._lmat_cache[key] = L
-        return self._lmat_cache[key]
+            return L
+        return self.memo(("wedge_omega", p, q), build)
 
     # -- misc ----------------------------------------------------------------
 
@@ -275,10 +276,6 @@ def form_of_11(model, M) -> Form:
         for k in range(1, n + 1):
             coeffs[idx[((j,), (k,))]] = 1j * M[..., j - 1, k - 1]
     return Form(model, 1, 1, coeffs)
-
-
-def metric_from_form(omega: Form, pos_tol: float = 1e-9) -> Metric:
-    return Metric(omega, pos_tol=pos_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -378,25 +375,21 @@ def _lie_eig(metric: Metric, kind: str, p, q):
     lam ascending and U the eigenvectors of the operator in those
     coordinates; and kept = lam > _EIG_CUTOFF * max(lam[-1], 1e-300), the
     one cut between the operator's range (kept) and its kernel (~kept)
-    shared by harmonic_basis and green_solve.  Cached on the metric.
+    shared by harmonic_basis and green_solve.  Memoised on the metric.
     """
-    key = (kind, p, q)
-    if key not in metric._eig_cache:
-        d = _basis.degree_dims(metric.n, p, q)
-        if d == 0:
-            metric._eig_cache[key] = (np.zeros((0, 0)), np.zeros(0),
-                                      np.zeros((0, 0)), np.zeros(0, bool))
-            return metric._eig_cache[key]
+    def build():
+        if _basis.degree_dims(metric.n, p, q) == 0:
+            return (np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)),
+                    np.zeros(0, bool))
         A = _operator_matrix(metric, kind, p, q)
-        L = metric.gram_cholesky(p, q)
-        LH = L.conj().T
+        LH = metric.gram_cholesky(p, q).conj().T
         # operator in metric-orthonormal coordinates y = L^H x
         Aon = LH @ A @ np.linalg.inv(LH)
         Aon = 0.5 * (Aon + Aon.conj().T)
         lam, U = np.linalg.eigh(Aon)
         kept = lam > _EIG_CUTOFF * max(float(lam[-1]), 1e-300)
-        metric._eig_cache[key] = (LH, lam, U, kept)
-    return metric._eig_cache[key]
+        return LH, lam, U, kept
+    return metric.memo(("eig", kind, p, q), build)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +424,8 @@ def _symbol_pinv(metric: Metric, kind: str):
     particular); opnorm is max sigma (bc: max sigma^2 + 2 sigma).
     """
     bc = kind == "bc"
-    if bc not in metric._symbol_cache:
+
+    def build():
         k, n = metric.model._freqs, metric.n
         Hinv = np.linalg.inv(np.mean(metric.H, axis=tuple(range(len(k)))))
         zh = [0.5j * (k[2 * j] - 1j * k[2 * j + 1]) for j in range(n)]
@@ -445,9 +439,8 @@ def _symbol_pinv(metric: Metric, kind: str):
         opnorm = float(np.max(top))
         cut = sym > _SYMBOL_RCOND * max(opnorm, 1e-300)
         inv = np.where(cut, 1.0 / np.where(cut, sym, 1.0), 0.0)
-        axes = tuple(1 + a for a in metric.model.active)
-        metric._symbol_cache[bc] = (inv, opnorm, axes)
-    return metric._symbol_cache[bc]
+        return inv, opnorm, tuple(1 + a for a in metric.model.active)
+    return metric.memo(("symbol", bc), build)
 
 
 def _symbol_apply(metric: Metric, kind: str, b: Form) -> Form:
@@ -611,8 +604,12 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     backend solves directly in the eigenbasis of the operator; the grid
     backend runs kernel-deflated PCG to relative residual `tol`, preconditioned
     by the closed-form Fourier symbol (_symbol_pinv), and raises SolveDiverged
-    if the iterate after `max_iter` updates still misses it.
+    if the iterate after `max_iter` updates still misses it.  `max_iter`
+    None is a cap growing with the grid; 0 only checks the projected
+    right-hand side; a negative cap is a ValueError.
     """
+    if max_iter is not None and max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     model = metric.model
     if model.kind == "lie":
         LH, lam, U, kept = _lie_eig(metric, kind, b.p, b.q)
@@ -630,11 +627,10 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
 
     rtol = _CG_TOL if tol is None else tol
     kernel = harmonic_basis(metric, kind, b.p, b.q)
-    active = 1
-    for a in model.active:
-        active *= model.resolutions[a]
-    cap = max_iter or max(50, int(10 * math.sqrt(active)))
-    out, info = _pcg(metric, kind, b, kernel, rtol, cap)
+    if max_iter is None:
+        active = math.prod(model.resolutions[a] for a in model.active)
+        max_iter = max(50, int(10 * math.sqrt(active)))
+    out, info = _pcg(metric, kind, b, kernel, rtol, max_iter)
     return (out, info) if with_info else out
 
 

@@ -172,9 +172,14 @@ class LieModel:
         self.n = spec.n
         self.name = spec.name
         self._dgen = self._build_generator_d()
-        self._matrices: dict = {}
-        self._cohomology: dict = {}   # metric-free objects of cohomology.py
+        self._memo: dict = {}   # operator matrices, cohomology.py objects
         self._validate(jacobi_tol)
+
+    def memo(self, key, build):
+        """build() memoised on the model under the tagged tuple `key`."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- structure data -----------------------------------------------------
 
@@ -221,20 +226,18 @@ class LieModel:
 
     def operator_matrix(self, part: str, p: int, q: int) -> np.ndarray:
         """Dense matrix of del or dbar from bidegree (p,q)."""
-        key = (part, p, q)
-        if key in self._matrices:
-            return self._matrices[key]
-        tgt = (p + 1, q) if part == "del" else (p, q + 1)
-        rows = _basis.degree_dims(self.n, *tgt)
-        cols = _basis.degree_dims(self.n, p, q)
-        M = np.zeros((rows, cols), dtype=np.complex128)
-        if rows and cols:
-            for c, (I, J) in enumerate(_basis.basis(self.n, p, q)):
-                acc = self._d_of_basis_element(I, J)
-                if tgt in acc:
-                    M[:, c] = acc[tgt]
-        self._matrices[key] = M
-        return M
+        def build():
+            tgt = (p + 1, q) if part == "del" else (p, q + 1)
+            M = np.zeros((_basis.degree_dims(self.n, *tgt),
+                          _basis.degree_dims(self.n, p, q)),
+                         dtype=np.complex128)
+            if M.size:
+                for c, (I, J) in enumerate(_basis.basis(self.n, p, q)):
+                    acc = self._d_of_basis_element(I, J)
+                    if tgt in acc:
+                        M[:, c] = acc[tgt]
+            return M
+        return self.memo(("op", part, p, q), build)
 
     # -- backend protocol ---------------------------------------------------
 
@@ -319,15 +322,20 @@ class FeasibilityCertificate:
         }
 
 
-def hs_feasibility(model: LieModel, omega: Form, tol: float = 1e-10) -> FeasibilityCertificate:
-    """Decide solvability of the torsion system for an invariant metric form.
+def hs_feasibility(metric, tol: float = 1e-10) -> FeasibilityCertificate:
+    """Decide solvability of the torsion system for an invariant metric.
 
-    The residual is measured in the metric L2 norm of the stacked target
-    spaces, and the returned solution is the minimal-norm one.
+    `metric` is a hodge.Metric on a LieModel.  The residual is measured in
+    the metric L2 norm of the stacked target spaces, and the returned
+    solution is the minimal-norm one.  The certificate, feasible or not, is
+    memoised on the metric per tol, so the classification and every torsion
+    extraction on that metric share one solve.
     """
-    from . import hodge
+    return metric.memo(("hs", tol), lambda: _hs_feasibility(metric, tol))
 
-    metric = hodge.metric_from_form(omega)
+
+def _hs_feasibility(metric, tol):
+    model, omega = metric.model, metric.omega
     n = model.n
     A_del = model.operator_matrix("del", n - 1, 0)
     A_dbar = model.operator_matrix("dbar", n - 1, 0)

@@ -30,7 +30,6 @@ from hsgeom.hodge import (
     Metric,
     adjoint_diff,
     inner,
-    metric_from_form,
     norm,
     primitive_part,
     primitive_star_reference,
@@ -221,7 +220,7 @@ def test_criterion_04_generalized_volume_invariance(eps_metric, family16):
         for u, _, _ in family16:
             u2 = resample(u, fine)
             bump = differential("del", conjugate(u2)) + differential("dbar", u2)
-            rep = analysis.energy_and_volume(metric_from_form(omega_fine + bump),
+            rep = analysis.energy_and_volume(Metric(omega_fine + bump),
                                              mode="dim3")
             defect32 = max(defect32,
                            abs(rep.generalized_volume - a0_fine) / abs(a0_fine))
@@ -281,7 +280,7 @@ def test_criterion_06_first_variation(eps_metric, two_coord):
                 bump = differential("del", conjugate(t * u)) + \
                     differential("dbar", t * u)
                 return analysis.energy_and_volume(
-                    metric_from_form(eps_metric.omega + bump), mode="dim3"
+                    Metric(eps_metric.omega + bump), mode="dim3"
                 ).energy
 
             fd = (F(h) - F(-h)) / (2.0 * h)
@@ -389,7 +388,7 @@ def test_criterion_10_cohomology_regression(lie_models, torus3_metric):
         e1 = cohomology.spectral_page(iw, 1)
         e2 = cohomology.spectral_page(iw, 2)
         assert any(e1.dims[k] != e2.dims[k] for k in e1.dims)
-        cert = hs_feasibility(iw, flat_metric_form(iw))
+        cert = hs_feasibility(Metric(flat_metric_form(iw)))
         assert not cert.feasible and cert.residual > 0.1
 
         cls, ccert = cohomology.e2_torsion_class(torus3_metric)

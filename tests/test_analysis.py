@@ -14,7 +14,9 @@ from hsgeom.forms import (
     integrate_top,
     wedge,
 )
-from hsgeom.hodge import Metric, adjoint_diff, inner, metric_from_form, norm
+from hsgeom import analysis
+from hsgeom.hodge import Metric, adjoint_diff, inner, norm, pointwise_inner
+from hsgeom.lie import hs_feasibility
 from hsgeom.analysis import (
     TORSION_MODES,
     MACoefficients,
@@ -30,7 +32,6 @@ from hsgeom.analysis import (
     holo_oneform_audit,
     lefschetz_alpha,
     ma_constants,
-    norm_of_coeffs,
     root_of_22,
     scalar_volume_derivative,
     sg_and_completion,
@@ -130,6 +131,31 @@ def test_torsion_form_memoised_per_metric(torus3):
     assert torsion_form(g, "dim3", tol=1e-9) is rep     # the lie default
     assert torsion_form(g, "dim3", tol=1e-8) is not rep
     assert torsion_form(g, "hs_min") is not rep
+
+
+def test_feasibility_and_lefschetz_split_memoised_per_metric(
+        torus3, iwasawa, monkeypatch):
+    g = Metric(flat_metric_form(torus3))
+    cert = hs_feasibility(g)
+    assert hs_feasibility(g) is cert
+    assert hs_feasibility(g, tol=1e-8) is not cert
+    alpha, prim, residual = lefschetz_alpha(g)
+    again = lefschetz_alpha(g)
+    assert again[0] is alpha and again[1] is prim and again[2] == residual
+    # classify_metric reads the sign field of the memoised split
+    calls = []
+    monkeypatch.setattr(analysis, "pointwise_inner",
+                        lambda *a: calls.append(a) or pointwise_inner(*a))
+    classify_metric(g)
+    assert calls == []
+    # every failing torsion extraction on one metric shares one certificate
+    g = Metric(flat_metric_form(iwasawa))
+    certs = []
+    for _ in range(2):
+        with pytest.raises(NotFeasibleError) as ei:
+            torsion_form(g)
+        certs.append(ei.value.certificate)
+    assert certs[0] is certs[1] is hs_feasibility(g)
 
 
 def test_energy_and_volume_leaves_memo_intact(torus3):
@@ -364,7 +390,7 @@ def test_first_variation_fd(eps_metric, seed):
 
     def F(t):
         bump = differential("del", conjugate(t * u)) + differential("dbar", t * u)
-        return energy_and_volume(metric_from_form(eps_metric.omega + bump)).energy
+        return energy_and_volume(Metric(eps_metric.omega + bump)).energy
 
     fd = (F(h) - F(-h)) / (2 * h)
     assert abs(fv.dF - fd) < 1e-5 * max(1.0, abs(fd))
@@ -379,7 +405,7 @@ def test_scalar_volume_derivative(eps_metric):
     bump = 1j * differential("del", differential("dbar", phi))
 
     def vol(t):
-        return metric_from_form(eps_metric.omega + t * bump).volume
+        return Metric(eps_metric.omega + t * bump).volume
 
     fd = (vol(h) - vol(-h)) / (2 * h)
     assert abs(dv - fd) < 1e-6 * max(1.0, abs(fd))

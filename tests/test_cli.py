@@ -93,6 +93,26 @@ def test_report_iwasawa_honest_negative():
     assert doc["cohomology"]["classical"]["de_rham"] == [1, 4, 8, 10, 8, 4, 1]
 
 
+def test_report_builds_each_metric_once(tmp_path, monkeypatch):
+    # a model loaded from a file shares no memo with other tests
+    from importlib import resources
+
+    from hsgeom import cli, hodge
+
+    model = tmp_path / "iwasawa.model"
+    model.write_text(resources.files("hsgeom.catalogue")
+                     .joinpath("iwasawa.model").read_text())
+    built = []
+    init = hodge.Metric.__init__
+    monkeypatch.setattr(hodge.Metric, "__init__",
+                        lambda self, *a, **k: built.append(self)
+                        or init(self, *a, **k))
+    out = tmp_path / "report.json"
+    assert cli.main(["report", "--model", str(model), "--out", str(out)]) == 0
+    # the metric and the flat reference metric of the cohomology complex
+    assert len(built) == 2
+
+
 def test_report_heis3_page_blocked():
     code, doc = run_json("report", "--model", "catalogue:heis3")
     assert code == 0

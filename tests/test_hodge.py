@@ -34,7 +34,6 @@ from hsgeom.hodge import (
     harmonic_project,
     inner,
     laplacian,
-    metric_from_form,
     norm,
     pointwise_inner,
     primitive_part,
@@ -78,11 +77,6 @@ def test_scaled_metric_volume(torus3):
     g = Metric(2.0 * flat_metric_form(torus3))
     # H = identity, density = 2^3 * det H = 8
     assert abs(g.volume - 8.0) < 1e-13
-
-
-def test_metric_from_form(two_coord):
-    g = metric_from_form(two_coord[3])
-    assert abs(g.volume - Metric(two_coord[3]).volume) < 1e-15
 
 
 # -- inner products ------------------------------------------------------------
@@ -358,6 +352,19 @@ def test_green_solve_converges_at_its_own_iteration_count(eps_metric):
                            with_info=True)
     assert again.iterations == info.iterations
     assert np.array_equal(x.coeffs, y.coeffs)
+
+
+def test_green_solve_cap_zero_checks_only_the_right_hand_side(two_coord8):
+    # max_iter=0 makes no update: it raises unless the projected right-hand
+    # side already meets tol; None is the default cap, a negative cap an error
+    b = random_form(two_coord8.model, 2, 0, np.random.default_rng(13))
+    with pytest.raises(SolveDiverged, match="cap 0 "):
+        green_solve(two_coord8, "dbar", b, max_iter=0)
+    x, info = green_solve(two_coord8, "dbar", b, tol=2.0, max_iter=0,
+                          with_info=True)
+    assert info.iterations == 0 and not np.any(x.coeffs)
+    with pytest.raises(ValueError, match="max_iter"):
+        green_solve(two_coord8, "dbar", b, max_iter=-1)
 
 
 # -- grid preconditioner and kernels ----------------------------------------------------

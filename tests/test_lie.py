@@ -19,6 +19,7 @@ from hsgeom.lie import (
     load_model,
     parse_model_text,
 )
+from hsgeom.hodge import Metric
 
 HEIS_TEXT = """\
 name heis3
@@ -112,7 +113,7 @@ def test_jacobi_guard():
 
 
 def test_torus_feasible(torus3):
-    cert = hs_feasibility(torus3, flat_metric_form(torus3))
+    cert = hs_feasibility(Metric(flat_metric_form(torus3)))
     assert cert.feasible
     assert cert.residual == 0
     assert coeff_norm(cert.solution) == 0
@@ -122,7 +123,7 @@ def test_torus_feasible(torus3):
 
 def test_nilmanifolds_infeasible(iwasawa, heis3):
     for model in (iwasawa, heis3):
-        cert = hs_feasibility(model, flat_metric_form(model))
+        cert = hs_feasibility(Metric(flat_metric_form(model)))
         assert not cert.feasible
         assert cert.residual > 0.5
         assert cert.solution is None
@@ -134,6 +135,6 @@ def test_nilmanifolds_infeasible(iwasawa, heis3):
 def test_feasibility_json_round_trips(torus3):
     import json
 
-    cert = hs_feasibility(torus3, flat_metric_form(torus3))
+    cert = hs_feasibility(Metric(flat_metric_form(torus3)))
     blob = json.dumps(cert.to_json())
     assert json.loads(blob)["feasible"] is True
