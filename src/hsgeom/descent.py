@@ -7,17 +7,14 @@ keeps the generalized volume A fixed and changes F at first order by
 Kahler metrics in the class, so the trace (energy, volume, gradient norm,
 Kahler defect per step) is the deliverable, not a convergence theorem.
 
-The line search exploits the conservation law F + Vol = A: along an
-admissible direction A is constant, so minimizing F is the same as
-maximizing the ordinary volume, which costs one determinant per trial
-instead of a torsion solve.  Accepted iterates recompute F from the torsion
-system, which turns the conservation law into a per-step cross-check.
-
-Positivity is handled by the same backtracking: a trial step whose metric
-form is not positive is shrunk like one that fails the Armijo test.  The
-search gives up below a step of _MIN_STEP, with PositivityBoundary if no
-trial at all was positive (the iterate sits on the boundary of the cone
-along its descent direction) and LineSearchStalled otherwise.
+The step is closed-form.  A is constant along an admissible ray, so by
+F + Vol = A minimizing F is maximizing Vol(t) = (1/6) int (omega + t gamma)^3.
+With L the Cholesky factor of H and lambda the eigenvalues of
+L^{-1} Gamma L^{-H}, det(H + t Gamma) = det H prod (1 + t lambda): Vol is a
+polynomial with coefficients mean(density * e_k(lambda)), and the positive
+cone ends at t_pos = min(-1/lambda) over lambda < 0.  The step maximizes Vol
+on (0, STEP_CAP * t_pos]; F is then recomputed from the torsion system,
+which makes the conservation law a per-step check.
 """
 
 from __future__ import annotations
@@ -30,7 +27,8 @@ import numpy as np
 
 from . import analysis
 from .forms import Form, conjugate, differential, real_part
-from .hodge import Metric, NotPositiveError, adjoint_diff, inner, norm
+from .hodge import (Metric, NotPositiveError, _matrix_of_11, adjoint_diff,
+                    inner, norm)
 
 
 class _LineSearchError(RuntimeError):
@@ -41,14 +39,15 @@ class _LineSearchError(RuntimeError):
 
 
 class LineSearchStalled(_LineSearchError):
-    """Some trial steps were positive, but none passed the Armijo test."""
+    """The best step along the ray gains no volume above round-off."""
 
 
 class PositivityBoundary(_LineSearchError):
-    """No trial step down to _MIN_STEP gave a positive metric form."""
+    """The metric form at the chosen step is not positive."""
 
 
-_MIN_STEP = 1e-12          # smallest trial step of the line search
+STEP_CAP = 0.9             # largest step, as a fraction of the cone edge t_pos
+_STALL_ULPS = 64           # volume gains below this many ulps of Vol stall
 _KAHLER_BRIDGE = 10.0      # Kahler defect allowance per unit tol
 
 
@@ -56,12 +55,7 @@ _KAHLER_BRIDGE = 10.0      # Kahler defect allowance per unit tol
 class DescentOptions:
     tol: float = 1e-6                # stop when ||dbar* omega|| drops below
     max_iters: int = 200
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
     torsion_mode: str = "dim3"
-
-    def initial_step(self, grad_norm):
-        return 1.0 / (1.0 + grad_norm)
 
 
 @dataclass
@@ -161,6 +155,31 @@ def certify_critical(metric: Metric,
     )
 
 
+def _volume_polynomial(metric: Metric, gamma: Form):
+    """Coefficients c_0..c_n of Vol(omega + t gamma) in t, and t_pos (inf
+    if gamma is nowhere negative); see the module docstring."""
+    G = _matrix_of_11(gamma)
+    Linv = np.linalg.inv(np.linalg.cholesky(metric.H))
+    lam = np.linalg.eigvalsh(Linv @ G @ np.conj(np.swapaxes(Linv, -1, -2)))
+    e = np.zeros(lam.shape[:-1] + (metric.n + 1,))
+    e[..., 0] = 1.0
+    for j in range(metric.n):
+        e[..., 1:] += lam[..., j, None] * e[..., :-1]
+    coeffs = np.array([metric.model.mean(metric.density * e[..., k]).real
+                       for k in range(metric.n + 1)])
+    neg = lam[lam < 0]
+    return coeffs, (float(np.min(-1.0 / neg)) if neg.size else np.inf)
+
+
+def _best_step(coeffs, t_max):
+    """(gain, t), the best volume gain on (0, t_max] at t_max or a critical
+    point (real parts: near-double ones may be complex), else (0, 0)."""
+    gain = np.polynomial.Polynomial(np.r_[0.0, coeffs[1:]])
+    ts = [t for t in gain.deriv().roots().real if 0 < t <= t_max]
+    ts += [t_max] if np.isfinite(t_max) else []
+    return max(((float(gain(t)), float(t)) for t in ts), default=(0.0, 0.0))
+
+
 def _row(k, metric, opts):
     """Trace row of iterate k, step columns blank, with u and ||u||."""
     rep = analysis.torsion_form(metric, mode=opts.torsion_mode)
@@ -175,23 +194,17 @@ def _row(k, metric, opts):
 
 
 def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
-    """Backtracking descent of the torsion energy inside one Aeppli class.
+    """Closed-form-step descent of the torsion energy in one Aeppli class.
 
-    Each iterate records energy, volume, generalized volume, gradient norm,
-    Kahler defect, the accepted step, and a secant/derivative cross-check of
-    the first-variation formula over the accepted step.  The line search
-    opens at opts.initial_step and multiplies by opts.backtrack after every
-    trial that is not positive or fails the Armijo test.  When no trial down
-    to _MIN_STEP is accepted it raises, with the partial trace attached:
-    PositivityBoundary if none of the trials was positive, LineSearchStalled
-    if some were but none passed the Armijo test.
+    Rows record F, Vol, A, the gradient norm, the Kahler defect, the step
+    and a secant/trapezoid check of the first-variation formula over it;
+    `armijo_trials` (name kept) counts the one Metric each step builds.  A
+    step that cannot be taken raises with the partial trace and state:
+    LineSearchStalled if its volume gain is round-off, PositivityBoundary if
+    its metric form is not positive.
     """
     opts = opts or DescentOptions()
-    trace = DescentTrace(options={
-        "tol": opts.tol, "max_iters": opts.max_iters,
-        "armijo_c1": opts.armijo_c1, "backtrack": opts.backtrack,
-        "min_step": _MIN_STEP, "torsion_mode": opts.torsion_mode,
-    })
+    trace = DescentTrace(options=asdict(opts))
 
     metric = metric0
     row, u, g = _row(0, metric, opts)
@@ -207,44 +220,30 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
                               + differential("dbar", u))
         slope = -2.0 * float(np.real(inner(metric, u, u)))   # dF/dt at t=0
 
-        # Armijo on the volume surrogate: A is constant along the direction,
-        # so F(t) <= F - c1 t |slope|  <=>  Vol(t) >= Vol + c1 t |slope|.
-        t = opts.initial_step(g)
-        trials = 0
-        positive = False
-        accepted = None
-        while t >= _MIN_STEP:
-            trials += 1
-            try:
-                cand = Metric(real_part(metric.omega + t * direction))
-            except (NotPositiveError, ValueError):
-                t *= opts.backtrack
-                continue
-            positive = True
-            if cand.volume >= row["vol"] - opts.armijo_c1 * t * slope:
-                accepted = cand
-                break
-            t *= opts.backtrack
-        if accepted is None:
-            error, why = ((LineSearchStalled, "no Armijo step") if positive
-                          else (PositivityBoundary, "no positive step"))
-            raise error(
-                f"{why} above {_MIN_STEP:.3e} at iterate {k}",
-                state={"k": k, "grad_norm": g, "t_last": t, "slope": slope,
-                       "F": row["F"], "vol": row["vol"],
-                       "gen_vol": row["gen_vol"]},
-                trace=trace,
-            )
+        coeffs, t_pos = _volume_polynomial(metric, direction)
+        gain, t = _best_step(coeffs, STEP_CAP * t_pos)
+        state = {"k": k, "grad_norm": g, "step": t, "t_pos": t_pos,
+                 "gain": gain, "slope": slope,
+                 **{c: row[c] for c in ("F", "vol", "gen_vol")}}
+        if not gain > _STALL_ULPS * np.finfo(float).eps * coeffs[0]:
+            raise LineSearchStalled(
+                f"volume gain {gain:.3e} is round-off at iterate {k}",
+                state=state, trace=trace)
+        try:
+            accepted = Metric(real_part(metric.omega + t * direction))
+        except NotPositiveError as exc:
+            raise PositivityBoundary(
+                f"step {t:.3e} leaves the positive cone at iterate {k}",
+                state=state, trace=trace) from exc
 
         new_row, new_u, new_g = _row(k + 1, accepted, opts)
-        # slope of F along the *old* direction at the accepted endpoint;
-        # the trapezoid of the endpoint slopes matches the secant exactly
-        # for the cubic volume restricted to the ray
+        # slope of F along the old direction at the endpoint; the trapezoid
+        # matches the secant exactly when Vol is quadratic along the ray
         slope_end = -2.0 * float(np.real(inner(accepted, u, new_u)))
         secant = (new_row["F"] - row["F"]) / t
         trapezoid = 0.5 * (slope + slope_end)
         denom = max(abs(trapezoid), abs(secant), 1e-300)
-        row.update(step=float(t), armijo_trials=trials,
+        row.update(step=float(t), armijo_trials=1,
                    slope_formula=float(slope), slope_secant=float(secant),
                    slope_rel_err=float(abs(secant - trapezoid) / denom))
 

@@ -329,8 +329,12 @@ def hs_feasibility(metric, tol: float = 1e-10) -> FeasibilityCertificate:
     the metric L2 norm of the stacked target spaces, and the returned
     solution is the minimal-norm one.  The certificate, feasible or not, is
     memoised on the metric per tol, so the classification and every torsion
-    extraction on that metric share one solve.
+    extraction on that metric share one solve.  A grid metric raises
+    ValueError; `analysis.torsion_form` solves the grid system instead.
     """
+    if metric.model.kind != "lie":
+        raise ValueError("hs_feasibility decides invariant metrics on the "
+                         "lie backend only")
     return metric.memo(("hs", tol), lambda: _hs_feasibility(metric, tol))
 
 

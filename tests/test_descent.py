@@ -1,6 +1,7 @@
-"""Descent over a fixed generalized-volume class: line search, traces, certificates."""
+"""Descent over a fixed generalized-volume class: closed-form step, traces, certificates."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -10,7 +11,9 @@ from hsgeom import descent
 from hsgeom.forms import (coeff_norm, conjugate, differential,
                           flat_metric_form, real_part)
 from hsgeom.hodge import Metric, NotPositiveError, adjoint_diff, norm
+from hsgeom.torus import standard_fixture
 from hsgeom.descent import (
+    STEP_CAP,
     DescentOptions,
     DescentResult,
     DescentTrace,
@@ -24,12 +27,63 @@ from hsgeom.descent import (
 
 def test_options_defaults():
     opts = DescentOptions()
+    # the step is closed-form: no line-search knobs
+    assert [f.name for f in dataclasses.fields(DescentOptions)] == [
+        "tol", "max_iters", "torsion_mode"]
     assert opts.tol == 1e-6
     assert opts.max_iters == 200
-    assert 0 < opts.backtrack < 1
-    # the opening step shrinks with the gradient size
-    assert opts.initial_step(0.0) == 1.0
-    assert opts.initial_step(9.0) == 0.1
+    assert opts.torsion_mode == "dim3"
+    assert 0 < STEP_CAP < 1
+
+
+def _direction(metric):
+    u = gradient_direction(metric)
+    return u, real_part(differential("del", conjugate(u))
+                        + differential("dbar", u))
+
+
+# -- the closed-form step ------------------------------------------------------
+
+
+def test_volume_polynomial_is_exact(eps_metric, three_coord):
+    for g in (eps_metric, Metric(three_coord[3])):
+        _, gamma = _direction(g)
+        coeffs, t_pos = descent._volume_polynomial(g, gamma)
+        assert coeffs[0] == pytest.approx(g.volume, abs=1e-14)
+        for t in (0.1, 1.0, 0.5 * t_pos, STEP_CAP * t_pos):
+            vol = Metric(real_part(g.omega + t * gamma)).volume
+            assert abs(np.polynomial.polynomial.polyval(t, coeffs)
+                       - vol) < 1e-12
+
+
+def test_volume_slope_is_first_variation(eps_metric, three_coord):
+    """dVol/dt at 0 is -dF/dt = 2 ||dbar* omega||^2."""
+    for g in (eps_metric, Metric(three_coord[3])):
+        u, gamma = _direction(g)
+        coeffs, _ = descent._volume_polynomial(g, gamma)
+        assert abs(coeffs[1] - 2.0 * norm(g, u) ** 2) < 1e-10
+
+
+def test_step_beats_brute_force_volume(eps_metric, three_coord):
+    for g in (eps_metric, Metric(three_coord[3])):
+        _, gamma = _direction(g)
+        coeffs, t_pos = descent._volume_polynomial(g, gamma)
+        gain, t = descent._best_step(coeffs, STEP_CAP * t_pos)
+        assert 0 < t <= STEP_CAP * t_pos
+        vol_t = Metric(real_part(g.omega + t * gamma)).volume
+        assert vol_t - g.volume == pytest.approx(gain, abs=1e-12)
+        grid = np.linspace(0, STEP_CAP * t_pos, 51)[1:]
+        best = max(Metric(real_part(g.omega + s * gamma)).volume
+                   for s in grid)
+        assert vol_t >= best - 1e-13
+
+
+def test_best_step_takes_the_cap_on_a_rising_volume():
+    # Vol = 1 + t - t^2 + t^3/3 rises everywhere, with a flat point at t = 1
+    assert descent._best_step(np.array([1.0, 1.0, -1.0, 1 / 3]), 2.5) == (
+        pytest.approx(2.5 - 2.5 ** 2 + 2.5 ** 3 / 3), 2.5)
+    # no candidate beats t = 0 on a falling volume
+    assert descent._best_step(np.array([1.0, -1.0, 0.0, 0.0]), 2.0)[0] < 0
 
 
 def test_gradient_direction(eps_metric, flat16):
@@ -87,10 +141,23 @@ def test_descend_makes_progress(eps_metric):
 
 
 def test_descend_max_iters(eps_metric):
-    res = descend(eps_metric, DescentOptions(tol=1e-12, max_iters=3))
+    res = descend(eps_metric, DescentOptions(tol=1e-12, max_iters=0))
     assert res.trace.termination == "max_iters"
-    assert len(res.trace.iterates) == 4  # start plus three steps
+    assert len(res.trace.iterates) == 1  # the start, no step
+    assert res.trace.final["step"] is None
+    assert coeff_norm(res.metric.omega - eps_metric.omega) == 0
     assert not res.certificate.critical
+
+
+def test_descend_f_never_rises_near_the_floor():
+    """At eps 0.040038 the Armijo search on the volume surrogate let F rise
+    by 4.9e-17 at iterate 107; the exact step must not."""
+    g = Metric(standard_fixture("two_coord", resolution=16, eps=0.040038)[3])
+    res = descend(g, DescentOptions(tol=1e-6))
+    assert res.trace.termination == "converged"
+    assert res.certificate.kahler
+    f_vals = res.trace.column("F")
+    assert all(b <= a for a, b in zip(f_vals, f_vals[1:]))
 
 
 def test_descend_deterministic(eps_metric):
@@ -109,13 +176,26 @@ def test_descend_keeps_iterates_real_and_positive(eps_metric):
     assert res.metric.min_eigenvalue > 0
 
 
-def test_line_search_stall_carries_state(eps_metric):
-    # an impossible sufficient-decrease constant forces every trial to fail
-    opts = DescentOptions(tol=1e-9, max_iters=10, armijo_c1=2.0)
+def test_line_search_stall_carries_state(eps_metric, monkeypatch):
+    # at the Kahler endpoint the gradient is round-off, and so is every
+    # volume gain along it; tol=0 forbids stopping on the gradient
+    kahler = descend(eps_metric, DescentOptions(tol=1e-6)).metric
+    built = []
+
+    def counting_metric(omega, pos_tol=1e-9):
+        built.append(omega)
+        return Metric(omega, pos_tol)
+
+    monkeypatch.setattr(descent, "Metric", counting_metric)
     with pytest.raises(LineSearchStalled) as ei:
-        descend(eps_metric, opts)
-    assert ei.value.trace.iterates
-    assert ei.value.state["F"] > 0
+        descend(kahler, DescentOptions(tol=0.0, max_iters=10))
+    assert "iterate 0" in str(ei.value)
+    assert len(ei.value.trace.iterates) == 1
+    state = ei.value.state
+    assert state["k"] == 0 and state["grad_norm"] < 1e-12
+    assert state["gain"] < 1e-13
+    assert state["F"] == ei.value.trace.iterates[0]["F"]
+    assert built == []  # the metric never moved
 
 
 def test_positivity_boundary_type():
@@ -124,26 +204,29 @@ def test_positivity_boundary_type():
     assert isinstance(err, RuntimeError)
 
 
-class _WideOpening(DescentOptions):
-    """Opens every line search far outside the positive cone."""
-
-    def initial_step(self, grad_norm):
-        return 128.0 / (1.0 + grad_norm)
-
-
-def test_opening_step_outside_cone_backtracks(eps_metric):
-    opts = _WideOpening(tol=5e-3, max_iters=60)
-    u = gradient_direction(eps_metric)
-    direction = real_part(differential("del", conjugate(u))
-                          + differential("dbar", u))
-    t0 = opts.initial_step(norm(eps_metric, u))
+def test_opening_step_outside_cone_backtracks(eps_metric, monkeypatch):
+    """The cone ends at t_pos, and no step goes past STEP_CAP * t_pos."""
+    _, gamma = _direction(eps_metric)
+    _, t_pos = descent._volume_polynomial(eps_metric, gamma)
+    Metric(real_part(eps_metric.omega + 0.999 * t_pos * gamma))
     with pytest.raises(NotPositiveError):
-        Metric(real_part(eps_metric.omega + t0 * direction))
-    trace = descend(eps_metric, opts).trace
+        Metric(real_part(eps_metric.omega + 1.001 * t_pos * gamma))
+
+    caps = []
+    polynomial = descent._volume_polynomial
+
+    def spy(metric, direction):
+        coeffs, t_pos = polynomial(metric, direction)
+        caps.append(STEP_CAP * t_pos)
+        return coeffs, t_pos
+
+    monkeypatch.setattr(descent, "_volume_polynomial", spy)
+    trace = descend(eps_metric, DescentOptions(tol=5e-3, max_iters=60)).trace
     assert trace.termination == "converged"
-    f_vals = trace.column("F")
-    assert all(b <= a for a, b in zip(f_vals, f_vals[1:]))
-    assert trace.iterates[0]["armijo_trials"] > 1
+    steps = trace.column("step")[:-1]
+    assert steps and len(steps) == len(caps)
+    assert all(0 < s <= c for s, c in zip(steps, caps))
+    assert trace.column("armijo_trials")[:-1] == [1] * len(steps)
 
 
 def test_positivity_boundary_when_no_trial_is_positive(eps_metric,

@@ -132,6 +132,11 @@ def test_nilmanifolds_infeasible(iwasawa, heis3):
         assert j["nullspace_dim"] == 0
 
 
+def test_feasibility_rejects_grid_metric(two_coord):
+    with pytest.raises(ValueError, match="lie backend"):
+        hs_feasibility(Metric(two_coord[3]))
+
+
 def test_feasibility_json_round_trips(torus3):
     import json
 
