@@ -21,11 +21,14 @@ Conventions, locked by the test suite:
   an entry of the Kronecker product of the p-th and q-th compound matrices
   (Metric.pairing).
 
-Green operators: the finite invariant backend uses an eigendecomposition in
-metric-orthonormal coordinates with a relative singular-value cutoff; the
-grid backend runs kernel-deflated conjugate gradients preconditioned by
-1/sigma(k), sigma the closed-form scalar symbol of the Laplacians at the
-grid-mean metric (bc: 1/(sigma^2 + sigma)); see _symbol_pinv.
+Harmonic bases and Green operators: k forms of one bidegree are one
+(k, d, *grid) block, whose Gram matrices are one contraction (_gram).  Both
+backends split kernel from range by one Rayleigh-Ritz rule (_ritz): Ritz
+value <= _EIG_CUTOFF times a scale taken from outside the spectrum (_scale).
+The invariant backend applies it to the whole space and solves directly.
+The grid backend applies it to the block a Richardson search finds, then
+runs kernel-deflated conjugate gradients; both are preconditioned by
+1/sigma(k), the closed-form symbol at the grid-mean metric (_symbol_pinv).
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ from .forms import (BidegreeError, Form, differential, is_real, wedge,
 
 LAPLACIAN_KINDS = ("del", "dbar", "bc", "tilde")
 
-_EIG_CUTOFF = 1e-10        # relative eigenvalue cutoff, finite backend
+_EIG_CUTOFF = 1e-10        # Ritz values <= this * scale are kernel
+_RANK_RCOND = 1e-12        # relative Gram eigenvalue of a dependent direction
 _SYMBOL_RCOND = 1e-8       # relative cutoff for symbol pseudoinverses
 _CG_TOL = 1e-9             # default relative residual for iterative solves
-_KERNEL_RESIDUAL = 1e-9    # relative residual demanded of deflated kernels
+_KERNEL_RESIDUAL = 1e-9    # relative residual demanded of kernel Ritz vectors
 _KERNEL_SWEEPS = 400       # Richardson sweeps allowed to a deflated kernel
 
 
@@ -99,9 +103,9 @@ class Metric:
 
     Per-metric results go through `memo(key, build)`, one dict keyed by
     tagged tuples: Gram Cholesky factors and inverses, wedge-omega matrices,
-    _lie_eig, _symbol_pinv, torsion reports, the feasibility certificate and
-    the Lefschetz split.  Pairings, stars and harmonic kernels keep their
-    own _pairing_cache, _star_cache and _kernel_cache, because the
+    _lie_ritz, _scale, _symbol_pinv, torsion reports, the feasibility
+    certificate and the Lefschetz split.  Pairings, stars and kernels keep
+    their own _pairing_cache, _star_cache and _kernel_cache, because the
     benchmark tracer (perfbench/spans.py) counts their misses by name.
     """
 
@@ -282,24 +286,56 @@ def form_of_11(model, M) -> Form:
 # inner products
 
 
-def pointwise_inner(metric: Metric, a: Form, b: Form):
+def _check_pair(metric: Metric, a: Form, b: Form):
     if a.model is not metric.model or b.model is not metric.model:
         raise ValueError("forms live on a different model than the metric")
     if (a.p, a.q) != (b.p, b.q):
-        raise BidegreeError("pointwise inner product needs equal bidegrees")
-    P = metric.pairing(a.p, a.q)
-    return np.einsum("u...,uw...,w...->...", a.coeffs, P, np.conj(b.coeffs))
+        raise BidegreeError("inner products need equal bidegrees")
+
+
+def pointwise_inner(metric: Metric, a: Form, b: Form):
+    _check_pair(metric, a, b)
+    return np.einsum("u...,uw...,w...->...", a.coeffs,
+                     metric.pairing(a.p, a.q), np.conj(b.coeffs))
+
+
+def _gram(metric: Metric, p, q, X, Y):
+    """L2 Gram matrix G[i, j] = <<X_i, Y_j>> of two blocks of (p,q)-forms,
+    each k forms held as one (k, d, *grid) coefficient array: the pairing
+    by one contraction, the channel sum and grid mean by one tensordot."""
+    T = np.einsum("ju...,uw...->jw...", X, metric.pairing(p, q))
+    axes = tuple(range(1, X.ndim))
+    return np.tensordot(T * metric.density, np.conj(Y), axes=(axes, axes)) \
+        / math.prod(metric.model.grid_shape)
+
+
+def _block(metric: Metric, forms, p, q):
+    """The (k, d, *grid) coefficient block of k forms of bidegree (p,q)."""
+    d = _basis.degree_dims(metric.n, p, q)
+    return np.array([f.coeffs for f in forms], dtype=np.complex128).reshape(
+        (len(forms), d) + metric.model.grid_shape)
 
 
 def inner(metric: Metric, a: Form, b: Form) -> complex:
     """L2 inner product <<a, b>> with the metric volume form."""
-    return complex(metric.model.mean(pointwise_inner(metric, a, b)
-                                     * metric.density))
+    _check_pair(metric, a, b)
+    G = _gram(metric, a.p, a.q, a.coeffs[None], b.coeffs[None])
+    return complex(G[0, 0])
 
 
 def norm(metric: Metric, a: Form) -> float:
-    val = inner(metric, a, a).real
-    return math.sqrt(max(val, 0.0))
+    return math.sqrt(max(inner(metric, a, a).real, 0.0))
+
+
+def _orth(metric: Metric, p, q, X):
+    """Metric-orthonormal basis of the span of the block X: eigh of the
+    Gram matrix, twice (the second pass restores the orthogonality the first
+    loses); Gram eigenvalues at most _RANK_RCOND times the largest drop."""
+    for _ in range(2):
+        lam, U = np.linalg.eigh(_gram(metric, p, q, X, X))
+        keep = lam > _RANK_RCOND * lam.max(initial=0.0)
+        X = np.tensordot((U[:, keep].conj() / np.sqrt(lam[keep])).T, X, axes=1)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -351,61 +387,14 @@ def laplacian(metric: Metric, kind: str, a: Form) -> Form:
     raise ValueError(f"unknown Laplacian kind {kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# finite-backend eigendecompositions
-
-
-def _operator_matrix(metric: Metric, kind: str, p, q):
-    """Dense matrix of the Laplacian on the finite invariant complex."""
-    model = metric.model
-    d = _basis.degree_dims(metric.n, p, q)
-    A = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        e = np.zeros((d,), dtype=np.complex128)
-        e[j] = 1.0
-        A[:, j] = laplacian(metric, kind, Form(model, p, q, e)).coeffs
-    return A
-
-
-def _lie_eig(metric: Metric, kind: str, p, q):
-    """Eigendecomposition of the Laplacian on the finite invariant complex.
-
-    Returns (LH, lam, U, kept): LH = L^H for the Cholesky factor L of the
-    volume-weighted Gram, so y = LH x are metric-orthonormal coordinates;
-    lam ascending and U the eigenvectors of the operator in those
-    coordinates; and kept = lam > _EIG_CUTOFF * max(lam[-1], 1e-300), the
-    one cut between the operator's range (kept) and its kernel (~kept)
-    shared by harmonic_basis and green_solve.  Memoised on the metric.
-    """
-    def build():
-        if _basis.degree_dims(metric.n, p, q) == 0:
-            return (np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)),
-                    np.zeros(0, bool))
-        A = _operator_matrix(metric, kind, p, q)
-        LH = metric.gram_cholesky(p, q).conj().T
-        # operator in metric-orthonormal coordinates y = L^H x
-        Aon = LH @ A @ np.linalg.inv(LH)
-        Aon = 0.5 * (Aon + Aon.conj().T)
-        lam, U = np.linalg.eigh(Aon)
-        kept = lam > _EIG_CUTOFF * max(float(lam[-1]), 1e-300)
-        return LH, lam, U, kept
-    return metric.memo(("eig", kind, p, q), build)
+def _images(metric: Metric, kind: str, p, q, X):
+    """The block of Laplacians of the forms of the block X."""
+    images = [laplacian(metric, kind, Form(metric.model, p, q, x)) for x in X]
+    return np.array([a.coeffs for a in images], np.complex128).reshape(X.shape)
 
 
 # ---------------------------------------------------------------------------
 # harmonic bases
-
-
-def _mgs(metric: Metric, forms, drop_tol=1e-8):
-    """Modified Gram-Schmidt in the metric L2 inner product."""
-    out = []
-    for f in forms:
-        for g in out:
-            f = f - inner(metric, f, g) * g
-        nf = norm(metric, f)
-        if nf > drop_tol:
-            out.append((1.0 / nf) * f)
-    return out
 
 
 def _symbol_pinv(metric: Metric, kind: str):
@@ -421,7 +410,8 @@ def _symbol_pinv(metric: Metric, kind: str):
     spectrum is inside [sigma/(sigma+1), (sigma+2)/(sigma+1)], [1/3, 5/3]
     where sigma >= 1/2 as on the fixtures; on larger metrics it is slower.
     inv is zero where the symbol is at most _SYMBOL_RCOND * opnorm (k=0 in
-    particular); opnorm is max sigma (bc: max sigma^2 + 2 sigma).
+    particular); opnorm is max sigma (bc: max sigma^2 + 2 sigma).  The
+    axes count from the end of a form's or a block's coefficients.
     """
     bc = kind == "bc"
 
@@ -439,123 +429,134 @@ def _symbol_pinv(metric: Metric, kind: str):
         opnorm = float(np.max(top))
         cut = sym > _SYMBOL_RCOND * max(opnorm, 1e-300)
         inv = np.where(cut, 1.0 / np.where(cut, sym, 1.0), 0.0)
-        return inv, opnorm, tuple(1 + a for a in metric.model.active)
+        return inv, opnorm, tuple(a - len(k) for a in metric.model.active)
     return metric.memo(("symbol", bc), build)
 
 
-def _symbol_apply(metric: Metric, kind: str, b: Form) -> Form:
+def _symbol_apply(metric: Metric, kind: str, x):
     inv, _, axes = _symbol_pinv(metric, kind)
-    spec = np.fft.fftn(b.coeffs, axes=axes)
-    return Form(b.model, b.p, b.q, np.fft.ifftn(spec * inv, axes=axes))
+    return np.fft.ifftn(np.fft.fftn(x, axes=axes) * inv, axes=axes)
 
 
-def _deflated_kernel(metric: Metric, kind: str, p, q, scale):
-    """Kernel basis by preconditioned Richardson deflation.
+def _scale(metric: Metric, kind: str):
+    """Size of the Laplacian `kind`, from outside the spectrum it cuts: the
+    opnorm of _symbol_pinv on the grid; on the invariant backend
+    s = c^2 lam_max(H^{-1}), c the largest entry of the model's del and dbar
+    matrices (bc: s^2 + 2s), so s = 0 (torus3) is a zero operator."""
+    if metric.model.kind != "lie":
+        return _symbol_pinv(metric, kind)[1]
 
-    From the constant channel basis, v <- v - sigma^{-1} Laplacian v and
-    re-orthonormalize, until the relative residual is below 1e-12, a sweep
-    changes no vector, or _KERNEL_SWEEPS sweeps have run; then _ritz_kernel.
-    The Laplacian is applied once per changed vector per sweep: a sweep's
-    residual images are the next sweep's (and the Ritz step's).
-    """
+    def build():
+        n, ops = metric.n, metric.model.operator_matrix
+        c = max(float(np.abs(ops(part, p, q)).max(initial=0.0))
+                for part in ("del", "dbar")
+                for p in range(n + 1) for q in range(n + 1))
+        return c * c * float(np.linalg.eigvalsh(metric.Hinv)[-1])
+    s = metric.memo(("scale",), build)
+    return s * s + 2 * s if kind == "bc" else s
+
+
+def _channels(metric: Metric, p, q):
+    """Orthonormalised constant (p,q) channels: all of an invariant space."""
     d = _basis.degree_dims(metric.n, p, q)
     E = np.zeros((d, d) + metric.model.grid_shape, dtype=np.complex128)
     E[np.arange(d), np.arange(d)] = 1.0
-    V = _mgs(metric, [Form(metric.model, p, q, e) for e in E])
-    if scale <= 0 or not V:
-        return tuple(V)    # a zero operator (or an empty bidegree)
-    images = [laplacian(metric, kind, v) for v in V]
-    for _ in range(_KERNEL_SWEEPS):
-        W = _mgs(metric, [v - _symbol_apply(metric, kind, a)
-                          for v, a in zip(V, images)])
-        same = [i < len(V) and np.array_equal(w.coeffs, V[i].coeffs)
-                for i, w in enumerate(W)]
-        if len(W) == len(V) and all(same):
-            break          # a fixed point: every further sweep repeats it
-        images = [images[i] if same[i] else laplacian(metric, kind, w)
-                  for i, w in enumerate(W)]
-        V = W
-        if not V or max(norm(metric, a) for a in images) / scale < 1e-12:
-            break
-    return _ritz_kernel(metric, kind, p, q, V, images, scale)
+    return _orth(metric, p, q, E)
 
 
-def _ritz_kernel(metric: Metric, kind: str, p, q, V, images, scale):
-    """Rayleigh-Ritz cut of the orthonormal forms V to the kernel.
+def _deflated_kernel(metric: Metric, kind: str, p, q):
+    """Kernel search by preconditioned Richardson on a block: (V, AV).
 
-    Keeps the eigenvectors of <Laplacian V_j, V_i> with Ritz value below
-    1e-8 * scale (all of V if scale <= 0: a zero operator); images, if
-    given, are the Laplacians of V.  The same combination of images is the
-    Laplacian of a kept vector, whose relative residual must be at most
-    _KERNEL_RESIDUAL (SolveDiverged otherwise).
-    """
-    if scale <= 0 or not V:
-        return tuple(V)
-    images = images or [laplacian(metric, kind, v) for v in V]
-    R = np.array([[inner(metric, a, v) for a in images] for v in V])
+    From the constant channels, V <- orth(V - sigma^{-1} AV), AV the
+    Laplacians of V, until max ||AV_j|| <= 1e-12 * scale, checked before
+    each sweep; SolveDiverged if _KERNEL_SWEEPS sweeps fall short."""
+    V, scale = _channels(metric, p, q), _scale(metric, kind)
+    for sweep in range(_KERNEL_SWEEPS + 1):
+        AV = _images(metric, kind, p, q, V)
+        r = math.sqrt(np.diag(_gram(metric, p, q, AV, AV)).real.max(
+            initial=0.0))
+        if r <= 1e-12 * scale:
+            return V, AV
+        if sweep == _KERNEL_SWEEPS:
+            raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
+                                f"stalled at relative residual {r/scale:.2e}")
+        V = _orth(metric, p, q, V - _symbol_apply(metric, kind, AV))
+
+
+def _ritz(metric: Metric, kind: str, p, q, V, AV=None):
+    """Rayleigh-Ritz of the Laplacian on the orthonormal block V.
+
+    Returns the ascending Ritz values lam, the Ritz vectors W and the kernel
+    mask lam <= _EIG_CUTOFF * _scale (all of V at a zero scale).  AV, if
+    given, is the Laplacians of V.  A kernel vector whose Laplacian exceeds
+    _KERNEL_RESIDUAL * scale raises SolveDiverged."""
+    scale = _scale(metric, kind)
+    if scale <= 0 or not len(V):
+        return np.zeros(len(V)), V, np.ones(len(V), bool)
+    AV = _images(metric, kind, p, q, V) if AV is None else AV
+    R = _gram(metric, p, q, AV, V).T      # R[i, j] = <<Laplacian V_j, V_i>>
     lam, U = np.linalg.eigh(0.5 * (R + R.conj().T))
-    U = U[:, lam < 1e-8 * scale]
-    rotate = lambda forms: [Form(metric.model, p, q, c) for c in np.tensordot(
-        U.T, np.stack([f.coeffs for f in forms]), axes=1)]
-    for w in rotate(images):
-        r = norm(metric, w) / scale
-        if r > _KERNEL_RESIDUAL:
-            raise SolveDiverged(
-                f"harmonic basis for {kind} on ({p},{q}) stalled at relative "
-                f"residual {r:.2e}"
-            )
-    return tuple(rotate(V))
+    W, AW = (np.tensordot(U.T, X, axes=1) for X in (V, AV))
+    kernel = lam <= _EIG_CUTOFF * scale
+    AK = AW[kernel]
+    r = math.sqrt(np.diag(_gram(metric, p, q, AK, AK)).real.max(
+        initial=0.0)) / scale
+    if r > _KERNEL_RESIDUAL:
+        raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
+                            f"stalled at relative residual {r:.2e}")
+    return lam, W, kernel
+
+
+def _lie_ritz(metric: Metric, kind: str, p, q):
+    """The memoised _ritz on the whole invariant space."""
+    return metric.memo(("ritz", kind, p, q), lambda: _ritz(
+        metric, kind, p, q, _channels(metric, p, q)))
 
 
 def harmonic_basis(metric: Metric, kind: str, p, q):
     """Metric-orthonormal basis of ker(Laplacian) in bidegree (p,q).
 
-    The invariant backend reads it off _lie_eig.  On the grid, del, dbar and
-    bc run _deflated_kernel with opnorm of _symbol_pinv as residual scale.
-    As <tilde h, h> = |p''del* h|^2 + |p''del h|^2 + |dbar h|^2 + |dbar* h|^2,
-    the tilde kernel is {h in ker Delta'' : p''del h = 0 = p''del* h}
-    (Popovici's pseudo-Laplacian): the Ritz cut of the dbar kernel.
+    The kernel Ritz vectors of _ritz.  The invariant backend reads them off
+    _lie_ritz.  On the grid, del, dbar and bc take the Ritz step on the
+    block _deflated_kernel found.  As <tilde h, h> = |p''del* h|^2 +
+    |p''del h|^2 + |dbar h|^2 + |dbar* h|^2, the tilde kernel is
+    {h in ker Delta'' : p''del h = 0 = p''del* h} (Popovici's
+    pseudo-Laplacian): the Ritz cut of the dbar kernel.
     """
     key = (kind, p, q)
     if key not in metric._kernel_cache:
         if metric.model.kind == "lie":
-            LH, _, U, kept = _lie_eig(metric, kind, p, q)
-            X = np.linalg.solve(LH, U[:, ~kept])
-            metric._kernel_cache[key] = tuple(
-                Form(metric.model, p, q, x) for x in X.T)
+            _, W, kernel = _lie_ritz(metric, kind, p, q)
         elif kind == "tilde":
-            metric._kernel_cache[key] = _ritz_kernel(
-                metric, kind, p, q, harmonic_basis(metric, "dbar", p, q),
-                None, _symbol_pinv(metric, kind)[1])
+            _, W, kernel = _ritz(metric, kind, p, q, _block(
+                metric, harmonic_basis(metric, "dbar", p, q), p, q))
         else:
-            metric._kernel_cache[key] = _deflated_kernel(
-                metric, kind, p, q, _symbol_pinv(metric, kind)[1])
+            _, W, kernel = _ritz(metric, kind, p, q,
+                                 *_deflated_kernel(metric, kind, p, q))
+        metric._kernel_cache[key] = tuple(
+            Form(metric.model, p, q, w) for w in W[kernel])
     return metric._kernel_cache[key]
 
 
 def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
-    out = zero_form(metric.model, a.p, a.q)
-    for v in harmonic_basis(metric, kind, a.p, a.q):
-        out = out + inner(metric, a, v) * v
-    return out
+    K = _block(metric, harmonic_basis(metric, kind, a.p, a.q), a.p, a.q)
+    c = _gram(metric, a.p, a.q, a.coeffs[None], K)[0]
+    return Form(metric.model, a.p, a.q, np.tensordot(c, K, axes=1))
 
 
 # ---------------------------------------------------------------------------
 # Green operators
 
 
-def _pcg(metric, kind, b, kernel, rtol, cap):
-    def proj(f):
-        for v in kernel:
-            f = f - inner(metric, f, v) * v
-        return f
+def _pcg(metric, kind, b, rtol, cap):
+    proj = lambda f: f - harmonic_project(metric, kind, f)
+    precondition = lambda r: proj(Form(r.model, r.p, r.q, _symbol_apply(
+        metric, kind, r.coeffs)))
 
     nb_full = norm(metric, b)
     bp = proj(b)
     nb = norm(metric, bp)
-    discarded = 0.0
-    if nb_full > 0:
-        discarded = math.sqrt(max(nb_full ** 2 - nb ** 2, 0.0)) / nb_full
+    discarded = norm(metric, b - bp) / nb_full if nb_full else 0.0
     if nb <= 1e-13 * max(nb_full, 1.0):
         # nothing left of the right-hand side after removing harmonic mass
         info = GreenInfo("pcg", 0, nb, 0.0, discarded)
@@ -563,7 +564,7 @@ def _pcg(metric, kind, b, kernel, rtol, cap):
 
     x = zero_form(metric.model, b.p, b.q)
     r = bp
-    z = proj(_symbol_apply(metric, kind, r))
+    z = precondition(r)
     pdir = z
     rz = inner(metric, r, z).real
     history = []
@@ -588,7 +589,7 @@ def _pcg(metric, kind, b, kernel, rtol, cap):
         alpha = rz / pAp
         x = x + alpha * pdir
         r = r - alpha * Ap
-        z = proj(_symbol_apply(metric, kind, r))
+        z = precondition(r)
         rz_new = inner(metric, r, z).real
         beta = rz_new / rz
         rz = rz_new
@@ -601,36 +602,33 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
 
     The right-hand side is projected onto the operator's range first; the
     discarded harmonic mass is reported in the info record.  The invariant
-    backend solves directly in the eigenbasis of the operator; the grid
-    backend runs kernel-deflated PCG to relative residual `tol`, preconditioned
-    by the closed-form Fourier symbol (_symbol_pinv), and raises SolveDiverged
-    if the iterate after `max_iter` updates still misses it.  `max_iter`
-    None is a cap growing with the grid; 0 only checks the projected
-    right-hand side; a negative cap is a ValueError.
+    backend solves directly in the Ritz basis of _lie_ritz, whose kernel
+    harmonic_basis reads; the grid backend runs kernel-deflated PCG to
+    relative residual `tol`, preconditioned by the closed-form Fourier
+    symbol (_symbol_pinv), and raises SolveDiverged if the iterate after
+    `max_iter` updates still misses it.  `max_iter` None is a cap growing
+    with the grid; 0 only checks the projected right-hand side; a negative
+    cap is a ValueError.
     """
     if max_iter is not None and max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     model = metric.model
+    p, q = b.p, b.q
     if model.kind == "lie":
-        LH, lam, U, kept = _lie_eig(metric, kind, b.p, b.q)
-        y = U.conj().T @ (LH @ b.coeffs)
-        invlam = np.where(kept, 1.0 / np.where(kept, lam, 1.0), 0.0)
+        lam, W, kernel = _lie_ritz(metric, kind, p, q)
+        y = _gram(metric, p, q, b.coeffs[None], W)[0]
         nfull = float(np.linalg.norm(y))
-        nkept = float(np.linalg.norm(y[kept]))
-        discarded = 0.0
-        if nfull > 0:
-            discarded = math.sqrt(max(nfull ** 2 - nkept ** 2, 0.0)) / nfull
-        x = np.linalg.solve(LH, U @ (invlam * y))
-        out = Form(model, b.p, b.q, x)
+        discarded = float(np.linalg.norm(y[kernel])) / nfull if nfull else 0.0
+        out = Form(model, p, q, np.tensordot(y[~kernel] / lam[~kernel],
+                                             W[~kernel], axes=1))
         info = GreenInfo("direct", 0, 0.0, 0.0, discarded)
         return (out, info) if with_info else out
 
     rtol = _CG_TOL if tol is None else tol
-    kernel = harmonic_basis(metric, kind, b.p, b.q)
     if max_iter is None:
         active = math.prod(model.resolutions[a] for a in model.active)
         max_iter = max(50, int(10 * math.sqrt(active)))
-    out, info = _pcg(metric, kind, b, kernel, rtol, max_iter)
+    out, info = _pcg(metric, kind, b, rtol, max_iter)
     return (out, info) if with_info else out
 
 
