@@ -28,8 +28,8 @@ from . import _basis
 from .forms import (Form, coeff_norm, conjugate, differential,
                     integrate_top, is_real, wedge, zero_form)
 from .hodge import (Metric, adjoint_diff, contract, contract_trace,
-                    form_of_11, green_solve, harmonic_basis, inner, laplacian,
-                    norm, pointwise_inner, star)
+                    form_of_11, green_solve, harmonic_basis, harmonic_project,
+                    inner, laplacian, norm, pointwise_inner, star)
 from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
@@ -203,7 +203,6 @@ def torsion_form(metric: Metric, mode: str = "dim3",
 
 def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     model = metric.model
-    n = metric.n
     omega = metric.omega
     d_omega = differential("del", omega)
     scale = max(1.0, norm(metric, d_omega))
@@ -240,12 +239,11 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
 
     res_del = norm(metric, differential("del", rho)) / scale
     res_dbar = norm(metric, differential("dbar", rho) + d_omega) / scale
-    kernel = harmonic_basis(metric, min_kind, n - 1, 0)
-    res_min = max((abs(inner(metric, rho, h)) for h in kernel), default=0.0)
     residuals = {
         "del_rho": res_del,
         "dbar_rho_plus_del_omega": res_dbar,
-        "minimality": res_min,
+        # basis-free: the norm of rho's harmonic part
+        "minimality": norm(metric, harmonic_project(metric, min_kind, rho)),
     }
     feas_tol = max(tol, 100 * _default_tol(model))
     if res_dbar > feas_tol or res_del > feas_tol:

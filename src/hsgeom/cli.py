@@ -369,15 +369,17 @@ def cmd_descend(args):
 
     try:
         result = descent.descend(metric, opts)
-    except (descent.LineSearchStalled, descent.PositivityBoundary) as exc:
-        trace = exc.trace or descent.DescentTrace()
+    except (descent.LineSearchStalled, descent.PositivityBoundary,
+            analysis.NotFeasibleError, SolveDiverged) as exc:
+        trace = getattr(exc, "trace", None)
+        if trace is None:       # the torsion solve of iterate 0 failed
+            sys.stdout.write(_dump_json(_error_doc(args, exc)))
+            return EXIT_NUMERICAL
         trace.termination = type(exc).__name__
-        write_outputs(trace, None, None,
-                      error={"type": type(exc).__name__,
-                             "message": str(exc), "state": exc.state})
-        return EXIT_NUMERICAL
-    except (analysis.NotFeasibleError, SolveDiverged) as exc:
-        sys.stdout.write(_dump_json(_error_doc(args, exc)))
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if hasattr(exc, "state"):
+            error["state"] = exc.state
+        write_outputs(trace, None, None, error=error)
         return EXIT_NUMERICAL
 
     write_outputs(result.trace, result.metric, result.certificate)

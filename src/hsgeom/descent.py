@@ -27,8 +27,8 @@ import numpy as np
 
 from . import analysis
 from .forms import Form, conjugate, differential, real_part
-from .hodge import (Metric, NotPositiveError, _matrix_of_11, adjoint_diff,
-                    inner, norm)
+from .hodge import (Metric, NotPositiveError, SolveDiverged, _matrix_of_11,
+                    adjoint_diff, inner, norm)
 
 
 class _LineSearchError(RuntimeError):
@@ -201,7 +201,8 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
     `armijo_trials` (name kept) counts the one Metric each step builds.  A
     step that cannot be taken raises with the partial trace and state:
     LineSearchStalled if its volume gain is round-off, PositivityBoundary if
-    its metric form is not positive.
+    its metric form is not positive.  A NotFeasibleError or SolveDiverged
+    from the torsion solve of a later iterate carries the partial trace too.
     """
     opts = opts or DescentOptions()
     trace = DescentTrace(options=asdict(opts))
@@ -236,7 +237,11 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
                 f"step {t:.3e} leaves the positive cone at iterate {k}",
                 state=state, trace=trace) from exc
 
-        new_row, new_u, new_g = _row(k + 1, accepted, opts)
+        try:
+            new_row, new_u, new_g = _row(k + 1, accepted, opts)
+        except (analysis.NotFeasibleError, SolveDiverged) as exc:
+            exc.trace = trace
+            raise
         # slope of F along the old direction at the endpoint; the trapezoid
         # matches the secant exactly when Vol is quadratic along the ray
         slope_end = -2.0 * float(np.real(inner(accepted, u, new_u)))

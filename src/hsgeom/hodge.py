@@ -402,26 +402,27 @@ def _symbol_pinv(metric: Metric, kind: str):
 
     At the constant (so Kaehler) metric Hbar, the grid mean of H, the del,
     dbar and tilde Laplacians act on each channel as the scalar
-    sigma(k) = -sum_{j,l} (Hbar^{-1})_{lj} zh_j zbh_l >= 0, where
-    zh_j = (i/2)(k_{2j-1} - i k_{2j}) and zbh_j = (i/2)(k_{2j-1} + i k_{2j})
-    are the symbols of d/dz_j and d/dzbar_j (harmonic projection there
-    removes only k=0).  The Bott-Chern symbol lies between sigma^2 and
-    sigma^2 + 2 sigma, so bc takes 1/(sigma^2 + sigma): the preconditioned
-    spectrum is inside [sigma/(sigma+1), (sigma+2)/(sigma+1)], [1/3, 5/3]
-    where sigma >= 1/2 as on the fixtures; on larger metrics it is slower.
-    inv is zero where the symbol is at most _SYMBOL_RCOND * opnorm (k=0 in
-    particular); opnorm is max sigma (bc: max sigma^2 + 2 sigma).  The
-    axes count from the end of a form's or a block's coefficients.
+    sigma(k) = -sum_{j,l} (Hbar^{-1})_{lj} zh_j zbh_l >= 0, where zh_j and
+    zbh_j are the torus model's symbols of d/dz_j and d/dzbar_j (harmonic
+    projection there removes only k=0).  The Bott-Chern symbol lies between
+    sigma^2 and sigma^2 + 2 sigma, so bc takes 1/(sigma^2 + sigma): the
+    preconditioned spectrum is inside [sigma/(sigma+1), (sigma+2)/(sigma+1)],
+    [1/3, 5/3] where sigma >= 1/2 as on the fixtures; on larger metrics it is
+    slower.  inv is zero where the symbol is at most _SYMBOL_RCOND * opnorm
+    (k=0 in particular); opnorm is max sigma (bc: max sigma^2 + 2 sigma).
+    The axes are the model's spectral axes, counted from the end of a form's
+    or a block's coefficients.
     """
     bc = kind == "bc"
 
     def build():
-        k, n = metric.model._freqs, metric.n
-        Hinv = np.linalg.inv(np.mean(metric.H, axis=tuple(range(len(k)))))
-        zh = [0.5j * (k[2 * j] - 1j * k[2 * j + 1]) for j in range(n)]
-        zbh = [0.5j * (k[2 * j] + 1j * k[2 * j + 1]) for j in range(n)]
-        sigma = -sum(Hinv[l, j] * zh[j] * zbh[l]
-                     for j in range(n) for l in range(n)).real
+        model, n = metric.model, metric.n
+        zh, zbh, grid = model.zh, model.zbh, model.grid_shape
+        Hinv = np.linalg.inv(np.mean(metric.H, axis=tuple(range(len(grid)))))
+        sigma = -sum((Hinv[l, j] * zh[j] * zbh[l]
+                      for j in range(n) for l in range(n)
+                      if zh[j] is not None and zbh[l] is not None),
+                     np.zeros(grid)).real
         if bc:
             sym, top = sigma ** 2 + sigma, sigma ** 2 + 2 * sigma
         else:
@@ -429,7 +430,7 @@ def _symbol_pinv(metric: Metric, kind: str):
         opnorm = float(np.max(top))
         cut = sym > _SYMBOL_RCOND * max(opnorm, 1e-300)
         inv = np.where(cut, 1.0 / np.where(cut, sym, 1.0), 0.0)
-        return inv, opnorm, tuple(a - len(k) for a in metric.model.active)
+        return inv, opnorm, model.spectral_axes
     return metric.memo(("symbol", bc), build)
 
 

@@ -4,7 +4,10 @@ Coordinates are x_1..x_{2n} on [0, 2pi)^{2n} with z_j = x_{2j-1} + i x_{2j},
 so dz^j plays the role of the j-th coframe generator.  Coefficient fields are
 sampled on a tensor grid whose resolution is 1 on masked-out coordinates;
 derivatives are exact FFT collocation derivatives, and integration is the
-grid mean (the fundamental domain carries unit mass).
+grid mean (the fundamental domain carries unit mass).  The model owns the
+Fourier symbols zh_j = (i/2)(k_{2j-1} - i k_{2j}) of d/dz_j and zbh_j =
+(i/2)(k_{2j-1} + i k_{2j}) of d/dzbar_j, so del and dbar are one FFT pair
+each, and hodge's preconditioner reads the same symbols.
 
 Resolutions must be powers of two with at least 4 points per active
 coordinate, and synthesized data must keep its frequencies strictly below a
@@ -64,13 +67,16 @@ class TorusModel:
                 )
         self.grid_shape = self.resolutions
         self.active = tuple(i for i, N in enumerate(self.resolutions) if N > 1)
-        # integer FFT frequencies per coordinate, broadcast-ready
-        self._freqs = []
-        for ax, N in enumerate(self.resolutions):
-            k = np.fft.fftfreq(N, d=1.0 / N)
-            shape = [1] * (2 * n)
-            shape[ax] = N
-            self._freqs.append(k.reshape(shape))
+        # the FFT axes of a coefficient array or block, counted from the end
+        self.spectral_axes = tuple(a - 2 * n for a in self.active)
+        # broadcast symbols of d/dz_j and d/dzbar_j (j = 1..n), None where
+        # both real axes of z_j are masked
+        k = np.ix_(*[np.fft.fftfreq(N, d=1.0 / N) for N in self.resolutions])
+        xs, ys = k[0::2], k[1::2]
+        self.zh = tuple(0.5j * (x - 1j * y) if x.size * y.size > 1 else None
+                        for x, y in zip(xs, ys))
+        self.zbh = tuple(0.5j * (x + 1j * y) if x.size * y.size > 1 else None
+                         for x, y in zip(xs, ys))
 
     # -- backend protocol ---------------------------------------------------
 
@@ -87,47 +93,30 @@ class TorusModel:
             "scope": "band-limited-grid",
         }
 
-    def _axis_derivative(self, field, axis):
-        if self.resolutions[axis] == 1:
-            return np.zeros_like(field)
-        spec = np.fft.fft(field, axis=1 + axis)
-        spec *= 1j * self._freqs[axis]
-        return np.fft.ifft(spec, axis=1 + axis)
-
-    def _dz_derivative(self, field, j, conjugate):
-        """d/dz_j (or d/dzbar_j) of every channel, j in 1..n."""
-        dx = self._axis_derivative(field, 2 * (j - 1))
-        dy = self._axis_derivative(field, 2 * (j - 1) + 1)
-        return 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
-
     def apply_differential(self, part, p, q, coeffs):
-        tgt = (p + 1, q) if part == "del" else (p, q + 1)
+        """del or dbar of (p,q) coefficients: one fftn, the symbol of the
+        generator channel c1 (dz^{c1+1} or its conjugate) times each source
+        spectrum per wedge_table row, and one ifftn of the result."""
+        tgt, sym, gen = (((p + 1, q), self.zh, (1, 0)) if part == "del"
+                         else ((p, q + 1), self.zbh, (0, 1)))
         out = np.zeros(
             (_basis.degree_dims(self.n, *tgt),) + self.grid_shape,
             dtype=np.complex128,
         )
-        conj = part == "dbar"
-        gen_bidegree = (0, 1) if conj else (1, 0)
-        table = _basis.wedge_table(self.n, *gen_bidegree, p, q)
         if out.shape[0] == 0 or coeffs.shape[0] == 0:
             return out
-        # channel c1 of the generator factor is dz^{c1+1} (or conjugate)
-        derivs = [self._dz_derivative(coeffs, j, conj) for j in range(1, self.n + 1)]
-        for c1, c2, c_out, sign in table:
-            out[c_out] += sign * derivs[c1][c2]
-        return out
+        spec = np.fft.fftn(coeffs, axes=self.spectral_axes)
+        for c1, c2, c_out, sign in _basis.wedge_table(self.n, *gen, p, q):
+            if sym[c1] is not None:
+                out[c_out] += sign * sym[c1] * spec[c2]
+        return np.fft.ifftn(out, axes=self.spectral_axes)
 
     # -- grid helpers ---------------------------------------------------------
 
     def coordinate_grids(self):
         """Open (broadcastable) arrays of the 2n coordinates."""
-        grids = []
-        for ax, N in enumerate(self.resolutions):
-            x = np.arange(N) * (2 * np.pi / N)
-            shape = [1] * (2 * self.n)
-            shape[ax] = N
-            grids.append(x.reshape(shape))
-        return grids
+        return np.ix_(*[np.arange(N) * (2 * np.pi / N)
+                        for N in self.resolutions])
 
     def headroom(self, axis):
         """Largest safe synthesis frequency magnitude on an axis."""
@@ -216,7 +205,7 @@ def resample(form: Form, target: TorusModel) -> Form:
     src = form.model
     if src.n != target.n or src.active != target.active:
         raise GridError("resampling requires the same coordinate mask")
-    spec = np.fft.fftn(form.coeffs, axes=tuple(1 + a for a in src.active))
+    spec = np.fft.fftn(form.coeffs, axes=src.spectral_axes)
     spec_t = np.zeros(
         (form.coeffs.shape[0],) + target.grid_shape, dtype=np.complex128
     )
@@ -238,7 +227,7 @@ def resample(form: Form, target: TorusModel) -> Form:
     channels = np.arange(form.coeffs.shape[0])
     spec_t[np.ix_(channels, *grids_dst)] = spec[np.ix_(channels, *grids_src)]
     spec_t *= scale
-    out = np.fft.ifftn(spec_t, axes=tuple(1 + a for a in target.active))
+    out = np.fft.ifftn(spec_t, axes=target.spectral_axes)
     return Form(target, form.p, form.q, out)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsgeom import synthesize_form
+from hsgeom import standard_fixture, synthesize_form
 from hsgeom.forms import (
     coeff_norm,
     conjugate,
@@ -15,7 +15,8 @@ from hsgeom.forms import (
     wedge,
 )
 from hsgeom import analysis
-from hsgeom.hodge import Metric, adjoint_diff, inner, norm, pointwise_inner
+from hsgeom.hodge import (Metric, adjoint_diff, harmonic_project, inner, norm,
+                          pointwise_inner)
 from hsgeom.lie import hs_feasibility
 from hsgeom.analysis import (
     TORSION_MODES,
@@ -39,7 +40,7 @@ from hsgeom.analysis import (
     torsion_least_squares,
 )
 
-from conftest import EPS, random_band_form
+from conftest import EPS, random_band_form, random_metric
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -131,6 +132,21 @@ def test_torsion_form_memoised_per_metric(torus3):
     assert torsion_form(g, "dim3", tol=1e-9) is rep     # the lie default
     assert torsion_form(g, "dim3", tol=1e-8) is not rep
     assert torsion_form(g, "hs_min") is not rep
+
+
+@pytest.mark.parametrize("mode,kind", [("dim3", "dbar"), ("hs_min", "bc")])
+@pytest.mark.parametrize("backend", ["lie", "grid"])
+def test_minimality_is_the_norm_of_the_harmonic_part(torus3, backend, mode,
+                                                     kind):
+    # basis-free: independent of which orthonormal kernel basis eigh returns
+    if backend == "lie":
+        g = random_metric(torus3, np.random.default_rng(7))
+    else:
+        g = Metric(standard_fixture("two_coord", resolution=8, eps=EPS)[3])
+    rep = torsion_form(g, mode)
+    want = norm(g, harmonic_project(g, kind, rep.rho20))
+    assert rep.residuals["minimality"] == want
+    assert want < 1e-9
 
 
 def test_feasibility_and_lefschetz_split_memoised_per_metric(

@@ -217,6 +217,38 @@ def test_descend_deterministic(tmp_path):
     assert npy_a == npy_b
 
 
+@pytest.mark.parametrize("error", ["NotFeasibleError", "SolveDiverged"])
+def test_descend_torsion_failure_writes_partial_trace(tmp_path, monkeypatch,
+                                                      capsys, error):
+    from hsgeom import analysis, cli, hodge
+
+    exc = {"NotFeasibleError": analysis.NotFeasibleError("infeasible"),
+           "SolveDiverged": hodge.SolveDiverged("stalled")}[error]
+    solve = analysis.torsion_form
+    calls = []
+
+    def fail_second(metric, *args, **kwargs):
+        calls.append(metric)
+        if len(calls) == 2:
+            raise exc
+        return solve(metric, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "torsion_form", fail_second)
+    out = tmp_path / "run"
+    assert cli.main(["descend", "--model", "torus", "--resolution", "8",
+                     "--mask", "x1,x2", "--perturb", "fixture:two_coord",
+                     "--eps", "0.05", "--tol", "1e-6", "--out", str(out)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["termination"] == error
+    assert summary["error"] == {"type": error, "message": str(exc)}
+    assert json.loads((out / "summary.json").read_text()) == summary
+    trace = json.loads((out / "descent_trace.json").read_text())
+    assert trace["termination"] == error
+    assert [row["k"] for row in trace["iterates"]] == [0]
+    assert len((out / "descent_trace.csv").read_text().splitlines()) == 2
+    assert not (out / "final_metric.npy").exists()
+
+
 def test_descend_requires_out():
     proc = run_cli(*DESCEND_ARGS)
     assert proc.returncode == 2

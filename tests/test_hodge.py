@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsgeom import _basis, hodge, make_torus_model, standard_fixture
+from hsgeom import (_basis, hodge, make_torus_model, standard_fixture,
+                    synthesize_form)
 from hsgeom.forms import (
     BidegreeError,
     Form,
@@ -461,6 +462,33 @@ def test_closed_form_symbol_matches_sampled(skew_constant_metric, kind):
                 sinv[..., :, None] * np.swapaxes(U, -1, -2).conj())
             want = inv[..., None, None] * np.eye(M.shape[-1])
             assert np.abs(pinv - want).max() < 1e-10
+
+
+def test_flat_symbol_and_laplacian_are_half_k_squared():
+    # flat H = I/2 on a fully active torus: Delta'' e^{i k.x} = |k|^2/2
+    # e^{i k.x}, so the dbar symbol inverse is 2/|k|^2, independently of the
+    # model's derivative symbols
+    model = make_torus_model(8, ("x1", "x2", "x3", "x4", "x5", "x6"))
+    g = Metric(flat_metric_form(model))
+    k = (1, 0, 0, 1, 0, 0)
+    f = synthesize_form(model, 0, 0, [(0, k, 1.0)])
+    lap = laplacian(g, "dbar", f)
+    assert np.abs(lap.coeffs - 0.5 * sum(np.square(k)) * f.coeffs).max() \
+        < 1e-14
+    ks = np.meshgrid(*[np.fft.fftfreq(8, 1.0 / 8)] * 6, indexing="ij")
+    ksq = sum(np.square(kx) for kx in ks)
+    want = np.where(ksq > 0, 2.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+    inv = hodge._symbol_pinv(g, "dbar")[0]
+    assert inv[k] == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(inv - want).max() < 1e-14
+
+
+def test_fully_masked_symbol_is_zero():
+    model = make_torus_model(8, ())
+    g = Metric(flat_metric_form(model))
+    for kind in LAPLACIAN_KINDS:
+        inv, opnorm, axes = hodge._symbol_pinv(g, kind)
+        assert opnorm == 0.0 and not np.any(inv) and axes == ()
 
 
 def test_bc_symbol_within_bracket(skew_constant_metric):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hsgeom.forms import (
+    Form,
     coeff_norm,
     conjugate,
     differential,
@@ -88,13 +89,33 @@ def test_real_synthesis(two_coord):
         synthesize_form(m, 1, 0, [(0, (1, 0, 0, 0, 0, 0), 1.0)], real=True)
 
 
-def test_spectral_derivative_is_exact(two_coord):
-    """d/dz1 of e^{i x1} is (i/2) e^{i x1}: one FFT round trip, no stencil error."""
-    m = two_coord[0]
-    f = synthesize_form(m, 0, 0, [(0, (1, 0, 0, 0, 0, 0), 1.0)])
-    df = differential("del", f)
-    want = synthesize_form(m, 1, 0, [(((1,), ()), (1, 0, 0, 0, 0, 0), 0.5j)])
-    assert coeff_norm(df - want) < 1e-14
+@pytest.mark.parametrize("part", ["del", "dbar"])
+@pytest.mark.parametrize("axis", range(6))
+def test_spectral_derivative_is_exact(part, axis):
+    """On a fully active six-axis torus, d/dz_j of e^{i x_{2j-1}} is
+    (i/2) e^{i x_{2j-1}} and of e^{i x_{2j}} is (1/2) e^{i x_{2j}}; d/dzbar_j
+    gives i/2 and -1/2.  Every other channel is zero: one FFT round trip,
+    no stencil error."""
+    m = make_torus_model(8, ("x1", "x2", "x3", "x4", "x5", "x6"))
+    k = tuple(int(a == axis) for a in range(6))
+    j = axis // 2 + 1
+    f = synthesize_form(m, 0, 0, [(0, k, 1.0)])
+    if part == "del":
+        value, label, bidegree = (0.5j, 0.5)[axis % 2], ((j,), ()), (1, 0)
+    else:
+        value, label, bidegree = (0.5j, -0.5)[axis % 2], ((), (j,)), (0, 1)
+    want = synthesize_form(m, *bidegree, [(label, k, value)])
+    assert np.abs(differential(part, f).coeffs - want.coeffs).max() < 1e-14
+
+
+@pytest.mark.parametrize("part", ["del", "dbar"])
+def test_fully_masked_differential_is_exactly_zero(part):
+    m = make_torus_model(8, ())
+    assert m.grid_shape == (1,) * 6
+    coeffs = np.random.default_rng(4).standard_normal((9, 1, 1, 1, 1, 1, 1))
+    df = differential(part, Form(m, 1, 1, coeffs.astype(complex)))
+    assert df.coeffs.shape == (9,) + m.grid_shape
+    assert not np.any(df.coeffs)
 
 
 def test_product_of_band_limited_fields_integrates_exactly(two_coord):
