@@ -22,13 +22,14 @@ Conventions, locked by the test suite:
   (Metric.pairing).
 
 Harmonic bases and Green operators: k forms of one bidegree are one
-(k, d, *grid) block, whose Gram matrices are one contraction (_gram).  Both
-backends split kernel from range by one Rayleigh-Ritz rule (_ritz): Ritz
-value <= _EIG_CUTOFF times a scale taken from outside the spectrum (_scale).
-The invariant backend applies it to the whole space and solves directly.
-The grid backend applies it to the block a Richardson search finds, then
-runs kernel-deflated conjugate gradients; both are preconditioned by
-1/sigma(k), the closed-form symbol at the grid-mean metric (_symbol_pinv).
+(k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
+invariant backend cuts kernel from range by one Rayleigh-Ritz step on the
+whole space (_lie_ritz): Ritz value <= _EIG_CUTOFF times a scale taken from
+outside the spectrum (_scale); it solves directly.  A grid kernel is the
+block a Richardson search finds (_deflated_kernel), the tilde one the dbar
+one (E_2 = E_1 on the torus), and grid solves run kernel-deflated conjugate
+gradients; both are preconditioned by 1/sigma(k), the closed-form symbol at
+the grid-mean metric (_symbol_pinv).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ _EIG_CUTOFF = 1e-10        # Ritz values <= this * scale are kernel
 _RANK_RCOND = 1e-12        # relative Gram eigenvalue of a dependent direction
 _SYMBOL_RCOND = 1e-8       # relative cutoff for symbol pseudoinverses
 _CG_TOL = 1e-9             # default relative residual for iterative solves
-_KERNEL_RESIDUAL = 1e-9    # relative residual demanded of kernel Ritz vectors
+_KERNEL_RESIDUAL = 1e-9    # relative residual a checked kernel must meet
 _KERNEL_SWEEPS = 400       # Richardson sweeps allowed to a deflated kernel
 
 
@@ -309,13 +310,6 @@ def _gram(metric: Metric, p, q, X, Y):
         / math.prod(metric.model.grid_shape)
 
 
-def _block(metric: Metric, forms, p, q):
-    """The (k, d, *grid) coefficient block of k forms of bidegree (p,q)."""
-    d = _basis.degree_dims(metric.n, p, q)
-    return np.array([f.coeffs for f in forms], dtype=np.complex128).reshape(
-        (len(forms), d) + metric.model.grid_shape)
-
-
 def inner(metric: Metric, a: Form, b: Form) -> complex:
     """L2 inner product <<a, b>> with the metric volume form."""
     _check_pair(metric, a, b)
@@ -407,11 +401,13 @@ def _symbol_pinv(metric: Metric, kind: str):
     projection there removes only k=0).  The Bott-Chern symbol lies between
     sigma^2 and sigma^2 + 2 sigma, so bc takes 1/(sigma^2 + sigma): the
     preconditioned spectrum is inside [sigma/(sigma+1), (sigma+2)/(sigma+1)],
-    [1/3, 5/3] where sigma >= 1/2 as on the fixtures; on larger metrics it is
-    slower.  inv is zero where the symbol is at most _SYMBOL_RCOND * opnorm
-    (k=0 in particular); opnorm is max sigma (bc: max sigma^2 + 2 sigma).
-    The axes are the model's spectral axes, counted from the end of a form's
-    or a block's coefficients.
+    [1/3, 5/3] where sigma >= 1/2 as on the fixtures.  Where the lowest
+    value sigma_min < 1/4, the bc kernel is searched at 2 sigma_min omega,
+    whose kernel is the same (each adjoint scales by 1/lam under omega ->
+    lam omega).  inv is zero where the symbol is at most _SYMBOL_RCOND *
+    opnorm (k=0 in particular); opnorm is max sigma (bc: max sigma^2 +
+    2 sigma).  The axes are the model's spectral axes, counted from the end
+    of a form's or a block's coefficients.
     """
     bc = kind == "bc"
 
@@ -465,82 +461,85 @@ def _channels(metric: Metric, p, q):
     return _orth(metric, p, q, E)
 
 
+def _check_kernel(metric: Metric, kind: str, p, q, AK):
+    """SolveDiverged if a Laplacian in the block AK tops _KERNEL_RESIDUAL."""
+    r = math.sqrt(np.diag(_gram(metric, p, q, AK, AK)).real.max(
+        initial=0.0)) / _scale(metric, kind)
+    if r > _KERNEL_RESIDUAL:
+        raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
+                            f"stalled at relative residual {r:.2e}")
+
+
 def _deflated_kernel(metric: Metric, kind: str, p, q):
-    """Kernel search by preconditioned Richardson on a block: (V, AV).
+    """Grid kernel basis by preconditioned Richardson on a block.
 
     From the constant channels, V <- orth(V - sigma^{-1} AV), AV the
     Laplacians of V, until max ||AV_j|| <= 1e-12 * scale, checked before
-    each sweep; SolveDiverged if _KERNEL_SWEEPS sweeps fall short."""
+    each sweep; SolveDiverged if _KERNEL_SWEEPS sweeps fall short.  The
+    rule is stricter than _KERNEL_RESIDUAL, so V needs no Rayleigh-Ritz."""
+    top = float(_symbol_pinv(metric, "dbar")[0].max())     # 1 / sigma_min
+    if kind == "bc" and top > 4.0:     # same kernel, faster (_symbol_pinv)
+        at = metric.memo(("bc_search",), lambda: Metric(2 / top * metric.omega))
+        V = _orth(metric, p, q, _deflated_kernel(at, kind, p, q))
+        _check_kernel(metric, kind, p, q, _images(metric, kind, p, q, V))
+        return V
     V, scale = _channels(metric, p, q), _scale(metric, kind)
     for sweep in range(_KERNEL_SWEEPS + 1):
         AV = _images(metric, kind, p, q, V)
         r = math.sqrt(np.diag(_gram(metric, p, q, AV, AV)).real.max(
             initial=0.0))
         if r <= 1e-12 * scale:
-            return V, AV
+            return V
         if sweep == _KERNEL_SWEEPS:
             raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
                                 f"stalled at relative residual {r/scale:.2e}")
         V = _orth(metric, p, q, V - _symbol_apply(metric, kind, AV))
 
 
-def _ritz(metric: Metric, kind: str, p, q, V, AV=None):
-    """Rayleigh-Ritz of the Laplacian on the orthonormal block V.
-
-    Returns the ascending Ritz values lam, the Ritz vectors W and the kernel
-    mask lam <= _EIG_CUTOFF * _scale (all of V at a zero scale).  AV, if
-    given, is the Laplacians of V.  A kernel vector whose Laplacian exceeds
-    _KERNEL_RESIDUAL * scale raises SolveDiverged."""
-    scale = _scale(metric, kind)
-    if scale <= 0 or not len(V):
-        return np.zeros(len(V)), V, np.ones(len(V), bool)
-    AV = _images(metric, kind, p, q, V) if AV is None else AV
-    R = _gram(metric, p, q, AV, V).T      # R[i, j] = <<Laplacian V_j, V_i>>
-    lam, U = np.linalg.eigh(0.5 * (R + R.conj().T))
-    W, AW = (np.tensordot(U.T, X, axes=1) for X in (V, AV))
-    kernel = lam <= _EIG_CUTOFF * scale
-    AK = AW[kernel]
-    r = math.sqrt(np.diag(_gram(metric, p, q, AK, AK)).real.max(
-        initial=0.0)) / scale
-    if r > _KERNEL_RESIDUAL:
-        raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
-                            f"stalled at relative residual {r:.2e}")
-    return lam, W, kernel
-
-
 def _lie_ritz(metric: Metric, kind: str, p, q):
-    """The memoised _ritz on the whole invariant space."""
-    return metric.memo(("ritz", kind, p, q), lambda: _ritz(
-        metric, kind, p, q, _channels(metric, p, q)))
+    """Memoised Rayleigh-Ritz on a whole invariant space: ascending Ritz
+    values lam, Ritz vectors W, kernel mask lam <= _EIG_CUTOFF * _scale."""
+    def build():
+        V, scale = _channels(metric, p, q), _scale(metric, kind)
+        if scale <= 0 or not len(V):
+            return np.zeros(len(V)), V, np.ones(len(V), bool)
+        AV = _images(metric, kind, p, q, V)
+        R = _gram(metric, p, q, AV, V).T    # R[i, j] = <<Laplacian V_j, V_i>>
+        lam, U = np.linalg.eigh(0.5 * (R + R.conj().T))
+        W, AW = (np.tensordot(U.T, X, axes=1) for X in (V, AV))
+        kernel = lam <= _EIG_CUTOFF * scale
+        _check_kernel(metric, kind, p, q, AW[kernel])
+        return lam, W, kernel
+    return metric.memo(("ritz", kind, p, q), build)
 
 
 def harmonic_basis(metric: Metric, kind: str, p, q):
     """Metric-orthonormal basis of ker(Laplacian) in bidegree (p,q).
 
-    The kernel Ritz vectors of _ritz.  The invariant backend reads them off
-    _lie_ritz.  On the grid, del, dbar and bc take the Ritz step on the
-    block _deflated_kernel found.  As <tilde h, h> = |p''del* h|^2 +
-    |p''del h|^2 + |dbar h|^2 + |dbar* h|^2, the tilde kernel is
-    {h in ker Delta'' : p''del h = 0 = p''del* h} (Popovici's
-    pseudo-Laplacian): the Ritz cut of the dbar kernel.
+    The kernel Ritz vectors of _lie_ritz, or the Richardson block of
+    _deflated_kernel on the grid.  As <tilde h, h> = |p''del* h|^2 +
+    |p''del h|^2 + |dbar h|^2 + |dbar* h|^2, ker tilde (of Popovici's
+    pseudo-Laplacian; dimension dim E_2) lies in ker Delta''.  On the torus
+    every nonzero Fourier mode has an exact dbar-Koszul complex, so the
+    constants, which del kills, span H_dbar: E_2 = E_1, ker tilde = ker dbar.
     """
+    if kind == "tilde" and metric.model.kind != "lie":
+        kind = "dbar"
     key = (kind, p, q)
     if key not in metric._kernel_cache:
         if metric.model.kind == "lie":
             _, W, kernel = _lie_ritz(metric, kind, p, q)
-        elif kind == "tilde":
-            _, W, kernel = _ritz(metric, kind, p, q, _block(
-                metric, harmonic_basis(metric, "dbar", p, q), p, q))
+            K = W[kernel]
         else:
-            _, W, kernel = _ritz(metric, kind, p, q,
-                                 *_deflated_kernel(metric, kind, p, q))
-        metric._kernel_cache[key] = tuple(
-            Form(metric.model, p, q, w) for w in W[kernel])
+            K = _deflated_kernel(metric, kind, p, q)
+        metric._kernel_cache[key] = tuple(Form(metric.model, p, q, w)
+                                          for w in K)
     return metric._kernel_cache[key]
 
 
 def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
-    K = _block(metric, harmonic_basis(metric, kind, a.p, a.q), a.p, a.q)
+    K = [h.coeffs for h in harmonic_basis(metric, kind, a.p, a.q)]
+    K = np.array(K, dtype=np.complex128).reshape((len(K),) + a.coeffs.shape)
     c = _gram(metric, a.p, a.q, a.coeffs[None], K)[0]
     return Form(metric.model, a.p, a.q, np.tensordot(c, K, axes=1))
 
