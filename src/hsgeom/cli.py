@@ -12,9 +12,10 @@ Three subcommands share one model/metric resolution pipeline:
 
 Exit codes: 0 success (honest negative results such as an infeasible torsion
 system are still reports), 1 numerical failure mid-computation (partial
-output is written), 2 invalid input.  Outputs are deterministic for a fixed
-config and seed: JSON keys are sorted and no timestamps are embedded.
-Files are written atomically (temp file + rename).
+output is written), 2 invalid input (model, metric and output location are
+checked before any work; the error document goes to stdout).  Outputs are
+deterministic for a fixed config and seed: JSON keys are sorted and no
+timestamps are embedded.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ EXIT_INPUT = 2
 
 _INPUT_ERRORS = (ModelFormatError, IntegrabilityError, JacobiError,
                  GridError, AliasingError, NotPositiveError,
-                 FileNotFoundError, IsADirectoryError, KeyError, ValueError)
+                 OSError, KeyError, ValueError)
 
 
 class _InputError(ValueError):
@@ -114,10 +115,26 @@ def _atomic_write(path, text):
         raise
 
 
-def _emit(args, obj):
+def _check_out(args, directory=False):
+    """Raise OSError now, before any work, if `--out` cannot take results:
+    a file path needs an existing directory, a directory is created."""
+    if not args.out:
+        return
+    if directory:
+        os.makedirs(args.out, exist_ok=True)
+        where = args.out
+    elif os.path.isdir(args.out):
+        raise IsADirectoryError(f"output path {args.out!r} is a directory")
+    else:
+        where = os.path.dirname(os.path.abspath(args.out))
+    tempfile.TemporaryFile(dir=where).close()
+
+
+def _emit(args, obj, path=None):
+    """Write `obj` in the requested format to `path`, or to stdout."""
     text = _dump_csv(obj) if args.format == "csv" else _dump_json(obj)
-    if getattr(args, "out", None):
-        _atomic_write(args.out, text)
+    if path:
+        _atomic_write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -206,6 +223,12 @@ def _error_doc(args, exc):
             "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
+def _input_error(args, exc):
+    """The one exit for invalid input: error document on stdout, exit 2."""
+    _emit(args, _error_doc(args, exc))
+    return EXIT_INPUT
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -213,11 +236,11 @@ def _error_doc(args, exc):
 def cmd_validate(args):
     try:
         model = _resolve_model(args)
+        _check_out(args)
     except _INPUT_ERRORS as exc:
-        _emit(args, _error_doc(args, exc))
-        return EXIT_INPUT
+        return _input_error(args, exc)
     _emit(args, {"schema": 1, "ok": True, "config": _config_echo(args),
-                 "model": model.describe()})
+                 "model": model.describe()}, args.out)
     return EXIT_OK
 
 
@@ -323,11 +346,11 @@ def cmd_report(args):
     try:
         model = _resolve_model(args)
         metric = _resolve_metric(model, args)
+        _check_out(args)
     except _INPUT_ERRORS as exc:
-        _emit(args, _error_doc(args, exc))
-        return EXIT_INPUT
+        return _input_error(args, exc)
     doc, failed = _report_body(model, metric, args)
-    _emit(args, doc)
+    _emit(args, doc, args.out)
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
@@ -335,10 +358,9 @@ def cmd_descend(args):
     try:
         model = _resolve_model(args)
         metric = _resolve_metric(model, args)
-        os.makedirs(args.out, exist_ok=True)
+        _check_out(args, directory=True)
     except _INPUT_ERRORS as exc:
-        sys.stdout.write(_dump_json(_error_doc(args, exc)))
-        return EXIT_INPUT
+        return _input_error(args, exc)
 
     opts = descent.DescentOptions(tol=args.tol, max_iters=args.max_iters,
                                   torsion_mode=args.mode)
@@ -446,11 +468,7 @@ def main(argv=None):
         return EXIT_INPUT
     if args.command == "descend" and args.tol is None:
         args.tol = 1e-6
-    try:
-        return args.fn(args)
-    except _InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,14 @@ subquotients are ordinary numpy rank computations.  On the grid backend the
 corresponding function-space objects reduce to the constants and add no
 information, so those models are rejected.
 
-Contents: the classical groups (de Rham, Dolbeault, Bott-Chern, Aeppli), the
-spectral-filtration pages with their differentials (pure-form subquotient
-model), the page-2 torsion obstruction class of a metric, the two-tower
-closed/exact membership solvers, the higher-page Bott-Chern/Aeppli groups
-with the identity-induced comparison maps, and the intersection-number
-computation of the generalized volume.
+Contents: the classical groups, the spectral-filtration pages with their
+differentials (pure-form subquotient model), the page-2 torsion obstruction
+class of a metric, the two-tower closed/exact membership solvers, the
+higher-page Bott-Chern/Aeppli groups with the identity-induced comparison
+maps, and the intersection-number computation of the generalized volume.
+The classical Dolbeault, Bott-Chern and Aeppli groups are the r = 1 groups
+(E_1 = H_dbar, E_{1,BC} = H_BC, E_{1,A} = H_A), so they come from the page
+builders; the Betti numbers come from the ranks of the total d.
 
 All subquotients carry explicit orthonormal bases with respect to the flat
 reference metric of the model, so class coordinates are reproducible across
@@ -35,9 +37,7 @@ from .analysis import NotFeasibleError, torsion_form
 from .forms import (Form, conjugate, differential, flat_metric_form,
                     integrate_top, wedge)
 from .hodge import Metric, NotPositiveError, norm
-from .lie import LieModel
-
-_RANK_TOL = 1e-10
+from .lie import LieModel, _kept
 
 
 class NotHSError(RuntimeError):
@@ -68,11 +68,6 @@ def _require_lie(model):
 
 # ---------------------------------------------------------------------------
 # dense linear algebra over channel coordinates
-
-
-def _kept(s):
-    """Mask of the singular values `s` (descending) counted into a rank."""
-    return s > _RANK_TOL * max(1.0, s[0] if s.size else 0.0)
 
 
 def _nullspace(M):
@@ -237,17 +232,7 @@ class _Complex:
         return _basis.degree_dims(self.n, p, q)
 
     def op(self, part, p, q):
-        tgt = _target(part, p, q)
-        if self.dim(p, q) == 0 or self.dim(*tgt) == 0:
-            return np.zeros((self.dim(*tgt), self.dim(p, q)),
-                            dtype=np.complex128)
         return self.model.operator_matrix(part, p, q)
-
-    def gram(self, p, q):
-        d = self.dim(p, q)
-        if d == 0:
-            return np.zeros((0, 0), dtype=np.complex128)
-        return self.ref.gram(p, q)
 
     def orth(self, cols, p, q):
         """Reference-orthonormal basis of the column span, rank-revealed."""
@@ -257,7 +242,7 @@ class _Complex:
             cols = cols[:, None]
         if d == 0 or cols.shape[1] == 0:
             return np.zeros((d, 0), dtype=np.complex128)
-        L = np.linalg.cholesky(self.gram(p, q))
+        L = np.linalg.cholesky(self.ref.gram(p, q))
         u, s, _ = np.linalg.svd(L.conj().T @ cols, full_matrices=False)
         keep = _kept(s)
         if not np.any(keep):
@@ -268,12 +253,12 @@ class _Complex:
         """Remove the span of reference-orthonormal `onb` from each column."""
         if onb.shape[1] == 0 or cols.shape[1] == 0:
             return cols
-        return cols - onb @ (onb.conj().T @ (self.gram(p, q) @ cols))
+        return cols - onb @ (onb.conj().T @ (self.ref.gram(p, q) @ cols))
 
     def coords_against(self, onb, vec, p, q):
         if onb.shape[1] == 0:
             return np.zeros((0,), dtype=np.complex128)
-        return onb.conj().T @ (self.gram(p, q) @ vec)
+        return onb.conj().T @ (self.ref.gram(p, q) @ vec)
 
 
 # ---------------------------------------------------------------------------
@@ -299,60 +284,36 @@ class ClassicalTable:
 
 
 def classical_groups(model: LieModel) -> ClassicalTable:
-    """Dimension table of the four classical groups on the invariant complex."""
+    """Dimension table of the four classical groups on the invariant complex.
+
+    The Dolbeault, Bott-Chern and Aeppli groups are the r = 1 groups:
+    E_1 = H_dbar, E_{1,BC} = H_BC and E_{1,A} = H_A, read from
+    `higher_page_groups(model, 1)` and its page data.  The Betti numbers
+    come from the total d, b_k = dim A^k - rank d_k - rank d_{k-1}, with
+    one rank per degree.
+    """
     cx = _complex(model)
     n = cx.n
-
-    def total_d(k):
-        """Matrix of d: A^k -> A^{k+1} in the concatenated channel basis."""
-        src = [(p, k - p) for p in range(max(0, k - n), min(n, k) + 1)]
-        tgt = [(p, k + 1 - p) for p in range(max(0, k + 1 - n), min(n, k + 1) + 1)]
-        tpos = {pq: i for i, pq in enumerate(tgt)}
-        cols = []
-        for (p, q) in src:
-            if not tgt:
-                cols.append(np.zeros((0, cx.dim(p, q)), dtype=complex))
-                continue
-            blocks = [np.zeros((cx.dim(*t), cx.dim(p, q)), dtype=complex)
-                      for t in tgt]
-            if (p + 1, q) in tpos:
-                blocks[tpos[(p + 1, q)]] = cx.op("del", p, q)
-            if (p, q + 1) in tpos:
-                blocks[tpos[(p, q + 1)]] = cx.op("dbar", p, q)
-            cols.append(np.vstack(blocks))
-        if not cols:
-            return np.zeros((0, 0), dtype=complex)
-        return np.hstack(cols)
-
-    de_rham = []
+    dims, ranks = [], []
     for k in range(2 * n + 1):
-        dk = total_d(k)
-        rank_prev = _rank(total_d(k - 1)) if k else 0
-        de_rham.append(dk.shape[1] - _rank(dk) - rank_prev)
+        sys = _BlockSystem()           # d: A^k -> A^{k+1}, blocks by p
+        for p in range(max(0, k - n), min(n, k) + 1):
+            sys.variable(p, cx.dim(p, k - p))
+        for p in range(max(0, k + 1 - n), min(n, k + 1) + 1):
+            sys.equation([(s, cx.op(part, s, k - s))
+                           for part, s in (("del", p - 1), ("dbar", p))
+                           if s in sys.dims], cx.dim(p, k + 1 - p))
+        M = sys.assemble()[0]
+        dims.append(M.shape[1])
+        ranks.append(_rank(M))
+    de_rham = [dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
+               for k in range(2 * n + 1)]
 
-    dol = np.zeros((n + 1, n + 1), dtype=int)
-    bc = np.zeros((n + 1, n + 1), dtype=int)
-    ae = np.zeros((n + 1, n + 1), dtype=int)
-    for p in range(n + 1):
-        for q in range(n + 1):
-            dol[p, q] = _quotient(
-                cx, _nullspace(cx.op("dbar", p, q)),
-                cx.op("dbar", p, q - 1), p, q).shape[1]
-            ker_d = _nullspace(np.vstack([cx.op("del", p, q),
-                                          cx.op("dbar", p, q)]))
-            im_ddb = cx.op("del", p - 1, q) @ cx.op("dbar", p - 1, q - 1)
-            bc[p, q] = _quotient(cx, ker_d, im_ddb, p, q).shape[1]
-            ker_ddb = _nullspace(cx.op("del", p, q + 1) @ cx.op("dbar", p, q))
-            im_sum = np.hstack([cx.op("del", p - 1, q),
-                                cx.op("dbar", p, q - 1)])
-            ae[p, q] = _quotient(cx, ker_ddb, im_sum, p, q).shape[1]
-
-    duality = all(
-        bc[p, q] == ae[n - p, n - q]
-        for p in range(n + 1) for q in range(n + 1)
-    )
-    return ClassicalTable(de_rham=de_rham, dolbeault=dol, bott_chern=bc,
-                          aeppli=ae, duality_ok=duality)
+    hp = higher_page_groups(model, 1)
+    return ClassicalTable(
+        de_rham=de_rham, dolbeault=hp.page_dims.copy(),
+        bott_chern=hp.bc_dims.copy(), aeppli=hp.a_dims.copy(),
+        duality_ok=bool(np.array_equal(hp.bc_dims, hp.a_dims[::-1, ::-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +368,8 @@ class _PageData:
         return self.basis[(p, q)].shape[1]
 
     def ladder_witnesses(self, form: Form):
-        """Solve the ladder for a concrete form; (None, residual) if the form
-        is not page-closed."""
+        """Solve the ladder for a concrete form: the witnesses eta_1 ..
+        eta_{r-1}; ValueError if the form is not page-closed."""
         p, q = form.p, form.q
         cx = self.cx
         a = np.asarray(form.coeffs, dtype=np.complex128)
@@ -421,19 +382,16 @@ class _PageData:
         x, resid = _lstsq(M, b)
         resid = max(resid, dbar_res)
         if resid > 1e-8 * scale:
-            return None, resid
-        parts = sys.split(x)
-        out = [Form(cx.model, p + i, q - i, parts[f"eta{i}"])
-               for i in range(1, self.r)]
-        return out, resid
-
-    def coordinates(self, form: Form):
-        """Coordinates of the class of a page-closed pure form."""
-        witnesses, resid = self.ladder_witnesses(form)
-        if witnesses is None:
             raise ValueError(
                 f"form is not page-{self.r}-closed (ladder residual {resid:.2e})"
             )
+        parts = sys.split(x)
+        return [Form(cx.model, p + i, q - i, parts[f"eta{i}"])
+                for i in range(1, self.r)]
+
+    def coordinates(self, form: Form):
+        """Coordinates of the class of a page-closed pure form."""
+        self.ladder_witnesses(form)     # ValueError unless page-closed
         p, q = form.p, form.q
         return self.cx.coords_against(self.basis[(p, q)], form.coeffs, p, q)
 
@@ -441,12 +399,7 @@ class _PageData:
         """Pure-form representative of d_r applied to the class of `form`."""
         if self.r == 1:
             return differential("del", form)
-        witnesses, resid = self.ladder_witnesses(form)
-        if witnesses is None:
-            raise ValueError(
-                f"form is not page-{self.r}-closed (ladder residual {resid:.2e})"
-            )
-        return differential("del", witnesses[-1])
+        return differential("del", self.ladder_witnesses(form)[-1])
 
 
 def spectral_page(model: LieModel, r: int) -> PageSummary:
@@ -732,10 +685,8 @@ def _higher_page_groups(model, r):
             S = np.zeros((ae[p, q], pg[p, q]), dtype=complex)
             for j in range(pg[p, q]):
                 S[:, j] = cx.coords_against(Qa, PQ[:, j], p, q)
-            t_iso[p, q] = bool(bc[p, q] == pg[p, q] == _rank(T)) \
-                if (bc[p, q] or pg[p, q]) else True
-            s_iso[p, q] = bool(ae[p, q] == pg[p, q] == _rank(S)) \
-                if (ae[p, q] or pg[p, q]) else True
+            t_iso[p, q] = bc[p, q] == pg[p, q] == _rank(T)
+            s_iso[p, q] = ae[p, q] == pg[p, q] == _rank(S)
     return HigherPageTable(
         r=r, bc_dims=bc, a_dims=ae, page_dims=pg,
         t_iso=t_iso, s_iso=s_iso,

@@ -26,7 +26,18 @@ from functools import lru_cache
 import numpy as np
 
 from . import _basis
-from .forms import Form, zero_form
+from .forms import Form
+
+_RANK_TOL = 1e-10
+
+
+def _kept(s):
+    """Mask of the singular values `s` (descending) counted into a rank.
+
+    The one rank rule of the invariant backend: `_hs_feasibility` and every
+    rank in `cohomology` count through it.
+    """
+    return s > _RANK_TOL * max(1.0, s[0] if s.size else 0.0)
 
 
 class ModelFormatError(ValueError):
@@ -360,7 +371,7 @@ def _hs_feasibility(metric, tol):
     if resid <= tol * max(1.0, float(np.linalg.norm(b))):
         # nullspace of the stacked operator, in geometric coordinates
         _, s, vh = np.linalg.svd(Aw)
-        rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
+        rank = int(np.sum(_kept(s)))
         null = [
             Form(model, n - 1, 0, np.linalg.solve(L_src.conj().T, v))
             for v in vh[rank:].conj()

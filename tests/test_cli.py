@@ -64,6 +64,20 @@ def test_validate_missing_file():
     assert code == 2
 
 
+@pytest.mark.parametrize("where, error", [
+    ("missing/dir/x.json", "FileNotFoundError"),
+    (".", "IsADirectoryError"),
+])
+def test_validate_unusable_out_is_input_error(tmp_path, where, error):
+    proc = run_cli("validate", "--model", "catalogue:torus3",
+                   "--out", str(tmp_path / where))
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == error
+    assert "Traceback" not in proc.stderr
+
+
 # -- report -------------------------------------------------------------------
 
 
@@ -111,6 +125,24 @@ def test_report_builds_each_metric_once(tmp_path, monkeypatch):
     assert cli.main(["report", "--model", str(model), "--out", str(out)]) == 0
     # the metric and the flat reference metric of the cohomology complex
     assert len(built) == 2
+
+
+def test_report_unusable_out_fails_before_any_work(tmp_path, monkeypatch,
+                                                   capsys):
+    from hsgeom import cli
+
+    bodies = []
+    monkeypatch.setattr(cli, "_report_body",
+                        lambda *a: bodies.append(a) or ({}, False))
+    code = cli.main(["report", "--model", "catalogue:torus3",
+                     "--out", str(tmp_path / "missing" / "dir" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert bodies == []
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "FileNotFoundError"
+    assert "Traceback" not in captured.err
 
 
 def test_report_heis3_page_blocked():
@@ -253,6 +285,17 @@ def test_descend_requires_out():
     proc = run_cli(*DESCEND_ARGS)
     assert proc.returncode == 2
     assert "requires --out" in proc.stderr
+
+
+def test_descend_out_below_a_file_is_input_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = run_cli(*DESCEND_ARGS, "--out", str(blocker / "run"))
+    assert proc.returncode == 2
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "NotADirectoryError"
+    assert "Traceback" not in proc.stderr
 
 
 def test_descend_zero_iters(tmp_path):

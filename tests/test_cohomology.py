@@ -36,6 +36,8 @@ IW_E1_TOTALS = [1, 5, 11, 14, 11, 5, 1]
 HEIS_BETTI = [1, 5, 11, 14, 11, 5, 1]
 IW_DOLBEAULT = [[1, 2, 2, 1], [3, 6, 6, 3], [3, 6, 6, 3], [1, 2, 2, 1]]
 IW_BC = [[1, 2, 3, 1], [2, 4, 6, 2], [3, 6, 8, 3], [1, 2, 3, 1]]
+HEIS_DOLBEAULT = [[1, 3, 3, 1], [2, 6, 6, 2], [2, 6, 6, 2], [1, 3, 3, 1]]
+HEIS_BC = [[1, 2, 2, 1], [2, 6, 7, 3], [2, 7, 8, 3], [1, 3, 3, 1]]
 HEIS_E2_BC = [[1, 2, 2, 1], [2, 5, 6, 3], [2, 6, 7, 3], [1, 3, 3, 1]]
 
 
@@ -67,6 +69,9 @@ def test_iwasawa_tables(iwasawa):
 def test_heis3_betti(heis3):
     tab = classical_groups(heis3)
     assert tab.de_rham == HEIS_BETTI
+    assert tab.dolbeault.tolist() == HEIS_DOLBEAULT
+    assert tab.bott_chern.tolist() == HEIS_BC
+    assert tab.aeppli.tolist() == np.array(HEIS_BC)[::-1, ::-1].tolist()
     assert tab.duality_ok
 
 
@@ -259,17 +264,23 @@ def test_er_guards(torus3, two_coord):
 
 def test_report_builds_each_result_once(tmp_path, monkeypatch):
     """One report on a freshly loaded model: one torsion solve per metric,
-    one page-data object per r."""
+    one page-data object per r, and the page-r Bott-Chern/Aeppli groups
+    once for r = 1 (the classical tables) and once for r = 2."""
     path = tmp_path / "torus3.model"
     path.write_text(resources.files("hsgeom.catalogue")
                     .joinpath("torus3.model").read_text())
-    pages, solves = [], []
+    pages, higher, solves = [], [], []
     page_init = cohomology._PageData.__init__
+    higher_build = cohomology._higher_page_groups
     green = analysis.green_solve
 
     def counting_page_init(self, model, r):
         pages.append(r)
         page_init(self, model, r)
+
+    def counting_higher(model, r):
+        higher.append(r)
+        return higher_build(model, r)
 
     def counting_green(metric, kind, b, **kw):
         if (b.p, b.q) == (2, 0):        # the torsion right-hand side
@@ -277,11 +288,13 @@ def test_report_builds_each_result_once(tmp_path, monkeypatch):
         return green(metric, kind, b, **kw)
 
     monkeypatch.setattr(cohomology._PageData, "__init__", counting_page_init)
+    monkeypatch.setattr(cohomology, "_higher_page_groups", counting_higher)
     monkeypatch.setattr(analysis, "green_solve", counting_green)
     code = cli.main(["report", "--model", str(path),
                      "--out", str(tmp_path / "report.json")])
     assert code == 0
     assert sorted(pages) == [1, 2, 3]
+    assert sorted(higher) == [1, 2]
     # the report metric and the perturbed metric of the class recheck
     assert len(solves) == 2 and solves[0] is not solves[1]
 
