@@ -7,6 +7,9 @@ page-2 Bott-Chern/Aeppli refinement with its degeneration diagnostic.
 
     python scripts/cohomology_tables.py            # all catalogue models
     python scripts/cohomology_tables.py iwasawa    # just one
+
+The output for all models is committed as scripts/cohomology_tables.expected,
+and CI diffs the script's output against it.
 """
 
 import argparse

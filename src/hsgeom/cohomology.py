@@ -21,9 +21,9 @@ calls and across metrics.
 
 Every zig-zag tower (the page ladders, the side towers of page-exact forms,
 the closed/exact membership towers) is laid out by one builder, `_zigzag`.
-The metric-free objects (operator complex, page data per r, page-r
-Bott-Chern/Aeppli tables) are memoised on the model, so a report builds
-each of them once.
+The metric-free objects (operator complex, page data and page summary per
+r, page-r Bott-Chern/Aeppli tables, Betti numbers) are memoised on the
+model, so a report builds each of them once; treat them as read-only.
 """
 
 from __future__ import annotations
@@ -71,41 +71,32 @@ def _require_lie(model):
 
 
 def _nullspace(M):
-    M = np.asarray(M, dtype=np.complex128)
-    if M.shape[1] == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if M.shape[0] == 0:
-        return np.eye(M.shape[1], dtype=np.complex128)
-    _, s, vh = np.linalg.svd(M)
+    _, s, vh = np.linalg.svd(np.asarray(M, dtype=np.complex128))
     return vh[int(np.sum(_kept(s))):].conj().T
 
 
 def _rank(M):
-    M = np.asarray(M)
-    if M.size == 0 or min(M.shape) == 0:
-        return 0
     return int(np.sum(_kept(np.linalg.svd(M, compute_uv=False))))
 
 
-def _lstsq(M, b):
-    """Minimum-norm least squares with the achieved residual."""
+def _lstsq(M, B):
+    """Minimum-norm least squares M X = B with one residual per column."""
     M = np.asarray(M, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if M.shape[1] == 0:
-        return np.zeros((0,), dtype=np.complex128), float(np.linalg.norm(b))
-    x, *_ = np.linalg.lstsq(M, b, rcond=None)
-    return x, float(np.linalg.norm(M @ x - b))
+    B = np.asarray(B, dtype=np.complex128)
+    X, *_ = np.linalg.lstsq(M, B, rcond=None)
+    return X, np.linalg.norm(M @ X - B, axis=0)
 
 
 class _BlockSystem:
     """Linear system over several form-valued unknowns.
 
     Variables are declared with their channel dimensions; each equation is a
-    list of (variable name, coefficient matrix) pairs plus a right-hand side.
-    The assembled matrix acts on the concatenation of the variables.
+    list of (variable name, coefficient matrix) pairs plus a right-hand side
+    of k columns.  The assembled matrix acts on the concatenated variables.
     """
 
-    def __init__(self):
+    def __init__(self, k=1):
+        self.k = k
         self.names = []
         self.dims = {}
         self.rows = []
@@ -120,8 +111,9 @@ class _BlockSystem:
         for name, M in entries:
             row[name] = M if name not in row else row[name] + M
         self.rows.append((row, rhs_dim))
-        self.rhs.append(np.zeros(rhs_dim, dtype=np.complex128)
-                        if rhs is None else np.asarray(rhs, dtype=np.complex128))
+        self.rhs.append(np.zeros((rhs_dim, self.k), dtype=np.complex128)
+                        if rhs is None else
+                        np.asarray(rhs, dtype=np.complex128))
 
     def assemble(self):
         mats = []
@@ -130,9 +122,8 @@ class _BlockSystem:
                 row.get(nm, np.zeros((rdim, self.dims[nm]), dtype=complex))
                 for nm in self.names
             ]))
-        M = (np.vstack(mats) if mats else
-             np.zeros((0, sum(self.dims.values())), dtype=complex))
-        return M, np.concatenate(self.rhs) if self.rhs else np.zeros(0, dtype=complex)
+        M = np.vstack([np.zeros((0, sum(self.dims.values())), complex)] + mats)
+        return M, np.vstack([np.zeros((0, self.k), complex)] + self.rhs)
 
     def split(self, x):
         out, off = {}, 0
@@ -238,8 +229,6 @@ class _Complex:
         """Reference-orthonormal basis of the column span, rank-revealed."""
         d = self.dim(p, q)
         cols = np.asarray(cols, dtype=np.complex128)
-        if cols.ndim == 1:
-            cols = cols[:, None]
         if d == 0 or cols.shape[1] == 0:
             return np.zeros((d, 0), dtype=np.complex128)
         L = np.linalg.cholesky(self.ref.gram(p, q))
@@ -255,10 +244,8 @@ class _Complex:
             return cols
         return cols - onb @ (onb.conj().T @ (self.ref.gram(p, q) @ cols))
 
-    def coords_against(self, onb, vec, p, q):
-        if onb.shape[1] == 0:
-            return np.zeros((0,), dtype=np.complex128)
-        return onb.conj().T @ (self.ref.gram(p, q) @ vec)
+    def coords_against(self, onb, vecs, p, q):
+        return onb.conj().T @ (self.ref.gram(p, q) @ vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +276,19 @@ def classical_groups(model: LieModel) -> ClassicalTable:
     The Dolbeault, Bott-Chern and Aeppli groups are the r = 1 groups:
     E_1 = H_dbar, E_{1,BC} = H_BC and E_{1,A} = H_A, read from
     `higher_page_groups(model, 1)` and its page data.  The Betti numbers
-    come from the total d, b_k = dim A^k - rank d_k - rank d_{k-1}, with
-    one rank per degree.
+    are memoised on the model (_betti_numbers).
     """
+    hp = higher_page_groups(model, 1)
+    return ClassicalTable(
+        de_rham=list(_memo(model, "betti", lambda: _betti_numbers(model))),
+        dolbeault=hp.page_dims.copy(),
+        bott_chern=hp.bc_dims.copy(), aeppli=hp.a_dims.copy(),
+        duality_ok=bool(np.array_equal(hp.bc_dims, hp.a_dims[::-1, ::-1])))
+
+
+def _betti_numbers(model):
+    """b_k = dim A^k - rank d_k - rank d_{k-1} of the total d, one rank per
+    degree."""
     cx = _complex(model)
     n = cx.n
     dims, ranks = [], []
@@ -306,21 +303,15 @@ def classical_groups(model: LieModel) -> ClassicalTable:
         M = sys.assemble()[0]
         dims.append(M.shape[1])
         ranks.append(_rank(M))
-    de_rham = [dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
-               for k in range(2 * n + 1)]
-
-    hp = higher_page_groups(model, 1)
-    return ClassicalTable(
-        de_rham=de_rham, dolbeault=hp.page_dims.copy(),
-        bott_chern=hp.bc_dims.copy(), aeppli=hp.a_dims.copy(),
-        duality_ok=bool(np.array_equal(hp.bc_dims, hp.a_dims[::-1, ::-1])))
+    return tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
+                 for k in range(2 * n + 1))
 
 
 # ---------------------------------------------------------------------------
 # spectral pages (pure-form subquotient model)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PageSummary:
     r: int
     dims: dict                  # (p,q) -> int
@@ -345,7 +336,8 @@ class _PageData:
     dbar-closed forms whose del can be chained through r-1 dbar-images, the
     denominator adds dbar-images and del of chains arriving from the left.
     Representatives are orthonormal against the flat reference metric and
-    orthogonal to the denominator.
+    orthogonal to the denominator.  The methods take a (d, k) block A of
+    (p,q) coefficients, one form per column, and solve one ladder for all.
     """
 
     def __init__(self, model: LieModel, r: int):
@@ -367,58 +359,57 @@ class _PageData:
     def dim(self, p, q):
         return self.basis[(p, q)].shape[1]
 
-    def ladder_witnesses(self, form: Form):
-        """Solve the ladder for a concrete form: the witnesses eta_1 ..
-        eta_{r-1}; ValueError if the form is not page-closed."""
-        p, q = form.p, form.q
+    def ladder_witnesses(self, p, q, A):
+        """The witness blocks eta_1 .. eta_{r-1} of the ladder of A;
+        ValueError if a column is not page-closed."""
         cx = self.cx
-        a = np.asarray(form.coeffs, dtype=np.complex128)
-        scale = max(1.0, float(np.linalg.norm(a)))
-        dbar_res = float(np.linalg.norm(cx.op("dbar", p, q) @ a))
-        sys = _BlockSystem()
-        _zigzag(sys, cx, a, (p, q), [f"eta{i}" for i in range(1, self.r)],
-                "del")
-        M, b = sys.assemble()
-        x, resid = _lstsq(M, b)
-        resid = max(resid, dbar_res)
-        if resid > 1e-8 * scale:
-            raise ValueError(
-                f"form is not page-{self.r}-closed (ladder residual {resid:.2e})"
-            )
-        parts = sys.split(x)
-        return [Form(cx.model, p + i, q - i, parts[f"eta{i}"])
-                for i in range(1, self.r)]
+        A = np.asarray(A, dtype=np.complex128)
+        sys = _BlockSystem(A.shape[1])
+        names = [f"eta{i}" for i in range(1, self.r)]
+        _zigzag(sys, cx, A, (p, q), names, "del")
+        X, resid = _lstsq(*sys.assemble())
+        resid = np.maximum(resid, np.linalg.norm(cx.op("dbar", p, q) @ A,
+                                                 axis=0))
+        bad = resid > 1e-8 * np.maximum(1.0, np.linalg.norm(A, axis=0))
+        if np.any(bad):
+            raise ValueError(f"form is not page-{self.r}-closed "
+                             f"(ladder residual {resid[bad].max():.2e})")
+        parts = sys.split(X)
+        return [parts[nm] for nm in names]
 
-    def coordinates(self, form: Form):
-        """Coordinates of the class of a page-closed pure form."""
-        self.ladder_witnesses(form)     # ValueError unless page-closed
-        p, q = form.p, form.q
-        return self.cx.coords_against(self.basis[(p, q)], form.coeffs, p, q)
+    def coordinates(self, p, q, A):
+        """Class coordinates of the page-closed columns of A, column by
+        column."""
+        self.ladder_witnesses(p, q, A)     # ValueError unless page-closed
+        return self.cx.coords_against(self.basis[(p, q)], A, p, q)
 
-    def differential(self, form: Form):
-        """Pure-form representative of d_r applied to the class of `form`."""
+    def differential(self, p, q, A):
+        """Pure-form representatives of d_r applied to the classes of the
+        columns of A, as a block in bidegree (p + r, q - r + 1)."""
         if self.r == 1:
-            return differential("del", form)
-        return differential("del", self.ladder_witnesses(form)[-1])
+            return self.cx.op("del", p, q) @ A
+        last = self.ladder_witnesses(p, q, A)[-1]
+        return self.cx.op("del", p + self.r - 1, q - self.r + 1) @ last
 
 
 def spectral_page(model: LieModel, r: int) -> PageSummary:
-    """One page of the filtration spectral sequence with its differential."""
+    """One page of the filtration spectral sequence with its differential,
+    memoised on the model per r: frozen, with read-only d_r matrices."""
+    return _memo(model, ("spectral", r), lambda: _spectral_page(model, r))
+
+
+def _spectral_page(model, r):
     data = _page(model, r)
     dims = {pq: Q.shape[1] for pq, Q in data.basis.items()}
     d_maps = {}
-    degenerate = True
     for (p, q), Q in data.basis.items():
         tgt = (p + r, q - r + 1)
-        m_out = dims.get(tgt, 0)
-        D = np.zeros((m_out, Q.shape[1]), dtype=np.complex128)
-        if m_out:
-            for j in range(Q.shape[1]):
-                rep = data.differential(Form(model, p, q, Q[:, j].copy()))
-                D[:, j] = data.coordinates(rep)
+        D = (data.coordinates(*tgt, data.differential(p, q, Q))
+             if dims.get(tgt) else np.zeros((0, Q.shape[1]), np.complex128))
+        D.setflags(write=False)
         d_maps[(p, q)] = D
-        if D.size and np.max(np.abs(D)) > 1e-9:
-            degenerate = False
+    degenerate = not any(D.size and np.max(np.abs(D)) > 1e-9
+                         for D in d_maps.values())
     return PageSummary(r=r, dims=dims, d_maps=d_maps, degenerates=degenerate)
 
 
@@ -448,8 +439,8 @@ def _min_norm_solve(metric: Metric, A, b, p_src, q_src):
         return np.zeros((0,), dtype=complex), float(np.linalg.norm(b))
     L = np.linalg.cholesky(metric.gram(p_src, q_src))
     Aw = A @ np.linalg.inv(L.conj().T)
-    y, resid = _lstsq(Aw, b)
-    return np.linalg.solve(L.conj().T, y), resid
+    y, resid = _lstsq(Aw, b[:, None])
+    return np.linalg.solve(L.conj().T, y[:, 0]), float(resid[0])
 
 
 def e2_torsion_class(metric: Metric, torsion_report=None,
@@ -490,8 +481,8 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
         certificate["witness_pairing"] = complex(
             cx.coords_against(w.reshape(-1, 1), rho02.coeffs, 0, 2)[0])
 
-    d2_rep = page.differential(rho02)
-    d2_coords = (page.coordinates(d2_rep) if page.dim(2, 1)
+    d2_rep = page.differential(0, 2, rho02.coeffs[:, None])
+    d2_coords = (page.coordinates(2, 1, d2_rep) if page.dim(2, 1)
                  else np.zeros((0,), dtype=complex))
     certificate["d2_image_norm"] = float(np.linalg.norm(d2_coords))
 
@@ -513,7 +504,7 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
             except NotPositiveError:
                 bump = 0.5 * bump
         report2 = torsion_form(m2, mode="dim3")
-        coords2 = page.coordinates(report2.rho02)
+        coords2 = page.coordinates(0, 2, report2.rho02.coeffs[:, None])[:, 0]
         certificate["perturbed_coordinate_drift"] = float(
             np.linalg.norm(coords2 - coords))
 
@@ -523,7 +514,7 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
 def _e2_coordinates(metric: Metric, rho02: Form):
     """(page 2, page-2 coordinates of rho02, whether they vanish)."""
     page = _page(metric.model, 2)
-    coords = page.coordinates(rho02)
+    coords = page.coordinates(0, 2, rho02.coeffs[:, None])[:, 0]
     scale = max(1.0, norm(metric, rho02))
     return page, coords, bool(np.linalg.norm(coords) <= 1e-8 * scale)
 
@@ -547,7 +538,7 @@ def er_closed_exact(form: Form, r: int = 2, tol: float = 1e-8):
         raise ValueError("r = 2 or 3")
     cx = _complex(model)
     p, q = form.p, form.q
-    a = np.asarray(form.coeffs, dtype=np.complex128)
+    a = np.asarray(form.coeffs, dtype=np.complex128)[:, None]
     scale = max(1.0, float(np.linalg.norm(a)))
 
     ddbar_res = float(np.linalg.norm(
@@ -558,10 +549,10 @@ def er_closed_exact(form: Form, r: int = 2, tol: float = 1e-8):
     sys = _BlockSystem()
     for nm, part in towers.items():
         _zigzag(sys, cx, a, (p, q), [f"{nm}{i}" for i in range(1, r)], part)
-    M, b = sys.assemble()
-    x, tower_res = _lstsq(M, b)
+    x, res = _lstsq(*sys.assemble())
+    tower_res = float(res[0])
     closed = (ddbar_res <= tol * scale) and (tower_res <= tol * scale)
-    parts = sys.split(x)
+    parts = sys.split(x[:, 0])
     closed_witnesses = {
         f"{nm}{i}": Form(model, *_step(part, p, q, i), parts[f"{nm}{i}"])
         for nm, part in towers.items() for i in range(1, r)
@@ -583,9 +574,9 @@ def er_closed_exact(form: Form, r: int = 2, tol: float = 1e-8):
     for x0, side, part in (("zeta", "v0", "dbar"), ("eta", "u0", "del")):
         last, pq = _zigzag(sys, cx, x0, bidegrees[x0], [side][:r - 2], part)
         sys.equation([(last, cx.op(part, *pq))], cx.dim(*_target(part, *pq)))
-    M2, b2 = sys.assemble()
-    x2, exact_res = _lstsq(M2, b2)
-    parts2 = sys.split(x2)
+    x2, res = _lstsq(*sys.assemble())
+    exact_res = float(res[0])
+    parts2 = sys.split(x2[:, 0])
     exact_witnesses = {
         nm: Form(model, *bidegrees[nm], vec) for nm, vec in parts2.items()
     }
@@ -678,13 +669,8 @@ def _higher_page_groups(model, r):
             Qa = _quotient(cx, _er_closed_span(cx, p, q, r), Ba, p, q)
             ae[p, q] = Qa.shape[1]
             # comparison maps on representatives
-            T = np.zeros((pg[p, q], bc[p, q]), dtype=complex)
-            for j in range(bc[p, q]):
-                T[:, j] = page.coordinates(Form(model, p, q, Qbc[:, j].copy()))
-            PQ = page.basis[(p, q)]
-            S = np.zeros((ae[p, q], pg[p, q]), dtype=complex)
-            for j in range(pg[p, q]):
-                S[:, j] = cx.coords_against(Qa, PQ[:, j], p, q)
+            T = page.coordinates(p, q, Qbc)
+            S = cx.coords_against(Qa, page.basis[(p, q)], p, q)
             t_iso[p, q] = bc[p, q] == pg[p, q] == _rank(T)
             s_iso[p, q] = ae[p, q] == pg[p, q] == _rank(S)
     return HigherPageTable(

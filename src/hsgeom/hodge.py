@@ -517,7 +517,8 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
     """Metric-orthonormal basis of ker(Laplacian) in bidegree (p,q).
 
     The kernel Ritz vectors of _lie_ritz, or the Richardson block of
-    _deflated_kernel on the grid.  As <tilde h, h> = |p''del* h|^2 +
+    _deflated_kernel on the grid, as a tuple of Forms whose `block` holds
+    their coefficients (harmonic_project reads it).  As <tilde h, h> = |p''del* h|^2 +
     |p''del h|^2 + |dbar h|^2 + |dbar* h|^2, ker tilde (of Popovici's
     pseudo-Laplacian; dimension dim E_2) lies in ker Delta''.  On the torus
     every nonzero Fourier mode has an exact dbar-Koszul complex, so the
@@ -532,14 +533,21 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
             K = W[kernel]
         else:
             K = _deflated_kernel(metric, kind, p, q)
-        metric._kernel_cache[key] = tuple(Form(metric.model, p, q, w)
-                                          for w in K)
+        metric._kernel_cache[key] = _Kernel(metric.model, p, q, K)
     return metric._kernel_cache[key]
 
 
+class _Kernel(tuple):
+    """Harmonic basis Forms, viewing the rows of their (k, d, *grid) block."""
+
+    def __new__(cls, model, p, q, block):
+        self = super().__new__(cls, (Form(model, p, q, w) for w in block))
+        self.block = block
+        return self
+
+
 def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
-    K = [h.coeffs for h in harmonic_basis(metric, kind, a.p, a.q)]
-    K = np.array(K, dtype=np.complex128).reshape((len(K),) + a.coeffs.shape)
+    K = harmonic_basis(metric, kind, a.p, a.q).block
     c = _gram(metric, a.p, a.q, a.coeffs[None], K)[0]
     return Form(metric.model, a.p, a.q, np.tensordot(c, K, axes=1))
 

@@ -159,6 +159,55 @@ def test_euler_characteristic_conserved(lie_models):
             assert chi_r == chi
 
 
+@pytest.mark.parametrize("name", ["iwasawa", "heis3"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_block_differential_matches_single_columns(lie_models, name, r):
+    """Each column of a d_r matrix is the block path on that column alone."""
+    model = lie_models[name]
+    page, data = spectral_page(model, r), cohomology._page(model, r)
+    for (p, q), D in page.d_maps.items():
+        tgt = (p + r, q - r + 1)
+        if D.size == 0:
+            continue
+        Q = data.basis[(p, q)]
+        for j in range(Q.shape[1]):
+            col = data.coordinates(*tgt, data.differential(p, q, Q[:, [j]]))
+            assert col.shape == (D.shape[0], 1)
+            assert np.max(np.abs(col[:, 0] - D[:, j])) <= 1e-12
+
+
+def test_block_ladder_rejects_a_non_closed_column(iwasawa):
+    """One column whose d_1 class is nonzero is not page-2 closed, and the
+    block that holds it raises, however many closed columns it also has."""
+    e1 = spectral_page(iwasawa, 1)
+    data1, data2 = cohomology._page(iwasawa, 1), cohomology._page(iwasawa, 2)
+    (p, q), D = next((pq, D) for pq, D in sorted(e1.d_maps.items())
+                     if D.size and np.max(np.abs(D)) > 1e-9)
+    j = int(np.argmax(np.abs(D).max(axis=0)))
+    closed = data2.basis[(p, q)]
+    assert closed.shape[1] > 0
+    assert data2.coordinates(p, q, closed).shape == (closed.shape[1],) * 2
+    block = np.hstack([closed, data1.basis[(p, q)][:, [j]]])
+    for A in (block, block[:, ::-1], block[:, -1:]):
+        with pytest.raises(ValueError, match="not page-2-closed"):
+            data2.ladder_witnesses(p, q, A)
+        with pytest.raises(ValueError, match="not page-2-closed"):
+            data2.differential(p, q, A)
+
+
+def test_memoised_page_is_read_only(iwasawa):
+    page = spectral_page(iwasawa, 1)
+    pq, D = next((pq, D) for pq, D in page.d_maps.items() if D.size)
+    before = D.copy()
+    with pytest.raises(ValueError):
+        D[0, 0] = 1e6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        page.degenerates = True
+    again = spectral_page(iwasawa, 1)
+    assert again is page
+    assert np.array_equal(again.d_maps[pq], before)
+
+
 # -- page-r bott-chern / aeppli groups ------------------------------------------------
 
 
@@ -263,24 +312,30 @@ def test_er_guards(torus3, two_coord):
 
 
 def test_report_builds_each_result_once(tmp_path, monkeypatch):
-    """One report on a freshly loaded model: one torsion solve per metric,
-    one page-data object per r, and the page-r Bott-Chern/Aeppli groups
-    once for r = 1 (the classical tables) and once for r = 2."""
+    """Two reports on one freshly loaded model: one torsion solve per
+    metric, and every metric-free object built once across both reports:
+    the page data and the page summary per r, the page-r Bott-Chern/Aeppli
+    groups for r = 1 (the classical tables) and r = 2, and the Betti
+    numbers.  Rerunning the first report reproduces it byte for byte."""
+    text = (resources.files("hsgeom.catalogue")
+            .joinpath("torus3.model").read_text())
     path = tmp_path / "torus3.model"
-    path.write_text(resources.files("hsgeom.catalogue")
-                    .joinpath("torus3.model").read_text())
-    pages, higher, solves = [], [], []
+    path.write_text(text)
+    fresh = cli.load_model(text)
+    monkeypatch.setattr(cli, "load_model", lambda _: fresh)
+    pages, summaries, higher, betti, solves = [], [], [], [], []
     page_init = cohomology._PageData.__init__
-    higher_build = cohomology._higher_page_groups
     green = analysis.green_solve
 
     def counting_page_init(self, model, r):
         pages.append(r)
         page_init(self, model, r)
 
-    def counting_higher(model, r):
-        higher.append(r)
-        return higher_build(model, r)
+    def counting(log, build):
+        def wrapper(model, *args):
+            log.append(args[0] if args else None)
+            return build(model, *args)
+        return wrapper
 
     def counting_green(metric, kind, b, **kw):
         if (b.p, b.q) == (2, 0):        # the torsion right-hand side
@@ -288,15 +343,27 @@ def test_report_builds_each_result_once(tmp_path, monkeypatch):
         return green(metric, kind, b, **kw)
 
     monkeypatch.setattr(cohomology._PageData, "__init__", counting_page_init)
-    monkeypatch.setattr(cohomology, "_higher_page_groups", counting_higher)
+    for name, log in (("_spectral_page", summaries),
+                      ("_higher_page_groups", higher),
+                      ("_betti_numbers", betti)):
+        monkeypatch.setattr(cohomology, name,
+                            counting(log, getattr(cohomology, name)))
     monkeypatch.setattr(analysis, "green_solve", counting_green)
-    code = cli.main(["report", "--model", str(path),
-                     "--out", str(tmp_path / "report.json")])
-    assert code == 0
-    assert sorted(pages) == [1, 2, 3]
-    assert sorted(higher) == [1, 2]
+    first = ["report", "--model", str(path),
+             "--out", str(tmp_path / "report.json")]
+    assert cli.main(first) == 0
     # the report metric and the perturbed metric of the class recheck
     assert len(solves) == 2 and solves[0] is not solves[1]
+    report = (tmp_path / "report.json").read_bytes()
+    assert cli.main(["report", "--model", str(path), "--perturb",
+                     "coeffs:0.031,-0.012;0.004,0.022;-0.04,0.017",
+                     "--out", str(tmp_path / "perturbed.json")]) == 0
+    assert cli.main(first) == 0
+    assert (tmp_path / "report.json").read_bytes() == report
+    assert sorted(pages) == [1, 2, 3]
+    assert sorted(summaries) == [1, 2, 3]
+    assert sorted(higher) == [1, 2]
+    assert betti == [None]
 
 
 # -- the torsion class -------------------------------------------------------------------
