@@ -27,9 +27,10 @@ import numpy as np
 from . import _basis
 from .forms import (Form, coeff_norm, conjugate, differential,
                     integrate_top, is_real, wedge, zero_form)
-from .hodge import (Metric, adjoint_diff, contract, contract_trace,
-                    form_of_11, green_solve, harmonic_basis, harmonic_project,
-                    inner, laplacian, norm, pointwise_inner, star)
+from .hodge import (_POS_TOL, Metric, adjoint_diff, contract,
+                    contract_trace, form_of_11, green_solve, harmonic_basis,
+                    harmonic_project, inner, laplacian, min_norm_lstsq, norm,
+                    pointwise_inner, star)
 from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
@@ -106,77 +107,27 @@ class TorsionReport:
 def torsion_least_squares(metric: Metric) -> Form:
     """Minimal-norm torsion by brute-force constrained least squares.
 
-    Independent oracle for torsion_form: assembles the dense stacked system
-    {del rho = 0, dbar rho = -del omega} over all (2,0) degrees of freedom
-    (channels times grid points), weighted so that both the residual and the
-    minimized norm are the metric L2 ones, and solves it with lstsq.  No
-    Green operators, stars, or adjoints are involved.
+    Independent oracle for torsion_form: probes apply_differential into the
+    dense stacked system {del rho = 0, dbar rho = -del omega} over all (2,0)
+    degrees of freedom (channels times grid points) and solves it by
+    hodge.min_norm_lstsq, so both the residual and the minimized norm are
+    the metric L2 ones.  No Green operators, stars, or adjoints are involved.
     """
-    model = metric.model
-    n = metric.n
-    p_src = (n - 1, 0)
-    d_src = _basis.degree_dims(n, *p_src)
+    model, n = metric.model, metric.n
     grid = model.grid_shape
-    npts = int(np.prod(grid)) if grid else 1
-    m = d_src * npts
+    d_src = _basis.degree_dims(n, n - 1, 0)
+    units = np.eye(d_src * math.prod(grid)).reshape((-1, d_src) + grid)
 
-    def op_matrix(part, p, q):
-        d_in = _basis.degree_dims(n, p, q)
-        d_out = _basis.degree_dims(n, *((p + 1, q) if part == "del" else (p, q + 1)))
-        A = np.zeros((d_out * npts, d_in * npts), dtype=np.complex128)
-        for j in range(d_in * npts):
-            x = np.zeros((d_in * npts,), dtype=np.complex128)
-            x[j] = 1.0
-            y = model.apply_differential(part, p, q, x.reshape((d_in,) + grid))
-            A[:, j] = y.reshape(-1)
-        return A
+    def probe(part):
+        return np.stack([model.apply_differential(part, n - 1, 0, e).ravel()
+                         for e in units], axis=1)
 
-    def weight_blocks(p, q):
-        # per-point Cholesky transposes, scaled so the stacked Euclidean
-        # norm is the mean-based L2 norm
-        L = metric.gram_cholesky(p, q)           # (d, d, *grid)
-        LH = np.conj(np.moveaxis(L, (0, 1), (-1, -2)))   # (*grid, d, d) = L^H
-        return LH / math.sqrt(npts)
-
-    def apply_weight(W, vec, d):
-        # vec indexed channel-major: (d, npts) flattened
-        V = vec.reshape((d,) + grid)
-        out = np.einsum("...uv,v...->u...", W, V)
-        return out.reshape(-1)
-
-    def weight_matrix(W, A, d_out):
-        out = np.empty_like(A)
-        for j in range(A.shape[1]):
-            out[:, j] = apply_weight(W, A[:, j], d_out)
-        return out
-
-    A_del = op_matrix("del", *p_src)
-    A_dbar = op_matrix("dbar", *p_src)
     d_omega = model.apply_differential("del", 1, 1, metric.omega.coeffs)
-    d_t1 = _basis.degree_dims(n, n, 0)
-    d_t2 = _basis.degree_dims(n, n - 1, 1)
-
-    W_src = weight_blocks(*p_src)
-    W_t1 = weight_blocks(n, 0)
-    W_t2 = weight_blocks(n - 1, 1)
-    Aw = np.vstack([
-        weight_matrix(W_t1, A_del, d_t1),
-        weight_matrix(W_t2, A_dbar, d_t2),
+    rho, *_ = min_norm_lstsq(metric, (n - 1, 0), [
+        ((n, 0), probe("del"), None),
+        ((n - 1, 1), probe("dbar"), -d_omega),
     ])
-    b = np.concatenate([
-        np.zeros(d_t1 * npts, dtype=np.complex128),
-        apply_weight(W_t2, -d_omega.reshape(-1), d_t2),
-    ])
-    # substitute y = W_src x so that min ||y||_2 = min ||x||_omega
-    Winv = np.linalg.inv(W_src)                  # (*grid, d, d)
-    # column transform: Aw @ W_src^{-1}
-    Awx = np.empty_like(Aw)
-    for i in range(Aw.shape[0]):
-        row = Aw[i].reshape((d_src,) + grid)
-        Awx[i] = np.einsum("...vu,v...->u...", Winv, row).reshape(-1)
-    y, *_ = np.linalg.lstsq(Awx, b, rcond=None)
-    x = np.einsum("...uv,v...->u...", Winv, y.reshape((d_src,) + grid))
-    return Form(model, *p_src, x)
+    return rho
 
 
 def torsion_form(metric: Metric, mode: str = "dim3",
@@ -271,6 +222,13 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     )
 
 
+def _dbar_potential(metric: Metric, v: Form):
+    """(xi, ||dbar xi - v||) for xi = dbar* G_dbar v, so that dbar xi is the
+    projection of v onto the image of dbar."""
+    xi = adjoint_diff(metric, "dbar", green_solve(metric, "dbar", v))
+    return xi, norm(metric, differential("dbar", xi) - v)
+
+
 def e2_obstruction(metric: Metric, rho02: Form, tol: float = None):
     """Co-closedness energy of a (0,2)-form, when it is dbar-exact.
 
@@ -282,8 +240,8 @@ def e2_obstruction(metric: Metric, rho02: Form, tol: float = None):
         tol = _default_tol(metric.model)
     nr = norm(metric, rho02)
     dbs = adjoint_diff(metric, "dbar", rho02)
-    xi = adjoint_diff(metric, "dbar", green_solve(metric, "dbar", rho02))
-    member_res = norm(metric, differential("dbar", xi) - rho02) / max(1.0, nr)
+    xi, member_res = _dbar_potential(metric, rho02)
+    member_res /= max(1.0, nr)
     diagnostics = {"membership_residual": member_res,
                    "dbar_star_rho_norm": norm(metric, dbs)}
     if member_res > max(tol, 1e3 * _default_tol(metric.model)) and nr > tol:
@@ -381,17 +339,6 @@ class MetricClassification:
         }
 
 
-def _im_dbar_residual(metric: Metric, v: Form) -> float:
-    """Relative distance of v from the image of dbar."""
-    nv = norm(metric, v)
-    if nv == 0.0:
-        return 0.0
-    w = differential(
-        "dbar", adjoint_diff(metric, "dbar", green_solve(metric, "dbar", v))
-    )
-    return norm(metric, v - w) / nv
-
-
 def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     """Decide the standard metric classes by residual tests."""
     model = metric.model
@@ -407,9 +354,11 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     r_kahler = norm(metric, differential("del", omega)) / scale
     r_skt = norm(metric, differential("del", differential("dbar", omega))) / scale
     d_pow = differential("del", omega_pow)
-    r_bal = norm(metric, d_pow) / scale
+    n_pow = norm(metric, d_pow)
+    r_bal = n_pow / scale
     r_gau = norm(metric, differential("dbar", d_pow)) / scale
-    r_sg = _im_dbar_residual(metric, d_pow)
+    # relative distance of d_pow from the image of dbar
+    r_sg = _dbar_potential(metric, d_pow)[1] / n_pow if n_pow else 0.0
 
     if model.kind == "lie":
         cert = hs_feasibility(metric)
@@ -523,7 +472,7 @@ def _matrix_of_22(a: Form):
     return K
 
 
-def root_of_22(Omega: Form, pos_tol: float = 1e-9) -> Form:
+def root_of_22(Omega: Form) -> Form:
     """Positive (1,1)-root gamma with gamma^2 = Omega (n = 3).
 
     Writes the (2,2)-form as the adjugate of the root's coefficient matrix
@@ -539,7 +488,7 @@ def root_of_22(Omega: Form, pos_tol: float = 1e-9) -> Form:
     M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
     eigs = np.linalg.eigvalsh(M)
     worst = float(eigs[..., 0].min())
-    if worst <= pos_tol:
+    if worst <= _POS_TOL:
         raise RootFailure(
             f"(2,2)-form not positive enough for a root "
             f"(min eigenvalue {worst:.3e})", worst=worst,
@@ -753,10 +702,10 @@ class MACoefficients:
         }
 
 
-def ma_constants(metric: Metric, gamma: Metric,
-                 mode: str = "dim3") -> MACoefficients:
+def ma_constants(metric: Metric, gamma: Metric, mode: str = "dim3",
+                 tol: float = None) -> MACoefficients:
     """Normalization constants of the volume-comparison problem."""
-    report = torsion_form(metric, mode=mode)
+    report = torsion_form(metric, mode=mode, tol=tol)
     A = report.generalized_volume
     omega, g = metric.omega, gamma.omega
     vol_gamma = _real_integral(

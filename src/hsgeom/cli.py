@@ -298,7 +298,7 @@ def _report_body(model, metric, args):
             out = comp.to_json()
             gamma_metric = Metric(comp.gamma)
             out["ma_constants"] = analysis.ma_constants(
-                metric, gamma_metric, mode=args.mode).to_json()
+                metric, gamma_metric, mode=args.mode, tol=args.tol).to_json()
             return out
         section("completion", completion)
 

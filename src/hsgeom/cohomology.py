@@ -36,7 +36,7 @@ from . import _basis
 from .analysis import NotFeasibleError, torsion_form
 from .forms import (Form, conjugate, differential, flat_metric_form,
                     integrate_top, wedge)
-from .hodge import Metric, NotPositiveError, norm
+from .hodge import Metric, NotPositiveError, min_norm_lstsq, norm
 from .lie import LieModel, _kept
 
 
@@ -227,21 +227,13 @@ class _Complex:
 
     def orth(self, cols, p, q):
         """Reference-orthonormal basis of the column span, rank-revealed."""
-        d = self.dim(p, q)
-        cols = np.asarray(cols, dtype=np.complex128)
-        if d == 0 or cols.shape[1] == 0:
-            return np.zeros((d, 0), dtype=np.complex128)
         L = np.linalg.cholesky(self.ref.gram(p, q))
-        u, s, _ = np.linalg.svd(L.conj().T @ cols, full_matrices=False)
-        keep = _kept(s)
-        if not np.any(keep):
-            return np.zeros((d, 0), dtype=np.complex128)
-        return np.linalg.solve(L.conj().T, u[:, keep])
+        u, s, _ = np.linalg.svd(L.conj().T @ np.asarray(cols, np.complex128),
+                                full_matrices=False)
+        return np.linalg.solve(L.conj().T, u[:, _kept(s)])
 
     def project_out(self, cols, onb, p, q):
         """Remove the span of reference-orthonormal `onb` from each column."""
-        if onb.shape[1] == 0 or cols.shape[1] == 0:
-            return cols
         return cols - onb @ (onb.conj().T @ (self.ref.gram(p, q) @ cols))
 
     def coords_against(self, onb, vecs, p, q):
@@ -433,16 +425,6 @@ class CohomClass:
         }
 
 
-def _min_norm_solve(metric: Metric, A, b, p_src, q_src):
-    """Least-squares solve of A x = b with minimal metric-norm x."""
-    if A.shape[1] == 0:
-        return np.zeros((0,), dtype=complex), float(np.linalg.norm(b))
-    L = np.linalg.cholesky(metric.gram(p_src, q_src))
-    Aw = A @ np.linalg.inv(L.conj().T)
-    y, resid = _lstsq(Aw, b[:, None])
-    return np.linalg.solve(L.conj().T, y[:, 0]), float(resid[0])
-
-
 def e2_torsion_class(metric: Metric, torsion_report=None,
                      perturbation_seed: int = 11):
     """The obstruction class of the conjugate torsion form, with certificate.
@@ -469,10 +451,8 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
     cx = page.cx
     certificate = {"vanishing": vanishing}
     if vanishing:
-        x, resid = _min_norm_solve(metric, cx.op("dbar", 0, 1),
-                                   rho02.coeffs, 0, 1)
-        certificate["xi"] = Form(model, 0, 1, x)
-        certificate["xi_residual"] = resid
+        certificate["xi"], certificate["xi_residual"], *_ = min_norm_lstsq(
+            metric, (0, 1), [((0, 2), cx.op("dbar", 0, 1), rho02.coeffs)])
     else:
         img = cx.orth(cx.op("dbar", 0, 1), 0, 2)
         w = cx.project_out(rho02.coeffs.reshape(-1, 1), img, 0, 2)[:, 0]
@@ -736,10 +716,10 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
     Omega = wedge(omega, omega) + 2.0 * wedge(rho, rho02)
     b = differential("dbar", Omega)
     ddb = cx.op("del", 1, 3) @ cx.op("dbar", 1, 2)
-    u_coef, resid = _min_norm_solve(metric, ddb, b.coeffs, 1, 2)
-    if resid > 1e-10 * max(1.0, float(np.linalg.norm(b.coeffs))):
+    u12, resid, nb, _ = min_norm_lstsq(metric, (1, 2),
+                                       [((2, 3), ddb, b.coeffs)])
+    if resid > 1e-10 * max(1.0, nb):
         raise StageUnsolvable("stage-1 potential equation", resid)
-    u12 = Form(model, 1, 2, u_coef)
     u21 = conjugate(u12)
     # the conjugated potential solves the second lift automatically
     stage2_res = float(np.linalg.norm(

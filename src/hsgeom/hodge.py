@@ -1,6 +1,8 @@
 """Metric-dependent operators on the bicomplex.
 
-Inner products, the complex-linear Hodge star, adjoint differentials, the
+Inner products, the metric-weighted minimal-norm least squares that the
+torsion certificate, its dense oracle and the E_2 potentials share
+(min_norm_lstsq), the complex-linear Hodge star, adjoint differentials, the
 four Laplacians (holomorphic, antiholomorphic, the six-term fourth-order
 one, and the projector-twisted second-order one), harmonic projection,
 Green operators, orthogonal three-space splittings, and the Lefschetz
@@ -45,6 +47,7 @@ from .forms import (BidegreeError, Form, differential, is_real, wedge,
 
 LAPLACIAN_KINDS = ("del", "dbar", "bc", "tilde")
 
+_POS_TOL = 1e-9           # least eigenvalue of a positive (1,1) or (2,2) form
 _EIG_CUTOFF = 1e-10        # Ritz values <= this * scale are kernel
 _RANK_RCOND = 1e-12        # relative Gram eigenvalue of a dependent direction
 _SYMBOL_RCOND = 1e-8       # relative cutoff for symbol pseudoinverses
@@ -110,7 +113,7 @@ class Metric:
     benchmark tracer (perfbench/spans.py) counts their misses by name.
     """
 
-    def __init__(self, omega: Form, pos_tol: float = 1e-9):
+    def __init__(self, omega: Form):
         if (omega.p, omega.q) != (1, 1):
             raise BidegreeError("a metric form must have bidegree (1,1)")
         if not is_real(omega, 1e-8):
@@ -127,7 +130,7 @@ class Metric:
         H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
         eigs = np.linalg.eigvalsh(H)
         worst = float(eigs[..., 0].min())
-        if worst <= pos_tol:
+        if worst <= _POS_TOL:
             loc = np.unravel_index(int(np.argmin(eigs[..., 0])),
                                    eigs[..., 0].shape)
             raise NotPositiveError(worst, loc)
@@ -330,6 +333,43 @@ def _orth(metric: Metric, p, q, X):
         keep = lam > _RANK_RCOND * lam.max(initial=0.0)
         X = np.tensordot((U[:, keep].conj() / np.sqrt(lam[keep])).T, X, axes=1)
     return X
+
+
+def min_norm_lstsq(metric: Metric, src, rows):
+    """Least squares over (p,q) = src forms x, minimal in the metric norm.
+
+    Each row is (target bidegree, A, b): A dense on flattened channel-major
+    coefficients, b the target coefficients or None for zero.  Targets and
+    unknowns are weighted per grid point by W = L^H / sqrt(points), L from
+    gram_cholesky, and one lstsq solves for y = W_src x.  Returns x, the
+    metric norms of the residual and of b, and the weighted matrix acting
+    on y (the 1/sqrt(points) cancels from it and from x).
+    """
+    grid = metric.model.grid_shape
+    pts = math.prod(grid)
+    points = lambda X, d: X.reshape(d, pts, -1).swapaxes(0, 1)   # (pts, d, k)
+    flat = lambda X: X.swapaxes(0, 1).reshape(-1, X.shape[-1])
+
+    def weight(p, q):
+        L = metric.gram_cholesky(p, q)
+        return L.reshape(len(L), len(L), pts).T.conj()     # L^H per point
+
+    A_w, b_w = [], []
+    for tgt, A, b in rows:
+        W = weight(*tgt)
+        A_w.append(flat(W @ points(A, len(W[0]))))
+        b_w.append(np.zeros(len(A), np.complex128) if b is None
+                   else flat(W @ points(b, len(W[0]))).ravel())
+    A_w, b_w, W = np.vstack(A_w), np.concatenate(b_w), weight(*src)
+    k, d = len(A_w), len(W[0])
+    A_w = (A_w.reshape(k, d, pts).transpose(2, 0, 1) @ np.linalg.inv(W)
+           ).transpose(1, 2, 0).reshape(k, -1)
+    y = np.linalg.lstsq(A_w, b_w, rcond=None)[0]
+    x = flat(np.linalg.solve(W, points(y, d))).reshape((d,) + grid)
+    root = math.sqrt(pts)
+    return (Form(metric.model, *src, x),
+            float(np.linalg.norm(A_w @ y - b_w)) / root,
+            float(np.linalg.norm(b_w)) / root, A_w)
 
 
 # ---------------------------------------------------------------------------

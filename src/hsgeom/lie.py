@@ -27,8 +27,10 @@ import numpy as np
 
 from . import _basis
 from .forms import Form
+from .hodge import min_norm_lstsq
 
 _RANK_TOL = 1e-10
+_JACOBI_TOL = 1e-13        # largest entry of d^2 a model may carry
 
 
 def _kept(s):
@@ -178,13 +180,13 @@ class LieModel:
     kind = "lie"
     grid_shape: tuple = ()
 
-    def __init__(self, spec: ModelSpec, jacobi_tol: float = 1e-13):
+    def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.n = spec.n
         self.name = spec.name
         self._dgen = self._build_generator_d()
         self._memo: dict = {}   # operator matrices, cohomology.py objects
-        self._validate(jacobi_tol)
+        self._validate()
 
     def memo(self, key, build):
         """build() memoised on the model under the tagged tuple `key`."""
@@ -269,7 +271,7 @@ class LieModel:
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, tol):
+    def _validate(self):
         """d elevated to matrices must square to zero in every bidegree."""
         worst = 0.0
         for p in range(self.n + 1):
@@ -283,7 +285,7 @@ class LieModel:
                 for M in (dd, bb, mix):
                     if M.size:
                         worst = max(worst, float(np.max(np.abs(M))))
-        if worst > tol:
+        if worst > _JACOBI_TOL:
             raise JacobiError(
                 f"structure rules violate d^2 = 0 (worst residual {worst:.3e})"
             )
@@ -336,12 +338,13 @@ class FeasibilityCertificate:
 def hs_feasibility(metric, tol: float = 1e-10) -> FeasibilityCertificate:
     """Decide solvability of the torsion system for an invariant metric.
 
-    `metric` is a hodge.Metric on a LieModel.  The residual is measured in
-    the metric L2 norm of the stacked target spaces, and the returned
-    solution is the minimal-norm one.  The certificate, feasible or not, is
-    memoised on the metric per tol, so the classification and every torsion
-    extraction on that metric share one solve.  A grid metric raises
-    ValueError; `analysis.torsion_form` solves the grid system instead.
+    `metric` is a hodge.Metric on a LieModel.  hodge.min_norm_lstsq solves
+    the system: the residual is the metric L2 norm over the stacked target
+    spaces, and the solution the minimal-norm one.  The certificate,
+    feasible or not, is memoised on the metric per tol, so the
+    classification and every torsion extraction on that metric share one
+    solve.  A grid metric raises ValueError; `analysis.torsion_form` solves
+    the grid system instead.
     """
     if metric.model.kind != "lie":
         raise ValueError("hs_feasibility decides invariant metrics on the "
@@ -350,31 +353,18 @@ def hs_feasibility(metric, tol: float = 1e-10) -> FeasibilityCertificate:
 
 
 def _hs_feasibility(metric, tol):
-    model, omega = metric.model, metric.omega
+    model = metric.model
     n = model.n
-    A_del = model.operator_matrix("del", n - 1, 0)
-    A_dbar = model.operator_matrix("dbar", n - 1, 0)
-    d_omega = model.operator_matrix("del", 1, 1) @ omega.coeffs
-
-    # weight rows and unknowns by metric Cholesky factors so the least-squares
-    # residual and the minimal norm are the geometric ones
-    L_src = metric.gram_cholesky(n - 1, 0)
-    L_t1 = metric.gram_cholesky(n, 0)
-    L_t2 = metric.gram_cholesky(n - 1, 1)
-    A = np.vstack([L_t1.conj().T @ A_del, L_t2.conj().T @ A_dbar])
-    b = np.concatenate([np.zeros(A_del.shape[0], dtype=np.complex128), L_t2.conj().T @ (-d_omega)])
-    Aw = A @ np.linalg.inv(L_src.conj().T)
-    y, *_ = np.linalg.lstsq(Aw, b, rcond=None)
-    resid = float(np.linalg.norm(Aw @ y - b))
-    x = np.linalg.solve(L_src.conj().T, y)
-    rho = Form(model, n - 1, 0, x)
-    if resid <= tol * max(1.0, float(np.linalg.norm(b))):
+    rho, resid, nb, Aw = min_norm_lstsq(metric, (n - 1, 0), [
+        ((n, 0), model.operator_matrix("del", n - 1, 0), None),
+        ((n - 1, 1), model.operator_matrix("dbar", n - 1, 0),
+         -(model.operator_matrix("del", 1, 1) @ metric.omega.coeffs)),
+    ])
+    if resid <= tol * max(1.0, nb):
         # nullspace of the stacked operator, in geometric coordinates
         _, s, vh = np.linalg.svd(Aw)
-        rank = int(np.sum(_kept(s)))
-        null = [
-            Form(model, n - 1, 0, np.linalg.solve(L_src.conj().T, v))
-            for v in vh[rank:].conj()
-        ]
+        W_src = metric.gram_cholesky(n - 1, 0).conj().T
+        null = [Form(model, n - 1, 0, np.linalg.solve(W_src, v))
+                for v in vh[int(np.sum(_kept(s))):].conj()]
         return FeasibilityCertificate(True, resid, rho, tuple(null))
     return FeasibilityCertificate(False, resid, None, ())

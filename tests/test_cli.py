@@ -127,6 +127,24 @@ def test_report_builds_each_metric_once(tmp_path, monkeypatch):
     assert len(built) == 2
 
 
+def test_report_with_tol_builds_one_torsion_report(tmp_path, monkeypatch):
+    # every section, the Monge-Ampere constants included, reads the torsion
+    # report at the report's --tol
+    from hsgeom import analysis, cli
+
+    built = []
+    build = analysis._torsion_form
+    monkeypatch.setattr(analysis, "_torsion_form",
+                        lambda metric, mode, tol: built.append(tol)
+                        or build(metric, mode, tol))
+    out = tmp_path / "report.json"
+    assert cli.main(["report", "--model", "torus", "--resolution", "8",
+                     "--mask", "x1,x2", "--perturb", "fixture:two_coord",
+                     "--tol", "1e-6", "--out", str(out)]) == 0
+    assert built == [1e-6]
+    assert "ma_constants" in json.loads(out.read_text())["completion"]
+
+
 def test_report_unusable_out_fails_before_any_work(tmp_path, monkeypatch,
                                                    capsys):
     from hsgeom import cli

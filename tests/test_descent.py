@@ -182,9 +182,9 @@ def test_line_search_stall_carries_state(eps_metric, monkeypatch):
     kahler = descend(eps_metric, DescentOptions(tol=1e-6)).metric
     built = []
 
-    def counting_metric(omega, pos_tol=1e-9):
+    def counting_metric(omega):
         built.append(omega)
-        return Metric(omega, pos_tol)
+        return Metric(omega)
 
     monkeypatch.setattr(descent, "Metric", counting_metric)
     with pytest.raises(LineSearchStalled) as ei:
@@ -231,7 +231,7 @@ def test_opening_step_outside_cone_backtracks(eps_metric, monkeypatch):
 
 def test_positivity_boundary_when_no_trial_is_positive(eps_metric,
                                                         monkeypatch):
-    def never_positive(omega, pos_tol=1e-9):
+    def never_positive(omega):
         raise NotPositiveError(-1.0, (0,))
 
     monkeypatch.setattr(descent, "Metric", never_positive)

@@ -623,6 +623,48 @@ def test_decompose_flavor_guard(torus3_metric):
         decompose_3space(torus3_metric, "dolbeault", torus3_metric.omega)
 
 
+# -- minimal-norm least squares ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["lie", "grid"])
+def test_min_norm_lstsq(backend, lie_models, two_coord8):
+    rng = np.random.default_rng(31)
+    g = (random_metric(lie_models["iwasawa"], rng) if backend == "lie"
+         else two_coord8)
+    pts = int(np.prod(g.model.grid_shape))
+    src = (1, 0)
+    m = _basis.degree_dims(3, *src) * pts
+    rank = m // 2                  # a rank-deficient, inconsistent system
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    C = cplx(rank, m)
+    rows = [(t, cplx(_basis.degree_dims(3, *t) * pts, rank) @ C,
+             random_form(g.model, *t, rng).coeffs) for t in ((1, 1), (2, 0))]
+    x, resid, nb, _ = hodge.min_norm_lstsq(g, src, rows)
+
+    # the residual and the right-hand side norms are metric norms
+    r = [norm(g, Form(g.model, *t, (A @ x.coeffs.ravel()).reshape(b.shape)
+                      - b)) for t, A, b in rows]
+    assert resid > 0.1 * nb
+    assert abs(resid - np.hypot(*r)) < 1e-12 * nb
+    assert abs(nb - np.hypot(*(norm(g, Form(g.model, *t, b))
+                               for t, _, b in rows))) < 1e-12 * nb
+
+    # x is metric-orthogonal to the null space of the stacked matrix
+    _, s, vh = np.linalg.svd(np.vstack([A for _, A, _ in rows]))
+    assert s[rank - 1] > 1e6 * s[rank]
+    for v in vh[rank:].conj():
+        n = Form(g.model, *src, v.reshape(x.coeffs.shape))
+        assert abs(inner(g, x, n)) < 1e-10 * norm(g, x) * norm(g, n)
+
+    # a zero right-hand side gives x = 0
+    x0, r0, nb0, _ = hodge.min_norm_lstsq(
+        g, src, [(t, A, None) for t, A, _ in rows])
+    assert not np.any(x0.coeffs) and r0 == nb0 == 0.0
+
+
 # -- contraction and primitivity ------------------------------------------------------------
 
 
