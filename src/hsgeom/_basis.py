@@ -19,6 +19,8 @@ from math import comb
 
 import numpy as np
 
+DIM = 3    # the complex dimension n of every model; the tables take any n
+
 
 def degree_dims(n: int, p: int, q: int) -> int:
     """Number of coefficient channels of a (p,q)-form."""

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import _basis
 from .forms import (Form, coeff_norm, conjugate, differential,
-                    integrate_top, is_real, wedge, zero_form)
-from .hodge import (_POS_TOL, Metric, adjoint_diff, contract,
+                    integrate_top, wedge)
+from .hodge import (_POS_TOL, Metric, _trailing, adjoint_diff, contract,
                     contract_trace, form_of_11, green_solve, harmonic_basis,
                     harmonic_project, inner, laplacian, min_norm_lstsq, norm,
-                    pointwise_inner, star)
+                    pointwise_inner)
 from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
@@ -113,19 +113,19 @@ def torsion_least_squares(metric: Metric) -> Form:
     hodge.min_norm_lstsq, so both the residual and the minimized norm are
     the metric L2 ones.  No Green operators, stars, or adjoints are involved.
     """
-    model, n = metric.model, metric.n
+    model = metric.model
     grid = model.grid_shape
-    d_src = _basis.degree_dims(n, n - 1, 0)
+    d_src = _basis.degree_dims(model.n, 2, 0)
     units = np.eye(d_src * math.prod(grid)).reshape((-1, d_src) + grid)
 
     def probe(part):
-        return np.stack([model.apply_differential(part, n - 1, 0, e).ravel()
+        return np.stack([model.apply_differential(part, 2, 0, e).ravel()
                          for e in units], axis=1)
 
     d_omega = model.apply_differential("del", 1, 1, metric.omega.coeffs)
-    rho, *_ = min_norm_lstsq(metric, (n - 1, 0), [
-        ((n, 0), probe("del"), None),
-        ((n - 1, 1), probe("dbar"), -d_omega),
+    rho, *_ = min_norm_lstsq(metric, (2, 0), [
+        ((3, 0), probe("del"), None),
+        ((2, 1), probe("dbar"), -d_omega),
     ])
     return rho
 
@@ -264,15 +264,10 @@ def energy_and_volume(metric: Metric, mode: str = "dim3",
     """Complete torsion report with dual-route energies and diagnostics."""
     report = torsion_form(metric, mode=mode, tol=tol)
     rho, rho02 = report.rho20, report.rho02
-    n = metric.n
 
     # energy again, by the wedge formula (different code path)
-    pow_omega = metric.omega
-    for _ in range(n - 3):
-        pow_omega = wedge(pow_omega, metric.omega)
     f_wedge = _real_integral(
-        integrate_top(wedge(wedge(rho, rho02), pow_omega))
-        / math.factorial(n - 2),
+        integrate_top(wedge(wedge(rho, rho02), metric.omega)),
         what="wedge energy",
     )
     if abs(f_wedge - report.energy) > 1e-9 * max(1.0, report.energy):
@@ -345,10 +340,7 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     if tol is None:
         tol = _default_tol(model)
     omega = metric.omega
-    n = metric.n
-    omega_pow = omega
-    for _ in range(n - 2):
-        omega_pow = wedge(omega_pow, omega)      # omega^{n-1}
+    omega_pow = wedge(omega, omega)              # omega^{n-1} = omega^2
 
     scale = max(1.0, norm(metric, omega))
     r_kahler = norm(metric, differential("del", omega)) / scale
@@ -419,8 +411,6 @@ def lefschetz_alpha(metric: Metric):
 def _lefschetz_split(metric: Metric):
     """(alpha, prim, s, residual) of lefschetz_alpha, memoised on the metric."""
     def build():
-        if metric.n != 3:
-            raise ValueError("implemented for complex dimension 3")
         omega = metric.omega
         d_omega = differential("del", omega)
         alpha = 0.5 * contract(metric, d_omega)
@@ -458,18 +448,14 @@ class SGCompletion:
 
 
 def _matrix_of_22(a: Form):
-    """K[i,j] = coefficient on phi^{comp(i)} ^ phibar^{comp(j)} (n = 3)."""
-    n = a.model.n
-    if n != 3 or (a.p, a.q) != (2, 2):
-        raise ValueError("expects a (2,2)-form in dimension 3")
-    idx = _basis.channel_index(3, 2, 2)
-    comp = {0: (2, 3), 1: (1, 3), 2: (1, 2)}
-    grid = a.model.grid_shape
-    K = np.empty(grid + (3, 3), dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
-            K[..., i, j] = a.coeffs[idx[(comp[i], comp[j])]]
-    return K
+    """K[i,j] = coefficient on phi^{comp(i)} ^ phibar^{comp(j)}, comp(i) the
+    pair of indices other than i + 1.  The (2,2) channels run I-major over
+    the pairs (1,2), (1,3), (2,3), so K is the channel block reversed on
+    both axes."""
+    if (a.p, a.q) != (2, 2):
+        raise ValueError("expects a (2,2)-form")
+    K = a.coeffs.reshape((3, 3) + a.model.grid_shape)[::-1, ::-1]
+    return np.ascontiguousarray(_trailing(K))
 
 
 def root_of_22(Omega: Form) -> Form:
@@ -657,8 +643,6 @@ def first_variation(metric: Metric, u: Form) -> FirstVariation:
     """
     if (u.p, u.q) != (1, 0):
         raise ValueError("direction potential must be a (1,0)-form")
-    if metric.n != 3:
-        raise ValueError("implemented for complex dimension 3")
     grad = adjoint_diff(metric, "dbar", metric.omega)
     pairing = inner(metric, u, grad).real
     dF = -2.0 * pairing

@@ -39,6 +39,8 @@ from .forms import (Form, conjugate, differential, flat_metric_form,
 from .hodge import Metric, NotPositiveError, min_norm_lstsq, norm
 from .lie import LieModel, _kept
 
+_ER_TOL = 1e-8     # relative residual of a page-r tower membership
+
 
 class NotHSError(RuntimeError):
     """Operation requires a Hermitian-symplectic metric."""
@@ -503,14 +505,15 @@ def _e2_coordinates(metric: Metric, rho02: Form):
 # two-tower closedness / exactness
 
 
-def er_closed_exact(form: Form, r: int = 2, tol: float = 1e-8):
+def er_closed_exact(form: Form, r: int = 2):
     """Joint tower membership: is the form page-r closed and/or exact?
 
     Closedness: deldbar-closed plus one del-absorbing tower and one
     dbar-absorbing tower of length r-1 each.  Exactness: a presentation
     form = del zeta + del dbar xi + dbar eta where zeta and eta carry their
     own (r-2)-step side towers ending in closedness.  Both memberships are
-    decided by stacked least-squares feasibility; witnesses are returned.
+    decided by stacked least-squares feasibility, a residual at most
+    _ER_TOL times the form's scale; witnesses are returned.
     """
     model = form.model
     _require_lie(model)
@@ -531,7 +534,8 @@ def er_closed_exact(form: Form, r: int = 2, tol: float = 1e-8):
         _zigzag(sys, cx, a, (p, q), [f"{nm}{i}" for i in range(1, r)], part)
     x, res = _lstsq(*sys.assemble())
     tower_res = float(res[0])
-    closed = (ddbar_res <= tol * scale) and (tower_res <= tol * scale)
+    tol = _ER_TOL * scale
+    closed = ddbar_res <= tol and tower_res <= tol
     parts = sys.split(x[:, 0])
     closed_witnesses = {
         f"{nm}{i}": Form(model, *_step(part, p, q, i), parts[f"{nm}{i}"])
@@ -565,7 +569,7 @@ def er_closed_exact(form: Form, r: int = 2, tol: float = 1e-8):
         "closed": bool(closed),
         "closed_residual": max(ddbar_res, tower_res) / scale,
         "closed_witnesses": closed_witnesses,
-        "exact": bool(exact_res <= tol * scale),
+        "exact": bool(exact_res <= tol),
         "exact_residual": exact_res / scale,
         "exact_witnesses": exact_witnesses,
     }

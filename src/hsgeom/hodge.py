@@ -13,9 +13,9 @@ Conventions, locked by the test suite:
 * omega = i * sum_{j,k} H_{jk} phi^j ^ phibar^k with H Hermitian positive
   definite; the flat reference omega0 = (i/2) sum phi^k ^ phibar^k has
   H = I/2, so |phi^k|^2 = 2.
-* <phi^j, phi^k> = (H^{-1})_{kj}; dV_omega = 2^n det(H) dV_0 where dV_0 is
+* <phi^j, phi^k> = (H^{-1})_{kj}; dV_omega = 2^3 det(H) dV_0 where dV_0 is
   the unit-mass reference volume form.
-* star is complex-linear, (p,q) -> (n-q,n-p), characterized by
+* star is complex-linear, (p,q) -> (3-q,3-p), characterized by
   a ^ star(conj b) = <a,b>_pt dV_omega pointwise; hence star(star a) =
   (-1)^{p+q} a and the adjoints are del* = -star dbar star,
   dbar* = -star del star.
@@ -106,9 +106,9 @@ class Metric:
     """A positive (1,1)-form with cached pointwise linear-algebra data.
 
     Per-metric results go through `memo(key, build)`, one dict keyed by
-    tagged tuples: Gram Cholesky factors and inverses, wedge-omega matrices,
-    _lie_ritz, _scale, _symbol_pinv, torsion reports, the feasibility
-    certificate and the Lefschetz split.  Pairings, stars and kernels keep
+    tagged tuples: compounds, Gram Cholesky factors and inverses,
+    wedge-omega matrices, _lie_ritz, _scale, _symbol_pinv, torsion reports,
+    the feasibility certificate and the Lefschetz split.  Pairings, stars and kernels keep
     their own _pairing_cache, _star_cache and _kernel_cache, because the
     benchmark tracer (perfbench/spans.py) counts their misses by name.
     """
@@ -120,10 +120,9 @@ class Metric:
             raise ValueError("metric form must be real")
         self.model = omega.model
         self.omega = omega
-        n = self.model.n
-        self.n = n
+        self.n = self.model.n
 
-        H = _matrix_of_11(omega)           # (*grid, n, n)
+        H = _matrix_of_11(omega)           # (*grid, 3, 3)
         herm_dev = np.max(np.abs(H - np.conj(np.swapaxes(H, -1, -2))))
         if herm_dev > 1e-8 * max(1.0, np.max(np.abs(H))):
             raise ValueError(f"coefficient matrix not Hermitian ({herm_dev:.2e})")
@@ -139,7 +138,7 @@ class Metric:
         self.Hinv = np.linalg.inv(H)
         det = np.linalg.det(H)
         self.detH = det.real
-        self.density = (2.0 ** n) * self.detH    # dV_omega / dV_0, pointwise
+        self.density = 8.0 * self.detH    # dV_omega / dV_0 = 2^3 det H
         self.volume = float(np.real(self.model.mean(self.density)))
         self.min_eigenvalue = worst
 
@@ -161,8 +160,8 @@ class Metric:
 
         For e_u = phi^I ^ phibar^J and e_w = phi^K ^ phibar^L the entry is
         C_p(M1)[I, K] * C_q(M2)[J, L], with M1 = H^{-T}, M2 = H^{-1} and
-        C_p the p-th compound, built by one batched det.  Channels run
-        I-major, so P is the Kronecker product of the two compounds.
+        C_p the p-th compound, one batched det memoised per side and p.
+        Channels run I-major, so P is the Kronecker product of the two.
 
         P is bitwise equal to one det(M1[I, K]) * det(M2[J, L]) per entry:
         a batched det gives the same bits as a det per minor, and the
@@ -178,10 +177,11 @@ class Metric:
             if d == 0:
                 P = np.empty(grid + (0, 0), dtype=np.complex128)
             else:
-                M1 = np.swapaxes(self.Hinv, -1, -2)   # <phi^j, phi^k>
-                M2 = self.Hinv                        # <phibar^j, phibar^k>
-                A = _compound(M1, p)[..., :, None, :, None]
-                B = _compound(M2, q)[..., None, :, None, :]
+                # <phi^j, phi^k> = H^{-T}, <phibar^j, phibar^k> = H^{-1}
+                A = self.memo(("compound", "H^-T", p), lambda: _compound(
+                    np.swapaxes(self.Hinv, -1, -2), p))[..., :, None, :, None]
+                B = self.memo(("compound", "H^-1", q), lambda: _compound(
+                    self.Hinv, q))[..., None, :, None, :]
                 if grid:
                     P = (A * B).reshape(grid + (d, d))
                 else:
@@ -210,27 +210,21 @@ class Metric:
     # -- star ----------------------------------------------------------------
 
     def star_matrix(self, p, q):
-        """Channel matrix of star: (p,q) -> (n-q, n-p)."""
+        """Channel matrix of star: (p,q) -> (3-q, 3-p), square."""
         key = (p, q)
         if key not in self._star_cache:
-            n = self.n
-            d = _basis.degree_dims(n, p, q)
-            d_out = _basis.degree_dims(n, n - q, n - p)
-            grid = self.model.grid_shape
-            if d == 0 or d_out == 0:
-                self._star_cache[key] = np.zeros(
-                    (d_out, d) + grid, dtype=np.complex128
-                )
-                return self._star_cache[key]
-            W = _basis.wedge_pairing(n, q, p)          # (d, d_out) signed perm
-            perm, csign = _basis.conjugation(n, q, p)  # conj: (p,q) -> (q,p)
-            inv_perm = np.empty_like(perm)
-            inv_perm[perm] = np.arange(d)
-            P = self.pairing(q, p)[:, inv_perm]        # (d, d, *grid)
-            sigma = (-1) ** ((n * (n - 1)) // 2)
-            factor = (1j ** n) * sigma * csign
-            S = np.einsum("vw,vu...->wu...", W, P) * factor
-            S = S * self.detH
+            d = _basis.degree_dims(3, p, q)
+            if d == 0:
+                S = np.zeros((0, 0) + self.model.grid_shape, np.complex128)
+            else:
+                W = _basis.wedge_pairing(3, q, p)          # signed permutation
+                perm, csign = _basis.conjugation(3, q, p)  # (p,q) -> (q,p)
+                inv_perm = np.empty_like(perm)
+                inv_perm[perm] = np.arange(d)
+                P = self.pairing(q, p)[:, inv_perm]        # (d, d, *grid)
+                # the factor i^n (-1)^{n(n-1)/2} is i at n = 3
+                S = np.einsum("vw,vu...->wu...", W, P) * (1j * csign)
+                S = S * self.detH
             self._star_cache[key] = S
         return self._star_cache[key]
 
@@ -239,12 +233,10 @@ class Metric:
     def wedge_omega_matrix(self, p, q):
         """Channel matrix of a -> omega ^ a, (p,q) -> (p+1,q+1)."""
         def build():
-            n = self.n
-            d_in = _basis.degree_dims(n, p, q)
-            d_out = _basis.degree_dims(n, p + 1, q + 1)
-            L = np.zeros((d_out, d_in) + self.model.grid_shape,
+            L = np.zeros((_basis.degree_dims(3, p + 1, q + 1),
+                          _basis.degree_dims(3, p, q)) + self.model.grid_shape,
                          dtype=np.complex128)
-            for c1, c2, c_out, sign in _basis.wedge_table(n, 1, 1, p, q):
+            for c1, c2, c_out, sign in _basis.wedge_table(3, 1, 1, p, q):
                 L[c_out, c2] += sign * self.omega.coeffs[c1]
             return L
         return self.memo(("wedge_omega", p, q), build)
@@ -252,38 +244,26 @@ class Metric:
     # -- misc ----------------------------------------------------------------
 
     def volume_form(self) -> Form:
-        n = self.n
-        sigma = (-1) ** ((n * (n - 1)) // 2)
-        coeffs = np.zeros((1,) + self.model.grid_shape, dtype=np.complex128)
-        coeffs[0] = (1j ** n) * sigma * self.detH
-        return Form(self.model, n, n, coeffs)
+        """dV_omega = i^n (-1)^{n(n-1)/2} det H phi^123 ^ phibar^123, n = 3."""
+        return Form(self.model, 3, 3, np.asarray(1j * self.detH)[None])
 
 
 def _matrix_of_11(a: Form):
-    """Coefficient matrix M with a = i * sum M_{jk} phi^j ^ phibar^k."""
-    n = a.model.n
+    """Coefficient matrix M with a = i * sum M_{jk} phi^j ^ phibar^k, as
+    (*grid, 3, 3): channels are I-major, ((j,), (k,)) at 3(j-1) + (k-1)."""
     if (a.p, a.q) != (1, 1):
         raise BidegreeError("expected a (1,1)-form")
-    idx = _basis.channel_index(n, 1, 1)
-    grid = a.model.grid_shape
-    M = np.empty(grid + (n, n), dtype=np.complex128)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            M[..., j - 1, k - 1] = a.coeffs[idx[((j,), (k,))]] / 1j
-    return M
+    return np.ascontiguousarray(
+        _trailing(a.coeffs.reshape((3, 3) + a.model.grid_shape)) / 1j)
 
 
 def form_of_11(model, M) -> Form:
     """The (1,1)-form i * sum M_{jk} phi^j ^ phibar^k; the inverse of
-    _matrix_of_11.  M is (*grid, n, n), or (n, n) for constant coefficients."""
-    n = model.n
-    idx = _basis.channel_index(n, 1, 1)
-    coeffs = np.zeros((_basis.degree_dims(n, 1, 1),) + model.grid_shape,
-                      dtype=np.complex128)
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            coeffs[idx[((j,), (k,))]] = 1j * M[..., j - 1, k - 1]
-    return Form(model, 1, 1, coeffs)
+    _matrix_of_11.  M is (*grid, 3, 3), or (3, 3) for constant coefficients."""
+    grid = model.grid_shape
+    C = np.broadcast_to(1j * np.asarray(M), grid + (3, 3))
+    return Form(model, 1, 1, np.ascontiguousarray(
+        _leading(C).reshape((9,) + grid), dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +357,9 @@ def min_norm_lstsq(metric: Metric, src, rows):
 
 
 def star(metric: Metric, a: Form) -> Form:
-    S = metric.star_matrix(a.p, a.q)
-    n = metric.n
-    out = np.einsum("wu...,u...->w...", S, a.coeffs)
-    return Form(metric.model, n - a.q, n - a.p, out)
+    out = np.einsum("wu...,u...->w...", metric.star_matrix(a.p, a.q),
+                    a.coeffs)
+    return Form(metric.model, 3 - a.q, 3 - a.p, out)
 
 
 def adjoint_diff(metric: Metric, part: str, a: Form) -> Form:
@@ -736,17 +715,15 @@ def contract_trace(metric: Metric, gamma: Form):
 
 
 def primitive_part(metric: Metric, a: Form) -> Form:
-    """Orthogonal projection onto primitive forms (degree <= min(n, 3))."""
-    n = metric.n
+    """Orthogonal projection onto primitive forms (degree <= 3)."""
     k = a.p + a.q
-    if k > min(n, 3):
-        raise ValueError("primitive projection implemented for degree "
-                         "<= min(n, 3)")
+    if k > 3:
+        raise ValueError("primitive projection implemented for degree <= 3")
     if k <= 1:
         return a
     # for k <= 3 the contraction is itself primitive, so one Lefschetz
     # correction suffices
-    return a - (1.0 / (n - k + 2)) * wedge(metric.omega, contract(metric, a))
+    return a - (1.0 / (5 - k)) * wedge(metric.omega, contract(metric, a))
 
 
 def primitive_star_reference(metric: Metric, v: Form) -> Form:

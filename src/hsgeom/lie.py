@@ -9,9 +9,10 @@ numerical round-off.
 Model file grammar (one statement per line, '#' comments allowed)::
 
     name  <identifier>
-    dim   <n>
+    dim   3
     d phi<k> = <coeff> * phi<i>^phi<j> [+ <coeff> * phi<i>^phibar<j> ...]
 
+Models are threefolds: dim is 3 and the generators are phi1..phi3.
 Coefficients are parseable complex literals such as ``-1``, ``0.5`` or
 ``(0+1j)``.  Duplicate rules and unknown generators are rejected; a rule
 with a phibar^phibar word parses but fails integrability validation.
@@ -26,11 +27,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import _basis
+from ._basis import DIM
 from .forms import Form
 from .hodge import min_norm_lstsq
 
 _RANK_TOL = 1e-10
 _JACOBI_TOL = 1e-13        # largest entry of d^2 a model may carry
+_HS_TOL = 1e-10            # relative residual of a feasible torsion system
 
 
 def _kept(s):
@@ -43,7 +46,8 @@ def _kept(s):
 
 
 class ModelFormatError(ValueError):
-    """Malformed model text (syntax, duplicates, unknown generators)."""
+    """Malformed model text (syntax, duplicates, unknown generators, a dim
+    other than 3)."""
 
 
 class IntegrabilityError(ValueError):
@@ -73,12 +77,12 @@ _GEN_RE = re.compile(r"^phi(bar)?(\d+)$")
 _HEAD_RE = re.compile(r"^d\s+phi(\d+)\s*=\s*(.*)$")
 
 
-def _parse_generator(tok: str, n: int):
+def _parse_generator(tok: str):
     m = _GEN_RE.match(tok.strip())
     if not m:
         raise ModelFormatError(f"unknown generator {tok!r}")
     idx = int(m.group(2))
-    if not 1 <= idx <= n:
+    if not 1 <= idx <= DIM:
         raise ModelFormatError(f"generator index out of range in {tok!r}")
     return ("zb" if m.group(1) else "z", idx)
 
@@ -100,14 +104,14 @@ def parse_model_text(text: str) -> ModelSpec:
             if n is not None:
                 raise ModelFormatError("duplicate dim field")
             n = int(line.split(None, 1)[1])
+            if n != DIM:
+                raise ModelFormatError(f"dim must be {DIM}, got {n}")
             continue
         m = _HEAD_RE.match(line)
         if not m:
             raise ModelFormatError(f"unparseable line {line!r}")
-        if n is None:
-            raise ModelFormatError("dim must appear before structure rules")
         k = int(m.group(1))
-        if not 1 <= k <= n:
+        if not 1 <= k <= DIM:
             raise ModelFormatError(f"rule for unknown generator phi{k}")
         if k in rules:
             raise ModelFormatError(f"duplicate rule for phi{k}")
@@ -123,7 +127,7 @@ def parse_model_text(text: str) -> ModelSpec:
             gens = word_s.split("^")
             if len(gens) != 2:
                 raise ModelFormatError(f"term {chunk!r} must be a wedge of two generators")
-            word = tuple(_parse_generator(g, n) for g in gens)
+            word = tuple(_parse_generator(g) for g in gens)
             if word[0] == word[1]:
                 raise ModelFormatError(f"repeated generator in {chunk!r}")
             terms.append((coeff, word))
@@ -178,11 +182,11 @@ class LieModel:
     """Invariant-form backend built from structure rules."""
 
     kind = "lie"
+    n = DIM
     grid_shape: tuple = ()
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self.n = spec.n
         self.name = spec.name
         self._dgen = self._build_generator_d()
         self._memo: dict = {}   # operator matrices, cohomology.py objects
@@ -335,13 +339,14 @@ class FeasibilityCertificate:
         }
 
 
-def hs_feasibility(metric, tol: float = 1e-10) -> FeasibilityCertificate:
+def hs_feasibility(metric) -> FeasibilityCertificate:
     """Decide solvability of the torsion system for an invariant metric.
 
     `metric` is a hodge.Metric on a LieModel.  hodge.min_norm_lstsq solves
     the system: the residual is the metric L2 norm over the stacked target
-    spaces, and the solution the minimal-norm one.  The certificate,
-    feasible or not, is memoised on the metric per tol, so the
+    spaces, and the solution the minimal-norm one.  The system is feasible
+    when that residual is at most _HS_TOL relative to the right-hand side.
+    The certificate, feasible or not, is memoised on the metric, so the
     classification and every torsion extraction on that metric share one
     solve.  A grid metric raises ValueError; `analysis.torsion_form` solves
     the grid system instead.
@@ -349,22 +354,21 @@ def hs_feasibility(metric, tol: float = 1e-10) -> FeasibilityCertificate:
     if metric.model.kind != "lie":
         raise ValueError("hs_feasibility decides invariant metrics on the "
                          "lie backend only")
-    return metric.memo(("hs", tol), lambda: _hs_feasibility(metric, tol))
+    return metric.memo(("hs",), lambda: _hs_feasibility(metric))
 
 
-def _hs_feasibility(metric, tol):
+def _hs_feasibility(metric):
     model = metric.model
-    n = model.n
-    rho, resid, nb, Aw = min_norm_lstsq(metric, (n - 1, 0), [
-        ((n, 0), model.operator_matrix("del", n - 1, 0), None),
-        ((n - 1, 1), model.operator_matrix("dbar", n - 1, 0),
+    rho, resid, nb, Aw = min_norm_lstsq(metric, (2, 0), [
+        ((3, 0), model.operator_matrix("del", 2, 0), None),
+        ((2, 1), model.operator_matrix("dbar", 2, 0),
          -(model.operator_matrix("del", 1, 1) @ metric.omega.coeffs)),
     ])
-    if resid <= tol * max(1.0, nb):
+    if resid <= _HS_TOL * max(1.0, nb):
         # nullspace of the stacked operator, in geometric coordinates
         _, s, vh = np.linalg.svd(Aw)
-        W_src = metric.gram_cholesky(n - 1, 0).conj().T
-        null = [Form(model, n - 1, 0, np.linalg.solve(W_src, v))
+        W_src = metric.gram_cholesky(2, 0).conj().T
+        null = [Form(model, 2, 0, np.linalg.solve(W_src, v))
                 for v in vh[int(np.sum(_kept(s))):].conj()]
         return FeasibilityCertificate(True, resid, rho, tuple(null))
     return FeasibilityCertificate(False, resid, None, ())

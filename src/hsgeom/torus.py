@@ -1,13 +1,13 @@
 """Spectral backend: band-limited forms on the standard complex 3-torus.
 
-Coordinates are x_1..x_{2n} on [0, 2pi)^{2n} with z_j = x_{2j-1} + i x_{2j},
-so dz^j plays the role of the j-th coframe generator.  Coefficient fields are
-sampled on a tensor grid whose resolution is 1 on masked-out coordinates;
-derivatives are exact FFT collocation derivatives, and integration is the
-grid mean (the fundamental domain carries unit mass).  The model owns the
-Fourier symbols zh_j = (i/2)(k_{2j-1} - i k_{2j}) of d/dz_j and zbh_j =
-(i/2)(k_{2j-1} + i k_{2j}) of d/dzbar_j, so del and dbar are one FFT pair
-each, and hodge's preconditioner reads the same symbols.
+Coordinates are x1..x6 on [0, 2pi)^6 with z_j = x_{2j-1} + i x_{2j}, so
+dz^j (j = 1..3) plays the role of the j-th coframe generator.  Coefficient
+fields are sampled on a tensor grid whose resolution is 1 on masked-out
+coordinates; derivatives are exact FFT collocation derivatives, and
+integration is the grid mean (the fundamental domain carries unit mass).
+The model owns the Fourier symbols zh_j = (i/2)(k_{2j-1} - i k_{2j}) of
+d/dz_j and zbh_j = (i/2)(k_{2j-1} + i k_{2j}) of d/dzbar_j, so del and dbar
+are one FFT pair each, and hodge's preconditioner reads the same symbols.
 
 Resolutions must be powers of two with at least 4 points per active
 coordinate, and synthesized data must keep its frequencies strictly below a
@@ -22,6 +22,7 @@ import json
 import numpy as np
 
 from . import _basis
+from ._basis import DIM
 from .forms import Form, zero_form
 
 
@@ -33,31 +34,32 @@ class AliasingError(ValueError):
     """Requested frequency content exceeds the safe band limit."""
 
 
-_COORD_NAMES = tuple(f"x{i}" for i in range(1, 13))
+_COORD_NAMES = tuple(f"x{i}" for i in range(1, 2 * DIM + 1))
 
 
-def _coord_id(c, n):
+def _coord_id(c):
     if isinstance(c, str):
         c = c.strip().lower()
-        if c in _COORD_NAMES[: 2 * n]:
+        if c in _COORD_NAMES:
             return _COORD_NAMES.index(c)
         raise GridError(f"unknown coordinate {c!r}")
     c = int(c)
-    if not 0 <= c < 2 * n:
+    if not 0 <= c < 2 * DIM:
         raise GridError(f"coordinate index {c} out of range")
     return c
 
 
 class TorusModel:
-    """Flat complex n-torus sampled on a masked tensor grid."""
+    """Flat complex 3-torus sampled on a masked tensor grid; `resolutions`
+    holds one resolution per coordinate x1..x6."""
 
     kind = "torus"
+    n = DIM
 
-    def __init__(self, n: int, resolutions):
-        self.n = n
+    def __init__(self, resolutions):
         self.resolutions = tuple(int(r) for r in resolutions)
-        if len(self.resolutions) != 2 * n:
-            raise GridError(f"need {2 * n} per-coordinate resolutions")
+        if len(self.resolutions) != 2 * DIM:
+            raise GridError(f"need {2 * DIM} per-coordinate resolutions")
         for N in self.resolutions:
             if N == 1:
                 continue
@@ -68,8 +70,8 @@ class TorusModel:
         self.grid_shape = self.resolutions
         self.active = tuple(i for i, N in enumerate(self.resolutions) if N > 1)
         # the FFT axes of a coefficient array or block, counted from the end
-        self.spectral_axes = tuple(a - 2 * n for a in self.active)
-        # broadcast symbols of d/dz_j and d/dzbar_j (j = 1..n), None where
+        self.spectral_axes = tuple(a - 2 * DIM for a in self.active)
+        # broadcast symbols of d/dz_j and d/dzbar_j (j = 1..3), None where
         # both real axes of z_j are masked
         k = np.ix_(*[np.fft.fftfreq(N, d=1.0 / N) for N in self.resolutions])
         xs, ys = k[0::2], k[1::2]
@@ -114,7 +116,7 @@ class TorusModel:
     # -- grid helpers ---------------------------------------------------------
 
     def coordinate_grids(self):
-        """Open (broadcastable) arrays of the 2n coordinates."""
+        """Open (broadcastable) arrays of the six coordinates."""
         return np.ix_(*[np.arange(N) * (2 * np.pi / N)
                         for N in self.resolutions])
 
@@ -124,17 +126,17 @@ class TorusModel:
         return 0 if N == 1 else N // 4 - 1
 
 
-def make_torus_model(resolution, mask, n: int = 3) -> TorusModel:
+def make_torus_model(resolution, mask) -> TorusModel:
     """Build a torus model from a scalar resolution and a coordinate mask."""
     if isinstance(resolution, int):
-        ids = sorted(_coord_id(c, n) for c in mask)
+        ids = sorted(_coord_id(c) for c in mask)
         if len(set(ids)) != len(ids):
             raise GridError("duplicate coordinates in mask")
-        res = [1] * (2 * n)
+        res = [1] * (2 * DIM)
         for i in ids:
             res[i] = resolution
-        return TorusModel(n, res)
-    return TorusModel(n, resolution)
+        return TorusModel(res)
+    return TorusModel(resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,7 @@ def make_torus_model(resolution, mask, n: int = 3) -> TorusModel:
 def synthesize_form(model: TorusModel, p, q, table, real: bool = False) -> Form:
     """Assemble a form from (channel, frequency, coefficient) rows.
 
-    Each row is ((I, J) or channel position, 2n-tuple of integer frequencies,
+    Each row is ((I, J) or channel position, 6-tuple of integer frequencies,
     complex coefficient); the sampled field of the row is
     coeff * exp(i sum_m k_m x_m).  Frequencies on masked coordinates must be
     zero, and active frequencies must stay within the quarter-resolution
@@ -161,8 +163,8 @@ def synthesize_form(model: TorusModel, p, q, table, real: bool = False) -> Form:
             I, J = channel
             channel = idx[(tuple(I), tuple(J))]
         freqs = tuple(int(k) for k in freqs)
-        if len(freqs) != 2 * model.n:
-            raise GridError(f"frequency tuple must have {2 * model.n} entries")
+        if len(freqs) != 2 * DIM:
+            raise GridError(f"frequency tuple must have {2 * DIM} entries")
         for ax, k in enumerate(freqs):
             N = model.resolutions[ax]
             if N == 1:
@@ -194,7 +196,7 @@ def refine(model: TorusModel, factor: int = 2) -> TorusModel:
     if factor == 1:
         return model
     res = tuple(N * factor if N > 1 else 1 for N in model.resolutions)
-    return TorusModel(model.n, res)
+    return TorusModel(res)
 
 
 def resample(form: Form, target: TorusModel) -> Form:
@@ -203,7 +205,7 @@ def resample(form: Form, target: TorusModel) -> Form:
     Exact for data band-limited below the coarser Nyquist bound.
     """
     src = form.model
-    if src.n != target.n or src.active != target.active:
+    if src.active != target.active:
         raise GridError("resampling requires the same coordinate mask")
     spec = np.fft.fftn(form.coeffs, axes=src.spectral_axes)
     spec_t = np.zeros(
@@ -213,7 +215,7 @@ def resample(form: Form, target: TorusModel) -> Form:
     # frequencies are [0, m/2) and [-m/2, 0) with m = min(Ns, Nt)
     grids_src, grids_dst = [], []
     scale = 1.0
-    for ax in range(2 * src.n):
+    for ax in range(2 * DIM):
         Ns, Nt = src.resolutions[ax], target.resolutions[ax]
         scale *= Nt / Ns
         m = min(Ns, Nt)

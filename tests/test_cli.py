@@ -51,6 +51,19 @@ def test_validate_bad_mask():
     assert doc["error"]["type"] == "GridError"
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("command", ["validate", "report", "descend"])
+def test_other_dimension_is_input_error(tmp_path, command, dim):
+    model = tmp_path / "flat.model"
+    model.write_text(f"name flat\ndim {dim}\n")
+    extra = ["--out", str(tmp_path / "run")] if command == "descend" else []
+    code, doc = run_json(command, "--model", str(model), *extra)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "ModelFormatError"
+    assert not (tmp_path / "run").exists()
+
+
 def test_validate_bad_model_file(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("name bad\ndim 3\nd phi3 = 1 * phibar1^phibar2\n")

@@ -6,6 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from conftest import random_lie_form, random_metric
 
 from hsgeom import analysis, cli, cohomology
 from hsgeom.forms import (
@@ -17,8 +18,8 @@ from hsgeom.forms import (
     wedge,
     zero_form,
 )
-from hsgeom.hodge import Metric
-from hsgeom.analysis import torsion_form
+from hsgeom.hodge import Metric, inner
+from hsgeom.analysis import TorsionReport, torsion_form
 from hsgeom.cohomology import (
     CohomClass,
     HypothesisFailed,
@@ -390,6 +391,31 @@ def test_torsion_class_nonzero_when_injected(torus3_metric, torus3):
     assert abs(cert["witness_pairing"]) > 0.1
     assert np.max(np.abs(cls.coordinates)) > 0.1
     assert cert["perturbed_coordinate_drift"] is None
+
+
+@pytest.mark.parametrize("which", ["flat", "random"])
+def test_torsion_class_potential_on_exact_rho02(iwasawa, which):
+    # rho02 = dbar xi0 is page-2 trivial, so the class vanishes and the
+    # potential xi is the metric-minimal solution of dbar xi = rho02
+    g = (Metric(flat_metric_form(iwasawa)) if which == "flat"
+         else random_metric(iwasawa, np.random.default_rng(5)))
+    rng = np.random.default_rng(17)
+    rho02 = differential("dbar", random_lie_form(iwasawa, 0, 1, rng))
+    fake = TorsionReport("dim3", conjugate(rho02), rho02, 0.0, g.volume,
+                         g.volume, None, None, None, {}, {}, {})
+    cls, cert = e2_torsion_class(g, torsion_report=fake)
+    assert cert["vanishing"]
+    assert np.linalg.norm(cls.coordinates) < 1e-12
+    assert cert["xi_residual"] < 1e-12
+    xi = cert["xi"]
+    assert coeff_norm(differential("dbar", xi) - rho02) < 1e-12
+    # minimal norm: xi is orthogonal to ker dbar on (0,1), here phibar1 and
+    # phibar2
+    assert np.linalg.matrix_rank(iwasawa.operator_matrix("dbar", 0, 1)) == 1
+    kernel = [basis_form(iwasawa, 0, 1, (), (j,)) for j in (1, 2)]
+    assert all(coeff_norm(differential("dbar", k)) == 0 for k in kernel)
+    for k in kernel:
+        assert abs(inner(g, xi, k)) < 1e-12
 
 
 def test_torsion_class_needs_hs(iwasawa):

@@ -55,6 +55,36 @@ def test_metric_requires_11(torus3):
         Metric(zero_form(torus3, 2, 0))
 
 
+@pytest.mark.parametrize("backend", ["lie", "torus"])
+def test_coefficient_codecs_match_channel_loops(torus3, backend):
+    # the codecs are reshapes of the I-major channels; the per-entry channel
+    # lookups they replaced are the reference, to the bit
+    from hsgeom.analysis import _matrix_of_22
+
+    model = torus3 if backend == "lie" else make_torus_model(8, ("x1", "x4"))
+    rng = np.random.default_rng(3)
+    grid = model.grid_shape
+    a11, a22 = (random_form(model, p, p, rng) for p in (1, 2))
+    idx11, idx22 = (_basis.channel_index(3, p, p) for p in (1, 2))
+    M = np.empty(grid + (3, 3), np.complex128)
+    K = np.empty(grid + (3, 3), np.complex128)
+    comp = {0: (2, 3), 1: (1, 3), 2: (1, 2)}
+    for j in range(3):
+        for k in range(3):
+            M[..., j, k] = a11.coeffs[idx11[((j + 1,), (k + 1,))]] / 1j
+            K[..., j, k] = a22.coeffs[idx22[(comp[j], comp[k])]]
+    got = hodge._matrix_of_11(a11)
+    assert got.flags.c_contiguous and got.tobytes() == M.tobytes()
+    got = _matrix_of_22(a22)
+    assert got.flags.c_contiguous and got.tobytes() == K.tobytes()
+    for G in (M, M[(0,) * len(grid)]):            # per point and constant
+        want = np.zeros((9,) + grid, np.complex128)
+        for j in range(3):
+            for k in range(3):
+                want[idx11[((j + 1,), (k + 1,))]] = 1j * G[..., j, k]
+        assert form_of_11(model, G).coeffs.tobytes() == want.tobytes()
+
+
 def test_metric_requires_real(torus3):
     omega = flat_metric_form(torus3) + 0.3 * basis_form(torus3, 1, 1, (1,), (2,))
     with pytest.raises(ValueError):

@@ -97,6 +97,12 @@ def test_parse_rejects_garbage():
         parse_model_text("name x\nd phi1 = 1 * phi1^phi2\n")
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_parse_rejects_other_dimensions(dim):
+    with pytest.raises(ModelFormatError, match=f"dim must be 3, got {dim}"):
+        parse_model_text(f"name x\ndim {dim}\nd phi2 = 1 * phi1^phibar1\n")
+
+
 def test_integrability_guard():
     # a (0,2) component in d(phi) is not a complex Lie algebra structure
     with pytest.raises(IntegrabilityError):
