@@ -37,7 +37,7 @@ from .analysis import NotFeasibleError, torsion_form
 from .forms import (Form, conjugate, differential, flat_metric_form,
                     integrate_top, wedge)
 from .hodge import Metric, NotPositiveError, min_norm_lstsq, norm
-from .lie import LieModel, _kept
+from .lie import LieModel, _kept, _nullspace
 
 _ER_TOL = 1e-8     # relative residual of a page-r tower membership
 
@@ -70,11 +70,6 @@ def _require_lie(model):
 
 # ---------------------------------------------------------------------------
 # dense linear algebra over channel coordinates
-
-
-def _nullspace(M):
-    _, s, vh = np.linalg.svd(np.asarray(M, dtype=np.complex128))
-    return vh[int(np.sum(_kept(s))):].conj().T
 
 
 def _rank(M):
@@ -229,7 +224,7 @@ class _Complex:
 
     def orth(self, cols, p, q):
         """Reference-orthonormal basis of the column span, rank-revealed."""
-        L = np.linalg.cholesky(self.ref.gram(p, q))
+        L = self.ref.gram_cholesky(p, q)
         u, s, _ = np.linalg.svd(L.conj().T @ np.asarray(cols, np.complex128),
                                 full_matrices=False)
         return np.linalg.solve(L.conj().T, u[:, _kept(s)])

@@ -2,9 +2,12 @@
 
 A model is specified by structure rules  d phi^k = sum of (2,0) and (1,1)
 words in the coframe; the differential of a conjugate generator follows by
-conjugation.  All operators become small dense matrices over the invariant
-coefficient channels, so every computation in this backend is exact up to
-numerical round-off.
+conjugation.  d of every other basis form follows from the generators by the
+Leibniz rule over `forms.wedge`, so the backend shares the sign convention of
+every other product in the package.  A model is valid when d^2 = 0 on the
+generators, the Jacobi identity of the structure constants.  All operators
+become small dense matrices over the invariant coefficient channels, so every
+computation in this backend is exact up to numerical round-off.
 
 Model file grammar (one statement per line, '#' comments allowed)::
 
@@ -21,14 +24,14 @@ with a phibar^phibar word parses but fails integrability validation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import _basis
 from ._basis import DIM
-from .forms import Form
+from .forms import Form, basis_form, conjugate, differential, wedge, zero_form
 from .hodge import min_norm_lstsq
 
 _RANK_TOL = 1e-10
@@ -39,10 +42,17 @@ _HS_TOL = 1e-10            # relative residual of a feasible torsion system
 def _kept(s):
     """Mask of the singular values `s` (descending) counted into a rank.
 
-    The one rank rule of the invariant backend: `_hs_feasibility` and every
+    The one rank rule of the invariant backend: `_nullspace` and every
     rank in `cohomology` count through it.
     """
     return s > _RANK_TOL * max(1.0, s[0] if s.size else 0.0)
+
+
+def _nullspace(M):
+    """Orthonormal columns spanning the null space of M, by the `_kept`
+    rank: the one null space of the invariant backend."""
+    _, s, vh = np.linalg.svd(np.asarray(M, dtype=np.complex128))
+    return vh[int(np.sum(_kept(s))):].conj().T
 
 
 class ModelFormatError(ValueError):
@@ -69,7 +79,6 @@ class ModelSpec:
     word is a pair of generators, each ('z', i) or ('zb', i)."""
 
     name: str
-    n: int
     rules: tuple
 
 
@@ -134,7 +143,7 @@ def parse_model_text(text: str) -> ModelSpec:
         rules[k] = terms
     if name is None or n is None:
         raise ModelFormatError("model needs both name and dim fields")
-    return ModelSpec(name, n, tuple(sorted((k, tuple(v)) for k, v in rules.items())))
+    return ModelSpec(name, tuple(sorted((k, tuple(v)) for k, v in rules.items())))
 
 
 def _split_terms(expr: str):
@@ -158,26 +167,6 @@ def _split_terms(expr: str):
 # the model
 
 
-def _normalize_word(factors):
-    """Sort a word of generators into (sign, I, J); zero sign on repeats."""
-    zs = [g[1] for g in factors if g[0] == "z"]
-    zbs = [g[1] for g in factors if g[0] == "zb"]
-    # inversions of the interleaved word relative to (sorted z's, sorted zb's)
-    order = []
-    for t, i in factors:
-        order.append((0 if t == "z" else 1, i))
-    inv = 0
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b]:
-                inv += 1
-            elif order[a] == order[b]:
-                return 0, None, None
-    if len(set(zs)) != len(zs) or len(set(zbs)) != len(zbs):
-        return 0, None, None
-    return (-1) ** inv, tuple(sorted(zs)), tuple(sorted(zbs))
-
-
 class LieModel:
     """Invariant-form backend built from structure rules."""
 
@@ -188,8 +177,8 @@ class LieModel:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.name = spec.name
-        self._dgen = self._build_generator_d()
-        self._memo: dict = {}   # operator matrices, cohomology.py objects
+        # (del, dbar) of basis forms, operator matrices, cohomology.py objects
+        self._memo: dict = {("d",) + g: dg for g, dg in self._generator_d()}
         self._validate()
 
     def memo(self, key, build):
@@ -200,46 +189,45 @@ class LieModel:
 
     # -- structure data -----------------------------------------------------
 
-    def _build_generator_d(self):
-        """d of each coframe generator as {(t, k): [(coeff, word), ...]}."""
-        dgen = {}
+    def _generator_d(self):
+        """Yield ((I, J), (del, dbar)) for each generator phi^k and phibar^k.
+
+        The rules give d phi^k = (2,0) part + (1,1) part; conjugation gives
+        del phibar^k = conj(dbar phi^k) and dbar phibar^k = conj(del phi^k).
+        """
+        gen = {}
+        for i in range(1, DIM + 1):
+            gen["z", i] = basis_form(self, 1, 0, (i,), ())
+            gen["zb", i] = basis_form(self, 0, 1, (), (i,))
         rules = dict(self.spec.rules)
-        for k in range(1, self.n + 1):
-            terms = list(rules.get(k, ()))
-            for coeff, word in terms:
-                types = sorted(t for t, _ in word)
-                if types == ["zb", "zb"]:
+        for k in range(1, DIM + 1):
+            de, db = zero_form(self, 2, 0), zero_form(self, 1, 1)
+            for coeff, word in rules.get(k, ()):
+                if word[0][0] == word[1][0] == "zb":
                     raise IntegrabilityError(
                         f"d phi{k} has a (0,2) component; the coframe rules are "
                         "not integrable"
                     )
-            dgen[("z", k)] = tuple(terms)
-            # conjugate rule: conj swaps z <-> zb, conjugates coefficients
-            conj_terms = tuple(
-                (np.conj(c), tuple(("zb" if t == "z" else "z", i) for t, i in w))
-                for c, w in terms
-            )
-            dgen[("zb", k)] = conj_terms
-        return dgen
+                term = coeff * wedge(gen[word[0]], gen[word[1]])
+                if term.p == 2:
+                    de = de + term
+                else:
+                    db = db + term
+            yield ((k,), ()), (de, db)
+            yield ((), (k,)), (conjugate(db), conjugate(de))
 
-    def _d_of_basis_element(self, I, J):
-        """Total d of phi^I ^ phibar^J as {(p,q): coefficient vector}."""
-        factors = tuple(("z", i) for i in I) + tuple(("zb", j) for j in J)
-        acc: dict = {}
-        for pos, gen in enumerate(factors):
-            for coeff, word in self._dgen[gen]:
-                new = factors[:pos] + word + factors[pos + 1:]
-                sign, I2, J2 = _normalize_word(new)
-                if sign == 0:
-                    continue
-                key = (len(I2), len(J2))
-                if key not in acc:
-                    acc[key] = np.zeros(
-                        _basis.degree_dims(self.n, *key), dtype=np.complex128
-                    )
-                c = _basis.channel_index(self.n, *key)[(I2, J2)]
-                acc[key][c] += (-1) ** pos * sign * coeff
-        return acc
+    def _d(self, I, J):
+        """(del, dbar) of phi^I ^ phibar^J by the Leibniz rule
+        d(g ^ r) = dg ^ r - g ^ dr, g its first generator."""
+        def build():
+            if not I and not J:
+                return zero_form(self, 1, 0), zero_form(self, 0, 1)
+            g, r = ((I[:1], ()), (I[1:], J)) if I else (((), J[:1]), ((), J[1:]))
+            gf = basis_form(self, len(g[0]), len(g[1]), *g)
+            rf = basis_form(self, len(r[0]), len(r[1]), *r)
+            return tuple(wedge(dg, rf) - wedge(gf, dr)
+                         for dg, dr in zip(self._d(*g), self._d(*r)))
+        return self.memo(("d", I, J), build)
 
     def operator_matrix(self, part: str, p: int, q: int) -> np.ndarray:
         """Dense matrix of del or dbar from bidegree (p,q)."""
@@ -248,11 +236,9 @@ class LieModel:
             M = np.zeros((_basis.degree_dims(self.n, *tgt),
                           _basis.degree_dims(self.n, p, q)),
                          dtype=np.complex128)
-            if M.size:
-                for c, (I, J) in enumerate(_basis.basis(self.n, p, q)):
-                    acc = self._d_of_basis_element(I, J)
-                    if tgt in acc:
-                        M[:, c] = acc[tgt]
+            for c, (I, J) in enumerate(_basis.basis(self.n, p, q)):
+                # += into zeros turns the -0.0 that conjugate leaves into 0.0
+                M[:, c] += self._d(I, J)[part == "dbar"].coeffs
             return M
         return self.memo(("op", part, p, q), build)
 
@@ -276,29 +262,23 @@ class LieModel:
     # -- validation ---------------------------------------------------------
 
     def _validate(self):
-        """d elevated to matrices must square to zero in every bidegree."""
+        """d^2 = 0 on phi^1..phi^3: the Jacobi identity of the structure
+        constants.  d^2 is a derivation that commutes with conjugation, so
+        this covers every form."""
         worst = 0.0
-        for p in range(self.n + 1):
-            for q in range(self.n + 1):
-                dd = self.operator_matrix("del", p + 1, q) @ self.operator_matrix("del", p, q)
-                bb = self.operator_matrix("dbar", p, q + 1) @ self.operator_matrix("dbar", p, q)
-                mix = (
-                    self.operator_matrix("dbar", p + 1, q) @ self.operator_matrix("del", p, q)
-                    + self.operator_matrix("del", p, q + 1) @ self.operator_matrix("dbar", p, q)
-                )
-                for M in (dd, bb, mix):
-                    if M.size:
-                        worst = max(worst, float(np.max(np.abs(M))))
+        for k in range(1, DIM + 1):
+            de, db = self._d((k,), ())
+            for f in (differential("del", de), differential("dbar", db),
+                      differential("dbar", de) + differential("del", db)):
+                worst = max(worst, float(np.max(np.abs(f.coeffs), initial=0.0)))
         if worst > _JACOBI_TOL:
             raise JacobiError(
                 f"structure rules violate d^2 = 0 (worst residual {worst:.3e})"
             )
 
 
-def load_model(text_or_spec) -> LieModel:
-    if isinstance(text_or_spec, ModelSpec):
-        return LieModel(text_or_spec)
-    return LieModel(parse_model_text(text_or_spec))
+def load_model(text: str) -> LieModel:
+    return LieModel(parse_model_text(text))
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +346,8 @@ def _hs_feasibility(metric):
     ])
     if resid <= _HS_TOL * max(1.0, nb):
         # nullspace of the stacked operator, in geometric coordinates
-        _, s, vh = np.linalg.svd(Aw)
         W_src = metric.gram_cholesky(2, 0).conj().T
         null = [Form(model, 2, 0, np.linalg.solve(W_src, v))
-                for v in vh[int(np.sum(_kept(s))):].conj()]
+                for v in _nullspace(Aw).T]
         return FeasibilityCertificate(True, resid, rho, tuple(null))
     return FeasibilityCertificate(False, resid, None, ())

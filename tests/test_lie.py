@@ -10,6 +10,7 @@ from hsgeom.forms import (
     flat_metric_form,
     wedge,
 )
+from hsgeom import _basis
 from hsgeom.lie import (
     IntegrabilityError,
     JacobiError,
@@ -85,7 +86,6 @@ def test_parse_round_trip():
 def test_parse_spec_fields():
     spec = parse_model_text(HEIS_TEXT)
     assert spec.name == "heis3"
-    assert spec.n == 3
 
 
 def test_parse_rejects_garbage():
@@ -113,6 +113,181 @@ def test_jacobi_guard():
     text = "name bad\ndim 3\nd phi1 = 1 * phi1^phi2\nd phi2 = 1 * phi1^phi3\n"
     with pytest.raises(JacobiError):
         load_model(text)
+
+
+# -- d from the structure rules -------------------------------------------
+#
+# Reference: the word-sorting derivation of d.  Each generator in a basis
+# word phi^I ^ phibar^J is replaced in turn by the words of its rule, and the
+# new word is sorted back into a basis label by counting inversions.
+
+
+def _ref_normalize_word(factors):
+    """Sort a word of generators into (sign, I, J); zero sign on repeats."""
+    order = [(0 if t == "z" else 1, i) for t, i in factors]
+    inv = 0
+    for a in range(len(order)):
+        for b in range(a + 1, len(order)):
+            if order[a] > order[b]:
+                inv += 1
+            elif order[a] == order[b]:
+                return 0, None, None
+    zs = tuple(sorted(i for t, i in factors if t == "z"))
+    zbs = tuple(sorted(i for t, i in factors if t == "zb"))
+    return (-1) ** inv, zs, zbs
+
+
+def _ref_generator_d(spec):
+    """d of each generator as {(t, k): ((coeff, word), ...)}; a (0,2) word
+    raises IntegrabilityError."""
+    dgen = {}
+    rules = dict(spec.rules)
+    for k in range(1, 4):
+        terms = tuple(rules.get(k, ()))
+        if any(sorted(t for t, _ in w) == ["zb", "zb"] for _, w in terms):
+            raise IntegrabilityError(f"d phi{k} has a (0,2) component")
+        dgen[("z", k)] = terms
+        dgen[("zb", k)] = tuple(
+            (np.conj(c), tuple(("zb" if t == "z" else "z", i) for t, i in w))
+            for c, w in terms)
+    return dgen
+
+
+def _ref_d_of_basis_element(dgen, I, J):
+    """Total d of phi^I ^ phibar^J as {(p,q): coefficient vector}."""
+    factors = tuple(("z", i) for i in I) + tuple(("zb", j) for j in J)
+    acc = {}
+    for pos, gen in enumerate(factors):
+        for coeff, word in dgen[gen]:
+            sign, I2, J2 = _ref_normalize_word(factors[:pos] + word + factors[pos + 1:])
+            if sign == 0:
+                continue
+            key = (len(I2), len(J2))
+            if key not in acc:
+                acc[key] = np.zeros(_basis.degree_dims(3, *key), dtype=np.complex128)
+            acc[key][_basis.channel_index(3, *key)[(I2, J2)]] += (-1) ** pos * sign * coeff
+    return acc
+
+
+def _ref_operators(spec):
+    """{(part, p, q): matrix of del or dbar from (p,q)} for 0 <= p, q <= 4
+    by the word-sorting derivation."""
+    dgen = _ref_generator_d(spec)
+    ops = {}
+    for part in ("del", "dbar"):
+        for p in range(5):
+            for q in range(5):
+                tgt = (p + 1, q) if part == "del" else (p, q + 1)
+                ops[part, p, q] = np.zeros((_basis.degree_dims(3, *tgt),
+                                            _basis.degree_dims(3, p, q)),
+                                           dtype=np.complex128)
+    for p in range(4):
+        for q in range(4):
+            for c, (I, J) in enumerate(_basis.basis(3, p, q)):
+                for (p2, q2), col in _ref_d_of_basis_element(dgen, I, J).items():
+                    ops["del" if p2 > p else "dbar", p, q][:, c] = col
+    return ops
+
+
+_OPS = [(part, p, q) for part in ("del", "dbar") for p in range(4) for q in range(4)]
+
+
+def _ref_verdict(spec):
+    """'Integrability', 'Jacobi' or 'ok' by d^2 = 0 in every bidegree."""
+    try:
+        ops = _ref_operators(spec)
+    except IntegrabilityError:
+        return "Integrability"
+    worst = 0.0
+    for p in range(4):
+        for q in range(4):
+            for M in (ops["del", p + 1, q] @ ops["del", p, q],
+                      ops["dbar", p, q + 1] @ ops["dbar", p, q],
+                      ops["dbar", p + 1, q] @ ops["del", p, q]
+                      + ops["del", p, q + 1] @ ops["dbar", p, q]):
+                if M.size:
+                    worst = max(worst, float(np.max(np.abs(M))))
+    return "Jacobi" if worst > 1e-13 else "ok"
+
+
+def normal_form_text(rng, name="nf"):
+    """Model text of a random nilpotent complex structure in the normal form
+    d phi1 = 0, d phi2 = e phi1^phibar1,
+    d phi3 = r phi1^phi2 + (1-e) A phi1^phibar1 + B phi1^phibar2
+             + C phi2^phibar1 + (1-e) D phi2^phibar2,
+    with e, r in {0, 1} and A..D Gaussian integers in [-2, 2]."""
+    e, r = rng.integers(0, 2, size=2)
+    A, B, C, D = rng.integers(-2, 3, size=4) + 1j * rng.integers(-2, 3, size=4)
+    rule3 = [(r, "phi1^phi2"), ((1 - e) * A, "phi1^phibar1"),
+             (B, "phi1^phibar2"), (C, "phi2^phibar1"),
+             ((1 - e) * D, "phi2^phibar2")]
+    lines = [f"name {name}", "dim 3"]
+    if e:
+        lines.append("d phi2 = 1 * phi1^phibar1")
+    terms = [f"{complex(c)} * {w}" for c, w in rule3 if c != 0]
+    if terms:
+        lines.append("d phi3 = " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_ops_equal(model, want):
+    for part, p, q in _OPS:
+        got = model.operator_matrix(part, p, q)
+        assert got.shape == want[part, p, q].shape
+        assert got.tobytes() == want[part, p, q].tobytes(), (part, p, q)
+
+
+def test_operators_match_word_sorting_reference():
+    rng = np.random.default_rng(2024)
+    models = [catalogue_model(nm) for nm in ("torus3", "iwasawa", "heis3")]
+    models += [load_model(normal_form_text(rng)) for _ in range(60)]
+    for model in models:
+        _assert_ops_equal(model, _ref_operators(model.spec))
+
+
+@pytest.mark.parametrize("rule, name", [("1 * phi2^phi1", "iwasawa"),
+                                        ("-1 * phibar1^phi1", "heis3")])
+def test_out_of_order_words(rule, name):
+    model = load_model(f"name x\ndim 3\nd phi3 = {rule}\n")
+    ref = catalogue_model(name)
+    _assert_ops_equal(model, {key: ref.operator_matrix(*key) for key in _OPS})
+
+
+_GENS = [f"phi{i}" for i in (1, 2, 3)] + [f"phibar{i}" for i in (1, 2, 3)]
+
+
+def _random_rules_text(rng):
+    """Up to two words per rule over all ordered pairs of distinct
+    generators, (0,2) words rare, Gaussian-integer coefficients."""
+    lines = ["name r", "dim 3"]
+    for k in (1, 2, 3):
+        terms = []
+        for _ in range(rng.integers(0, 3)):
+            a, b = rng.choice(6, size=2, replace=False)
+            if a >= 3 and b >= 3 and rng.random() < 0.8:
+                continue
+            c = complex(rng.integers(-2, 3), rng.integers(-1, 2))
+            terms.append(f"{c} * {_GENS[a]}^{_GENS[b]}")
+        if terms:
+            lines.append(f"d phi{k} = " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def test_jacobi_verdicts_match_all_bidegree_reference():
+    rng = np.random.default_rng(7)
+    seen = {"Integrability": 0, "Jacobi": 0, "ok": 0}
+    for _ in range(400):
+        text = _random_rules_text(rng)
+        try:
+            load_model(text)
+            got = "ok"
+        except IntegrabilityError:
+            got = "Integrability"
+        except JacobiError:
+            got = "Jacobi"
+        assert got == _ref_verdict(parse_model_text(text)), text
+        seen[got] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 # -- feasibility ------------------------------------------------------------
