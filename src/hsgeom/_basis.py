@@ -109,22 +109,6 @@ def conjugation(n, p, q):
     return perm, (-1) ** (p * q)
 
 
-@lru_cache(maxsize=None)
-def wedge_pairing(n, p, q):
-    """Matrix W with W[u, w] = top-channel coefficient of e_u ^ e_w.
-
-    Here e_u runs over the (p,q) basis and e_w over the complementary
-    (n-p, n-q) basis; W is square and invertible (a signed permutation).
-    """
-    d1 = degree_dims(n, p, q)
-    d2 = degree_dims(n, n - p, n - q)
-    W = np.zeros((d1, d2), dtype=np.complex128)
-    for c1, c2, c_out, sign in wedge_table(n, p, q, n - p, n - q):
-        assert c_out == 0
-        W[c1, c2] = sign
-    return W
-
-
 def top_channel_integral(n: int) -> complex:
     """Integral of the top basis element phi^{1..n} ^ phibar^{1..n}.
 

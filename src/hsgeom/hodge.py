@@ -20,8 +20,13 @@ Conventions, locked by the test suite:
   (-1)^{p+q} a and the adjoints are del* = -star dbar star,
   dbar* = -star del star.
 * <phi^I ^ phibar^J, phi^K ^ phibar^L> = det(H^{-T}[I,K]) det(H^{-1}[J,L]),
-  an entry of the Kronecker product of the p-th and q-th compound matrices
-  (Metric.pairing).
+  an entry of the Kronecker product P = C_p(H^{-T}) (x) C_q(H^{-1}) of the
+  p-th and q-th compound matrices.  Channels run I-major, so a block of
+  (p,q)-forms splits for free into (I, J) axes: on a grid the pairing, its
+  inverse and the star act as two small contractions, one per side
+  (Metric.factors, _kron), and no (d, d, *grid) pairing or star matrix is
+  formed.  The invariant backend has no grid and applies the dense
+  Kronecker products (Metric.pairing, Metric.star_matrix).
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
@@ -95,22 +100,19 @@ def _leading(mat):
     return np.moveaxis(mat, (-2, -1), (0, 1))
 
 
-def _compound(M, p):
-    """p-th compound of (*grid, n, n) M: C[..., a, b] = det M[..., S_a, S_b]
-    over the p-subsets S of range(n), all minors in one batched det."""
-    S = _basis.subsets(M.shape[-1], p)
-    return np.linalg.det(M[..., S[:, None, :, None], S[None, :, None, :]])
-
-
 class Metric:
     """A positive (1,1)-form with cached pointwise linear-algebra data.
 
     Per-metric results go through `memo(key, build)`, one dict keyed by
-    tagged tuples: compounds, Gram Cholesky factors and inverses,
-    wedge-omega matrices, _lie_ritz, _scale, _symbol_pinv, torsion reports,
-    the feasibility certificate and the Lefschetz split.  Pairings, stars and kernels keep
-    their own _pairing_cache, _star_cache and _kernel_cache, because the
-    benchmark tracer (perfbench/spans.py) counts their misses by name.
+    tagged tuples: compounds and the per-side factors built from them, Gram
+    Cholesky factors and inverses, wedge-omega matrices, _lie_ritz, _scale,
+    _symbol_pinv, torsion reports, the feasibility certificate and the
+    Lefschetz split.  Dense pairings, stars and kernels keep their own
+    _pairing_cache, _star_cache and _kernel_cache, because the benchmark
+    tracer (perfbench/spans.py) wraps `pairing` and `star_matrix` by name
+    and counts the misses of those caches.  Only the invariant backend
+    reads the dense pairing and star; a grid pipeline applies `factors`
+    and leaves both caches empty.
     """
 
     def __init__(self, omega: Form):
@@ -153,15 +155,64 @@ class Metric:
             self._memo[key] = build()
         return self._memo[key]
 
-    # -- pointwise Gram data -------------------------------------------------
+    # -- pointwise channel maps ----------------------------------------------
+
+    def compound(self, side, k):
+        """k-th compound C of M = H^{-T} (side "H^-T") or H^{-1} (side
+        "H^-1"), channel-first: C[a, b, ...] = det M[..., S_a, S_b] over the
+        k-subsets S of range(3), all minors in one batched det, memoised
+        per side and k."""
+        def build():
+            M = self.Hinv if side == "H^-1" else np.swapaxes(self.Hinv, -1, -2)
+            S = _basis.subsets(3, k)
+            return np.ascontiguousarray(_leading(np.linalg.det(
+                M[..., S[:, None, :, None], S[None, :, None, :]])))
+        return self.memo(("compound", side, k), build)
+
+    def factors(self, kind, p, q):
+        """Per-side factors (A, B) of a pointwise channel map on (p,q)-forms:
+        flat (d, d, points) arrays, None for C_0 = 1, applied by _kron.
+
+        "pairing": P = A (x) B with A = C_p(H^{-T}), B = C_q(H^{-1}).
+        "inverse": P^{-1} = A^{-1} (x) B^{-1}.
+        "star":    star(a) is the I <-> J swap of a times A (x) B, with
+                   A[J, K'] = (-1)^K' C_q(H^{-T})[rev K', J] and
+                   B[I, L'] = (-1)^L' C_p(H^{-1})[rev L', I] i (-1)^p det H.
+        The star is a ^ star(conj b) = <a, b>_pt dV_omega solved: the (q,p)
+        pairing of conj b (conjugation sign (-1)^(pq)), each channel wedged
+        with its complement to the top channel (sign (-1)^(p(3-q) + K' + L');
+        at n = 3, rev, the reversed subset index, is the complement), times
+        i det H.
+        """
+        if kind == "star":
+            return self._factor(kind, "H^-T", q), self._factor(kind, "H^-1", p)
+        return self._factor(kind, "H^-T", p), self._factor(kind, "H^-1", q)
+
+    def _factor(self, kind, side, k):
+        if k == 0 and (kind != "star" or side == "H^-T"):
+            return None
+        C = self.compound(side, k)
+        d = len(C)
+        C = C.reshape(d, d, -1)
+        if kind == "pairing":
+            return C
+
+        def build():
+            if kind == "inverse":
+                return np.ascontiguousarray(_leading(np.linalg.inv(_trailing(C))))
+            F = (C[::-1] * (-1.0) ** np.arange(d)[:, None, None]).swapaxes(0, 1)
+            if side == "H^-1":
+                F = F * (1j * (-1) ** k * self.detH.reshape(-1))
+            return np.ascontiguousarray(F)
+        return self.memo(("factor", kind, side, k), build)
 
     def pairing(self, p, q):
         """Matrix P with P[u, w] = <e_u, e_w> pointwise, channel-first.
 
         For e_u = phi^I ^ phibar^J and e_w = phi^K ^ phibar^L the entry is
         C_p(M1)[I, K] * C_q(M2)[J, L], with M1 = H^{-T}, M2 = H^{-1} and
-        C_p the p-th compound, one batched det memoised per side and p.
-        Channels run I-major, so P is the Kronecker product of the two.
+        C_p the p-th compound (Metric.compound).  Channels run I-major, so
+        P is the Kronecker product of the two.
 
         P is bitwise equal to one det(M1[I, K]) * det(M2[J, L]) per entry:
         a batched det gives the same bits as a det per minor, and the
@@ -175,20 +226,18 @@ class Metric:
             grid = self.model.grid_shape
             d = _basis.degree_dims(self.n, p, q)
             if d == 0:
-                P = np.empty(grid + (0, 0), dtype=np.complex128)
+                P = np.empty((0, 0) + grid, dtype=np.complex128)
             else:
                 # <phi^j, phi^k> = H^{-T}, <phibar^j, phibar^k> = H^{-1}
-                A = self.memo(("compound", "H^-T", p), lambda: _compound(
-                    np.swapaxes(self.Hinv, -1, -2), p))[..., :, None, :, None]
-                B = self.memo(("compound", "H^-1", q), lambda: _compound(
-                    self.Hinv, q))[..., None, :, None, :]
+                A = self.compound("H^-T", p)[:, None, :, None]
+                B = self.compound("H^-1", q)[None, :, None, :]
                 if grid:
-                    P = (A * B).reshape(grid + (d, d))
+                    P = (A * B).reshape((d, d) + grid)
                 else:
                     P = np.empty((d, d), dtype=np.complex128)
                     P.real = (A.real * B.real - A.imag * B.imag).reshape(d, d)
                     P.imag = (A.real * B.imag + A.imag * B.real).reshape(d, d)
-            self._pairing_cache[key] = _leading(P)
+            self._pairing_cache[key] = P
         return self._pairing_cache[key]
 
     def gram(self, p, q):
@@ -198,33 +247,38 @@ class Metric:
     def gram_cholesky(self, p, q):
         """Pointwise Cholesky factor L of the volume-weighted Gram.
 
-        ||a||^2_{L2} = mean over the grid of |L(x)^H a(x)|^2.
+        ||a||^2_{L2} = mean over the grid of |L(x)^H a(x)|^2.  On a grid L
+        is sqrt(density) chol(conj A) (x) chol(conj B), A and B the pairing
+        factors, since a Kronecker product of Cholesky factors is one.
         """
-        return self.memo(("chol", p, q), lambda: _leading(np.linalg.cholesky(
-            _trailing(self.gram(p, q)) * self.density[..., None, None])))
+        def build():
+            if self.model.kind == "lie":
+                return _leading(np.linalg.cholesky(
+                    _trailing(self.gram(p, q)) * self.density[..., None, None]))
+            A, B = (np.ones((1, 1, 1)) if F is None else
+                    _leading(np.linalg.cholesky(np.conj(_trailing(F))))
+                    for F in self.factors("pairing", p, q))
+            L = np.einsum("IKg,JLg->IJKLg", A, B) * np.sqrt(self.density.ravel())
+            d = len(A) * len(B)
+            return L.reshape((d, d) + self.model.grid_shape)
+        return self.memo(("chol", p, q), build)
 
     def _gram_inverse(self, p, q):
         return self.memo(("gram_inv", p, q), lambda: _leading(
             np.linalg.inv(_trailing(self.gram(p, q)))))
 
-    # -- star ----------------------------------------------------------------
-
     def star_matrix(self, p, q):
-        """Channel matrix of star: (p,q) -> (3-q, 3-p), square."""
+        """Channel matrix of star, (p,q) -> (3-q, 3-p): the Kronecker
+        product of the two star factors of `factors`."""
         key = (p, q)
         if key not in self._star_cache:
-            d = _basis.degree_dims(3, p, q)
+            d, grid = _basis.degree_dims(3, p, q), self.model.grid_shape
             if d == 0:
-                S = np.zeros((0, 0) + self.model.grid_shape, np.complex128)
+                S = np.zeros((0, 0) + grid, np.complex128)
             else:
-                W = _basis.wedge_pairing(3, q, p)          # signed permutation
-                perm, csign = _basis.conjugation(3, q, p)  # (p,q) -> (q,p)
-                inv_perm = np.empty_like(perm)
-                inv_perm[perm] = np.arange(d)
-                P = self.pairing(q, p)[:, inv_perm]        # (d, d, *grid)
-                # the factor i^n (-1)^{n(n-1)/2} is i at n = 3
-                S = np.einsum("vw,vu...->wu...", W, P) * (1j * csign)
-                S = S * self.detH
+                A, B = self.factors("star", p, q)
+                A = np.ones((1, 1, 1)) if A is None else A
+                S = np.einsum("JKg,ILg->KLIJg", A, B).reshape((d, d) + grid)
             self._star_cache[key] = S
         return self._star_cache[key]
 
@@ -277,17 +331,56 @@ def _check_pair(metric: Metric, a: Form, b: Form):
         raise BidegreeError("inner products need equal bidegrees")
 
 
+def _kron(X, A, B):
+    """Y[k, K, L] = sum_{I,J} X[k, I, J] A[I, K] B[J, L] at each point, for
+    a block X (k, dA, dB, points) and factors (d, d, points) or None (the
+    1x1 identity): the rows of X times A (x) B, one small contraction per
+    side, unrolled over its summed index."""
+    if A is not None:
+        Y = X[:, 0, None] * A[0, :, None]
+        for i in range(1, len(A)):
+            Y += X[:, i, None] * A[i, :, None]
+        X = Y
+    if B is not None:
+        Y = X[:, :, 0, None] * B[0]
+        for j in range(1, len(B)):
+            Y += X[:, :, j, None] * B[j]
+        X = Y
+    return X
+
+
+def _apply(metric: Metric, kind, p, q, X):
+    """The rows of the block X, k (p,q)-forms as (k, d, *grid), times the
+    pointwise channel map `kind` of Metric.factors, by _kron."""
+    if not X.shape[1]:
+        return X
+    grid = X.shape[2:]
+    Y = X.reshape(len(X), _basis.degree_dims(3, p, 0),
+                  _basis.degree_dims(3, 0, q), math.prod(grid))
+    if kind == "star":
+        Y = Y.swapaxes(1, 2)
+    Y = _kron(Y, *metric.factors(kind, p, q))
+    return Y.reshape((len(X), -1) + grid)
+
+
 def pointwise_inner(metric: Metric, a: Form, b: Form):
     _check_pair(metric, a, b)
-    return np.einsum("u...,uw...,w...->...", a.coeffs,
-                     metric.pairing(a.p, a.q), np.conj(b.coeffs))
+    if metric.model.kind == "lie":
+        return np.einsum("u...,uw...,w...->...", a.coeffs,
+                         metric.pairing(a.p, a.q), np.conj(b.coeffs))
+    T = _apply(metric, "pairing", a.p, a.q, a.coeffs[None])[0]
+    return np.einsum("u...,u...->...", T, np.conj(b.coeffs))
 
 
 def _gram(metric: Metric, p, q, X, Y):
     """L2 Gram matrix G[i, j] = <<X_i, Y_j>> of two blocks of (p,q)-forms,
     each k forms held as one (k, d, *grid) coefficient array: the pairing
-    by one contraction, the channel sum and grid mean by one tensordot."""
-    T = np.einsum("ju...,uw...->jw...", X, metric.pairing(p, q))
+    by one contraction (the two factors of _apply on a grid), the channel
+    sum and grid mean by one tensordot."""
+    if metric.model.kind == "lie":
+        T = np.einsum("ju...,uw...->jw...", X, metric.pairing(p, q))
+    else:
+        T = _apply(metric, "pairing", p, q, X)
     axes = tuple(range(1, X.ndim))
     return np.tensordot(T * metric.density, np.conj(Y), axes=(axes, axes)) \
         / math.prod(metric.model.grid_shape)
@@ -357,8 +450,14 @@ def min_norm_lstsq(metric: Metric, src, rows):
 
 
 def star(metric: Metric, a: Form) -> Form:
-    out = np.einsum("wu...,u...->w...", metric.star_matrix(a.p, a.q),
-                    a.coeffs)
+    """Complex-linear Hodge star, (p,q) -> (3-q, 3-p): the star factors of
+    Metric.factors, through their dense Kronecker product (star_matrix) on
+    the invariant backend."""
+    if metric.model.kind == "lie":
+        out = np.einsum("wu...,u...->w...", metric.star_matrix(a.p, a.q),
+                        a.coeffs)
+    else:
+        out = _apply(metric, "star", a.p, a.q, a.coeffs[None])[0]
     return Form(metric.model, 3 - a.q, 3 - a.p, out)
 
 
@@ -699,12 +798,16 @@ def contract(metric: Metric, a: Form) -> Form:
     d_lo = _basis.degree_dims(metric.n, p, q)
     if d_lo == 0:
         return zero_form(model, p, q)
-    G_hi = metric.gram(a.p, a.q)
     Lm = metric.wedge_omega_matrix(p, q)
-    t = np.einsum("uv...,v...->u...", G_hi, a.coeffs)
+    if model.kind == "lie":
+        t = np.einsum("uv...,v...->u...", metric.gram(a.p, a.q), a.coeffs)
+    else:
+        t = _apply(metric, "pairing", a.p, a.q, a.coeffs[None])[0]
     s = np.einsum("uw...,u...->w...", np.conj(Lm), t)
-    Ginv = metric._gram_inverse(p, q)
-    x = np.einsum("uv...,v...->u...", Ginv, s)
+    if model.kind == "lie":
+        x = np.einsum("uv...,v...->u...", metric._gram_inverse(p, q), s)
+    else:
+        x = _apply(metric, "inverse", p, q, s[None])[0]
     return Form(model, p, q, x)
 
 

@@ -184,6 +184,17 @@ def test_energy_and_volume_leaves_memo_intact(torus3):
     assert "rho_norm" not in rep.diagnostics
 
 
+def test_grid_pipelines_materialise_no_pairing_or_star():
+    """A grid metric applies its pairing and star as per-side factors: the
+    report pipelines leave the dense pairing and star caches empty."""
+    g = Metric(standard_fixture("three_coord", resolution=8, eps=0.05)[3])
+    energy_and_volume(g)
+    classify_metric(g)
+    lefschetz_alpha(g)
+    sg_and_completion(g)
+    assert g._pairing_cache == {} and g._star_cache == {}
+
+
 def test_infeasible_torus(two_coord):
     """An x1-wave on the dz2^dzbar2 channel is not hermitian-symplectic."""
     model, _, omega0, _ = two_coord

@@ -725,3 +725,76 @@ def test_primitive_part_annihilated(eps_metric):
 def test_omega_has_no_primitive_part(eps_metric):
     prim = primitive_part(eps_metric, eps_metric.omega)
     assert coeff_norm(prim) < 1e-12
+
+
+# -- factored channel maps against the dense matrices ---------------------------
+
+
+def _dense_star_matrix(g, p, q):
+    """Star matrix by its defining formula: the (q,p) pairing, permuted by
+    conjugation, each (q,p) channel wedged with the complementary channels
+    against the top one, times i det H."""
+    d = _basis.degree_dims(3, p, q)
+    W = np.zeros((d, d))
+    for c1, c2, _, sign in _basis.wedge_table(3, q, p, 3 - q, 3 - p):
+        W[c1, c2] = sign
+    perm, csign = _basis.conjugation(3, q, p)
+    inv_perm = np.empty_like(perm)
+    inv_perm[perm] = np.arange(d)
+    P = g.pairing(q, p)[:, inv_perm]
+    return np.einsum("vw,vu...->wu...", W, P) * (1j * csign) * g.detH
+
+
+def _dense_contract(g, a):
+    p, q = a.p - 1, a.q - 1
+    if not _basis.degree_dims(3, p, q):
+        return zero_form(g.model, p, q).coeffs
+    t = np.einsum("uv...,v...->u...", g.gram(a.p, a.q), a.coeffs)
+    s = np.einsum("uw...,u...->w...", np.conj(g.wedge_omega_matrix(p, q)), t)
+    return np.einsum("uv...,v...->u...", g._gram_inverse(p, q), s)
+
+
+def _assert_close(x, want):
+    assert x.shape == want.shape
+    err = np.abs(x - want).max(initial=0.0)
+    assert err <= 1e-13 * np.abs(want).max(initial=0.0), err
+
+
+@pytest.mark.parametrize("name", ["two_coord", "three_coord", "heis3"])
+def test_factored_routes_match_dense(heis3, name):
+    """star, _gram, pointwise_inner, contract and gram_cholesky against the
+    dense pairing and star matrices, in all 16 bidegrees; the factored
+    block maps (_apply) on the invariant backend too, which itself uses the
+    dense matrices."""
+    rng = np.random.default_rng(31)
+    if name == "heis3":
+        g = random_metric(heis3, rng)
+    else:       # a fresh metric: the references fill its dense caches
+        g = Metric(standard_fixture(name, resolution=8, eps=0.05)[3])
+    grid = g.model.grid_shape
+    axes = tuple(range(1, 1 + 1 + len(grid)))
+    for p in range(4):
+        for q in range(4):
+            a, b, *X = (random_form(g.model, p, q, rng) for _ in range(5))
+            X = _stack(X)
+            P = g.pairing(p, q)
+            S = _dense_star_matrix(g, p, q)
+            Pinv = np.moveaxis(np.linalg.inv(np.moveaxis(P, (0, 1), (-2, -1))),
+                               (-2, -1), (0, 1))
+            for kind, M in (("pairing", P), ("inverse", Pinv),
+                            ("star", S.swapaxes(0, 1))):
+                _assert_close(hodge._apply(g, kind, p, q, X),
+                              np.einsum("ju...,uw...->jw...", X, M))
+            _assert_close(g.star_matrix(p, q), S)
+            _assert_close(star(g, a).coeffs,
+                          np.einsum("wu...,u...->w...", S, a.coeffs))
+            _assert_close(np.asarray(pointwise_inner(g, a, b)), np.einsum(
+                "u...,uw...,w...->...", a.coeffs, P, np.conj(b.coeffs)))
+            T = np.einsum("ju...,uw...->jw...", X, P) * g.density
+            _assert_close(hodge._gram(g, p, q, X, X[:2]), np.tensordot(
+                T, np.conj(X[:2]), axes=(axes, axes)) / max(1, T[0, 0].size))
+            _assert_close(contract(g, a).coeffs, _dense_contract(g, a))
+            L = np.linalg.cholesky(np.moveaxis(g.gram(p, q), (0, 1), (-2, -1))
+                                   * g.density[..., None, None])
+            _assert_close(g.gram_cholesky(p, q),
+                          np.moveaxis(L, (-2, -1), (0, 1)))
