@@ -27,10 +27,10 @@ import numpy as np
 from . import _basis
 from .forms import (Form, coeff_norm, conjugate, differential,
                     integrate_top, wedge)
-from .hodge import (_POS_TOL, Metric, _trailing, adjoint_diff, contract,
-                    contract_trace, form_of_11, green_solve, harmonic_basis,
-                    harmonic_project, inner, laplacian, min_norm_lstsq, norm,
-                    pointwise_inner)
+from .hodge import (_POS_TOL, Metric, _adjugate, _trailing, adjoint_diff,
+                    contract, contract_trace, form_of_11, green_solve,
+                    harmonic_basis, harmonic_project, inner, laplacian,
+                    min_norm_lstsq, norm, pointwise_inner)
 from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
@@ -463,7 +463,8 @@ def root_of_22(Omega: Form) -> Form:
 
     Writes the (2,2)-form as the adjugate of the root's coefficient matrix
     and inverts the adjugate in closed form: G = adj(M)/sqrt(det M), using
-    adj(adj(G)) = det(G) G for 3x3 matrices.
+    adj(adj(G)) = det(G) G for 3x3 matrices.  adj M and det M come from
+    hodge._adjugate, with no batched det or inv.
     """
     K = _matrix_of_22(Omega)
     sign = np.array([[(-1) ** (i + j) for j in range(3)] for i in range(3)])
@@ -479,8 +480,7 @@ def root_of_22(Omega: Form) -> Form:
             f"(2,2)-form not positive enough for a root "
             f"(min eigenvalue {worst:.3e})", worst=worst,
         )
-    det = np.linalg.det(M).real
-    adjM = det[..., None, None] * np.linalg.inv(M)
+    det, adjM = _adjugate(M)
     return form_of_11(Omega.model, adjM / np.sqrt(det)[..., None, None])
 
 

@@ -385,9 +385,9 @@ def cmd_descend(args):
         if certificate is not None:
             _atomic_write(os.path.join(args.out, "certificate.json"),
                           _dump_json(certificate.to_json()))
-        _atomic_write(os.path.join(args.out, "summary.json"),
-                      _dump_json(summary))
-        sys.stdout.write(_dump_json(summary))
+        text = _dump_json(summary)
+        _atomic_write(os.path.join(args.out, "summary.json"), text)
+        sys.stdout.write(text)
 
     try:
         result = descent.descend(metric, opts)

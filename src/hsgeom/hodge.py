@@ -27,16 +27,21 @@ Conventions, locked by the test suite:
   (Metric.factors, _kron), and no (d, d, *grid) pairing or star matrix is
   formed.  The invariant backend has no grid and applies the dense
   Kronecker products (Metric.pairing, Metric.star_matrix).
+* The pointwise 3x3 algebra is closed-form (_adjugate): H^{-1}, det H, every
+  compound of H^{-T} and H^{-1} and every inverse factor come from H and its
+  2x2 minors, with no batched det or inv; only the positivity check runs
+  eigvalsh.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
 invariant backend cuts kernel from range by one Rayleigh-Ritz step on the
 whole space (_lie_ritz): Ritz value <= _EIG_CUTOFF times a scale taken from
 outside the spectrum (_scale); it solves directly.  A grid kernel is the
-block a Richardson search finds (_deflated_kernel), the tilde one the dbar
-one (E_2 = E_1 on the torus), and grid solves run kernel-deflated conjugate
-gradients; both are preconditioned by 1/sigma(k), the closed-form symbol at
-the grid-mean metric (_symbol_pinv).
+block a Richardson search finds, locking each vector once its Laplacian is
+small (_deflated_kernel), the tilde one the dbar one (E_2 = E_1 on the
+torus), and grid solves run kernel-deflated conjugate gradients; both are
+preconditioned by 1/sigma(k), the closed-form symbol at the grid-mean
+metric (_symbol_pinv).
 """
 
 from __future__ import annotations
@@ -100,8 +105,74 @@ def _leading(mat):
     return np.moveaxis(mat, (-2, -1), (0, 1))
 
 
+_ALT = (-1.0) ** np.add.outer(np.arange(3), np.arange(3))
+_S2 = _basis.subsets(3, 2)
+# flat (row-major 3x3) entries H[i,j], H[k,l], H[i,l], H[k,j] of the minor
+# with rows (i, k) and columns (j, l), for every pair of pairs
+_MINOR = np.stack([3 * _S2[:, r, None] + _S2[None, :, c]
+                   for r, c in ((0, 0), (1, 1), (0, 1), (1, 0))]).reshape(4, 9)
+
+
+def _minors(H):
+    """C_2(H): the nine 2x2 minors ad - bc of a (*, 3, 3) stack, rows and
+    columns in _basis.subsets(3, 2) order, as four gathers of the flat
+    entries (one numpy call each, so a single 3x3 costs a few microseconds)."""
+    M = H.reshape(-1, 9)
+    C2 = M.take(_MINOR[0], 1)
+    C2 *= M.take(_MINOR[1], 1)
+    T = M.take(_MINOR[2], 1)
+    T *= M.take(_MINOR[3], 1)
+    C2 -= T
+    return C2.reshape(H.shape)
+
+
+def _complement(X):
+    """(alt o X[::-1, ::-1])^T over the last two axes, alt[i, j] =
+    (-1)^(i+j).  Pair index a and single index 2 - a are complements in
+    range(3), so this maps C_2(H) to adj H, and H to det H C_2(H^{-1}) by
+    Jacobi's complementary-minor identity."""
+    return np.swapaxes(_ALT * X[..., ::-1, ::-1], -1, -2)
+
+
+def _adjugate(H):
+    """(det H, adj H) of a Hermitian positive definite (*, 3, 3) stack, in
+    closed form: adj H = _complement(C_2(H)) and det H = C2[0,0] d2, d2 the
+    last pivot of H = L D L^H, d2 = H22 - |H20|^2 / H00 - |w|^2 H00 / C2[0,0]
+    with w = H21 - H20 conj(H10) / H00.  Each term taken from H22 is at most
+    H22, so det H is as accurate as a Cholesky one; a row's cofactor
+    expansion cancels terms of size |H|^3 (4e-6 relative error at
+    eigenvalues 1e-6, 1e-2, 1e2, against 6e-10 here)."""
+    C2 = _minors(H)
+    h00, lead = H[..., 0, 0].real, C2[..., 0, 0].real
+    w = H[..., 2, 1] - H[..., 2, 0] * np.conj(H[..., 1, 0]) / h00
+    d2 = H[..., 2, 2].real - abs(H[..., 2, 0]) ** 2 / h00 \
+        - abs(w) ** 2 * h00 / lead
+    return lead * d2, _complement(C2)
+
+
+def _channel_first(side, C):
+    """A (*grid, d, d) compound as a contiguous complex (d, d, *grid) array,
+    transposed on side "H^-T"."""
+    if side == "H^-T":
+        C = np.swapaxes(C, -1, -2)
+    return np.ascontiguousarray(_leading(C), dtype=np.complex128)
+
+
+def _kron_dense(A, B, grid):
+    """The dense (d, d, *grid) Kronecker product A (x) B of two per-side
+    factors, flat (d, d, points) arrays or None (the 1x1 identity)."""
+    A, B = (np.ones((1, 1, math.prod(grid))) if F is None else F
+            for F in (A, B))
+    d = len(A) * len(B)
+    return np.einsum("IKg,JLg->IJKLg", A, B).reshape((d, d) + grid)
+
+
 class Metric:
     """A positive (1,1)-form with cached pointwise linear-algebra data.
+
+    H^{-1}, det H, the compounds and their factors are closed forms in H
+    (_adjugate); the one batched eigvalsh gives min_eigenvalue and the
+    positivity check.
 
     Per-metric results go through `memo(key, build)`, one dict keyed by
     tagged tuples: compounds and the per-side factors built from them, Gram
@@ -137,9 +208,8 @@ class Metric:
             raise NotPositiveError(worst, loc)
 
         self.H = H
-        self.Hinv = np.linalg.inv(H)
-        det = np.linalg.det(H)
-        self.detH = det.real
+        self.detH, adj = _adjugate(H)
+        self.Hinv = adj / self.detH[..., None, None]
         self.density = 8.0 * self.detH    # dV_omega / dV_0 = 2^3 det H
         self.volume = float(np.real(self.model.mean(self.density)))
         self.min_eigenvalue = worst
@@ -158,15 +228,19 @@ class Metric:
     # -- pointwise channel maps ----------------------------------------------
 
     def compound(self, side, k):
-        """k-th compound C of M = H^{-T} (side "H^-T") or H^{-1} (side
+        """k-th compound C_k(M) of M = H^{-T} (side "H^-T") or H^{-1} (side
         "H^-1"), channel-first: C[a, b, ...] = det M[..., S_a, S_b] over the
-        k-subsets S of range(3), all minors in one batched det, memoised
-        per side and k."""
+        k-subsets S of range(3), memoised per side and k.  Closed forms from
+        H (_adjugate): C_0 = 1, C_1 = H^{-1}, C_2 = _complement(H) / det H
+        (Jacobi's complementary minors), C_3 = 1 / det H; the H^-T side is
+        their transposes."""
         def build():
-            M = self.Hinv if side == "H^-1" else np.swapaxes(self.Hinv, -1, -2)
-            S = _basis.subsets(3, k)
-            return np.ascontiguousarray(_leading(np.linalg.det(
-                M[..., S[:, None, :, None], S[None, :, None, :]])))
+            det = self.detH[..., None, None]
+            if k == 1:
+                return _channel_first(side, self.Hinv)
+            if k == 2:
+                return _channel_first(side, _complement(self.H) / det)
+            return _channel_first(side, 1.0 / det if k else np.ones_like(det))
         return self.memo(("compound", side, k), build)
 
     def factors(self, kind, p, q):
@@ -174,7 +248,9 @@ class Metric:
         flat (d, d, points) arrays, None for C_0 = 1, applied by _kron.
 
         "pairing": P = A (x) B with A = C_p(H^{-T}), B = C_q(H^{-1}).
-        "inverse": P^{-1} = A^{-1} (x) B^{-1}.
+        "inverse": P^{-1} = A^{-1} (x) B^{-1}, with C_k(H^{-T})^{-1} =
+                   C_k(H^T) and C_k(H^{-1})^{-1} = C_k(H): H, its minors
+                   and det H, no inversion.
         "star":    star(a) is the I <-> J swap of a times A (x) B, with
                    A[J, K'] = (-1)^K' C_q(H^{-T})[rev K', J] and
                    B[I, L'] = (-1)^L' C_p(H^{-1})[rev L', I] i (-1)^p det H.
@@ -191,15 +267,17 @@ class Metric:
     def _factor(self, kind, side, k):
         if k == 0 and (kind != "star" or side == "H^-T"):
             return None
-        C = self.compound(side, k)
-        d = len(C)
-        C = C.reshape(d, d, -1)
+        flat = lambda C: C.reshape(len(C), len(C), -1)
         if kind == "pairing":
-            return C
+            return flat(self.compound(side, k))
 
         def build():
             if kind == "inverse":
-                return np.ascontiguousarray(_leading(np.linalg.inv(_trailing(C))))
+                C = (self.H if k == 1 else _minors(self.H) if k == 2
+                     else self.detH[..., None, None])
+                return flat(_channel_first(side, C))
+            C = flat(self.compound(side, k))
+            d = len(C)
             F = (C[::-1] * (-1.0) ** np.arange(d)[:, None, None]).swapaxes(0, 1)
             if side == "H^-1":
                 F = F * (1j * (-1) ** k * self.detH.reshape(-1))
@@ -214,12 +292,9 @@ class Metric:
         C_p the p-th compound (Metric.compound).  Channels run I-major, so
         P is the Kronecker product of the two.
 
-        P is bitwise equal to one det(M1[I, K]) * det(M2[J, L]) per entry:
-        a batched det gives the same bits as a det per minor, and the
-        product is formed as numpy multiplies those factors, as complex
-        arrays (with fused multiply-adds) on a grid and as complex scalars
-        (rounded real products) on the invariant backend.  Out-of-range
-        bidegrees give an empty (0, 0, *grid) matrix.
+        The compounds are closed forms (Metric.compound), equal to one
+        det(M1[I, K]) * det(M2[J, L]) per entry up to round-off.
+        Out-of-range bidegrees give an empty (0, 0, *grid) matrix.
         """
         key = (p, q)
         if key not in self._pairing_cache:
@@ -255,17 +330,18 @@ class Metric:
             if self.model.kind == "lie":
                 return _leading(np.linalg.cholesky(
                     _trailing(self.gram(p, q)) * self.density[..., None, None]))
-            A, B = (np.ones((1, 1, 1)) if F is None else
+            A, B = (None if F is None else
                     _leading(np.linalg.cholesky(np.conj(_trailing(F))))
                     for F in self.factors("pairing", p, q))
-            L = np.einsum("IKg,JLg->IJKLg", A, B) * np.sqrt(self.density.ravel())
-            d = len(A) * len(B)
-            return L.reshape((d, d) + self.model.grid_shape)
+            return _kron_dense(A, B, self.model.grid_shape) \
+                * np.sqrt(self.density)
         return self.memo(("chol", p, q), build)
 
     def _gram_inverse(self, p, q):
-        return self.memo(("gram_inv", p, q), lambda: _leading(
-            np.linalg.inv(_trailing(self.gram(p, q)))))
+        """Inverse of gram(p, q): the conjugate Kronecker product of the
+        "inverse" factors."""
+        return self.memo(("gram_inv", p, q), lambda: np.conj(_kron_dense(
+            *self.factors("inverse", p, q), self.model.grid_shape)))
 
     def star_matrix(self, p, q):
         """Channel matrix of star, (p,q) -> (3-q, 3-p): the Kronecker
@@ -592,9 +668,11 @@ def _deflated_kernel(metric: Metric, kind: str, p, q):
     """Grid kernel basis by preconditioned Richardson on a block.
 
     From the constant channels, V <- orth(V - sigma^{-1} AV), AV the
-    Laplacians of V, until max ||AV_j|| <= 1e-12 * scale, checked before
-    each sweep; SolveDiverged if _KERNEL_SWEEPS sweeps fall short.  The
-    rule is stricter than _KERNEL_RESIDUAL, so V needs no Rayleigh-Ritz."""
+    Laplacians of V, checked before each sweep.  A row with ||AV_j|| <=
+    1e-12 * scale is locked: kept as it is, never imaged again, and
+    projected out of the rows still updated.  SolveDiverged if
+    _KERNEL_SWEEPS sweeps leave a row unlocked.  The rule is stricter than
+    _KERNEL_RESIDUAL, so the locked block needs no Rayleigh-Ritz."""
     top = float(_symbol_pinv(metric, "dbar")[0].max())     # 1 / sigma_min
     if kind == "bc" and top > 4.0:     # same kernel, faster (_symbol_pinv)
         at = metric.memo(("bc_search",), lambda: Metric(2 / top * metric.omega))
@@ -602,16 +680,24 @@ def _deflated_kernel(metric: Metric, kind: str, p, q):
         _check_kernel(metric, kind, p, q, _images(metric, kind, p, q, V))
         return V
     V, scale = _channels(metric, p, q), _scale(metric, kind)
+    locked = V[:0].copy()       # not a view: V's first block is freed
     for sweep in range(_KERNEL_SWEEPS + 1):
         AV = _images(metric, kind, p, q, V)
-        r = math.sqrt(np.diag(_gram(metric, p, q, AV, AV)).real.max(
-            initial=0.0))
-        if r <= 1e-12 * scale:
-            return V
+        r = np.sqrt(np.maximum(np.diag(_gram(metric, p, q, AV, AV)).real, 0))
+        done = r <= 1e-12 * scale
+        if done.all():
+            return np.concatenate([locked, V]) if len(locked) else V
+        if done.any():
+            locked = np.concatenate([locked, V[done]])
+            V, AV = V[~done], AV[~done]
         if sweep == _KERNEL_SWEEPS:
             raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
-                                f"stalled at relative residual {r/scale:.2e}")
-        V = _orth(metric, p, q, V - _symbol_apply(metric, kind, AV))
+                                f"stalled at relative residual "
+                                f"{r.max() / scale:.2e}")
+        V = V - _symbol_apply(metric, kind, AV)
+        if len(locked):
+            V -= np.tensordot(_gram(metric, p, q, V, locked), locked, axes=1)
+        V = _orth(metric, p, q, V)
 
 
 def _lie_ritz(metric: Metric, kind: str, p, q):

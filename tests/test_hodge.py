@@ -114,10 +114,11 @@ def test_scaled_metric_volume(torus3):
 
 
 def _minor_determinant_pairing(g, p, q):
-    """Reference pairing, one det(M1[I,K]) * det(M2[J,L]) per Gram entry."""
+    """Reference pairing, one det(M1[I,K]) * det(M2[J,L]) per Gram entry,
+    with H^{-1} from LAPACK: a second route to the closed-form compounds."""
     bas = _basis.basis(g.n, p, q)
-    M1 = np.swapaxes(g.Hinv, -1, -2)
-    M2 = g.Hinv
+    M2 = np.linalg.inv(g.H)
+    M1 = np.swapaxes(M2, -1, -2)
     P = np.empty(g.model.grid_shape + (len(bas), len(bas)), dtype=np.complex128)
     for u, (I, J) in enumerate(bas):
         for w, (K, L) in enumerate(bas):
@@ -129,13 +130,82 @@ def _minor_determinant_pairing(g, p, q):
     return np.moveaxis(P, (-2, -1), (0, 1))
 
 
+def _lapack_compound(M, k):
+    """k-th compound of the (*grid, 3, 3) stack M, one batched det per
+    minor, channel-first."""
+    S = _basis.subsets(3, k)
+    return np.moveaxis(np.linalg.det(M[..., S[:, None, :, None],
+                                       S[None, :, None, :]]), (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("name", ["two_coord", "three_coord", "heis3"])
+def test_closed_form_algebra_matches_lapack(heis3, name):
+    """det H, H^{-1} and every compound of H^{-T} and H^{-1} against LAPACK;
+    each "inverse" factor times its "pairing" factor is the identity."""
+    if name == "heis3":
+        g = random_metric(heis3, np.random.default_rng(7))
+    else:
+        g = Metric(standard_fixture(name, resolution=8, eps=0.05)[3])
+    Hinv = np.linalg.inv(g.H)
+    _assert_close(g.detH, np.linalg.det(g.H).real)
+    _assert_close(g.Hinv, Hinv)
+    for side, M in (("H^-T", np.swapaxes(Hinv, -1, -2)), ("H^-1", Hinv)):
+        for k in range(4):
+            _assert_close(g.compound(side, k), _lapack_compound(M, k))
+    for k in range(1, 4):
+        for A, Ainv in zip(g.factors("pairing", k, k),
+                           g.factors("inverse", k, k)):
+            eye = np.eye(len(A))[..., None] + 0 * A
+            _assert_close(np.einsum("ijg,jkg->ikg", Ainv, A), eye)
+
+
+def test_closed_form_inverse_of_ill_conditioned_metric(heis3):
+    """H with eigenvalues 1e-6 .. 1e2: H^{-1} within kappa * 1e-15 of
+    LAPACK."""
+    rng = np.random.default_rng(5)
+    U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    lam = np.array([1e-6, 1e-2, 1e2])
+    g = Metric(form_of_11(heis3, (U * lam) @ U.conj().T))
+    want = np.linalg.inv(g.H)
+    err = np.abs(g.Hinv - want).max()
+    assert err <= lam[-1] / lam[0] * 1e-15 * np.abs(want).max(), err
+
+
+def test_metric_algebra_calls_no_batched_det_or_inv(monkeypatch):
+    """A grid Metric, its compounds and factors, the gram inverse and
+    root_of_22 are closed forms: np.linalg.det and np.linalg.inv never run."""
+    from hsgeom.analysis import root_of_22
+    omega = standard_fixture("three_coord", resolution=8, eps=0.05)[3]
+    calls = collections.Counter()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    spy("det", np.linalg.det)
+    spy("inv", np.linalg.inv)
+    g = Metric(omega)
+    for side in ("H^-T", "H^-1"):
+        for k in range(4):
+            g.compound(side, k)
+    for kind in ("pairing", "inverse", "star"):
+        for p in range(4):
+            for q in range(4):
+                g.factors(kind, p, q)
+                if kind == "inverse" and _basis.degree_dims(3, p, q):
+                    g._gram_inverse(p, q)
+    root_of_22(wedge(omega, omega))
+    assert not calls, dict(calls)
+
+
 def test_pairing_matches_minor_determinants(heis3, eps_metric):
     metrics = [random_metric(heis3, np.random.default_rng(3)), eps_metric]
     for g in metrics:
         for p in range(4):
             for q in range(4):
-                P = g.pairing(p, q)
-                assert np.array_equal(P, _minor_determinant_pairing(g, p, q)), (p, q)
+                _assert_close(g.pairing(p, q),
+                              _minor_determinant_pairing(g, p, q))
         for p, q in [(-1, 0), (4, 1), (1, 4)]:
             assert g.pairing(p, q).shape == (0, 0) + g.model.grid_shape
 
@@ -751,7 +821,8 @@ def _dense_contract(g, a):
         return zero_form(g.model, p, q).coeffs
     t = np.einsum("uv...,v...->u...", g.gram(a.p, a.q), a.coeffs)
     s = np.einsum("uw...,u...->w...", np.conj(g.wedge_omega_matrix(p, q)), t)
-    return np.einsum("uv...,v...->u...", g._gram_inverse(p, q), s)
+    Ginv = np.linalg.inv(np.moveaxis(g.gram(p, q), (0, 1), (-2, -1)))
+    return np.einsum("uv...,v...->u...", np.moveaxis(Ginv, (-2, -1), (0, 1)), s)
 
 
 def _assert_close(x, want):
