@@ -27,21 +27,25 @@ Conventions, locked by the test suite:
   (Metric.factors, _kron), and no (d, d, *grid) pairing or star matrix is
   formed.  The invariant backend has no grid and applies the dense
   Kronecker products (Metric.pairing, Metric.star_matrix).
-* The pointwise 3x3 algebra is closed-form (_adjugate): H^{-1}, det H, every
-  compound of H^{-T} and H^{-1} and every inverse factor come from H and its
-  2x2 minors, with no batched det or inv; only the positivity check runs
-  eigvalsh.
+* The pointwise 3x3 algebra is closed-form (_adjugate, _cholesky): H^{-1},
+  det H, the factor U of H = U U^H, every compound of H^{-T}, H^{-1}, U and
+  U^{-1} and every inverse factor come from H and its 2x2 minors, with no
+  batched det, inv or cholesky; only the positivity check runs eigvalsh.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
 invariant backend cuts kernel from range by one Rayleigh-Ritz step on the
 whole space (_lie_ritz): Ritz value <= _EIG_CUTOFF times a scale taken from
 outside the spectrum (_scale); it solves directly.  A grid kernel is the
-block a Richardson search finds, locking each vector once its Laplacian is
-small (_deflated_kernel), the tilde one the dbar one (E_2 = E_1 on the
-torus), and grid solves run kernel-deflated conjugate gradients; both are
-preconditioned by 1/sigma(k), the closed-form symbol at the grid-mean
-metric (_symbol_pinv).
+block a Richardson loop returns once every vector's Laplacian is small
+(_deflated_kernel), preconditioned by S = 1/sigma(k), the closed-form
+symbol at the grid-mean metric (_symbol_pinv).  The dbar loop starts from
+a block built from the constants (_start_block), which it locks at once
+or polishes; del and bc start from the constants.  The tilde kernel is the
+dbar one (E_2 = E_1 on the torus).  Grid solves run kernel-deflated
+conjugate gradients preconditioned by F^{-1} S F, F a pointwise root of
+the volume-weighted Gram (_precondition), which is self-adjoint in the
+metric inner product as S alone is not.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ _SYMBOL_RCOND = 1e-8       # relative cutoff for symbol pseudoinverses
 _CG_TOL = 1e-9             # default relative residual for iterative solves
 _KERNEL_RESIDUAL = 1e-9    # relative residual a checked kernel must meet
 _KERNEL_SWEEPS = 400       # Richardson sweeps allowed to a deflated kernel
+_START_TOL = 1e-11         # relative residual of the kernel start solves
 
 
 class NotPositiveError(ValueError):
@@ -143,11 +148,39 @@ def _adjugate(H):
     expansion cancels terms of size |H|^3 (4e-6 relative error at
     eigenvalues 1e-6, 1e-2, 1e2, against 6e-10 here)."""
     C2 = _minors(H)
-    h00, lead = H[..., 0, 0].real, C2[..., 0, 0].real
+    lead = C2[..., 0, 0].real
+    _, w, d2 = _pivots(H, lead)
+    return lead * d2, _complement(C2)
+
+
+def _pivots(H, lead):
+    """(H00, w, d2) of _adjugate, given the leading 2x2 minor `lead`: the
+    L D L^H pivots of H are H00, lead / H00 and d2."""
+    h00 = H[..., 0, 0].real
     w = H[..., 2, 1] - H[..., 2, 0] * np.conj(H[..., 1, 0]) / h00
     d2 = H[..., 2, 2].real - abs(H[..., 2, 0]) ** 2 / h00 \
         - abs(w) ** 2 * h00 / lead
-    return lead * d2, _complement(C2)
+    return h00, w, d2
+
+
+def _cholesky(H):
+    """Upper triangular U with H = U U^H for a Hermitian positive definite
+    (*, 3, 3) stack, in closed form: the Cholesky factor of H with rows and
+    columns reversed, from the pivots of _adjugate (_pivots) of reversed H.
+    So U^{-H} is the Cholesky factor of H^{-1}, and the Kronecker products of
+    compounds of U^{-1} that Metric.factors builds are Cholesky factors of
+    the Grams."""
+    R = H[..., ::-1, ::-1]
+    lead = (R[..., 0, 0] * R[..., 1, 1] - R[..., 0, 1] * R[..., 1, 0]).real
+    h00, w, d2 = _pivots(R, lead)
+    s0, s1 = np.sqrt(h00), np.sqrt(lead / h00)
+    L = np.zeros(H.shape, np.complex128)
+    L[..., 0, 0] = s0
+    L[..., 1:, 0] = R[..., 1:, 0] / s0[..., None]
+    L[..., 1, 1] = s1
+    L[..., 2, 1] = w / s1
+    L[..., 2, 2] = np.sqrt(d2)
+    return L[..., ::-1, ::-1]
 
 
 def _channel_first(side, C):
@@ -230,10 +263,13 @@ class Metric:
     def compound(self, side, k):
         """k-th compound C_k(M) of M = H^{-T} (side "H^-T") or H^{-1} (side
         "H^-1"), channel-first: C[a, b, ...] = det M[..., S_a, S_b] over the
-        k-subsets S of range(3), memoised per side and k.  Closed forms from
-        H (_adjugate): C_0 = 1, C_1 = H^{-1}, C_2 = _complement(H) / det H
+        k-subsets S of range(3), memoised per k.  Closed forms from H
+        (_adjugate): C_0 = 1, C_1 = H^{-1}, C_2 = _complement(H) / det H
         (Jacobi's complementary minors), C_3 = 1 / det H; the H^-T side is
-        their transposes."""
+        their transposes, and the H^-1 side a transposed view of it."""
+        if side == "H^-1":
+            return self.compound("H^-T", k).swapaxes(0, 1)
+
         def build():
             det = self.detH[..., None, None]
             if k == 1:
@@ -241,7 +277,7 @@ class Metric:
             if k == 2:
                 return _channel_first(side, _complement(self.H) / det)
             return _channel_first(side, 1.0 / det if k else np.ones_like(det))
-        return self.memo(("compound", side, k), build)
+        return self.memo(("compound", k), build)
 
     def factors(self, kind, p, q):
         """Per-side factors (A, B) of a pointwise channel map on (p,q)-forms:
@@ -254,11 +290,21 @@ class Metric:
         "star":    star(a) is the I <-> J swap of a times A (x) B, with
                    A[J, K'] = (-1)^K' C_q(H^{-T})[rev K', J] and
                    B[I, L'] = (-1)^L' C_p(H^{-1})[rev L', I] i (-1)^p det H.
+        "chol":    A = C_p(U)^T, B = C_q(U)^H, H = U U^H with U upper
+                   triangular (_cholesky); memoised on the H^-T side only,
+                   B being the conjugate of the H^-T factor of degree q.
+        "chol_inverse": A = C_p(U^{-1})^T, B = C_q(U^{-1})^H, the inverses
+                   of the "chol" factors: the Jacobi complements of the
+                   "chol" factors of degree 3 - p and 3 - q over det U =
+                   sqrt(det H), formed on each call, never stored.
         The star is a ^ star(conj b) = <a, b>_pt dV_omega solved: the (q,p)
         pairing of conj b (conjugation sign (-1)^(pq)), each channel wedged
         with its complement to the top channel (sign (-1)^(p(3-q) + K' + L');
         at n = 3, rev, the reversed subset index, is the complement), times
-        i det H.
+        i det H.  As compounds are multiplicative and H^{-1} = U^{-H} U^{-1},
+        the "chol_inverse" product times sqrt(density) is a pointwise root F
+        of the volume-weighted Gram: <<a, b>> is the grid mean of
+        (a F) . conj(b F), a and b rows of channels (_precondition).
         """
         if kind == "star":
             return self._factor(kind, "H^-T", q), self._factor(kind, "H^-1", p)
@@ -270,11 +316,23 @@ class Metric:
         flat = lambda C: C.reshape(len(C), len(C), -1)
         if kind == "pairing":
             return flat(self.compound(side, k))
+        if kind in ("chol", "chol_inverse") and side == "H^-1":
+            return np.conj(self._factor(kind, "H^-T", k))
+        if kind == "chol_inverse":
+            R, det_U = self._factor("chol", side, 3 - k), np.sqrt(self.detH)
+            if R is None:
+                return (1.0 / det_U).reshape(1, 1, -1)
+            return np.swapaxes(_ALT[..., None] * R[::-1, ::-1], 0, 1) \
+                / det_U.reshape(-1)
 
         def build():
             if kind == "inverse":
                 C = (self.H if k == 1 else _minors(self.H) if k == 2
                      else self.detH[..., None, None])
+                return flat(_channel_first(side, C))
+            if kind == "chol":
+                C = (np.sqrt(self.detH)[..., None, None] if k == 3 else
+                     _cholesky(self.H) if k == 1 else _minors(_cholesky(self.H)))
                 return flat(_channel_first(side, C))
             C = flat(self.compound(side, k))
             d = len(C)
@@ -323,17 +381,16 @@ class Metric:
         """Pointwise Cholesky factor L of the volume-weighted Gram.
 
         ||a||^2_{L2} = mean over the grid of |L(x)^H a(x)|^2.  On a grid L
-        is sqrt(density) chol(conj A) (x) chol(conj B), A and B the pairing
-        factors, since a Kronecker product of Cholesky factors is one.
+        is sqrt(density) times the conjugate Kronecker product of the
+        "chol_inverse" factors, lower triangular as they are: the conjugate
+        of the root F of _precondition, with no batched cholesky.
         """
         def build():
             if self.model.kind == "lie":
                 return _leading(np.linalg.cholesky(
                     _trailing(self.gram(p, q)) * self.density[..., None, None]))
-            A, B = (None if F is None else
-                    _leading(np.linalg.cholesky(np.conj(_trailing(F))))
-                    for F in self.factors("pairing", p, q))
-            return _kron_dense(A, B, self.model.grid_shape) \
+            return np.conj(_kron_dense(*self.factors("chol_inverse", p, q),
+                                       self.model.grid_shape)) \
                 * np.sqrt(self.density)
         return self.memo(("chol", p, q), build)
 
@@ -601,7 +658,9 @@ def _symbol_pinv(metric: Metric, kind: str):
     lam omega).  inv is zero where the symbol is at most _SYMBOL_RCOND *
     opnorm (k=0 in particular); opnorm is max sigma (bc: max sigma^2 +
     2 sigma).  The axes are the model's spectral axes, counted from the end
-    of a form's or a block's coefficients.
+    of a form's or a block's coefficients.  The kernel Richardson sweeps
+    apply inv as it is (_symbol_apply); conjugate gradients applies it
+    between the pointwise root of the Gram and its inverse (_precondition).
     """
     bc = kind == "bc"
 
@@ -627,6 +686,19 @@ def _symbol_pinv(metric: Metric, kind: str):
 def _symbol_apply(metric: Metric, kind: str, x):
     inv, _, axes = _symbol_pinv(metric, kind)
     return np.fft.ifftn(np.fft.fftn(x, axes=axes) * inv, axes=axes)
+
+
+def _precondition(metric: Metric, kind: str, p, q, X):
+    """F^{-1} S F on a block X of (p,q)-forms: S the symbol inverse
+    (_symbol_apply), F the pointwise root of the volume-weighted Gram Q
+    (F^H F = Q; Metric.factors "chol_inverse" times sqrt(density)), F^{-1}
+    the "chol" factors over sqrt(density).  As Q F^{-1} S F = F^H S F is
+    Hermitian, this is self-adjoint in the metric inner product, as
+    conjugate gradients needs; at a constant metric it is S."""
+    root = np.sqrt(metric.density)
+    Y = _symbol_apply(metric, kind,
+                      _apply(metric, "chol_inverse", p, q, X) * root)
+    return _apply(metric, "chol", p, q, Y / root)
 
 
 def _scale(metric: Metric, kind: str):
@@ -664,22 +736,52 @@ def _check_kernel(metric: Metric, kind: str, p, q, AK):
                             f"stalled at relative residual {r:.2e}")
 
 
+def _start_block(metric: Metric, kind: str, p, q):
+    """Orthonormal start block of the grid kernel search: the constants for
+    del and bc; for dbar a block already harmonic up to the solve tolerance
+    and round-off, built from the constants.  q = 0: the constants
+    themselves.  q = 1: h_c = c + dbar beta_c for each constant c, with
+    beta_c = -G''(dbar* c) a Green solve on (p,0), whose kernel is the
+    constants.  q = 2, 3: conj star of the (3-p, 3-q) block (Serre duality:
+    conj o star maps (3-p, 3-q) to (p,q) and commutes with Delta'')."""
+    C = _channels(metric, p, q)
+    if kind != "dbar" or q == 0 or not len(C):
+        return C
+    model = metric.model
+    if q == 1:
+        V = [c - differential("dbar", green_solve(metric, "dbar", adjoint_diff(
+            metric, "dbar", Form(model, p, q, c)), tol=_START_TOL)).coeffs
+             for c in C]
+    else:
+        perm, sign = _basis.conjugation(3, q, p)
+        V = sign * np.conj(_apply(metric, "star", 3 - p, 3 - q, _start_block(
+            metric, kind, 3 - p, 3 - q))[:, perm])
+    return _orth(metric, p, q, np.asarray(V))
+
+
 def _deflated_kernel(metric: Metric, kind: str, p, q):
     """Grid kernel basis by preconditioned Richardson on a block.
 
-    From the constant channels, V <- orth(V - sigma^{-1} AV), AV the
-    Laplacians of V, checked before each sweep.  A row with ||AV_j|| <=
+    From the start block of _start_block, V <- orth(V - sigma^{-1} AV), AV
+    the Laplacians of V, checked before each sweep.  A row with ||AV_j|| <=
     1e-12 * scale is locked: kept as it is, never imaged again, and
     projected out of the rows still updated.  SolveDiverged if
     _KERNEL_SWEEPS sweeps leave a row unlocked.  The rule is stricter than
-    _KERNEL_RESIDUAL, so the locked block needs no Rayleigh-Ritz."""
+    _KERNEL_RESIDUAL, so the locked block needs no Rayleigh-Ritz.  A built
+    dbar block locks at sweep 0 where the grid resolves the metric (N >= 16
+    on the fixtures); at N = 8 the star route misses the rule, because
+    conj(dbar x) = del(conj x) fails at the Nyquist mode, and the sweeps
+    polish it.  The constants of a (p,0) dbar kernel are returned with no
+    sweep: dbar kills them exactly and dbar* vanishes on (p,0)."""
     top = float(_symbol_pinv(metric, "dbar")[0].max())     # 1 / sigma_min
     if kind == "bc" and top > 4.0:     # same kernel, faster (_symbol_pinv)
         at = metric.memo(("bc_search",), lambda: Metric(2 / top * metric.omega))
         V = _orth(metric, p, q, _deflated_kernel(at, kind, p, q))
         _check_kernel(metric, kind, p, q, _images(metric, kind, p, q, V))
         return V
-    V, scale = _channels(metric, p, q), _scale(metric, kind)
+    V, scale = _start_block(metric, kind, p, q), _scale(metric, kind)
+    if kind == "dbar" and q == 0:       # dbar kills constants exactly
+        return V
     locked = V[:0].copy()       # not a view: V's first block is freed
     for sweep in range(_KERNEL_SWEEPS + 1):
         AV = _images(metric, kind, p, q, V)
@@ -721,8 +823,10 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
     """Metric-orthonormal basis of ker(Laplacian) in bidegree (p,q).
 
     The kernel Ritz vectors of _lie_ritz, or the Richardson block of
-    _deflated_kernel on the grid, as a tuple of Forms whose `block` holds
-    their coefficients (harmonic_project reads it).  As <tilde h, h> = |p''del* h|^2 +
+    _deflated_kernel on the grid (for dbar and tilde started from a block
+    built from the constants, _start_block), as a tuple of Forms whose
+    `block` holds their coefficients (harmonic_project reads it); empty
+    outside 0 <= p, q <= 3.  As <tilde h, h> = |p''del* h|^2 +
     |p''del h|^2 + |dbar h|^2 + |dbar* h|^2, ker tilde (of Popovici's
     pseudo-Laplacian; dimension dim E_2) lies in ker Delta''.  On the torus
     every nonzero Fourier mode has an exact dbar-Koszul complex, so the
@@ -762,8 +866,8 @@ def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
 
 def _pcg(metric, kind, b, rtol, cap):
     proj = lambda f: f - harmonic_project(metric, kind, f)
-    precondition = lambda r: proj(Form(r.model, r.p, r.q, _symbol_apply(
-        metric, kind, r.coeffs)))
+    precondition = lambda r: proj(Form(r.model, r.p, r.q, _precondition(
+        metric, kind, r.p, r.q, r.coeffs[None])[0]))
 
     nb_full = norm(metric, b)
     bp = proj(b)
@@ -817,8 +921,9 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     backend solves directly in the Ritz basis of _lie_ritz, whose kernel
     harmonic_basis reads; the grid backend runs kernel-deflated PCG to
     relative residual `tol`, preconditioned by the closed-form Fourier
-    symbol (_symbol_pinv), and raises SolveDiverged if the iterate after
-    `max_iter` updates still misses it.  `max_iter` None is a cap growing
+    symbol between the pointwise root of the Gram and its inverse
+    (_precondition, self-adjoint in the metric inner product), and raises
+    SolveDiverged if the iterate after `max_iter` updates still misses it.  `max_iter` None is a cap growing
     with the grid; 0 only checks the projected right-hand side; a negative
     cap is a ValueError.
     """

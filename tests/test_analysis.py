@@ -1,5 +1,8 @@
 """Torsion extraction, energy bookkeeping, classification, perturbation laws."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -371,6 +374,31 @@ def test_aeppli_invariance_random(two_coord, seed):
     _, rep = aeppli_perturb(base, u)
     assert rep.transport_residual < 1e-6
     assert abs(rep.a_change) < 1e-6
+
+
+def test_aeppli_sweep_sample_13_at_n32():
+    # scripts/aeppli_invariance_sweep.py with its defaults (two_coord, eps
+    # 0.05, seed 2026): its sample 13 (0-based) at N=32 stalled the torsion
+    # PCG at its iteration cap
+    path = (pathlib.Path(__file__).parents[1] / "scripts"
+            / "aeppli_invariance_sweep.py")
+    spec = importlib.util.spec_from_file_location("aeppli_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    model, _, _, omega = standard_fixture("two_coord", resolution=32, eps=0.05)
+    rng = np.random.default_rng(2026)
+    for _ in range(14):
+        u = sweep.random_potential(model, rng)
+    _, rep = aeppli_perturb(Metric(omega), u, mode="dim3")
+    assert abs(rep.a_change) < 1e-9
+
+
+def test_classify_three_coord_at_large_eps():
+    # eps 0.2 at N=16: the sG solve of the classification used to exhaust
+    # its PCG cap (640 iterations)
+    g = Metric(standard_fixture("three_coord", resolution=16, eps=0.2)[3])
+    cls = classify_metric(g)
+    assert cls.hs_feasible and not cls.kahler
 
 
 def test_aeppli_guard(flat16, two_coord):

@@ -173,7 +173,8 @@ def test_closed_form_inverse_of_ill_conditioned_metric(heis3):
 
 def test_metric_algebra_calls_no_batched_det_or_inv(monkeypatch):
     """A grid Metric, its compounds and factors, the gram inverse and
-    root_of_22 are closed forms: np.linalg.det and np.linalg.inv never run."""
+    Cholesky factor and root_of_22 are closed forms: np.linalg.det,
+    np.linalg.inv and np.linalg.cholesky never run."""
     from hsgeom.analysis import root_of_22
     omega = standard_fixture("three_coord", resolution=8, eps=0.05)[3]
     calls = collections.Counter()
@@ -185,16 +186,18 @@ def test_metric_algebra_calls_no_batched_det_or_inv(monkeypatch):
         monkeypatch.setattr(np.linalg, name, wrapped)
     spy("det", np.linalg.det)
     spy("inv", np.linalg.inv)
+    spy("cholesky", np.linalg.cholesky)
     g = Metric(omega)
     for side in ("H^-T", "H^-1"):
         for k in range(4):
             g.compound(side, k)
-    for kind in ("pairing", "inverse", "star"):
+    for kind in ("pairing", "inverse", "star", "chol", "chol_inverse"):
         for p in range(4):
             for q in range(4):
                 g.factors(kind, p, q)
                 if kind == "inverse" and _basis.degree_dims(3, p, q):
                     g._gram_inverse(p, q)
+                    g.gram_cholesky(p, q)
     root_of_22(wedge(omega, omega))
     assert not calls, dict(calls)
 
@@ -700,6 +703,95 @@ def test_deflated_kernel_applies_laplacian_once_per_vector(monkeypatch):
     assert not applied
 
 
+def test_constant_holomorphic_forms_are_exactly_harmonic():
+    # stands in for the check sweep that a (p,0) dbar kernel no longer runs:
+    # its basis is the orthonormalised constants as they are
+    for name in ("two_coord", "three_coord"):
+        for resolution in (8, 16):
+            g = Metric(standard_fixture(name, resolution=resolution,
+                                        eps=0.05)[3])
+            for p in range(4):
+                K = harmonic_basis(g, "dbar", p, 0)
+                assert np.array_equal(K.block, hodge._channels(g, p, 0))
+                for h in K:
+                    assert not np.any(laplacian(g, "dbar", h).coeffs)
+
+
+@pytest.mark.parametrize("resolution", [8, 16])
+def test_built_kernels_span_the_searched_ones(resolution, monkeypatch):
+    # the dbar kernels built from the constants against the Richardson
+    # search started from the constants, on a fresh metric: all singular
+    # values of the cross Gram matrix are 1
+    search = lambda metric, kind, p, q: hodge._channels(metric, p, q)
+    for name in ("two_coord", "three_coord"):
+        omega = standard_fixture(name, resolution=resolution, eps=0.05)[3]
+        g, ref = Metric(omega), Metric(omega)
+        built = {(p, q): harmonic_basis(g, "dbar", p, q).block
+                 for p in range(4) for q in range(4)}
+        with monkeypatch.context() as m:
+            m.setattr(hodge, "_start_block", search)
+            for (p, q), K in built.items():
+                R = hodge._deflated_kernel(ref, "dbar", p, q)
+                assert len(K) == len(R) == _basis.degree_dims(3, p, q)
+                s = np.linalg.svd(hodge._gram(g, p, q, K, R), compute_uv=False)
+                assert np.abs(s - 1).max(initial=0.0) <= 1e-10, (name, p, q)
+
+
+def test_out_of_range_kernels_are_empty(two_coord8):
+    for kind in LAPLACIAN_KINDS:
+        for p, q in ((-1, 1), (1, -1), (4, 2), (2, 4)):
+            assert harmonic_basis(two_coord8, kind, p, q).block.shape[:2] \
+                == (0, 0)
+
+
+@pytest.fixture(scope="module")
+def three_coord8():
+    return Metric(standard_fixture("three_coord", resolution=8, eps=0.05)[3])
+
+
+@pytest.mark.parametrize("kind", ["dbar", "bc"])
+@pytest.mark.parametrize("bidegree", [(2, 0), (3, 2), (1, 1)])
+def test_preconditioner_is_self_adjoint(three_coord8, kind, bidegree):
+    # <M x, y> = <x, M y> in the metric inner product, as conjugate
+    # gradients needs; the symbol alone is not, once the metric varies
+    g, (p, q) = three_coord8, bidegree
+    rng = np.random.default_rng(7)
+    x, y = (random_band_form(g.model, p, q, rng, terms=12) for _ in range(2))
+    Mx, My = (Form(g.model, p, q, hodge._precondition(
+        g, kind, p, q, f.coeffs[None])[0]) for f in (x, y))
+    assert abs(inner(g, Mx, y) - inner(g, x, My)) \
+        <= 1e-12 * norm(g, Mx) * norm(g, y)
+
+
+def test_preconditioner_root_factors_the_gram(three_coord8):
+    # F^H F = Q pointwise, Q the volume-weighted Gram, F the root of
+    # _precondition in column form; F^{-1} from the "chol" factors
+    g, grid = three_coord8, three_coord8.model.grid_shape
+    root = np.sqrt(g.density)[..., None, None]
+    for p in range(4):
+        for q in range(4):
+            if not _basis.degree_dims(3, p, q):
+                continue
+            F, Finv = (np.swapaxes(hodge._trailing(hodge._kron_dense(
+                *g.factors(kind, p, q), grid)), -1, -2)
+                for kind in ("chol_inverse", "chol"))
+            F, Finv = F * root, Finv / root
+            Q = hodge._trailing(g.gram(p, q)) * g.density[..., None, None]
+            FhF = np.conj(np.swapaxes(F, -1, -2)) @ F
+            assert np.abs(FhF - Q).max() <= 1e-13 * np.abs(Q).max()
+            eye = np.eye(len(Q[(0,) * len(grid)]))
+            assert np.abs(Finv @ F - eye).max() <= 1e-13
+
+
+def test_strongly_gauduchon_solve_converges_fast():
+    # the (3,2) solve of the sG test took 26 iterations with the symbol
+    # alone as preconditioner
+    g = Metric(standard_fixture("three_coord", resolution=16, eps=0.05)[3])
+    d_pow = differential("del", wedge(g.omega, g.omega))
+    _, info = green_solve(g, "dbar", d_pow, with_info=True)
+    assert info.iterations <= 12
+
+
 # -- three-space decomposition -----------------------------------------------------------
 
 
@@ -869,3 +961,5 @@ def test_factored_routes_match_dense(heis3, name):
                                    * g.density[..., None, None])
             _assert_close(g.gram_cholesky(p, q),
                           np.moveaxis(L, (-2, -1), (0, 1)))
+            _assert_close(hodge._apply(g, "chol", p, q, hodge._apply(
+                g, "chol_inverse", p, q, X)), X)
