@@ -27,10 +27,10 @@ import numpy as np
 from . import _basis
 from .forms import (Form, coeff_norm, conjugate, differential,
                     integrate_top, wedge)
-from .hodge import (_POS_TOL, Metric, _adjugate, _trailing, adjoint_diff,
-                    contract, contract_trace, form_of_11, green_solve,
-                    harmonic_basis, harmonic_project, inner, laplacian,
-                    min_norm_lstsq, norm, pointwise_inner)
+from .hodge import (_POS_TOL, Metric, _adjugate, _positive, _trailing,
+                    adjoint_diff, contract, contract_trace, form_of_11,
+                    green_solve, harmonic_basis, harmonic_project, inner,
+                    laplacian, min_norm_lstsq, norm, pointwise_inner)
 from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
@@ -464,7 +464,8 @@ def root_of_22(Omega: Form) -> Form:
     Writes the (2,2)-form as the adjugate of the root's coefficient matrix
     and inverts the adjugate in closed form: G = adj(M)/sqrt(det M), using
     adj(adj(G)) = det(G) G for 3x3 matrices.  adj M and det M come from
-    hodge._adjugate, with no batched det or inv.
+    hodge._adjugate and positivity from its pivots (hodge._positive), with
+    no batched det, inv or eigvalsh.
     """
     K = _matrix_of_22(Omega)
     sign = np.array([[(-1) ** (i + j) for j in range(3)] for i in range(3)])
@@ -473,9 +474,8 @@ def root_of_22(Omega: Form) -> Form:
     if herm > 1e-8 * max(1.0, float(np.max(np.abs(M)))):
         raise RootFailure(f"coefficient matrix not Hermitian ({herm:.2e})")
     M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-    eigs = np.linalg.eigvalsh(M)
-    worst = float(eigs[..., 0].min())
-    if worst <= _POS_TOL:
+    if not _positive(M, _POS_TOL):
+        worst = float(np.linalg.eigvalsh(M)[..., 0].min())
         raise RootFailure(
             f"(2,2)-form not positive enough for a root "
             f"(min eigenvalue {worst:.3e})", worst=worst,

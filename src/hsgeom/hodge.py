@@ -30,7 +30,9 @@ Conventions, locked by the test suite:
 * The pointwise 3x3 algebra is closed-form (_adjugate, _cholesky): H^{-1},
   det H, the factor U of H = U U^H, every compound of H^{-T}, H^{-1}, U and
   U^{-1} and every inverse factor come from H and its 2x2 minors, with no
-  batched det, inv or cholesky; only the positivity check runs eigvalsh.
+  batched det, inv or cholesky.  Positivity is Sylvester's criterion on the
+  same pivots (_positive); eigvalsh runs only for the reported least
+  eigenvalue and on the failure path.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
@@ -43,9 +45,11 @@ symbol at the grid-mean metric (_symbol_pinv).  The dbar loop starts from
 a block built from the constants (_start_block), which it locks at once
 or polishes; del and bc start from the constants.  The tilde kernel is the
 dbar one (E_2 = E_1 on the torus).  Grid solves run kernel-deflated
-conjugate gradients preconditioned by F^{-1} S F, F a pointwise root of
-the volume-weighted Gram (_precondition), which is self-adjoint in the
-metric inner product as S alone is not.
+conjugate gradients on whitened coefficients y = F x, F a pointwise root of
+the volume-weighted Gram (_whitened): the operator is F Delta F^{-1}, the
+preconditioner the bare symbol S, and every inner product is flat.  These
+are the iterates of PCG in the metric inner product preconditioned by
+F^{-1} S F, which is self-adjoint there as S alone is not.
 """
 
 from __future__ import annotations
@@ -163,6 +167,17 @@ def _pivots(H, lead):
     return h00, w, d2
 
 
+def _positive(H, tau):
+    """Whether lambda_min(H) > tau at every point of a Hermitian (*, 3, 3)
+    stack, by Sylvester's criterion: every L D L^H pivot of H - tau I
+    (_pivots) is positive."""
+    S = H - tau * np.eye(3)
+    lead = (S[..., 0, 0] * S[..., 1, 1]).real - abs(S[..., 1, 0]) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h00, _, d2 = _pivots(S, lead)
+    return bool(np.all((h00 > 0) & (lead > 0) & (d2 > 0)))
+
+
 def _cholesky(H):
     """Upper triangular U with H = U U^H for a Hermitian positive definite
     (*, 3, 3) stack, in closed form: the Cholesky factor of H with rows and
@@ -204,14 +219,14 @@ class Metric:
     """A positive (1,1)-form with cached pointwise linear-algebra data.
 
     H^{-1}, det H, the compounds and their factors are closed forms in H
-    (_adjugate); the one batched eigvalsh gives min_eigenvalue and the
-    positivity check.
+    (_adjugate), and positivity is decided by pivots (_positive); the one
+    batched eigvalsh gives min_eigenvalue, on first access.
 
     Per-metric results go through `memo(key, build)`, one dict keyed by
-    tagged tuples: compounds and the per-side factors built from them, Gram
-    Cholesky factors and inverses, wedge-omega matrices, _lie_ritz, _scale,
-    _symbol_pinv, torsion reports, the feasibility certificate and the
-    Lefschetz split.  Dense pairings, stars and kernels keep their own
+    tagged tuples: min_eigenvalue, compounds and the per-side factors built
+    from them, Gram Cholesky factors and inverses, wedge-omega matrices,
+    _lie_ritz, _scale, _symbol_pinv, torsion reports, the feasibility
+    certificate and the Lefschetz split.  Dense pairings, stars and kernels keep their own
     _pairing_cache, _star_cache and _kernel_cache, because the benchmark
     tracer (perfbench/spans.py) wraps `pairing` and `star_matrix` by name
     and counts the misses of those caches.  Only the invariant backend
@@ -233,19 +248,16 @@ class Metric:
         if herm_dev > 1e-8 * max(1.0, np.max(np.abs(H))):
             raise ValueError(f"coefficient matrix not Hermitian ({herm_dev:.2e})")
         H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
-        eigs = np.linalg.eigvalsh(H)
-        worst = float(eigs[..., 0].min())
-        if worst <= _POS_TOL:
-            loc = np.unravel_index(int(np.argmin(eigs[..., 0])),
-                                   eigs[..., 0].shape)
-            raise NotPositiveError(worst, loc)
+        if not _positive(H, _POS_TOL):
+            least = np.linalg.eigvalsh(H)[..., 0]
+            raise NotPositiveError(float(least.min()), np.unravel_index(
+                int(np.argmin(least)), least.shape))
 
         self.H = H
         self.detH, adj = _adjugate(H)
         self.Hinv = adj / self.detH[..., None, None]
         self.density = 8.0 * self.detH    # dV_omega / dV_0 = 2^3 det H
         self.volume = float(np.real(self.model.mean(self.density)))
-        self.min_eigenvalue = worst
 
         self._pairing_cache: dict = {}
         self._star_cache: dict = {}
@@ -257,6 +269,12 @@ class Metric:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    @property
+    def min_eigenvalue(self):
+        """Least eigenvalue of H over the grid (a report field)."""
+        return self.memo(("min_eigenvalue",), lambda: float(
+            np.linalg.eigvalsh(self.H)[..., 0].min()))
 
     # -- pointwise channel maps ----------------------------------------------
 
@@ -296,7 +314,7 @@ class Metric:
         "chol_inverse": A = C_p(U^{-1})^T, B = C_q(U^{-1})^H, the inverses
                    of the "chol" factors: the Jacobi complements of the
                    "chol" factors of degree 3 - p and 3 - q over det U =
-                   sqrt(det H), formed on each call, never stored.
+                   sqrt(det H), memoised like "chol".
         The star is a ^ star(conj b) = <a, b>_pt dV_omega solved: the (q,p)
         pairing of conj b (conjugation sign (-1)^(pq)), each channel wedged
         with its complement to the top channel (sign (-1)^(p(3-q) + K' + L');
@@ -304,7 +322,7 @@ class Metric:
         i det H.  As compounds are multiplicative and H^{-1} = U^{-H} U^{-1},
         the "chol_inverse" product times sqrt(density) is a pointwise root F
         of the volume-weighted Gram: <<a, b>> is the grid mean of
-        (a F) . conj(b F), a and b rows of channels (_precondition).
+        (a F) . conj(b F), a and b rows of channels (_whitened).
         """
         if kind == "star":
             return self._factor(kind, "H^-T", q), self._factor(kind, "H^-1", p)
@@ -318,14 +336,15 @@ class Metric:
             return flat(self.compound(side, k))
         if kind in ("chol", "chol_inverse") and side == "H^-1":
             return np.conj(self._factor(kind, "H^-T", k))
-        if kind == "chol_inverse":
-            R, det_U = self._factor("chol", side, 3 - k), np.sqrt(self.detH)
-            if R is None:
-                return (1.0 / det_U).reshape(1, 1, -1)
-            return np.swapaxes(_ALT[..., None] * R[::-1, ::-1], 0, 1) \
-                / det_U.reshape(-1)
 
         def build():
+            if kind == "chol_inverse":
+                R, det_U = self._factor("chol", side, 3 - k), \
+                    np.sqrt(self.detH).reshape(-1)
+                if R is None:
+                    return (1.0 / det_U).reshape(1, 1, -1)
+                return np.ascontiguousarray(np.swapaxes(
+                    _ALT[..., None] * R[::-1, ::-1], 0, 1) / det_U)
             if kind == "inverse":
                 C = (self.H if k == 1 else _minors(self.H) if k == 2
                      else self.detH[..., None, None])
@@ -383,7 +402,7 @@ class Metric:
         ||a||^2_{L2} = mean over the grid of |L(x)^H a(x)|^2.  On a grid L
         is sqrt(density) times the conjugate Kronecker product of the
         "chol_inverse" factors, lower triangular as they are: the conjugate
-        of the root F of _precondition, with no batched cholesky.
+        of the root F of _whitened, with no batched cholesky.
         """
         def build():
             if self.model.kind == "lie":
@@ -659,8 +678,8 @@ def _symbol_pinv(metric: Metric, kind: str):
     opnorm (k=0 in particular); opnorm is max sigma (bc: max sigma^2 +
     2 sigma).  The axes are the model's spectral axes, counted from the end
     of a form's or a block's coefficients.  The kernel Richardson sweeps
-    apply inv as it is (_symbol_apply); conjugate gradients applies it
-    between the pointwise root of the Gram and its inverse (_precondition).
+    and conjugate gradients, on whitened coefficients (_whitened), apply
+    inv as it is (_symbol_apply).
     """
     bc = kind == "bc"
 
@@ -686,19 +705,6 @@ def _symbol_pinv(metric: Metric, kind: str):
 def _symbol_apply(metric: Metric, kind: str, x):
     inv, _, axes = _symbol_pinv(metric, kind)
     return np.fft.ifftn(np.fft.fftn(x, axes=axes) * inv, axes=axes)
-
-
-def _precondition(metric: Metric, kind: str, p, q, X):
-    """F^{-1} S F on a block X of (p,q)-forms: S the symbol inverse
-    (_symbol_apply), F the pointwise root of the volume-weighted Gram Q
-    (F^H F = Q; Metric.factors "chol_inverse" times sqrt(density)), F^{-1}
-    the "chol" factors over sqrt(density).  As Q F^{-1} S F = F^H S F is
-    Hermitian, this is self-adjoint in the metric inner product, as
-    conjugate gradients needs; at a constant metric it is S."""
-    root = np.sqrt(metric.density)
-    Y = _symbol_apply(metric, kind,
-                      _apply(metric, "chol_inverse", p, q, X) * root)
-    return _apply(metric, "chol", p, q, Y / root)
 
 
 def _scale(metric: Metric, kind: str):
@@ -864,40 +870,73 @@ def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
 # Green operators
 
 
-def _pcg(metric, kind, b, rtol, cap):
-    proj = lambda f: f - harmonic_project(metric, kind, f)
-    precondition = lambda r: proj(Form(r.model, r.p, r.q, _precondition(
-        metric, kind, r.p, r.q, r.coeffs[None])[0]))
+def _whitened(metric: Metric, kind: str, p, q):
+    """Conjugate gradients' maps on whitened (p,q) coefficients y = F x, F
+    the pointwise root of the volume-weighted Gram Q (F^H F = Q): the
+    "chol_inverse" factors of Metric.factors times sqrt(density).  In these
+    coefficients <<a, b>> is the flat grid mean of y_a . conj(y_b).
+    Returns (F, F^{-1}, P, A): F and F^{-1} on blocks (k, d, *grid), and on
+    one whitened form P, the flat projection off the whitened kernel, and
+    A = P F Delta F^{-1}, both Hermitian in the flat inner product."""
+    model, root = metric.model, np.sqrt(metric.density)
+    white = lambda X: _apply(metric, "chol_inverse", p, q, X) * root
+    unwhite = lambda Y: _apply(metric, "chol", p, q, Y / root)
+    K = white(harmonic_basis(metric, kind, p, q).block)
+    K = K.reshape(len(K), math.prod(K.shape[1:]))
+    pts = math.prod(model.grid_shape)
 
-    nb_full = norm(metric, b)
-    bp = proj(b)
-    nb = norm(metric, bp)
-    discarded = norm(metric, b - bp) / nb_full if nb_full else 0.0
+    def proj(y):
+        c = np.conj(K @ np.conj(y.ravel())) / pts       # <<y, K_j>>
+        return y - (c @ K).reshape(y.shape)
+
+    def image(y):
+        x = Form(model, p, q, unwhite(y[None])[0])
+        return proj(white(laplacian(metric, kind, x).coeffs[None])[0])
+    return white, unwhite, proj, image
+
+
+def _pcg(metric, kind, b, rtol, cap):
+    """Kernel-deflated PCG on whitened coefficients (_whitened), with the
+    symbol inverse S (_symbol_apply) as preconditioner: in exact arithmetic
+    the iterates of PCG in the metric inner product preconditioned by
+    F^{-1} S F."""
+    _check_pair(metric, b, b)
+    model, p, q = metric.model, b.p, b.q
+    pts = math.prod(model.grid_shape)
+    white, unwhite, proj, image = _whitened(metric, kind, p, q)
+    dot = lambda u, v: np.vdot(v, u).real / pts         # Re <<u, v>>
+    norm_ = lambda u: math.sqrt(dot(u, u))
+    precondition = lambda r: proj(_symbol_apply(metric, kind, r))
+
+    bw = white(b.coeffs[None])[0]
+    bp = proj(bw)
+    nb_full, nb = norm_(bw), norm_(bp)
+    discarded = norm_(bw - bp) / nb_full if nb_full else 0.0
     if nb <= 1e-13 * max(nb_full, 1.0):
         # nothing left of the right-hand side after removing harmonic mass
         info = GreenInfo("pcg", 0, nb, 0.0, discarded)
-        return zero_form(metric.model, b.p, b.q), info
+        return zero_form(model, p, q), info
 
-    x = zero_form(metric.model, b.p, b.q)
+    x = np.zeros_like(bp)
     r = bp
     z = precondition(r)
     pdir = z
-    rz = inner(metric, r, z).real
+    rz = dot(r, z)
     history = []
     for it in range(cap + 1):
-        res = norm(metric, r)
+        res = norm_(r)
         history.append(res)
         if res <= rtol * nb:
             info = GreenInfo("pcg", it, res, res / nb, discarded,
                              tuple(history))
-            return proj(x), info
+            return Form(model, p, q, unwhite(proj(x)[None])[0]), info
         if it == cap:
             raise SolveDiverged(
                 f"cg hit the iteration cap {cap} at relative residual "
                 f"{res / nb:.2e}", history
             )
-        Ap = proj(laplacian(metric, kind, pdir))
-        pAp = inner(metric, Ap, pdir).real
+        Ap = image(pdir)
+        pAp = dot(Ap, pdir)
         if pAp <= 0.0:
             raise SolveDiverged(
                 f"indefinite curvature in cg ({pAp:.2e})", history
@@ -906,7 +945,7 @@ def _pcg(metric, kind, b, rtol, cap):
         x = x + alpha * pdir
         r = r - alpha * Ap
         z = precondition(r)
-        rz_new = inner(metric, r, z).real
+        rz_new = dot(r, z)
         beta = rz_new / rz
         rz = rz_new
         pdir = z + beta * pdir
@@ -920,12 +959,12 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     discarded harmonic mass is reported in the info record.  The invariant
     backend solves directly in the Ritz basis of _lie_ritz, whose kernel
     harmonic_basis reads; the grid backend runs kernel-deflated PCG to
-    relative residual `tol`, preconditioned by the closed-form Fourier
-    symbol between the pointwise root of the Gram and its inverse
-    (_precondition, self-adjoint in the metric inner product), and raises
-    SolveDiverged if the iterate after `max_iter` updates still misses it.  `max_iter` None is a cap growing
-    with the grid; 0 only checks the projected right-hand side; a negative
-    cap is a ValueError.
+    relative residual `tol` on coefficients whitened by the pointwise root
+    of the Gram (_pcg), where the preconditioner is the closed-form Fourier
+    symbol and every inner product is flat, and raises SolveDiverged if
+    the iterate after `max_iter` updates still misses it.  `max_iter` None
+    is a cap growing with the grid; 0 only checks the projected right-hand
+    side; a negative cap is a ValueError.
     """
     if max_iter is not None and max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")

@@ -97,6 +97,44 @@ def test_metric_requires_positive(torus3):
         Metric(omega)
 
 
+def test_positivity_by_pivots_matches_eigvalsh():
+    # Sylvester's criterion on H - tau I decides lambda_min > tau as
+    # eigvalsh does: at random, and at lambda_min = tau (1 +- 1e-6)
+    tau, rng, n = hodge._POS_TOL, np.random.default_rng(2), 400
+    for low in (rng.uniform(-1, 1, n), rng.uniform(0, 2 * tau, n),
+                np.full(n, tau * (1 + 1e-6)), np.full(n, tau * (1 - 1e-6))):
+        lam = np.column_stack([low, rng.uniform(tau, 1, (n, 2))])
+        U = np.linalg.qr(rng.standard_normal((n, 3, 3))
+                         + 1j * rng.standard_normal((n, 3, 3)))[0]
+        H = (U * lam[:, None]) @ np.conj(np.swapaxes(U, -1, -2))
+        H = 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
+        want = np.linalg.eigvalsh(H)[:, 0] > tau
+        assert want.tolist() == (low > tau).tolist()
+        assert [hodge._positive(h, tau) for h in H] == want.tolist()
+        assert hodge._positive(H, tau) == want.all()
+
+
+def test_grid_metric_runs_no_eigvalsh(monkeypatch):
+    # positivity is decided by pivots; eigvalsh runs for the report's
+    # min_eigenvalue and on the NotPositiveError path only
+    omega = standard_fixture("three_coord", resolution=8, eps=0.05)[3]
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda H: calls.append(H.shape) or eigvalsh(H))
+    g = Metric(omega)
+    assert not calls
+    least = eigvalsh(g.H)[..., 0]
+    assert g.min_eigenvalue == least.min() and len(calls) == 1
+    bad = omega - form_of_11(g.model, least.min() * np.eye(3))
+    with pytest.raises(NotPositiveError) as err:
+        Metric(bad)
+    H = hodge._matrix_of_11(bad)
+    least = eigvalsh(0.5 * (H + np.conj(np.swapaxes(H, -1, -2))))[..., 0]
+    assert err.value.worst == least.min() < hodge._POS_TOL
+    assert err.value.location == np.unravel_index(np.argmin(least),
+                                                  least.shape)
+
+
 def test_flat_metric_data(torus3_metric):
     g = torus3_metric
     assert abs(g.volume - 1.0) < 1e-14
@@ -751,21 +789,69 @@ def three_coord8():
 
 @pytest.mark.parametrize("kind", ["dbar", "bc"])
 @pytest.mark.parametrize("bidegree", [(2, 0), (3, 2), (1, 1)])
-def test_preconditioner_is_self_adjoint(three_coord8, kind, bidegree):
-    # <M x, y> = <x, M y> in the metric inner product, as conjugate
-    # gradients needs; the symbol alone is not, once the metric varies
+def test_whitened_laplacian_is_hermitian(three_coord8, kind, bidegree):
+    # <A x, y> = <x, A y> in the flat inner product, A the projected
+    # F Delta F^{-1} on whitened coefficients, as conjugate gradients needs
     g, (p, q) = three_coord8, bidegree
+    _, _, proj, image = hodge._whitened(g, kind, p, q)
     rng = np.random.default_rng(7)
-    x, y = (random_band_form(g.model, p, q, rng, terms=12) for _ in range(2))
-    Mx, My = (Form(g.model, p, q, hodge._precondition(
-        g, kind, p, q, f.coeffs[None])[0]) for f in (x, y))
-    assert abs(inner(g, Mx, y) - inner(g, x, My)) \
-        <= 1e-12 * norm(g, Mx) * norm(g, y)
+    x, y = (proj(random_band_form(g.model, p, q, rng, terms=12).coeffs)
+            for _ in range(2))
+    Ax, Ay = image(x), image(y)
+    assert abs(np.vdot(y, Ax) - np.vdot(Ay, x)) \
+        <= 1e-12 * np.linalg.norm(Ax) * np.linalg.norm(y)
+
+
+def _reference_precondition(g, kind, p, q, X):
+    """F^{-1} S F on a block X of (p,q)-forms, F the pointwise root of the
+    volume-weighted Gram (F^H F = Q) and S the symbol inverse: Q F^{-1} S F
+    = F^H S F is Hermitian, so this is self-adjoint in the metric inner
+    product."""
+    root = np.sqrt(g.density)
+    Y = hodge._symbol_apply(
+        g, kind, hodge._apply(g, "chol_inverse", p, q, X) * root)
+    return hodge._apply(g, "chol", p, q, Y / root)
+
+
+def _reference_pcg(g, kind, b, rtol, cap):
+    """Kernel-deflated PCG in the metric inner product, preconditioned by
+    F^{-1} S F: the route that hodge._pcg runs on whitened coefficients.
+    Returns the solution and the residual history."""
+    proj = lambda f: f - harmonic_project(g, kind, f)
+    precondition = lambda r: proj(Form(g.model, r.p, r.q, (
+        _reference_precondition(g, kind, r.p, r.q, r.coeffs[None])[0])))
+    r = proj(b)
+    nb, x = norm(g, r), zero_form(g.model, b.p, b.q)
+    z = pdir = precondition(r)
+    rz = inner(g, r, z).real
+    history = [nb]
+    while history[-1] > rtol * nb and len(history) <= cap:
+        Ap = proj(laplacian(g, kind, pdir))
+        alpha = rz / inner(g, Ap, pdir).real
+        x, r = x + alpha * pdir, r - alpha * Ap
+        z = precondition(r)
+        rz, rz_old = inner(g, r, z).real, rz
+        pdir = z + (rz / rz_old) * pdir
+        history.append(norm(g, r))
+    return proj(x), history
+
+
+@pytest.mark.parametrize("kind, bidegree", [
+    ("dbar", (2, 0)), ("dbar", (3, 2)), ("dbar", (0, 2)), ("dbar", (1, 1)),
+    ("bc", (1, 1))])
+def test_whitened_pcg_matches_the_metric_route(three_coord8, kind, bidegree):
+    g, (p, q) = three_coord8, bidegree
+    b = random_band_form(g.model, p, q, np.random.default_rng(5), terms=12)
+    x, info = green_solve(g, kind, b, with_info=True)
+    ref, history = _reference_pcg(g, kind, b, hodge._CG_TOL, 100)
+    assert info.iterations == len(history) - 1
+    np.testing.assert_allclose(info.residual_history, history, rtol=1e-8)
+    assert norm(g, x - ref) <= 1e-10 * norm(g, ref)
 
 
 def test_preconditioner_root_factors_the_gram(three_coord8):
     # F^H F = Q pointwise, Q the volume-weighted Gram, F the root of
-    # _precondition in column form; F^{-1} from the "chol" factors
+    # hodge._whitened in column form; F^{-1} from the "chol" factors
     g, grid = three_coord8, three_coord8.model.grid_shape
     root = np.sqrt(g.density)[..., None, None]
     for p in range(4):
