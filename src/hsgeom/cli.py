@@ -16,11 +16,16 @@ output is written), 2 invalid input (model, metric and output location are
 checked before any work; the error document goes to stdout).  Outputs are
 deterministic for a fixed config and seed: JSON keys are sorted and no
 timestamps are embedded.  Files are written atomically (temp file + rename).
+
+`hsgeom.cli.main(argv)` returns the exit code and may be called repeatedly
+in one process: it builds its argument parser once, and each call parses
+into a fresh namespace, so no option of one call leaks into the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +37,7 @@ from . import analysis, cohomology, descent
 from .forms import Form, conjugate, differential, flat_metric_form
 from .hodge import Metric, NotPositiveError, SolveDiverged
 from .lie import (IntegrabilityError, JacobiError, ModelFormatError,
-                  catalogue_model, load_model)
+                  UnimodularityError, catalogue_model, load_model)
 from .torus import (AliasingError, GridError, load_form, make_torus_model,
                     save_form, standard_potential)
 
@@ -41,8 +46,8 @@ EXIT_NUMERICAL = 1
 EXIT_INPUT = 2
 
 _INPUT_ERRORS = (ModelFormatError, IntegrabilityError, JacobiError,
-                 GridError, AliasingError, NotPositiveError,
-                 OSError, KeyError, ValueError)
+                 UnimodularityError, GridError, AliasingError,
+                 NotPositiveError, OSError, KeyError, ValueError)
 
 
 class _InputError(ValueError):
@@ -461,14 +466,26 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built once per process: parse_args leaves it as
+    it was, and every call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit code.  The command is looked
+    up at call time, not through the `fn` default of the cached parser, so
+    a rebound cmd_* function is the one that runs."""
+    args = _parser().parse_args(argv)
     if args.command == "descend" and not args.out:
         sys.stderr.write("descend requires --out DIRECTORY\n")
         return EXIT_INPUT
     if args.command == "descend" and args.tol is None:
         args.tol = 1e-6
-    return args.fn(args)
+    command = {"validate": cmd_validate, "report": cmd_report,
+               "descend": cmd_descend}[args.command]
+    return command(args)
 
 
 if __name__ == "__main__":

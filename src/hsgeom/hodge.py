@@ -512,7 +512,7 @@ def _apply(metric: Metric, kind, p, q, X):
     if kind == "star":
         Y = Y.swapaxes(1, 2)
     Y = _kron(Y, *metric.factors(kind, p, q))
-    return Y.reshape((len(X), -1) + grid)
+    return Y.reshape((len(X), Y.shape[1] * Y.shape[2]) + grid)  # k may be 0
 
 
 def pointwise_inner(metric: Metric, a: Form, b: Form):
@@ -528,14 +528,22 @@ def _gram(metric: Metric, p, q, X, Y):
     """L2 Gram matrix G[i, j] = <<X_i, Y_j>> of two blocks of (p,q)-forms,
     each k forms held as one (k, d, *grid) coefficient array: the pairing
     by one contraction (the two factors of _apply on a grid), the channel
-    sum and grid mean by one tensordot."""
+    sum and grid mean by one matmul over the flattened (d, *grid) axes."""
     if metric.model.kind == "lie":
         T = np.einsum("ju...,uw...->jw...", X, metric.pairing(p, q))
     else:
         T = _apply(metric, "pairing", p, q, X)
-    axes = tuple(range(1, X.ndim))
-    return np.tensordot(T * metric.density, np.conj(Y), axes=(axes, axes)) \
+    size = math.prod(X.shape[1:])      # explicit: k or d may be 0
+    return (T * metric.density).reshape(len(X), size) \
+        @ np.conj(Y).reshape(len(Y), size).T \
         / math.prod(metric.model.grid_shape)
+
+
+def _combine(A, X):
+    """sum_j A[..., j] X_j for the (k, d, *grid) block X: one matmul over
+    its flattened (d, *grid) axes; A is a vector or a matrix."""
+    size = math.prod(X.shape[1:])
+    return (A @ X.reshape(len(X), size)).reshape(A.shape[:-1] + X.shape[1:])
 
 
 def inner(metric: Metric, a: Form, b: Form) -> complex:
@@ -556,7 +564,7 @@ def _orth(metric: Metric, p, q, X):
     for _ in range(2):
         lam, U = np.linalg.eigh(_gram(metric, p, q, X, X))
         keep = lam > _RANK_RCOND * lam.max(initial=0.0)
-        X = np.tensordot((U[:, keep].conj() / np.sqrt(lam[keep])).T, X, axes=1)
+        X = _combine((U[:, keep].conj() / np.sqrt(lam[keep])).T, X)
     return X
 
 
@@ -804,7 +812,7 @@ def _deflated_kernel(metric: Metric, kind: str, p, q):
                                 f"{r.max() / scale:.2e}")
         V = V - _symbol_apply(metric, kind, AV)
         if len(locked):
-            V -= np.tensordot(_gram(metric, p, q, V, locked), locked, axes=1)
+            V -= _combine(_gram(metric, p, q, V, locked), locked)
         V = _orth(metric, p, q, V)
 
 
@@ -818,7 +826,7 @@ def _lie_ritz(metric: Metric, kind: str, p, q):
         AV = _images(metric, kind, p, q, V)
         R = _gram(metric, p, q, AV, V).T    # R[i, j] = <<Laplacian V_j, V_i>>
         lam, U = np.linalg.eigh(0.5 * (R + R.conj().T))
-        W, AW = (np.tensordot(U.T, X, axes=1) for X in (V, AV))
+        W, AW = (_combine(U.T, X) for X in (V, AV))
         kernel = lam <= _EIG_CUTOFF * scale
         _check_kernel(metric, kind, p, q, AW[kernel])
         return lam, W, kernel
@@ -863,7 +871,7 @@ class _Kernel(tuple):
 def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
     K = harmonic_basis(metric, kind, a.p, a.q).block
     c = _gram(metric, a.p, a.q, a.coeffs[None], K)[0]
-    return Form(metric.model, a.p, a.q, np.tensordot(c, K, axes=1))
+    return Form(metric.model, a.p, a.q, _combine(c, K))
 
 
 # ---------------------------------------------------------------------------
@@ -975,8 +983,8 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
         y = _gram(metric, p, q, b.coeffs[None], W)[0]
         nfull = float(np.linalg.norm(y))
         discarded = float(np.linalg.norm(y[kernel])) / nfull if nfull else 0.0
-        out = Form(model, p, q, np.tensordot(y[~kernel] / lam[~kernel],
-                                             W[~kernel], axes=1))
+        out = Form(model, p, q, _combine(y[~kernel] / lam[~kernel],
+                                         W[~kernel]))
         info = GreenInfo("direct", 0, 0.0, 0.0, discarded)
         return (out, info) if with_info else out
 

@@ -35,7 +35,7 @@ from .forms import Form, basis_form, conjugate, differential, wedge, zero_form
 from .hodge import min_norm_lstsq
 
 _RANK_TOL = 1e-10
-_JACOBI_TOL = 1e-13        # largest entry of d^2 a model may carry
+_JACOBI_TOL = 1e-13        # largest entry of d^2, or of d on 5-forms
 _HS_TOL = 1e-10            # relative residual of a feasible torsion system
 
 
@@ -67,6 +67,12 @@ class IntegrabilityError(ValueError):
 
 class JacobiError(ValueError):
     """The structure rules do not square to zero (d . d != 0)."""
+
+
+class UnimodularityError(ValueError):
+    """tr ad_X != 0 for some X: d of an invariant 5-form is nonzero, so
+    Stokes fails and the group has no lattice (Milnor, Adv. Math. 21, 1976,
+    Lemma 6.2), hence no compact quotient."""
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +270,8 @@ class LieModel:
     def _validate(self):
         """d^2 = 0 on phi^1..phi^3: the Jacobi identity of the structure
         constants.  d^2 is a derivation that commutes with conjugation, so
-        this covers every form."""
+        this covers every form.  Then unimodularity: d vanishes on
+        invariant 5-forms."""
         worst = 0.0
         for k in range(1, DIM + 1):
             de, db = self._d((k,), ())
@@ -275,6 +282,13 @@ class LieModel:
             raise JacobiError(
                 f"structure rules violate d^2 = 0 (worst residual {worst:.3e})"
             )
+        # d into degree 6 is tr ad_X: dbar on (3,2) and del on (2,3)
+        top = max(float(np.max(np.abs(self.operator_matrix(part, p, q))))
+                  for part, p, q in (("dbar", 3, 2), ("del", 2, 3)))
+        if top > _JACOBI_TOL:
+            raise UnimodularityError(
+                f"structure is not unimodular: d on invariant 5-forms has "
+                f"norm {top:.3e}, so no compact quotient exists")
 
 
 def load_model(text: str) -> LieModel:

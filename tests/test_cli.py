@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -61,6 +62,19 @@ def test_other_dimension_is_input_error(tmp_path, command, dim):
     assert code == 2
     assert doc["ok"] is False
     assert doc["error"]["type"] == "ModelFormatError"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "report", "descend"])
+def test_non_unimodular_is_input_error(tmp_path, command):
+    # d^2 = 0 holds, but d phi1^phi2^phibar1^phibar2^phibar3 != 0
+    model = tmp_path / "nonuni.model"
+    model.write_text("name nonuni\ndim 3\nd phi2 = 1 * phi1^phi2\n")
+    extra = ["--out", str(tmp_path / "run")] if command == "descend" else []
+    code, doc = run_json(command, "--model", str(model), *extra)
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "UnimodularityError"
     assert not (tmp_path / "run").exists()
 
 
@@ -352,3 +366,50 @@ def test_descend_then_report_round_trip(tmp_path):
     # descent drove the energy well below the starting 2.5e-3
     assert doc["torsion"]["F"] < 1e-5
     assert abs(doc["torsion"]["A"] - 1.0) < 1e-6
+
+
+def test_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys):
+    """One process runs descend, report, validate, a rejected argv and
+    report again through cli.main; every document it writes is the one a
+    fresh process writes to the same path."""
+    from hsgeom import cli
+
+    def outputs():
+        return {str(f.relative_to(tmp_path)): f.read_bytes()
+                for f in sorted(tmp_path.rglob("*")) if f.is_file()}
+
+    runs = [
+        # no --tol: main sets 1e-6 on this namespace only
+        ["descend", "--model", "torus", "--resolution", "8", "--mask",
+         "x1,x2", "--perturb", "fixture:two_coord", "--eps", "0.05",
+         "--out", str(tmp_path / "descent")],
+        ["report", "--model", "catalogue:heis3", "--perturb",
+         "coeffs:0.01,0.02;-0.03,0.0;0.04,-0.01",
+         "--out", str(tmp_path / "heis3.json")],
+        ["validate", "--model", "catalogue:iwasawa",
+         "--out", str(tmp_path / "iwasawa.json")],
+        ["report", "--model", "catalogue:torus3",
+         "--out", str(tmp_path / "torus3.json")],
+    ]
+    for argv in runs[:3]:
+        assert cli.main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--model", "catalogue:torus3", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert cli.main(runs[3]) == 0
+    capsys.readouterr()
+    reused = outputs()
+    assert json.loads(reused["heis3.json"])["config"]["tol"] is None
+
+    for entry in tmp_path.iterdir():
+        if entry.is_dir():
+            shutil.rmtree(entry)
+        else:
+            entry.unlink()
+    for argv in runs:
+        assert run_cli(*argv).returncode == 0
+    fresh = outputs()
+    assert sorted(reused) == sorted(fresh)
+    assert "descent/summary.json" in fresh
+    for name in fresh:
+        assert reused[name] == fresh[name], name

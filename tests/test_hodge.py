@@ -1,6 +1,7 @@
 """Metric layer: Gram data, star, adjoints, Laplacians, Green operators."""
 
 import collections
+import math
 
 import numpy as np
 import pytest
@@ -422,6 +423,45 @@ def test_gram_matches_pointwise_inner(lie_models, two_coord8):
                 for j, y in enumerate(Y):
                     want = g.model.mean(pointwise_inner(g, x, y) * g.density)
                     assert abs(G[i, j] - want) < 1e-13 * norm(g, x) * norm(g, y)
+
+
+def _tensordot_gram(g, p, q, X, Y):
+    """_gram by its former route: one tensordot over the (d, *grid) axes."""
+    if g.model.kind == "lie":
+        T = np.einsum("ju...,uw...->jw...", X, g.pairing(p, q))
+    else:
+        T = hodge._apply(g, "pairing", p, q, X)
+    axes = tuple(range(1, X.ndim))
+    return np.tensordot(T * g.density, np.conj(Y), axes=(axes, axes)) \
+        / math.prod(g.model.grid_shape)
+
+
+def test_gram_matches_tensordot_route(lie_models, two_coord8):
+    # blocks of k and m forms, among them k = 0 and bidegree (4, 2) with d = 0
+    rng = np.random.default_rng(37)
+    for g in (random_metric(lie_models["heis3"], rng), two_coord8):
+        for (p, q), k, m in (((1, 1), 3, 2), ((2, 1), 0, 2), ((3, 2), 2, 0),
+                             ((4, 2), 2, 3)):
+            shape = (_basis.degree_dims(g.n, p, q),) + g.model.grid_shape
+            X, Y = (rng.standard_normal((n,) + shape)
+                    + 1j * rng.standard_normal((n,) + shape) for n in (k, m))
+            G = hodge._gram(g, p, q, X, Y)
+            want = _tensordot_gram(g, p, q, X, Y)
+            assert G.shape == want.shape == (k, m)
+            assert np.abs(G - want).max(initial=0.0) \
+                <= 1e-13 * np.abs(want).max(initial=1.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 8, 8), (0, 4), (3, 0, 8)])
+def test_combine_matches_tensordot(shape):
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for A in (rng.standard_normal((2, shape[0])), rng.standard_normal(shape[0]),
+              np.zeros((0, shape[0]))):
+        got = hodge._combine(A, X)
+        want = np.tensordot(A, X, axes=1)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) < 1e-13
 
 
 def test_orth_drops_repeated_vector(lie_models, two_coord8):

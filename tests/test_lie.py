@@ -15,6 +15,7 @@ from hsgeom.lie import (
     IntegrabilityError,
     JacobiError,
     ModelFormatError,
+    UnimodularityError,
     catalogue_model,
     hs_feasibility,
     load_model,
@@ -115,6 +116,17 @@ def test_jacobi_guard():
         load_model(text)
 
 
+def test_unimodularity_guard():
+    # d phi2 = phi1^phi2 satisfies d^2 = 0, but tr ad_{e1} != 0: d of the
+    # invariant 5-forms has norm 1, so Stokes fails and no lattice exists
+    with pytest.raises(UnimodularityError, match="norm 1.000e\\+00"):
+        load_model("name nonuni\ndim 3\nd phi2 = 1 * phi1^phi2\n")
+    for name in ("torus3", "iwasawa", "heis3"):
+        model = catalogue_model(name)
+        for part, p, q in (("dbar", 3, 2), ("del", 2, 3)):
+            assert not model.operator_matrix(part, p, q).any()
+
+
 # -- d from the structure rules -------------------------------------------
 #
 # Reference: the word-sorting derivation of d.  Each generator in a basis
@@ -193,7 +205,8 @@ _OPS = [(part, p, q) for part in ("del", "dbar") for p in range(4) for q in rang
 
 
 def _ref_verdict(spec):
-    """'Integrability', 'Jacobi' or 'ok' by d^2 = 0 in every bidegree."""
+    """'Integrability', 'Jacobi', 'Unimodularity' or 'ok': d^2 = 0 in every
+    bidegree, then d = 0 on the 5-forms, dbar on (3,2) and del on (2,3)."""
     try:
         ops = _ref_operators(spec)
     except IntegrabilityError:
@@ -207,7 +220,10 @@ def _ref_verdict(spec):
                       + ops["del", p, q + 1] @ ops["dbar", p, q]):
                 if M.size:
                     worst = max(worst, float(np.max(np.abs(M))))
-    return "Jacobi" if worst > 1e-13 else "ok"
+    if worst > 1e-13:
+        return "Jacobi"
+    top = max(np.abs(ops[key]).max() for key in (("dbar", 3, 2), ("del", 2, 3)))
+    return "Unimodularity" if top > 1e-13 else "ok"
 
 
 def normal_form_text(rng, name="nf"):
@@ -275,7 +291,7 @@ def _random_rules_text(rng):
 
 def test_jacobi_verdicts_match_all_bidegree_reference():
     rng = np.random.default_rng(7)
-    seen = {"Integrability": 0, "Jacobi": 0, "ok": 0}
+    seen = {"Integrability": 0, "Jacobi": 0, "Unimodularity": 0, "ok": 0}
     for _ in range(400):
         text = _random_rules_text(rng)
         try:
@@ -285,6 +301,8 @@ def test_jacobi_verdicts_match_all_bidegree_reference():
             got = "Integrability"
         except JacobiError:
             got = "Jacobi"
+        except UnimodularityError:
+            got = "Unimodularity"
         assert got == _ref_verdict(parse_model_text(text)), text
         seen[got] += 1
     assert min(seen.values()) >= 40, seen
