@@ -152,11 +152,20 @@ def torsion_form(metric: Metric, mode: str = "dim3",
                        lambda: _torsion_form(metric, mode, tol))
 
 
+def del_omega_norm(metric: Metric, d_omega: Form = None) -> float:
+    """||del omega||, memoised on the metric; `d_omega` is del omega where
+    the caller has built it.  The memo holds the norm, not the (2,1)-form,
+    which would stay on the metric for as long as it lives."""
+    return metric.memo(("del_omega_norm",), lambda: norm(
+        metric, differential("del", metric.omega) if d_omega is None
+        else d_omega))
+
+
 def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     model = metric.model
     omega = metric.omega
     d_omega = differential("del", omega)
-    scale = max(1.0, norm(metric, d_omega))
+    scale = max(1.0, del_omega_norm(metric, d_omega))
 
     if mode == "skt":
         ddbar = differential("del", differential("dbar", omega))
@@ -208,9 +217,9 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     A = F + vol
     rho02 = conjugate(rho)
     diagnostics = {
-        "del_omega_norm": norm(metric, d_omega),
+        "del_omega_norm": del_omega_norm(metric),
         "f_zero_implies_del_omega": (
-            norm(metric, d_omega) if F < tol else None
+            del_omega_norm(metric) if F < tol else None
         ),
     }
     return TorsionReport(
@@ -343,7 +352,7 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     omega_pow = wedge(omega, omega)              # omega^{n-1} = omega^2
 
     scale = max(1.0, norm(metric, omega))
-    r_kahler = norm(metric, differential("del", omega)) / scale
+    r_kahler = del_omega_norm(metric) / scale
     r_skt = norm(metric, differential("del", differential("dbar", omega))) / scale
     d_pow = differential("del", omega_pow)
     n_pow = norm(metric, d_pow)

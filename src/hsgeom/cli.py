@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -417,6 +418,31 @@ def cmd_descend(args):
 # argument parsing
 
 
+def _positive_tol(text):
+    """--tol: a finite positive float.  A tolerance at or below zero, or
+    NaN, can never be met; argparse exits 2 on the error, before any work."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number, got {text!r}")
+    return tol
+
+
+def _iteration_count(text):
+    """--max-iters: an integer >= 0."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}")
+    return count
+
+
 def _add_common(p):
     p.add_argument("--model", required=True,
                    help="'catalogue:NAME', a lie model file path, or 'torus'")
@@ -426,7 +452,7 @@ def _add_common(p):
                    help="comma-separated active torus coordinates")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_positive_tol, default=None,
                    help="tolerance override (backend default if omitted)")
     p.add_argument("--seed", type=int, default=11)
 
@@ -461,7 +487,8 @@ def build_parser():
     p = sub.add_parser("descend", help="energy descent over the Aeppli class")
     _add_common(p)
     _add_metric_flags(p)
-    p.add_argument("--max-iters", type=int, default=200, dest="max_iters")
+    p.add_argument("--max-iters", type=_iteration_count, default=200,
+                   dest="max_iters")
     p.set_defaults(fn=cmd_descend)
     return ap
 

@@ -9,12 +9,29 @@ Kahler defect per step) is the deliverable, not a convergence theorem.
 
 The step is closed-form.  A is constant along an admissible ray, so by
 F + Vol = A minimizing F is maximizing Vol(t) = (1/6) int (omega + t gamma)^3.
-With L the Cholesky factor of H and lambda the eigenvalues of
-L^{-1} Gamma L^{-H}, det(H + t Gamma) = det H prod (1 + t lambda): Vol is a
-polynomial with coefficients mean(density * e_k(lambda)), and the positive
-cone ends at t_pos = min(-1/lambda) over lambda < 0.  The step maximizes Vol
-on (0, STEP_CAP * t_pos]; F is then recomputed from the torsion system,
-which makes the conservation law a per-step check.
+With H and G the coefficient matrices of omega and gamma, polarisation of
+the 3x3 determinant gives
+
+    det(H + t G) = det H + t tr(adj H G) + t^2 tr(H adj G) + t^3 det G,
+
+so Vol is a cubic whose coefficients are grid means of 8 times those terms,
+each a closed form in the entries (hodge._minors, hodge._complement); no
+pointwise LAPACK runs.  det(H + t G) = det H prod (1 + t lambda) over the
+eigenvalues lambda of H^{-1} G, roots of the monic cubic
+lambda^3 - a1 lambda^2 + a2 lambda - a3 with a_k the terms over det H, and
+the positive cone ends at t_pos = min(-1/lambda) over lambda < 0.  The
+least root is taken in Viete's trigonometric form and polished by one
+Newton step, kept only where it lowers |p(lambda)|, because p' vanishes at
+a repeated root.  There the cubic is ill-conditioned: round-off in its
+coefficients moves the root by about sqrt(eps) of its size, so t_pos is
+good to about 1e-8 relative at a repeated least root and to round-off
+where it is simple, far inside the margin STEP_CAP leaves.  The step
+maximizes Vol on (0, STEP_CAP * t_pos]; F is then recomputed from the
+torsion system, which makes the conservation law a per-step check.
+
+The gradient u, its norm and the Kahler defect ||d omega|| are memoised on
+each metric, so a trace row and the closing certificate share them, and
+||del omega|| is the one analysis.del_omega_norm of the metric.
 """
 
 from __future__ import annotations
@@ -27,8 +44,8 @@ import numpy as np
 
 from . import analysis
 from .forms import Form, conjugate, differential, real_part
-from .hodge import (Metric, NotPositiveError, SolveDiverged, _matrix_of_11,
-                    adjoint_diff, inner, norm)
+from .hodge import (Metric, NotPositiveError, SolveDiverged, _complement,
+                    _matrix_of_11, _minors, adjoint_diff, inner, norm)
 
 
 class _LineSearchError(RuntimeError):
@@ -118,14 +135,23 @@ class DescentResult:
 
 
 def gradient_direction(metric: Metric) -> Form:
-    """Steepest-descent direction u = dbar* omega (a (1,0)-form)."""
-    return adjoint_diff(metric, "dbar", metric.omega)
+    """Steepest-descent direction u = dbar* omega (a (1,0)-form), memoised
+    on the metric."""
+    return metric.memo(("gradient",), lambda: adjoint_diff(
+        metric, "dbar", metric.omega))
+
+
+def _gradient_norm(metric: Metric) -> float:
+    """||dbar* omega||, memoised on the metric."""
+    return metric.memo(("gradient_norm",), lambda: float(
+        norm(metric, gradient_direction(metric))))
 
 
 def _d_norm(metric: Metric) -> float:
-    do = differential("del", metric.omega)
-    dbo = differential("dbar", metric.omega)
-    return float(np.sqrt(norm(metric, do) ** 2 + norm(metric, dbo) ** 2))
+    """||d omega||, memoised on the metric."""
+    return metric.memo(("d_norm",), lambda: float(np.sqrt(
+        analysis.del_omega_norm(metric) ** 2
+        + norm(metric, differential("dbar", metric.omega)) ** 2)))
 
 
 def certify_critical(metric: Metric,
@@ -138,8 +164,7 @@ def certify_critical(metric: Metric,
     is therefore asserted against _KAHLER_BRIDGE * tol rather than
     independently.
     """
-    u = gradient_direction(metric)
-    balanced = norm(metric, u)
+    balanced = _gradient_norm(metric)
     skt = norm(metric, differential(
         "del", differential("dbar", metric.omega)))
     kahler = _d_norm(metric)
@@ -155,18 +180,51 @@ def certify_critical(metric: Metric,
     )
 
 
+def _trace_product(A, B):
+    """Re tr(A B) pointwise over two (*, 3, 3) stacks."""
+    return np.einsum("...ij,...ji->...", A, B).real
+
+
+def _least_root(a1, a2, a3):
+    """Least root of the monic cubic p(x) = x^3 - a1 x^2 + a2 x - a3 with
+    three real roots, pointwise: Viete's trigonometric form about the mean
+    root s = a1 / 3, then one Newton step, kept only where it lowers |p|
+    (a step dividing by p' ~ 0 at a repeated root is dropped)."""
+    s = a1 / 3.0
+    P = a2 - a1 * s                    # x = s + y: y^3 + P y + Q = 0
+    Q = s * (a2 - 2.0 * s * s) - a3
+    r = np.sqrt(np.maximum(-P / 3.0, 0.0))
+    r3 = r ** 3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos3 = np.clip(np.where(r3 > 0, -Q / (2.0 * r3), 0.0), -1.0, 1.0)
+        x = s + 2.0 * r * np.cos((np.arccos(cos3) + 2.0 * np.pi) / 3.0)
+        p = ((x - a1) * x + a2) * x - a3
+        y = x - p / ((3.0 * x - 2.0 * a1) * x + a2)
+        lower = np.abs(((y - a1) * y + a2) * y - a3) < np.abs(p)
+    return np.where(lower, y, x)
+
+
+def _cubic_terms(H, G):
+    """tr(adj H G), tr(H adj G) and det G over two Hermitian (*, 3, 3)
+    stacks: the coefficients of t, t^2 and t^3 in det(H + t G).  adj G is
+    the complement of G's minors and det G a cofactor expansion along row
+    0, because the pivots of hodge._adjugate need a positive definite
+    matrix and G is indefinite."""
+    adj_G = _complement(_minors(G))
+    det_G = np.einsum("...j,...j->...", G[..., 0, :], adj_G[..., :, 0]).real
+    return (_trace_product(_complement(_minors(H)), G),
+            _trace_product(H, adj_G), det_G)
+
+
 def _volume_polynomial(metric: Metric, gamma: Form):
-    """Coefficients c_0..c_n of Vol(omega + t gamma) in t, and t_pos (inf
-    if gamma is nowhere negative); see the module docstring."""
-    G = _matrix_of_11(gamma)
-    Linv = np.linalg.inv(np.linalg.cholesky(metric.H))
-    lam = np.linalg.eigvalsh(Linv @ G @ np.conj(np.swapaxes(Linv, -1, -2)))
-    e = np.zeros(lam.shape[:-1] + (metric.n + 1,))
-    e[..., 0] = 1.0
-    for j in range(metric.n):
-        e[..., 1:] += lam[..., j, None] * e[..., :-1]
-    coeffs = np.array([metric.model.mean(metric.density * e[..., k]).real
-                       for k in range(metric.n + 1)])
+    """Coefficients c_0..c_3 of Vol(omega + t gamma) in t, and t_pos (inf
+    if gamma is nowhere negative), by polarisation (_cubic_terms) and the
+    least root of the lambda-cubic (_least_root); see the module docstring.
+    Where the least lambda is a repeated root, t_pos is good to about
+    sqrt(eps) relative."""
+    terms = (metric.detH, *_cubic_terms(metric.H, _matrix_of_11(gamma)))
+    coeffs = np.array([metric.model.mean(8.0 * term).real for term in terms])
+    lam = _least_root(*(term / metric.detH for term in terms[1:]))
     neg = lam[lam < 0]
     return coeffs, (float(np.min(-1.0 / neg)) if neg.size else np.inf)
 
@@ -181,16 +239,14 @@ def _best_step(coeffs, t_max):
 
 
 def _row(k, metric, opts):
-    """Trace row of iterate k, step columns blank, with u and ||u||."""
+    """Trace row of iterate k, step columns blank."""
     rep = analysis.torsion_form(metric, mode=opts.torsion_mode)
-    u = gradient_direction(metric)
-    g = norm(metric, u)
-    row = {"k": k, "F": rep.energy, "vol": rep.volume,
-           "gen_vol": rep.generalized_volume, "grad_norm": float(g),
-           "d_omega_norm": _d_norm(metric),
-           "step": None, "armijo_trials": None, "slope_formula": None,
-           "slope_secant": None, "slope_rel_err": None}
-    return row, u, g
+    return {"k": k, "F": rep.energy, "vol": rep.volume,
+            "gen_vol": rep.generalized_volume,
+            "grad_norm": _gradient_norm(metric),
+            "d_omega_norm": _d_norm(metric),
+            "step": None, "armijo_trials": None, "slope_formula": None,
+            "slope_secant": None, "slope_rel_err": None}
 
 
 def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
@@ -208,12 +264,13 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
     trace = DescentTrace(options=asdict(opts))
 
     metric = metric0
-    row, u, g = _row(0, metric, opts)
+    row = _row(0, metric, opts)
     trace.append(row)
 
     for k in range(opts.max_iters):
-        if g < opts.tol:
+        if row["grad_norm"] < opts.tol:
             break
+        u = gradient_direction(metric)
         # del ubar + dbar u is real identically; resymmetrising here keeps
         # roundoff skew from feeding back through u = dbar* omega, which
         # amplifies it geometrically along the iteration otherwise
@@ -223,8 +280,8 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
 
         coeffs, t_pos = _volume_polynomial(metric, direction)
         gain, t = _best_step(coeffs, STEP_CAP * t_pos)
-        state = {"k": k, "grad_norm": g, "step": t, "t_pos": t_pos,
-                 "gain": gain, "slope": slope,
+        state = {"k": k, "grad_norm": row["grad_norm"], "step": t,
+                 "t_pos": t_pos, "gain": gain, "slope": slope,
                  **{c: row[c] for c in ("F", "vol", "gen_vol")}}
         if not gain > _STALL_ULPS * np.finfo(float).eps * coeffs[0]:
             raise LineSearchStalled(
@@ -238,13 +295,14 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
                 state=state, trace=trace) from exc
 
         try:
-            new_row, new_u, new_g = _row(k + 1, accepted, opts)
+            new_row = _row(k + 1, accepted, opts)
         except (analysis.NotFeasibleError, SolveDiverged) as exc:
             exc.trace = trace
             raise
         # slope of F along the old direction at the endpoint; the trapezoid
         # matches the secant exactly when Vol is quadratic along the ray
-        slope_end = -2.0 * float(np.real(inner(accepted, u, new_u)))
+        slope_end = -2.0 * float(np.real(inner(
+            accepted, u, gradient_direction(accepted))))
         secant = (new_row["F"] - row["F"]) / t
         trapezoid = 0.5 * (slope + slope_end)
         denom = max(abs(trapezoid), abs(secant), 1e-300)
@@ -252,9 +310,10 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
                    slope_formula=float(slope), slope_secant=float(secant),
                    slope_rel_err=float(abs(secant - trapezoid) / denom))
 
-        metric, row, u, g = accepted, new_row, new_u, new_g
+        metric, row = accepted, new_row
         trace.append(row)
 
-    trace.termination = "converged" if g < opts.tol else "max_iters"
+    trace.termination = ("converged" if row["grad_norm"] < opts.tol
+                         else "max_iters")
     cert = certify_critical(metric, opts.tol)
     return DescentResult(trace=trace, metric=metric, certificate=cert)

@@ -225,8 +225,9 @@ class Metric:
     Per-metric results go through `memo(key, build)`, one dict keyed by
     tagged tuples: min_eigenvalue, compounds and the per-side factors built
     from them, Gram Cholesky factors and inverses, wedge-omega matrices,
-    _lie_ritz, _scale, _symbol_pinv, torsion reports, the feasibility
-    certificate and the Lefschetz split.  Dense pairings, stars and kernels keep their own
+    _lie_ritz, _scale, _symbol_pinv, torsion reports, ||del omega||, the
+    descent gradient and its norms, the feasibility certificate and the
+    Lefschetz split.  Dense pairings, stars and kernels keep their own
     _pairing_cache, _star_cache and _kernel_cache, because the benchmark
     tracer (perfbench/spans.py) wraps `pairing` and `star_matrix` by name
     and counts the misses of those caches.  Only the invariant backend

@@ -352,6 +352,42 @@ def test_descend_zero_iters(tmp_path):
     assert summary["termination"] == "max_iters"
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--model", "catalogue:torus3", "--tol", "-1"],
+    ["report", "--model", "catalogue:torus3", "--tol", "nan"],
+    ["report", "--model", "catalogue:torus3", "--tol", "0"],
+    ["report", "--model", "catalogue:torus3", "--tol", "inf"],
+    [*DESCEND_ARGS[:-4], "--tol", "nan", "--out", "unused"],
+    [*DESCEND_ARGS[:-4], "--tol", "-1", "--out", "unused"],
+    [*DESCEND_ARGS[:-4], "--tol", "0", "--out", "unused"],
+    [*DESCEND_ARGS[:-2], "--max-iters", "-1", "--out", "unused"],
+], ids=["report-tol-neg", "report-tol-nan", "report-tol-zero",
+        "report-tol-inf", "descend-tol-nan", "descend-tol-neg",
+        "descend-tol-zero", "descend-max-iters-neg"])
+def test_unmeetable_tol_or_negative_max_iters_is_rejected(argv, monkeypatch,
+                                                          capsys):
+    # argparse exits 2 before any command runs; the library's
+    # DescentOptions(tol=0.0) stays valid, and --max-iters 0 is a run
+    from hsgeom import cli
+
+    ran = []
+    for name in ("cmd_report", "cmd_descend"):
+        monkeypatch.setattr(cli, name, lambda args: ran.append(args) or 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert ran == []
+    flag = "--max-iters" if "--max-iters" in argv else "--tol"
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_descend_nan_tol_exits_2(tmp_path):
+    out = tmp_path / "run"
+    proc = run_cli(*DESCEND_ARGS[:-4], "--tol", "nan", "--out", str(out))
+    assert proc.returncode == 2
+    assert not out.exists()
+
+
 def test_descend_then_report_round_trip(tmp_path):
     """The exported final metric feeds back through --metric."""
     out = tmp_path / "run"

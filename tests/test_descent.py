@@ -9,8 +9,9 @@ import pytest
 
 from hsgeom import descent
 from hsgeom.forms import (coeff_norm, conjugate, differential,
-                          flat_metric_form, real_part)
-from hsgeom.hodge import Metric, NotPositiveError, adjoint_diff, norm
+                          flat_metric_form, real_part, zero_form)
+from hsgeom.hodge import (Metric, NotPositiveError, _adjugate, _matrix_of_11,
+                          adjoint_diff, norm)
 from hsgeom.torus import standard_fixture
 from hsgeom.descent import (
     STEP_CAP,
@@ -76,6 +77,109 @@ def test_step_beats_brute_force_volume(eps_metric, three_coord):
         best = max(Metric(real_part(g.omega + s * gamma)).volume
                    for s in grid)
         assert vol_t >= best - 1e-13
+
+
+def _eigvalsh_route(H, G):
+    """The volume cubic by the reference route: lambda, the eigenvalues of
+    L^-1 G L^-H by inv(cholesky) and eigvalsh, ascending, and the elementary
+    symmetric sums e_0..e_3 of lambda and of |lambda|."""
+    Linv = np.linalg.inv(np.linalg.cholesky(H))
+    lam = np.linalg.eigvalsh(Linv @ G @ np.conj(np.swapaxes(Linv, -1, -2)))
+    sums = []
+    for x in (lam, np.abs(lam)):
+        e = np.zeros(lam.shape[:-1] + (4,))
+        e[..., 0] = 1.0
+        for j in range(3):
+            e[..., 1:] += x[..., j, None] * e[..., :-1]
+        sums.append(e)
+    return lam, *sums
+
+
+def _t_pos(least):
+    neg = least[least < 0]
+    return float(np.min(-1.0 / neg)) if neg.size else np.inf
+
+
+@pytest.mark.parametrize("name, eps", [("two_coord", 0.05),
+                                       ("three_coord", 0.05),
+                                       ("three_coord", 0.2)])
+def test_volume_cubic_matches_the_eigvalsh_route(name, eps):
+    g = Metric(standard_fixture(name, resolution=16, eps=eps)[3])
+    _, gamma = _direction(g)
+    coeffs, t_pos = descent._volume_polynomial(g, gamma)
+    lam, e, e_abs = _eigvalsh_route(g.H, _matrix_of_11(gamma))
+    for k in range(4):
+        want = g.model.mean(g.density * e[..., k]).real
+        scale = g.model.mean(g.density * e_abs[..., k]).real
+        assert abs(coeffs[k] - want) <= 1e-13 * scale, k
+    # the least lambda of the point that sets t_pos is a simple root
+    at = np.unravel_index(np.argmin(lam[..., 0]), lam.shape[:-1])
+    assert lam[at][1] - lam[at][0] >= 1e-2 * abs(lam[at][0])
+    assert t_pos == pytest.approx(_t_pos(lam[..., 0]), rel=1e-11)
+
+
+def _stack(rng, lams, points=500):
+    """Random Hermitian positive H and Hermitian G over `points`, with the
+    eigenvalues of H^-1 G equal to `lams` up to round-off."""
+    def gaussian():
+        return (rng.standard_normal((points, 3, 3))
+                + 1j * rng.standard_normal((points, 3, 3)))
+    A = gaussian()
+    H = A @ np.conj(np.swapaxes(A, -1, -2)) / 3 + np.eye(3)
+    L = np.linalg.cholesky(H)
+    Q = np.linalg.qr(gaussian())[0]
+    G = L @ Q @ (np.asarray(lams)[:, None] * np.conj(
+        np.swapaxes(Q, -1, -2))) @ np.conj(np.swapaxes(L, -1, -2))
+    return H, 0.5 * (G + np.conj(np.swapaxes(G, -1, -2)))
+
+
+@pytest.mark.parametrize("lams, rel", [
+    ([-1.0, 0.5, 2.0], 1e-11),
+    ([-1.0, -0.99, 3.0], 1e-11),           # least two 1e-2 apart
+    ([-1.0, -1.0 + 1e-6, 0.5], 1e-7),      # near-double least roots
+    ([-1.0, -1.0 + 1e-9, 0.5], 1e-7),
+    ([-1.0, -1.0, 3.0], 1e-7),             # exact double
+    ([-1.0, -1.0, -1.0], 1e-7),            # triple
+    ([-1.0, 2.0, 2.0], 1e-11),             # double, but not the least
+], ids=["simple", "gap-1e-2", "near-double-1e-6", "near-double-1e-9",
+        "double", "triple", "double-not-least"])
+def test_least_root_matches_eigvalsh(lams, rel):
+    """Coefficients to 1e-13 of their absolute scale at every point; the
+    least root to 1e-11 where it is simple, and to about sqrt(eps) where it
+    is repeated, because the Newton polish is kept only where it lowers
+    |p|: unguarded, it divides by p' ~ 0 there."""
+    H, G = _stack(np.random.default_rng(7), lams)
+    det_H = _adjugate(H)[0]
+    terms = descent._cubic_terms(H, G)
+    lam, e, e_abs = _eigvalsh_route(H, G)
+    for k, term in enumerate(terms, 1):
+        err = np.abs(term - det_H * e[:, k]) / (det_H * e_abs[:, k])
+        assert err.max() <= 1e-13, k
+    least = descent._least_root(*(term / det_H for term in terms))
+    assert np.abs(least / lam[:, 0] - 1).max() <= rel
+    assert _t_pos(least) == pytest.approx(_t_pos(lam[:, 0]), rel=rel)
+
+
+def test_t_pos_is_inf_without_a_negative_lambda(eps_metric):
+    model = eps_metric.model
+    # G = 0: every term vanishes and the least root is 0
+    coeffs, t_pos = descent._volume_polynomial(eps_metric,
+                                               zero_form(model, 1, 1))
+    assert t_pos == np.inf
+    assert list(coeffs[1:]) == [0.0, 0.0, 0.0]
+    # G = H: det(H + t H) = (1 + t)^3 det H, a triple root lambda = 1
+    coeffs, t_pos = descent._volume_polynomial(eps_metric, eps_metric.omega)
+    assert t_pos == np.inf
+    assert coeffs == pytest.approx(eps_metric.volume * np.array([1, 3, 3, 1]),
+                                   rel=1e-14)
+    # positive lambda at half the points, G = 0 at the others
+    H, G = _stack(np.random.default_rng(3), [0.1, 0.5, 2.0], points=40)
+    G[::2] = 0.0
+    det_H = _adjugate(H)[0]
+    least = descent._least_root(*(term / det_H
+                                  for term in descent._cubic_terms(H, G)))
+    assert np.all(least[::2] == 0.0) and np.all(least[1::2] > 0)
+    assert _t_pos(least) == np.inf
 
 
 def test_best_step_takes_the_cap_on_a_rising_volume():
@@ -196,6 +300,44 @@ def test_line_search_stall_carries_state(eps_metric, monkeypatch):
     assert state["gain"] < 1e-13
     assert state["F"] == ei.value.trace.iterates[0]["F"]
     assert built == []  # the metric never moved
+
+
+@pytest.mark.parametrize("name, resolution", [("two_coord", 16),
+                                              ("three_coord", 8)])
+def test_descent_step_runs_no_grid_lapack(name, resolution, monkeypatch):
+    """No eigvalsh, inv or cholesky runs on a grid stack in a descent step;
+    one on a single 3x3 (the symbol's mean metric) is allowed."""
+    def pointwise_only(fn):
+        def wrapped(a, *args, **kwargs):
+            assert np.ndim(a) <= 2, (fn.__name__, np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapped
+    omega = standard_fixture(name, resolution=resolution, eps=0.05)[3]
+    for fn in ("eigvalsh", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, fn,
+                            pointwise_only(getattr(np.linalg, fn)))
+    trace = descend(Metric(omega), DescentOptions(max_iters=3)).trace
+    assert trace.column("step")[0] > 0
+
+
+def test_one_gradient_per_metric(monkeypatch):
+    """The trace rows and the certificate share one u = dbar* omega per
+    metric, and the certificate's defects are the final row's."""
+    builds, metrics = [], []
+    build = descent.adjoint_diff
+    monkeypatch.setattr(descent, "adjoint_diff",
+                        lambda *a: builds.append(a[0]) or build(*a))
+    monkeypatch.setattr(descent, "Metric",
+                        lambda omega: metrics.append(Metric(omega))
+                        or metrics[-1])
+    omega = standard_fixture("three_coord", resolution=8, eps=0.05)[3]
+    res = descend(Metric(omega), DescentOptions(max_iters=3))
+    assert len(res.trace.iterates) == 4
+    assert len(builds) == 1 + len(metrics) == 4
+    assert len({id(g) for g in builds}) == 4
+    final, cert = res.trace.final, res.certificate
+    assert cert.balanced_defect == final["grad_norm"]
+    assert cert.kahler_defect == final["d_omega_norm"]
 
 
 def test_positivity_boundary_type():
