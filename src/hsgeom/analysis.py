@@ -30,7 +30,7 @@ from .forms import (Form, coeff_norm, conjugate, differential,
 from .hodge import (_POS_TOL, Metric, _adjugate, _positive, _trailing,
                     adjoint_diff, contract, contract_trace, form_of_11,
                     green_solve, harmonic_basis, harmonic_project, inner,
-                    laplacian, min_norm_lstsq, norm, pointwise_inner)
+                    laplacian, min_norm_lstsq, norm, pointwise_inner, star)
 from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
@@ -358,8 +358,17 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     n_pow = norm(metric, d_pow)
     r_bal = n_pow / scale
     r_gau = norm(metric, differential("dbar", d_pow)) / scale
-    # relative distance of d_pow from the image of dbar
-    r_sg = _dbar_potential(metric, d_pow)[1] / n_pow if n_pow else 0.0
+    # relative distance of d_pow from the image of dbar, taken on the
+    # Serre-dual side: conj o star is an L2 isometry (3,2) -> (0,1) that
+    # commutes with Delta'' and maps im dbar onto im dbar*, so it is the
+    # distance of w = conj star d_pow from im dbar*, w - dbar* G''(dbar w).
+    # Its Green solve runs on (0,2), whose harmonic basis the torsion
+    # section needs too; none is built on (3,2).
+    r_sg = 0.0
+    if n_pow:
+        w = conjugate(star(metric, d_pow))
+        r_sg = norm(metric, w - adjoint_diff(metric, "dbar", green_solve(
+            metric, "dbar", differential("dbar", w)))) / n_pow
 
     if model.kind == "lie":
         cert = hs_feasibility(metric)

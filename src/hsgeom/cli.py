@@ -60,7 +60,15 @@ class _InputError(ValueError):
 
 
 def _sanitize(obj):
-    """Make an object JSON-serializable and deterministic."""
+    """Make an object JSON-serializable and deterministic.  Python ints,
+    strings, None and floats, the commonest leaves, are matched by exact
+    type first; subclasses such as bool and np.float64 take the isinstance
+    chain."""
+    kind = type(obj)
+    if kind is int or kind is str or obj is None:
+        return obj
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -71,12 +79,12 @@ def _sanitize(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return v if np.isfinite(v) else repr(v)
+        return v if math.isfinite(v) else repr(v)
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
-    if obj is None or isinstance(obj, str):
+    if isinstance(obj, str):
         return obj
     if hasattr(obj, "to_json"):
         return _sanitize(obj.to_json())

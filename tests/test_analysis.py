@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hsgeom import standard_fixture, synthesize_form
 from hsgeom.forms import (
+    Form,
     coeff_norm,
     conjugate,
     differential,
@@ -246,6 +247,58 @@ def test_classify_three_coord(three_coord):
     assert c.set_fractions["null"] < 0.5
     assert c.set_fractions["positive"] > 0.25
     assert c.set_fractions["negative"] > 0.25
+
+
+def _sg_on_32(metric):
+    """The sG residual on the (3,2) side: the distance of del omega^2 from
+    im dbar by a Green solve on (3,2), relative to ||del omega^2||."""
+    d_pow = differential("del", wedge(metric.omega, metric.omega))
+    return analysis._dbar_potential(metric, d_pow)[1] / norm(metric, d_pow)
+
+
+def _heis3_perturbed(heis3):
+    u = Form(heis3, 1, 0, np.array([0.031 - 0.012j, 0.004 + 0.022j,
+                                    -0.04 + 0.017j]))
+    return Metric(flat_metric_form(heis3) + differential("del", conjugate(u))
+                  + differential("dbar", u))
+
+
+@pytest.mark.parametrize("case", ["three_coord 0.05", "three_coord 0.2",
+                                  "heis3"])
+def test_sg_membership_matches_the_32_route(case, heis3):
+    # the Serre-dual (0,1) route of classify_metric against the (3,2) one
+    if case == "heis3":
+        g = _heis3_perturbed(heis3)
+    else:
+        name, eps = case.split()
+        g = Metric(standard_fixture(name, resolution=8, eps=float(eps))[3])
+    r_sg = classify_metric(g).residuals["sg_membership"]
+    ref = _sg_on_32(g)
+    assert abs(r_sg - ref) <= 1e-9 * ref
+
+
+def test_sg_membership_vanishes_on_two_coord():
+    g = Metric(standard_fixture("two_coord", resolution=8, eps=EPS)[3])
+    c = classify_metric(g)
+    assert c.residuals["sg_membership"] <= 1e-12 and _sg_on_32(g) <= 1e-12
+    assert c.strongly_gauduchon
+
+
+def test_grid_classification_builds_no_32_kernel(monkeypatch):
+    # the sG test shares the (0,2) harmonic basis of the torsion section:
+    # no Green solve on (3,2), nor on (0,0) for the (0,1) start block that
+    # the (3,2) basis would be conj star of
+    from hsgeom import hodge
+
+    solved, pcg = [], hodge._pcg
+    monkeypatch.setattr(hodge, "_pcg", lambda metric, kind, b, *rest:
+                        solved.append((b.p, b.q)) or pcg(metric, kind, b, *rest))
+    g = Metric(standard_fixture("three_coord", resolution=8, eps=EPS)[3])
+    classify_metric(g)
+    energy_and_volume(g)
+    assert (0, 2) in solved
+    assert not {(0, 0), (3, 2)} & set(solved)
+    assert not any(key[1:] == (3, 2) for key in g._kernel_cache)
 
 
 def test_classify_lie_catalogue(lie_models):

@@ -449,3 +449,52 @@ def test_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys):
     assert "descent/summary.json" in fresh
     for name in fresh:
         assert reused[name] == fresh[name], name
+
+
+def _sanitize_by_isinstance(obj):
+    """The isinstance chain that cli._sanitize falls back to, with no
+    exact-type shortcut: the reference for its output."""
+    import numpy as np
+
+    if isinstance(obj, dict):
+        return {str(k): _sanitize_by_isinstance(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitize_by_isinstance(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        v = float(obj)
+        return v if np.isfinite(v) else repr(v)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, np.ndarray):
+        return _sanitize_by_isinstance(obj.tolist())
+    if obj is None or isinstance(obj, str):
+        return obj
+    if hasattr(obj, "to_json"):
+        return _sanitize_by_isinstance(obj.to_json())
+    return repr(obj)
+
+
+def test_sanitize_matches_the_isinstance_chain():
+    import collections
+
+    import numpy as np
+
+    from hsgeom import cli
+
+    class Doc:
+        def to_json(self):
+            return {"inner": [np.float32(0.5), (1, "x")]}
+
+    leaves = [1, -7, True, False, np.bool_(True), np.int64(3), 2.5, -0.0,
+              float("nan"), float("inf"), -float("inf"), np.float64(1e-300),
+              np.float64("nan"), 1 + 2j, np.complex128(3 - 4j), None, "s",
+              np.arange(3.0), np.array([[1, 2]]), (4, 5.5), Doc(), object]
+    doc = {"leaves": leaves, 3: {"nested": leaves[::-1]},
+           "ordered": collections.OrderedDict(b=1.0, a=[None])}
+    got, want = cli._sanitize(doc), _sanitize_by_isinstance(doc)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert [type(v) for v in got["leaves"]] == [type(v) for v in want["leaves"]]
