@@ -4,13 +4,19 @@
 For each grid resolution, perturb the standard fixture metric by a batch of
 random admissible directions u (omega -> omega + del conj(u) + dbar u) and
 record the worst relative drift of A together with the torsion-transport
-residual |rho_u - (rho_0 + del u)|.  Both should sit at solver accuracy and
-shrink with resolution; a systematic plateau would indicate a discretisation
-bias in the volume or torsion solves.
+residual |rho_u - (rho_0 + del u)|.  The dim3 torsion is a dbar preimage of
+-del omega minus its harmonic part, exact up to round-off and found with no
+iterative solve, so both columns read round-off at every resolution: with
+the defaults below the drift is 3.3e-16 at N = 8, 16 and 32, where a PCG
+torsion solve stopped at relative residual 1e-9 left 4.4e-14, 3.3e-12 and
+6.5e-12, and the transport residual is at most 1.2e-16 (PCG: 3.5e-10).  A
+drift well above round-off would indicate a bias in the volume or the
+torsion.
 
-A sample whose torsion solve fails (SolveDiverged or NotFeasibleError) is
-counted in the `failed` column and left out of the worst-case columns; the
-script exits with status 1 if any sample failed.
+A sample whose torsion extraction fails (NotFeasibleError) is counted in
+the `failed` column and left out of the worst-case columns; the script
+exits with status 1 if any sample failed.  The extraction runs no Green
+solve, so it cannot raise SolveDiverged.
 
     python scripts/aeppli_invariance_sweep.py --resolutions 8 16 32 \
         --samples 20 --seed 2026 --csv out/sweep.csv
@@ -25,7 +31,7 @@ import numpy as np
 
 from hsgeom import standard_fixture
 from hsgeom.analysis import NotFeasibleError, aeppli_perturb, energy_and_volume
-from hsgeom.hodge import Metric, SolveDiverged
+from hsgeom.hodge import Metric
 from hsgeom.torus import synthesize_form
 
 
@@ -61,7 +67,7 @@ def sweep(fixture, resolution, eps, samples, seed):
         u = random_potential(model, rng)
         try:
             _, rep = aeppli_perturb(g, u, mode="dim3")
-        except (SolveDiverged, NotFeasibleError):
+        except NotFeasibleError:
             failed += 1
             continue
         worst_da = max(worst_da, abs(rep.a_change) / abs(base.generalized_volume))

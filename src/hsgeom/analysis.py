@@ -132,10 +132,11 @@ def torsion_least_squares(metric: Metric) -> Form:
 
 def torsion_form(metric: Metric, mode: str = "dim3",
                  tol: float = None) -> TorsionReport:
-    """Minimal torsion form by the Green-operator formulas.
+    """Minimal torsion form.
 
     hs_min: rho = -G_bc[dbar* del omega + dbar* del del* del omega]
-    dim3:   rho = -G_dbar[dbar* del omega]           (n = 3 shortcut)
+    dim3:   rho = rho0 - H''(rho0), rho0 = -dbar_preimage(del omega) (n = 3
+            shortcut; dbar on (2,0) is metric-free, H'' is harmonic_project)
     skt:    the same formula, but only Im(dbar*)-minimality is claimed and
             the metric must be pluriclosed.
 
@@ -185,16 +186,17 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
                 certificate=cert,
             )
 
-    rhs = adjoint_diff(metric, "dbar", d_omega)
     if mode == "hs_min":
+        rhs = adjoint_diff(metric, "dbar", d_omega)
         extra = adjoint_diff(
             metric, "dbar",
             differential("del", adjoint_diff(metric, "del", d_omega)),
         )
         rho = -1.0 * green_solve(metric, "bc", rhs + extra)
         min_kind = "bc"
-    else:
-        rho = -1.0 * green_solve(metric, "dbar", rhs)
+    else:       # dbar on (2,0) is metric-free; only the minimality is not
+        rho = Form(model, 2, 0, -model.dbar_preimage(2, 0, d_omega.coeffs))
+        rho = rho - harmonic_project(metric, "dbar", rho)
         min_kind = "dbar"
 
     res_del = norm(metric, differential("del", rho)) / scale

@@ -408,7 +408,7 @@ def cmd_descend(args):
     except (descent.LineSearchStalled, descent.PositivityBoundary,
             analysis.NotFeasibleError, SolveDiverged) as exc:
         trace = getattr(exc, "trace", None)
-        if trace is None:       # the torsion solve of iterate 0 failed
+        if trace is None:       # the torsion of iterate 0 failed
             sys.stdout.write(_dump_json(_error_doc(args, exc)))
             return EXIT_NUMERICAL
         trace.termination = type(exc).__name__

@@ -257,8 +257,8 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
     `armijo_trials` (name kept) counts the one Metric each step builds.  A
     step that cannot be taken raises with the partial trace and state:
     LineSearchStalled if its volume gain is round-off, PositivityBoundary if
-    its metric form is not positive.  A NotFeasibleError or SolveDiverged
-    from the torsion solve of a later iterate carries the partial trace too.
+    its metric form is not positive.  A NotFeasibleError, or in hs_min mode
+    a SolveDiverged, from a later iterate's torsion carries the trace too.
     """
     opts = opts or DescentOptions()
     trace = DescentTrace(options=asdict(opts))

@@ -253,6 +253,12 @@ class LieModel:
     def apply_differential(self, part, p, q, coeffs):
         return self.operator_matrix(part, p, q) @ coeffs
 
+    def dbar_preimage(self, p, q, v):
+        """x of bidegree (p,q) with dbar x = v for dbar-exact v: the
+        memoised pseudo-inverse of the dbar matrix applied to v."""
+        return self.memo(("dbar_pinv", p, q), lambda: np.linalg.pinv(
+            self.operator_matrix("dbar", p, q), rcond=_RANK_TOL)) @ v
+
     @staticmethod
     def mean(field):
         return field

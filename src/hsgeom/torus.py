@@ -113,6 +113,23 @@ class TorusModel:
                 out[c_out] += sign * sym[c1] * spec[c2]
         return np.fft.ifftn(out, axes=self.spectral_axes)
 
+    def dbar_preimage(self, p, q, v):
+        """x of bidegree (p,q) with dbar x = v for dbar-exact (p,q+1)
+        coefficients v: the adjoint of apply_differential's loop (conjugate
+        symbols) over sum_j |zbh_j|^2.  On a nonzero mode dbar is a ^ with
+        a = sum_j zbh_j dzbar^j, and the Koszul identity e e* + e* e = |a|^2
+        makes this exact; the zero mode of x is 0."""
+        out = np.zeros((_basis.degree_dims(self.n, p, q),) + self.grid_shape,
+                       dtype=np.complex128)
+        spec = np.fft.fftn(v, axes=self.spectral_axes)
+        for c1, c2, c_out, sign in _basis.wedge_table(self.n, 0, 1, p, q):
+            if self.zbh[c1] is not None:
+                out[c2] += sign * np.conj(self.zbh[c1]) * spec[c_out]
+        mass = sum((abs(z) ** 2 for z in self.zbh if z is not None),
+                   np.zeros(self.grid_shape))
+        mass.flat[0] = np.inf           # the zero mode, where dbar is 0
+        return np.fft.ifftn(out / mass, axes=self.spectral_axes)
+
     # -- grid helpers ---------------------------------------------------------
 
     def coordinate_grids(self):

@@ -204,12 +204,16 @@ def test_criterion_03_torsion_routes(eps_metric, torus3_metric):
 
 
 def test_criterion_04_generalized_volume_invariance(eps_metric, family16):
-    """A is constant over random Aeppli moves, and more so on a finer grid."""
+    """A is constant over random Aeppli moves, to round-off at N=16 and 32.
+
+    The torsion is exact (a dbar preimage, no iterative solve), so neither
+    grid carries a solver stopping residual and the drift is round-off on
+    both; there is no discretisation error left for refinement to shrink."""
     with runtime_cap(120.0) as box:
         base = analysis.energy_and_volume(eps_metric, mode="dim3")
         a0 = base.generalized_volume
         defect16 = max(abs(rep.a_change) / abs(a0) for _, _, rep in family16)
-        assert defect16 < 1e-6
+        assert defect16 <= 1e-13
 
         model = eps_metric.model
         fine = refine(model, 2)
@@ -224,7 +228,7 @@ def test_criterion_04_generalized_volume_invariance(eps_metric, family16):
                                              mode="dim3")
             defect32 = max(defect32,
                            abs(rep.generalized_volume - a0_fine) / abs(a0_fine))
-        assert defect32 < defect16
+        assert defect32 <= 1e-13
     report_line(4, "generalized-volume invariance",
                 f"N=16 {defect16:.1e} -> N=32 {defect32:.1e}", box)
 

@@ -19,8 +19,8 @@ from hsgeom.forms import (
     wedge,
 )
 from hsgeom import analysis
-from hsgeom.hodge import (Metric, adjoint_diff, harmonic_project, inner, norm,
-                          pointwise_inner)
+from hsgeom.hodge import (Metric, adjoint_diff, green_solve, harmonic_project,
+                          inner, norm, pointwise_inner)
 from hsgeom.lie import hs_feasibility
 from hsgeom.analysis import (
     TORSION_MODES,
@@ -82,13 +82,51 @@ def test_volume_energy_duality(eps_metric, three_coord):
         assert abs(rep.generalized_volume - 1.0) < 1e-9
 
 
-def test_routes_agree(eps_metric):
-    reps = {m: torsion_form(eps_metric, mode=m) for m in TORSION_MODES}
-    base = reps["dim3"].rho20
-    for m in TORSION_MODES:
-        assert norm(eps_metric, reps[m].rho20 - base) < 1e-8
-    lsq = torsion_least_squares(eps_metric)
-    assert norm(eps_metric, lsq - base) < 1e-8
+@pytest.fixture(scope="module")
+def three_coord8_eps02():
+    return Metric(standard_fixture("three_coord", resolution=8, eps=0.2)[3])
+
+
+def test_routes_agree(eps_metric, three_coord8_eps02):
+    for g in (eps_metric, three_coord8_eps02):
+        reps = {m: torsion_form(g, mode=m) for m in TORSION_MODES}
+        base = reps["dim3"].rho20
+        for m in TORSION_MODES:
+            assert norm(g, reps[m].rho20 - base) < 1e-8
+        lsq = torsion_least_squares(g)
+        assert norm(g, lsq - base) < 1e-8
+
+
+def green_torsion(metric):
+    """The Green-operator route to the dim3 torsion, rho = -G''(dbar* del
+    omega): PCG to its stopping residual, the reference for torsion_form's
+    dbar preimage."""
+    rhs = adjoint_diff(metric, "dbar", differential("del", metric.omega))
+    return -1.0 * green_solve(metric, "dbar", rhs)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_torsion_matches_green_reference(eps):
+    g = Metric(standard_fixture("three_coord", resolution=8, eps=eps)[3])
+    rep = torsion_form(g, mode="dim3")
+    ref = green_torsion(g)
+    assert norm(g, rep.rho20 - ref) <= 1e-9 * norm(g, ref)
+    # the preimage is exact where the solve stops at its tolerance
+    assert rep.residuals["dbar_rho_plus_del_omega"] <= 1e-13
+    assert rep.residuals["del_rho"] <= 1e-13
+    assert rep.residuals["minimality"] <= 1e-13 * norm(g, ref)
+
+
+def test_grid_torsion_runs_no_pcg(monkeypatch):
+    from hsgeom import hodge
+
+    solved, pcg = [], hodge._pcg
+    monkeypatch.setattr(hodge, "_pcg", lambda metric, kind, b, *rest:
+                        solved.append((b.p, b.q)) or pcg(metric, kind, b, *rest))
+    g = Metric(standard_fixture("three_coord", resolution=8, eps=EPS)[3])
+    rep = torsion_form(g, "dim3")
+    assert solved == []
+    assert rep.energy > 0
 
 
 def test_routes_agree_lie(torus3_metric):

@@ -313,8 +313,8 @@ def test_er_guards(torus3, two_coord):
 
 
 def test_report_builds_each_result_once(tmp_path, monkeypatch):
-    """Two reports on one freshly loaded model: one torsion solve per
-    metric, and every metric-free object built once across both reports:
+    """Two reports on one freshly loaded model: one torsion extraction
+    per metric, and every metric-free object built once across both reports:
     the page data and the page summary per r, the page-r Bott-Chern/Aeppli
     groups for r = 1 (the classical tables) and r = 2, and the Betti
     numbers.  Rerunning the first report reproduces it byte for byte."""
@@ -324,9 +324,9 @@ def test_report_builds_each_result_once(tmp_path, monkeypatch):
     path.write_text(text)
     fresh = cli.load_model(text)
     monkeypatch.setattr(cli, "load_model", lambda _: fresh)
-    pages, summaries, higher, betti, solves = [], [], [], [], []
+    pages, summaries, higher, betti, extractions = [], [], [], [], []
     page_init = cohomology._PageData.__init__
-    green = analysis.green_solve
+    extract = analysis._torsion_form
 
     def counting_page_init(self, model, r):
         pages.append(r)
@@ -338,10 +338,9 @@ def test_report_builds_each_result_once(tmp_path, monkeypatch):
             return build(model, *args)
         return wrapper
 
-    def counting_green(metric, kind, b, **kw):
-        if (b.p, b.q) == (2, 0):        # the torsion right-hand side
-            solves.append(metric)
-        return green(metric, kind, b, **kw)
+    def counting_extract(metric, mode, tol):
+        extractions.append(metric)
+        return extract(metric, mode, tol)
 
     monkeypatch.setattr(cohomology._PageData, "__init__", counting_page_init)
     for name, log in (("_spectral_page", summaries),
@@ -349,12 +348,12 @@ def test_report_builds_each_result_once(tmp_path, monkeypatch):
                       ("_betti_numbers", betti)):
         monkeypatch.setattr(cohomology, name,
                             counting(log, getattr(cohomology, name)))
-    monkeypatch.setattr(analysis, "green_solve", counting_green)
+    monkeypatch.setattr(analysis, "_torsion_form", counting_extract)
     first = ["report", "--model", str(path),
              "--out", str(tmp_path / "report.json")]
     assert cli.main(first) == 0
     # the report metric and the perturbed metric of the class recheck
-    assert len(solves) == 2 and solves[0] is not solves[1]
+    assert len(extractions) == 2 and extractions[0] is not extractions[1]
     report = (tmp_path / "report.json").read_bytes()
     assert cli.main(["report", "--model", str(path), "--perturb",
                      "coeffs:0.031,-0.012;0.004,0.022;-0.04,0.017",

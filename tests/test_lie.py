@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hsgeom.forms import (
+    Form,
     basis_form,
     coeff_norm,
     differential,
@@ -22,6 +23,8 @@ from hsgeom.lie import (
     parse_model_text,
 )
 from hsgeom.hodge import Metric
+
+from conftest import random_lie_form
 
 HEIS_TEXT = """\
 name heis3
@@ -342,3 +345,14 @@ def test_feasibility_json_round_trips(torus3):
     cert = hs_feasibility(Metric(flat_metric_form(torus3)))
     blob = json.dumps(cert.to_json())
     assert json.loads(blob)["feasible"] is True
+
+
+def test_dbar_preimage_is_exact(heis3):
+    """dbar of the preimage of v = dbar x gives v back in every bidegree."""
+    rng = np.random.default_rng(26)
+    for p in range(4):
+        for q in range(3):
+            v = differential("dbar", random_lie_form(heis3, p, q, rng))
+            x = Form(heis3, p, q, heis3.dbar_preimage(p, q, v.coeffs))
+            assert coeff_norm(differential("dbar", x) - v) <= \
+                1e-13 * coeff_norm(v)

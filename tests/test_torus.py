@@ -27,6 +27,8 @@ from hsgeom.torus import (
     synthesize_form,
 )
 
+from conftest import random_band_form
+
 
 def test_mask_controls_resolutions():
     m = make_torus_model(16, ("x1", "x2"))
@@ -106,6 +108,19 @@ def test_spectral_derivative_is_exact(part, axis):
         value, label, bidegree = (0.5j, -0.5)[axis % 2], ((), (j,)), (0, 1)
     want = synthesize_form(m, *bidegree, [(label, k, value)])
     assert np.abs(differential(part, f).coeffs - want.coeffs).max() < 1e-14
+
+
+@pytest.mark.parametrize("p, q", [(2, 0), (1, 1), (0, 1)])
+def test_dbar_preimage_is_exact(p, q):
+    """dbar of the preimage of v = dbar x gives v back, mode by mode: on a
+    grid with both axes of z1 and one of z2 and z3 active, so that the
+    symbols are complex on one axis pair and real on the others."""
+    m = make_torus_model(8, ("x1", "x2", "x3", "x6"))
+    rng = np.random.default_rng(10 * p + q)
+    v = differential("dbar", random_band_form(m, p, q, rng, terms=8))
+    x = Form(m, p, q, m.dbar_preimage(p, q, v.coeffs))
+    assert coeff_norm(v) > 0.1
+    assert coeff_norm(differential("dbar", x) - v) <= 1e-13 * coeff_norm(v)
 
 
 @pytest.mark.parametrize("part", ["del", "dbar"])
