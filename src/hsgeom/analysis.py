@@ -204,8 +204,7 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     residuals = {
         "del_rho": res_del,
         "dbar_rho_plus_del_omega": res_dbar,
-        # basis-free: the norm of rho's harmonic part
-        "minimality": norm(metric, harmonic_project(metric, min_kind, rho)),
+        "minimality": _harmonic_norm_20(metric, min_kind, rho),
     }
     feas_tol = max(tol, 100 * _default_tol(model))
     if res_dbar > feas_tol or res_del > feas_tol:
@@ -233,10 +232,34 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     )
 
 
-def _dbar_potential(metric: Metric, v: Form):
-    """(xi, ||dbar xi - v||) for xi = dbar* G_dbar v, so that dbar xi is the
-    projection of v onto the image of dbar."""
-    xi = adjoint_diff(metric, "dbar", green_solve(metric, "dbar", v))
+def _harmonic_norm_20(metric: Metric, kind: str, a: Form) -> float:
+    """||harmonic part of the (2,0)-form a|| = |(<<a, h_j>>)_j| over the
+    orthonormal harmonic basis h_j, by the wedge route, independent of the
+    Gram pairing that harmonic_project uses: a (2,0)-form is primitive, so
+    star conj h = omega ^ conj h and <<a, h>> = int a ^ omega ^ conj h.  One
+    wedge b = a ^ omega, its (3,1) channels laid on the (0,2) channels of
+    conj h by the wedge table, and one contraction with the basis block."""
+    K = harmonic_basis(metric, kind, 2, 0).block
+    b = wedge(a, metric.omega).coeffs
+    perm, s = _basis.conjugation(3, 2, 0)   # (conj h)[c] = s conj(h[perm[c]])
+    B = np.zeros_like(b)
+    for c1, c2, _, sign in _basis.wedge_table(3, 3, 1, 0, 2):
+        B[perm[c2]] = s * sign * b[c1]
+    pairs = np.conj(K).reshape(len(K), -1) @ B.ravel() \
+        * (_basis.top_channel_integral(3) / math.prod(metric.model.grid_shape))
+    return float(np.linalg.norm(pairs))
+
+
+def _coclosed_preimage(metric: Metric, v: Form):
+    """(xi, ||dbar xi - v||) for a (p,q)-form v, xi = xi' - dbar G''(dbar*
+    xi') with xi' the backend's metric-free dbar preimage of v (dbar xi' =
+    v where v is dbar-exact): one Green solve on (p,q-2).  dbar xi = dbar
+    xi', and dbar* xi is the harmonic part of dbar* xi', which is 0, as im
+    dbar* is orthogonal to ker Delta''.  So Delta'' xi = dbar* dbar xi'."""
+    model = metric.model
+    xi = Form(model, v.p, v.q - 1, model.dbar_preimage(v.p, v.q - 1, v.coeffs))
+    xi = xi - differential("dbar", green_solve(
+        metric, "dbar", adjoint_diff(metric, "dbar", xi)))
     return xi, norm(metric, differential("dbar", xi) - v)
 
 
@@ -244,14 +267,21 @@ def e2_obstruction(metric: Metric, rho02: Form, tol: float = None):
     """Co-closedness energy of a (0,2)-form, when it is dbar-exact.
 
     Returns (value, marker, diagnostics): value = ||dbar* rho02||^2 when
-    rho02 lies in the image of dbar (three independent routes are
-    cross-checked), else None with an explanatory marker.
+    rho02 lies in the image of dbar, else None with an explanatory marker.
+    The potential xi (dbar xi = rho02, dbar* xi = 0) is the backend's
+    metric-free dbar preimage made co-closed by one Green solve on (0,0)
+    (_coclosed_preimage), so no solve runs on (0,2).  membership_residual
+    is ||dbar xi - rho02|| / max(1, ||rho02||) for that xi: 0 exactly when
+    rho02 is dbar-exact, and never below the metric distance of rho02 from
+    im dbar.  Three independent routes to the value are cross-checked:
+    ||dbar* rho02||^2, <<Delta'' rho02, rho02>> - ||dbar rho02||^2 and
+    ||Delta'' xi||^2 (Delta'' xi = dbar* rho02).
     """
     if tol is None:
         tol = _default_tol(metric.model)
     nr = norm(metric, rho02)
     dbs = adjoint_diff(metric, "dbar", rho02)
-    xi, member_res = _dbar_potential(metric, rho02)
+    xi, member_res = _coclosed_preimage(metric, rho02)
     member_res /= max(1.0, nr)
     diagnostics = {"membership_residual": member_res,
                    "dbar_star_rho_norm": norm(metric, dbs)}

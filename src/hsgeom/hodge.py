@@ -796,7 +796,9 @@ def _deflated_kernel(metric: Metric, kind: str, p, q):
         return V
     V, scale = _start_block(metric, kind, p, q), _scale(metric, kind)
     if kind == "dbar" and q == 0:       # dbar kills constants exactly
-        return V
+        # constant fields: one grid point is held, broadcast (read-only)
+        point = (slice(None),) * 2 + (slice(1),) * len(metric.model.grid_shape)
+        return np.broadcast_to(V[point].copy(), V.shape)
     locked = V[:0].copy()       # not a view: V's first block is freed
     for sweep in range(_KERNEL_SWEEPS + 1):
         AV = _images(metric, kind, p, q, V)
@@ -840,7 +842,8 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
     The kernel Ritz vectors of _lie_ritz, or the Richardson block of
     _deflated_kernel on the grid (for dbar and tilde started from a block
     built from the constants, _start_block), as a tuple of Forms whose
-    `block` holds their coefficients (harmonic_project reads it); empty
+    `block` holds their coefficients (harmonic_project reads it; a grid
+    (p,0) dbar block, constant, is one point broadcast read-only); empty
     outside 0 <= p, q <= 3.  As <tilde h, h> = |p''del* h|^2 +
     |p''del h|^2 + |dbar h|^2 + |dbar* h|^2, ker tilde (of Popovici's
     pseudo-Laplacian; dimension dim E_2) lies in ker Delta''.  On the torus
