@@ -30,7 +30,7 @@ from .forms import (Form, coeff_norm, conjugate, differential,
 from .hodge import (_POS_TOL, Metric, _adjugate, _positive, _trailing,
                     adjoint_diff, contract, contract_trace, form_of_11,
                     green_solve, harmonic_basis, harmonic_project, inner,
-                    laplacian, min_norm_lstsq, norm, pointwise_inner, star)
+                    laplacian, min_norm_lstsq, norm, pointwise_inner)
 from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
@@ -250,17 +250,23 @@ def _harmonic_norm_20(metric: Metric, kind: str, a: Form) -> float:
     return float(np.linalg.norm(pairs))
 
 
-def _coclosed_preimage(metric: Metric, v: Form):
-    """(xi, ||dbar xi - v||) for a (p,q)-form v, xi = xi' - dbar G''(dbar*
-    xi') with xi' the backend's metric-free dbar preimage of v (dbar xi' =
-    v where v is dbar-exact): one Green solve on (p,q-2).  dbar xi = dbar
-    xi', and dbar* xi is the harmonic part of dbar* xi', which is 0, as im
-    dbar* is orthogonal to ker Delta''.  So Delta'' xi = dbar* dbar xi'."""
+def _dbar_preimage(metric: Metric, v: Form, coclosed: bool = False):
+    """(x, ||dbar x - v||) for a (p,q)-form v, x the backend's metric-free
+    dbar preimage of v: the one dbar-exactness test, of del omega^2 for the
+    strongly Gauduchon class and of rho02 for the page-2 torsion class.  The
+    residual is 0 exactly when v is dbar-exact, and never below the metric
+    distance of v from im dbar.
+
+    coclosed makes x co-closed by one Green solve on (p,q-2), x - dbar
+    G''(dbar* x): dbar x is unchanged, and dbar* of the result is the
+    harmonic part of dbar* x, which is 0, as im dbar* is orthogonal to ker
+    Delta''.  So Delta'' x = dbar* dbar x for the returned x."""
     model = metric.model
-    xi = Form(model, v.p, v.q - 1, model.dbar_preimage(v.p, v.q - 1, v.coeffs))
-    xi = xi - differential("dbar", green_solve(
-        metric, "dbar", adjoint_diff(metric, "dbar", xi)))
-    return xi, norm(metric, differential("dbar", xi) - v)
+    x = Form(model, v.p, v.q - 1, model.dbar_preimage(v.p, v.q - 1, v.coeffs))
+    if coclosed:
+        x = x - differential("dbar", green_solve(
+            metric, "dbar", adjoint_diff(metric, "dbar", x)))
+    return x, norm(metric, differential("dbar", x) - v)
 
 
 def e2_obstruction(metric: Metric, rho02: Form, tol: float = None):
@@ -270,7 +276,7 @@ def e2_obstruction(metric: Metric, rho02: Form, tol: float = None):
     rho02 lies in the image of dbar, else None with an explanatory marker.
     The potential xi (dbar xi = rho02, dbar* xi = 0) is the backend's
     metric-free dbar preimage made co-closed by one Green solve on (0,0)
-    (_coclosed_preimage), so no solve runs on (0,2).  membership_residual
+    (_dbar_preimage), so no solve runs on (0,2).  membership_residual
     is ||dbar xi - rho02|| / max(1, ||rho02||) for that xi: 0 exactly when
     rho02 is dbar-exact, and never below the metric distance of rho02 from
     im dbar.  Three independent routes to the value are cross-checked:
@@ -281,7 +287,7 @@ def e2_obstruction(metric: Metric, rho02: Form, tol: float = None):
         tol = _default_tol(metric.model)
     nr = norm(metric, rho02)
     dbs = adjoint_diff(metric, "dbar", rho02)
-    xi, member_res = _coclosed_preimage(metric, rho02)
+    xi, member_res = _dbar_preimage(metric, rho02, coclosed=True)
     member_res /= max(1.0, nr)
     diagnostics = {"membership_residual": member_res,
                    "dbar_star_rho_norm": norm(metric, dbs)}
@@ -376,7 +382,15 @@ class MetricClassification:
 
 
 def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
-    """Decide the standard metric classes by residual tests."""
+    """Decide the standard metric classes by residual tests.
+
+    Strongly Gauduchon means del omega^2 is dbar-exact: sg_membership is the
+    relative residual ||dbar x - del omega^2|| / ||del omega^2|| of its
+    metric-free preimage x (_dbar_preimage), so no Green solve runs.  The HS
+    verdict is whether the memoised dim3 torsion_form exists; on the
+    invariant backend that rests on lie.hs_feasibility, and a failure
+    carries its least-squares residual.
+    """
     model = metric.model
     if tol is None:
         tol = _default_tol(model)
@@ -390,30 +404,15 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     n_pow = norm(metric, d_pow)
     r_bal = n_pow / scale
     r_gau = norm(metric, differential("dbar", d_pow)) / scale
-    # relative distance of d_pow from the image of dbar, taken on the
-    # Serre-dual side: conj o star is an L2 isometry (3,2) -> (0,1) that
-    # commutes with Delta'' and maps im dbar onto im dbar*, so it is the
-    # distance of w = conj star d_pow from im dbar*, w - dbar* G''(dbar w).
-    # Its Green solve runs on (0,2), whose harmonic basis the torsion
-    # section needs too; none is built on (3,2).
-    r_sg = 0.0
-    if n_pow:
-        w = conjugate(star(metric, d_pow))
-        r_sg = norm(metric, w - adjoint_diff(metric, "dbar", green_solve(
-            metric, "dbar", differential("dbar", w)))) / n_pow
-
-    if model.kind == "lie":
-        cert = hs_feasibility(metric)
-        hs_ok, r_hs = cert.feasible, cert.residual
-    else:
-        try:
-            rep = torsion_form(metric, mode="dim3", tol=tol)
-            hs_ok = True
-            r_hs = max(rep.residuals["del_rho"],
-                       rep.residuals["dbar_rho_plus_del_omega"])
-        except NotFeasibleError as exc:
-            hs_ok = False
-            r_hs = max(exc.residuals.values()) if exc.residuals else math.inf
+    r_sg = _dbar_preimage(metric, d_pow)[1] / n_pow if n_pow else 0.0
+    try:
+        rep = torsion_form(metric, mode="dim3", tol=tol)
+        hs_ok = True
+        r_hs = max(rep.residuals["del_rho"],
+                   rep.residuals["dbar_rho_plus_del_omega"])
+    except NotFeasibleError as exc:
+        hs_ok = False
+        r_hs = max(exc.residuals.values())
 
     s_arr = np.asarray(_lefschetz_split(metric)[2])
     total = s_arr.size

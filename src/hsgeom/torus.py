@@ -319,67 +319,3 @@ def load_form(model: TorusModel, prefix: str) -> Form:
     coeffs = np.load(f"{prefix}.npy")
     p, q = header["bidegree"]
     return Form(model, p, q, np.ascontiguousarray(coeffs, dtype=np.complex128))
-
-
-# ---------------------------------------------------------------------------
-# fixture description files
-
-
-def parse_fixture_text(text: str):
-    """Parse a fixture description into (model, {name: Form}).
-
-    Grammar::
-
-        resolution <N>
-        mask x1 x2 ...
-        form <name> <p> <q> [real]
-        term <I|J> k1 k2 k3 k4 k5 k6 <re> <im>
-
-    The channel label I|J lists holomorphic indices before the bar, e.g.
-    ``12|3`` for phi^1^phi^2^phibar^3 and ``2|`` for phi^2.
-    """
-    resolution = None
-    mask = None
-    forms: dict = {}
-    current = None
-    rows: list = []
-    pending: list = []
-
-    def flush():
-        nonlocal current, rows
-        if current is not None:
-            pending.append((current, list(rows)))
-        current, rows = None, []
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if toks[0] == "resolution":
-            resolution = int(toks[1])
-        elif toks[0] == "mask":
-            mask = toks[1:]
-        elif toks[0] == "form":
-            flush()
-            name, p, q = toks[1], int(toks[2]), int(toks[3])
-            current = (name, p, q, "real" in toks[4:])
-        elif toks[0] == "term":
-            if current is None:
-                raise GridError("term outside of a form block")
-            label = toks[1]
-            i_part, j_part = label.split("|")
-            I = tuple(int(c) for c in i_part)
-            J = tuple(int(c) for c in j_part)
-            freqs = tuple(int(t) for t in toks[2:8])
-            coeff = complex(float(toks[8]), float(toks[9]))
-            rows.append(((I, J), freqs, coeff))
-        else:
-            raise GridError(f"unparseable fixture line {line!r}")
-    flush()
-    if resolution is None or mask is None:
-        raise GridError("fixture needs resolution and mask lines")
-    model = make_torus_model(resolution, mask)
-    for (name, p, q, real), tab in pending:
-        forms[name] = synthesize_form(model, p, q, tab, real=real)
-    return model, forms

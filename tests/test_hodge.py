@@ -913,7 +913,8 @@ def test_preconditioner_root_factors_the_gram(three_coord8):
 def test_strongly_gauduchon_solve_converges_fast():
     # the (3,2) solve of del omega^2 took 26 iterations with the symbol
     # alone as preconditioner; the (0,2) solve of dbar(conj star del
-    # omega^2), the one classify_metric's sG test runs, is as fast
+    # omega^2), its Serre dual, is as fast.  Neither is on a report's path:
+    # the tests keep the (3,2) one as the sG reference.
     g = Metric(standard_fixture("three_coord", resolution=16, eps=0.05)[3])
     d_pow = differential("del", wedge(g.omega, g.omega))
     _, info = green_solve(g, "dbar", d_pow, with_info=True)

@@ -18,7 +18,6 @@ from hsgeom.torus import (
     GridError,
     load_form,
     make_torus_model,
-    parse_fixture_text,
     refine,
     resample,
     save_form,
@@ -185,29 +184,6 @@ def test_load_checks_grid(tmp_path, two_coord):
     save_form(u, prefix)
     with pytest.raises(GridError):
         load_form(make_torus_model(32, ("x1", "x2")), prefix)
-
-
-def test_fixture_text_parser():
-    text = """
-    # two-coordinate perturbation
-    resolution 16
-    mask x1 x2
-    form u 1 0
-    term 2| 1 0 0 0 0 0 0.05 0.0
-    """
-    model, forms = parse_fixture_text(text)
-    assert model.resolutions[0] == 16
-    ref = standard_potential(model, "two_coord", eps=0.05)
-    assert coeff_norm(forms["u"] - ref) < 1e-15
-
-
-def test_fixture_text_guards():
-    with pytest.raises(GridError):
-        parse_fixture_text("resolution 16\nterm 2| 1 0 0 0 0 0 1 0\n")
-    with pytest.raises(GridError):
-        parse_fixture_text("resolution 16\nform u 1 0\n")
-    with pytest.raises(GridError):
-        parse_fixture_text("resolution 16\nmask x1\nbogus line\n")
 
 
 # -- standard fixtures ------------------------------------------------------------
