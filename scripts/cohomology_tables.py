@@ -3,7 +3,8 @@
 
 For each model: Betti numbers, the four classical (p,q)-tables, the
 Frolicher page dimensions until the sequence degenerates, and the
-page-2 Bott-Chern/Aeppli refinement with its degeneration diagnostic.
+page-2 and page-3 Bott-Chern/Aeppli refinements, each with its
+degeneration diagnostic.
 
     python scripts/cohomology_tables.py            # all catalogue models
     python scripts/cohomology_tables.py iwasawa    # just one
@@ -57,12 +58,13 @@ def show(name):
             break
         r += 1
 
-    hp = higher_page_groups(model, 2)
-    print("page-2 bott-chern:")
-    print(table_str(hp.bc_dims))
-    print("page-2 aeppli:")
-    print(table_str(hp.a_dims))
-    print(f"page-2 degeneration diagnostic: {hp.page_diagnostic}")
+    for r in (2, 3):
+        hp = higher_page_groups(model, r)
+        print(f"page-{r} bott-chern:")
+        print(table_str(hp.bc_dims))
+        print(f"page-{r} aeppli:")
+        print(table_str(hp.a_dims))
+        print(f"page-{r} degeneration diagnostic: {hp.page_diagnostic}")
     print()
 
 

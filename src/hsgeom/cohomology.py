@@ -19,8 +19,12 @@ All subquotients carry explicit orthonormal bases with respect to the flat
 reference metric of the model, so class coordinates are reproducible across
 calls and across metrics.
 
-Every zig-zag tower (the page ladders, the side towers of page-exact forms,
-the closed/exact membership towers) is laid out by one builder, `_zigzag`.
+Each page-r condition (the page ladder, page-r closedness, page-r
+exactness) is written once, as one homogeneous `_BlockSystem` whose first
+variable is the form, with its zig-zag towers laid out by one builder,
+`_zigzag`.  The tables read the system's span, the first block of its null
+space; the membership tests fix that block to the given form and solve for
+the other blocks, which are the witnesses.
 The metric-free objects (operator complex, page data and page summary per
 r, page-r Bott-Chern/Aeppli tables, Betti numbers) are memoised on the
 model, so a report builds each of them once; treat them as read-only.
@@ -76,116 +80,151 @@ def _rank(M):
     return int(np.sum(_kept(np.linalg.svd(M, compute_uv=False))))
 
 
-def _lstsq(M, B):
-    """Minimum-norm least squares M X = B with one residual per column."""
-    M = np.asarray(M, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.complex128)
-    X, *_ = np.linalg.lstsq(M, B, rcond=None)
-    return X, np.linalg.norm(M @ X - B, axis=0)
-
-
 class _BlockSystem:
-    """Linear system over several form-valued unknowns.
+    """Homogeneous linear system over several form-valued unknowns.
 
-    Variables are declared with their channel dimensions; each equation is a
-    list of (variable name, coefficient matrix) pairs plus a right-hand side
-    of k columns.  The assembled matrix acts on the concatenated variables.
+    Each variable is declared with its bidegree, the first one being the
+    form the system constrains; each equation is a list of (variable name,
+    coefficient matrix) pairs that sum to zero in a target bidegree.  One
+    system gives both readings of its condition: `span()` is the first
+    block of its null space (the `_nullspace` rank rule), and `member(A)`
+    fixes that block to the columns of A and solves for the others.
     """
 
-    def __init__(self, k=1):
-        self.k = k
-        self.names = []
+    def __init__(self, cx):
+        self.cx = cx
+        self.pq = {}
         self.dims = {}
         self.rows = []
-        self.rhs = []
 
-    def variable(self, name, dim):
-        self.names.append(name)
-        self.dims[name] = dim
+    def variable(self, name, pq):
+        self.pq[name] = pq
+        self.dims[name] = self.cx.dim(*pq)
 
-    def equation(self, entries, rhs_dim, rhs=None):
-        row = {}
-        for name, M in entries:
-            row[name] = M if name not in row else row[name] + M
-        self.rows.append((row, rhs_dim))
-        self.rhs.append(np.zeros((rhs_dim, self.k), dtype=np.complex128)
-                        if rhs is None else
-                        np.asarray(rhs, dtype=np.complex128))
+    def equation(self, entries, pq):
+        self.rows.append((dict(entries), self.cx.dim(*pq)))
 
     def assemble(self):
-        mats = []
-        for row, rdim in self.rows:
-            mats.append(np.hstack([
-                row.get(nm, np.zeros((rdim, self.dims[nm]), dtype=complex))
-                for nm in self.names
-            ]))
-        M = np.vstack([np.zeros((0, sum(self.dims.values())), complex)] + mats)
-        return M, np.vstack([np.zeros((0, self.k), complex)] + self.rhs)
+        return np.vstack([np.zeros((0, sum(self.dims.values())), complex)] + [
+            np.hstack([row.get(nm, np.zeros((rdim, d), dtype=complex))
+                       for nm, d in self.dims.items()])
+            for row, rdim in self.rows])
 
     def split(self, x):
         out, off = {}, 0
-        for nm in self.names:
-            d = self.dims[nm]
+        for nm, d in self.dims.items():
             out[nm] = x[off: off + d]
             off += d
         return out
+
+    def kernel(self):
+        """The null space, split into its blocks."""
+        return self.split(_nullspace(self.assemble()))
+
+    def span(self):
+        """Column span of the forms that satisfy the condition."""
+        return next(iter(self.kernel().values()))
+
+    def member(self, A):
+        """Fix the first block to the (d, k) columns A and solve for the
+        other blocks by minimum-norm least squares.  Returns those blocks
+        (the witnesses) and one residual per column."""
+        A = np.asarray(A, dtype=np.complex128)
+        M = self.assemble()
+        d = A.shape[0]
+        X, *_ = np.linalg.lstsq(M[:, d:], -(M[:, :d] @ A), rcond=None)
+        resid = np.linalg.norm(M[:, :d] @ A + M[:, d:] @ X, axis=0)
+        parts = self.split(np.vstack([A, X]))
+        del parts[next(iter(self.pq))]
+        return parts, resid
 
 
 def _target(part, p, q):
     return (p + 1, q) if part == "del" else (p, q + 1)
 
 
-def _step(part, p, q, i=1):
-    """Bidegree i zig-zag steps on from (p,q) along a tower of `part`."""
-    return (p + i, q - i) if part == "del" else (p - i, q + i)
+def _step(part, p, q):
+    """Bidegree one zig-zag step on from (p,q) along a tower of `part`."""
+    return (p + 1, q - 1) if part == "del" else (p - 1, q + 1)
 
 
 _BACK = {"del": "dbar", "dbar": "del"}
 
 
-def _zigzag(sys, cx, x0, pq, names, part):
+def _zigzag(sys, x0, pq, names, part):
     """Append the tower part(x_{i-1}) = back(x_i) to a _BlockSystem.
 
-    back is the other half of d.  x_0 sits in bidegree pq and is either a
-    declared variable name or known coefficients, which go to the right-hand
-    side; x_1, x_2, ... are declared here under `names`, one zig-zag step
+    back is the other half of d.  x_0 is a declared variable in bidegree
+    pq; x_1, x_2, ... are declared here under `names`, one zig-zag step
     apart.  Returns the name and bidegree of the last tower form.
     """
-    back = _BACK[part]
+    cx, back = sys.cx, _BACK[part]
     for name in names:
         nxt = _step(part, *pq)
-        sys.variable(name, cx.dim(*nxt))
-        entries = [(name, -cx.op(back, *nxt))]
-        rhs = None
-        if isinstance(x0, str):
-            entries.insert(0, (x0, cx.op(part, *pq)))
-        else:
-            rhs = -(cx.op(part, *pq) @ x0)
-        sys.equation(entries, cx.dim(*_target(part, *pq)), rhs=rhs)
+        sys.variable(name, nxt)
+        sys.equation([(x0, cx.op(part, *pq)), (name, -cx.op(back, *nxt))],
+                     _target(part, *pq))
         x0, pq = name, nxt
     return x0, pq
 
 
-def _ladder(cx, pq, steps, part):
-    """Kernel of back(x_0) = 0 plus a `steps`-long tower of `part` from
-    x_0 in bidegree pq, split into its blocks x0, x1, ..."""
-    sys = _BlockSystem()
-    sys.variable("x0", cx.dim(*pq))
-    back = _BACK[part]
-    sys.equation([("x0", cx.op(back, *pq))], cx.dim(*_target(back, *pq)))
-    _zigzag(sys, cx, "x0", pq, [f"x{i}" for i in range(1, steps + 1)], part)
-    return sys.split(_nullspace(sys.assemble()[0]))
+def _ladder(cx, pq, steps):
+    """The page condition on x0 in bidegree pq: dbar x0 = 0 plus a
+    `steps`-long tower del x_{i-1} = dbar x_i with blocks x1, x2, ...  Its
+    span is the numerator of E_{steps+1}, and its last witness carries the
+    page differential."""
+    sys = _BlockSystem(cx)
+    sys.variable("x0", pq)
+    sys.equation([("x0", cx.op("dbar", *pq))], _target("dbar", *pq))
+    _zigzag(sys, "x0", pq, [f"x{i}" for i in range(1, steps + 1)], "del")
+    return sys
 
 
-def _side_image(cx, p, q, r, part):
-    """Image under `part` (into bidegree (p,q)) of the forms that end a tower
-    of r-2 steps of `part` started from a form killed by the other half of d.
+def _side_image(cx, p, q, r):
+    """del (into bidegree (p,q)) of the forms that end an (r-2)-step ladder:
+    for r=3, del x1 with dbar x0 = 0, del x0 = dbar x1."""
+    tower = _ladder(cx, (p - r + 1, q + r - 2), r - 2).kernel()
+    return cx.op("del", p - 1, q) @ tower[f"x{r - 2}"]
 
-    For part='del' and r=3: del x1 with dbar x0 = 0, del x0 = dbar x1.
+
+def _closed_system(cx, p, q, r):
+    """Page-r closedness of alpha in (p,q): del dbar alpha = 0, a
+    del-absorbing tower eta_i in (p+i, q-i) and a dbar-absorbing tower
+    rho_i in (p-i, q+i), r-1 steps each."""
+    sys = _BlockSystem(cx)
+    sys.variable("alpha", (p, q))
+    sys.equation([("alpha", cx.op("del", p, q + 1) @ cx.op("dbar", p, q))],
+                 (p + 1, q + 1))
+    for nm, part in (("eta", "del"), ("rho", "dbar")):
+        _zigzag(sys, "alpha", (p, q), [f"{nm}{i}" for i in range(1, r)], part)
+    return sys
+
+
+def _exact_system(cx, p, q, r):
+    """Page-r exactness of alpha in (p,q): alpha = del zeta + del dbar xi +
+    dbar eta, where zeta -> v0 and eta -> u0 are side towers of r-2 steps,
+    each ending closed.
+
+    For r = 1 only the deldbar-image is left: the side witnesses carry r-1
+    closedness conditions each and disappear entirely on the first page,
+    so E_{1,BC} is the classical Bott-Chern group.
     """
-    src = (p - 1, q) if part == "del" else (p, q - 1)
-    tower = _ladder(cx, _step(part, *src, 2 - r), r - 2, part)
-    return cx.op(part, *src) @ tower[f"x{r - 2}"]
+    sys = _BlockSystem(cx)
+    sys.variable("alpha", (p, q))
+    at = {"zeta": (p - 1, q), "xi": (p - 1, q - 1), "eta": (p, q - 1)}
+    ops = {"zeta": cx.op("del", p - 1, q),
+           "xi": cx.op("del", p - 1, q) @ cx.op("dbar", p - 1, q - 1),
+           "eta": cx.op("dbar", p, q - 1)}
+    names = ("zeta", "xi", "eta") if r > 1 else ("xi",)
+    for nm in names:
+        sys.variable(nm, at[nm])
+    sys.equation([("alpha", -np.eye(cx.dim(p, q)))]
+                 + [(nm, ops[nm]) for nm in names], (p, q))
+    if r > 1:
+        for x0, side, part in (("zeta", "v0", "dbar"), ("eta", "u0", "del")):
+            last, pq = _zigzag(sys, x0, at[x0], [side][:r - 2], part)
+            sys.equation([(last, cx.op(part, *pq))], _target(part, *pq))
+    return sys
 
 
 def _quotient(cx, N, D, p, q):
@@ -282,14 +321,14 @@ def _betti_numbers(model):
     n = cx.n
     dims, ranks = [], []
     for k in range(2 * n + 1):
-        sys = _BlockSystem()           # d: A^k -> A^{k+1}, blocks by p
+        sys = _BlockSystem(cx)         # d: A^k -> A^{k+1}, blocks by p
         for p in range(max(0, k - n), min(n, k) + 1):
-            sys.variable(p, cx.dim(p, k - p))
+            sys.variable(p, (p, k - p))
         for p in range(max(0, k + 1 - n), min(n, k + 1) + 1):
             sys.equation([(s, cx.op(part, s, k - s))
                            for part, s in (("del", p - 1), ("dbar", p))
-                           if s in sys.dims], cx.dim(p, k + 1 - p))
-        M = sys.assemble()[0]
+                           if s in sys.pq], (p, k + 1 - p))
+        M = sys.assemble()
         dims.append(M.shape[1])
         ranks.append(_rank(M))
     return tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
@@ -337,10 +376,10 @@ class _PageData:
         self.basis = {}
         for p in range(cx.n + 1):
             for q in range(cx.n + 1):
-                X = _ladder(cx, (p, q), r - 1, "del")["x0"]
+                X = _ladder(cx, (p, q), r - 1).span()
                 D = [cx.op("dbar", p, q - 1)]
                 if r > 1:
-                    D.append(_side_image(cx, p, q, r, "del"))
+                    D.append(_side_image(cx, p, q, r))
                 self.basis[(p, q)] = _quotient(cx, X, np.hstack(D), p, q)
 
     # -- classes ---------------------------------------------------------
@@ -349,22 +388,16 @@ class _PageData:
         return self.basis[(p, q)].shape[1]
 
     def ladder_witnesses(self, p, q, A):
-        """The witness blocks eta_1 .. eta_{r-1} of the ladder of A;
-        ValueError if a column is not page-closed."""
-        cx = self.cx
+        """The witness blocks x_1 .. x_{r-1} of the ladder of A;
+        ValueError if a column is not page-closed (the residual of the
+        whole ladder, its dbar row included, above 1e-8 of the column)."""
         A = np.asarray(A, dtype=np.complex128)
-        sys = _BlockSystem(A.shape[1])
-        names = [f"eta{i}" for i in range(1, self.r)]
-        _zigzag(sys, cx, A, (p, q), names, "del")
-        X, resid = _lstsq(*sys.assemble())
-        resid = np.maximum(resid, np.linalg.norm(cx.op("dbar", p, q) @ A,
-                                                 axis=0))
+        parts, resid = _ladder(self.cx, (p, q), self.r - 1).member(A)
         bad = resid > 1e-8 * np.maximum(1.0, np.linalg.norm(A, axis=0))
         if np.any(bad):
             raise ValueError(f"form is not page-{self.r}-closed "
                              f"(ladder residual {resid[bad].max():.2e})")
-        parts = sys.split(X)
-        return [parts[nm] for nm in names]
+        return list(parts.values())
 
     def coordinates(self, p, q, A):
         """Class coordinates of the page-closed columns of A, column by
@@ -506,68 +539,28 @@ def er_closed_exact(form: Form, r: int = 2):
     Closedness: deldbar-closed plus one del-absorbing tower and one
     dbar-absorbing tower of length r-1 each.  Exactness: a presentation
     form = del zeta + del dbar xi + dbar eta where zeta and eta carry their
-    own (r-2)-step side towers ending in closedness.  Both memberships are
-    decided by stacked least-squares feasibility, a residual at most
-    _ER_TOL times the form's scale; witnesses are returned.
+    own (r-2)-step side towers ending in closedness.  Each is `member` of
+    the system whose span gives the page-r tables (`_closed_system`,
+    `_exact_system`): a residual of the whole system, the deldbar row of
+    closedness included, at most _ER_TOL times the form's scale; the other
+    blocks are returned as witnesses.
     """
     model = form.model
     _require_lie(model)
     if r not in (2, 3):
         raise ValueError("r = 2 or 3")
     cx = _complex(model)
-    p, q = form.p, form.q
     a = np.asarray(form.coeffs, dtype=np.complex128)[:, None]
     scale = max(1.0, float(np.linalg.norm(a)))
-
-    ddbar_res = float(np.linalg.norm(
-        cx.op("del", p, q + 1) @ cx.op("dbar", p, q) @ a))
-
-    # -- closedness: eta_i in (p+i, q-i), rho_i in (p-i, q+i)
-    towers = {"eta": "del", "rho": "dbar"}
-    sys = _BlockSystem()
-    for nm, part in towers.items():
-        _zigzag(sys, cx, a, (p, q), [f"{nm}{i}" for i in range(1, r)], part)
-    x, res = _lstsq(*sys.assemble())
-    tower_res = float(res[0])
-    tol = _ER_TOL * scale
-    closed = ddbar_res <= tol and tower_res <= tol
-    parts = sys.split(x[:, 0])
-    closed_witnesses = {
-        f"{nm}{i}": Form(model, *_step(part, p, q, i), parts[f"{nm}{i}"])
-        for nm, part in towers.items() for i in range(1, r)
-    }
-
-    # -- exactness: alpha = del zeta + del dbar xi + dbar eta, side towers
-    # zeta -> v0 and eta -> u0 of r-2 steps, each ending closed
-    bidegrees = {"zeta": (p - 1, q), "xi": (p - 1, q - 1), "eta": (p, q - 1),
-                 "v0": (p - 2, q + 1), "u0": (p + 1, q - 2)}
-    sys = _BlockSystem()
-    for nm in ("zeta", "xi", "eta"):
-        sys.variable(nm, cx.dim(*bidegrees[nm]))
-    sys.equation(
-        [("zeta", cx.op("del", p - 1, q)),
-         ("xi", cx.op("del", p - 1, q) @ cx.op("dbar", p - 1, q - 1)),
-         ("eta", cx.op("dbar", p, q - 1))],
-        cx.dim(p, q), rhs=a,
-    )
-    for x0, side, part in (("zeta", "v0", "dbar"), ("eta", "u0", "del")):
-        last, pq = _zigzag(sys, cx, x0, bidegrees[x0], [side][:r - 2], part)
-        sys.equation([(last, cx.op(part, *pq))], cx.dim(*_target(part, *pq)))
-    x2, res = _lstsq(*sys.assemble())
-    exact_res = float(res[0])
-    parts2 = sys.split(x2[:, 0])
-    exact_witnesses = {
-        nm: Form(model, *bidegrees[nm], vec) for nm, vec in parts2.items()
-    }
-
-    return {
-        "closed": bool(closed),
-        "closed_residual": max(ddbar_res, tower_res) / scale,
-        "closed_witnesses": closed_witnesses,
-        "exact": bool(exact_res <= tol),
-        "exact_residual": exact_res / scale,
-        "exact_witnesses": exact_witnesses,
-    }
+    out = {}
+    for kind, build in (("closed", _closed_system), ("exact", _exact_system)):
+        sys = build(cx, form.p, form.q, r)
+        parts, res = sys.member(a)
+        out[kind] = bool(res[0] <= _ER_TOL * scale)
+        out[f"{kind}_residual"] = float(res[0]) / scale
+        out[f"{kind}_witnesses"] = {
+            nm: Form(model, *sys.pq[nm], x[:, 0]) for nm, x in parts.items()}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -594,35 +587,12 @@ class HigherPageTable:
         }
 
 
-def _er_exact_span(cx: _Complex, p, q, r):
-    """Column span of the page-r exact forms in bidegree (p,q)."""
-    # r = 1 keeps only the deldbar-image: the side witnesses carry r-1
-    # closedness conditions each and disappear entirely on the first page,
-    # so E_{1,BC} is the classical Bott-Chern group.
-    parts = [cx.op("del", p - 1, q) @ cx.op("dbar", p - 1, q - 1)]
-    if r > 1:
-        parts += [_side_image(cx, p, q, r, "del"),
-                  _side_image(cx, p, q, r, "dbar")]
-    return np.hstack(parts)
-
-
-def _er_closed_span(cx: _Complex, p, q, r):
-    """Column span of the page-r closed forms in bidegree (p,q)."""
-    d = cx.dim(p, q)
-    sys = _BlockSystem()
-    sys.variable("alpha", d)
-    sys.equation([("alpha", cx.op("del", p, q + 1) @ cx.op("dbar", p, q))],
-                 cx.dim(p + 1, q + 1))
-    for nm, part in (("eta", "del"), ("rho", "dbar")):
-        _zigzag(sys, cx, "alpha", (p, q), [f"{nm}{i}" for i in range(1, r)],
-                part)
-    M, _ = sys.assemble()
-    return _nullspace(M)[:d, :]
-
-
 def higher_page_groups(model: LieModel, r: int = 2) -> HigherPageTable:
     """Dims of the page-r Bott-Chern/Aeppli groups and the comparison maps.
 
+    E_{r,BC} is the d-closed forms modulo the span of `_exact_system`, and
+    E_{r,A} the span of `_closed_system` modulo im del + im dbar: the same
+    systems `er_closed_exact` decides membership with.
     Memoised on the model per r; treat the table as read-only.
     """
     return _memo(model, ("higher", r), lambda: _higher_page_groups(model, r))
@@ -642,10 +612,10 @@ def _higher_page_groups(model, r):
             pg[p, q] = page.dim(p, q)
             Z = _nullspace(np.vstack([cx.op("del", p, q),
                                       cx.op("dbar", p, q)]))
-            Qbc = _quotient(cx, Z, _er_exact_span(cx, p, q, r), p, q)
+            Qbc = _quotient(cx, Z, _exact_system(cx, p, q, r).span(), p, q)
             bc[p, q] = Qbc.shape[1]
             Ba = np.hstack([cx.op("del", p - 1, q), cx.op("dbar", p, q - 1)])
-            Qa = _quotient(cx, _er_closed_span(cx, p, q, r), Ba, p, q)
+            Qa = _quotient(cx, _closed_system(cx, p, q, r).span(), Ba, p, q)
             ae[p, q] = Qa.shape[1]
             # comparison maps on representatives
             T = page.coordinates(p, q, Qbc)

@@ -157,6 +157,34 @@ def test_grid_torsion_runs_no_pcg(monkeypatch):
     assert rep.energy > 0
 
 
+@pytest.mark.parametrize("name", ["two_coord", "three_coord", "torus3"])
+def test_dim3_torsion_ignores_the_preimage_kernel(name, torus3, monkeypatch):
+    # the backend preimage is defined up to ker dbar on (2,0); rho is the
+    # preimage minus its harmonic part, so a constant (holomorphic) (2,0)
+    # field added to the preimage must not reach rho.  On torus3 rho = 0.
+    rng = np.random.default_rng(3)
+    if name == "torus3":
+        model, omega = torus3, random_metric(torus3, rng).omega
+    else:
+        model, *_, omega = standard_fixture(name, resolution=8, eps=EPS)
+    ref = torsion_form(Metric(omega), "dim3").rho20
+    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    preimage = type(model).dbar_preimage
+
+    def shifted(self, p, q, v):
+        x = preimage(self, p, q, v)
+        return x + c.reshape((-1,) + (1,) * (x.ndim - 1)) if p == 2 else x
+
+    monkeypatch.setattr(type(model), "dbar_preimage", shifted)
+    g = Metric(omega)
+    rho = torsion_form(g, "dim3").rho20
+    if name == "torus3":
+        assert coeff_norm(ref) == 0.0
+        assert coeff_norm(rho) <= 1e-14
+    else:
+        assert norm(g, rho - ref) <= 1e-12 * norm(g, ref)
+
+
 def test_routes_agree_lie(torus3_metric):
     for m in TORSION_MODES:
         rep = torsion_form(torus3_metric, mode=m)

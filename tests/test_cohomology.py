@@ -10,6 +10,7 @@ from conftest import random_lie_form, random_metric
 
 from hsgeom import analysis, cli, cohomology
 from hsgeom.forms import (
+    Form,
     basis_form,
     coeff_norm,
     conjugate,
@@ -19,6 +20,7 @@ from hsgeom.forms import (
     zero_form,
 )
 from hsgeom.hodge import Metric, inner
+from hsgeom.lie import _nullspace
 from hsgeom.analysis import TorsionReport, torsion_form
 from hsgeom.cohomology import (
     CohomClass,
@@ -302,6 +304,35 @@ def test_er_exact_witnesses_verify(heis3, iwasawa):
                     assert coeff_norm(part(prev) - back(c[f"{nm}{i}"])) < 1e-9
                     prev = c[f"{nm}{i}"]
         assert coeff_norm(c["rho1"]) > 0.5
+
+
+@pytest.mark.parametrize("name", ["torus3", "iwasawa", "heis3"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_membership_agrees_with_spans(lie_models, name, r):
+    """The tables and er_closed_exact read one system per condition: every
+    form of the page-r closed span is closed, every form of the exact span
+    is exact, and every page-r Bott-Chern representative (a d-closed form
+    orthogonal to the exact span) is closed but not exact."""
+    model = lie_models[name]
+    cx = cohomology._complex(model)
+    checks = 0
+    for p in range(4):
+        for q in range(4):
+            closed = cx.orth(cohomology._closed_system(cx, p, q, r).span(),
+                             p, q)
+            exact = cohomology._exact_system(cx, p, q, r).span()
+            Z = _nullspace(np.vstack([cx.op("del", p, q),
+                                      cx.op("dbar", p, q)]))
+            reps = cohomology._quotient(cx, Z, exact, p, q)
+            for cols, want in ((closed, {"closed": True}),
+                               (cx.orth(exact, p, q), {"exact": True}),
+                               (reps, {"closed": True, "exact": False})):
+                for j in range(cols.shape[1]):
+                    out = er_closed_exact(Form(model, p, q, cols[:, j]), r=r)
+                    for key, flag in want.items():
+                        assert out[key] is flag, (p, q, j, key)
+                        checks += 1
+    assert checks > 0
 
 
 def test_er_guards(torus3, two_coord):
