@@ -49,7 +49,9 @@ conjugate gradients on whitened coefficients y = F x, F a pointwise root of
 the volume-weighted Gram (_whitened): the operator is F Delta F^{-1}, the
 preconditioner the bare symbol S, and every inner product is flat.  These
 are the iterates of PCG in the metric inner product preconditioned by
-F^{-1} S F, which is self-adjoint there as S alone is not.
+F^{-1} S F, which is self-adjoint there as S alone is not.  For dbar on
+(3,0), where F and the star are grid constants, the same loop runs on the
+spectra of y: S is diagonal there, and a Laplacian takes two transforms.
 """
 
 from __future__ import annotations
@@ -688,7 +690,8 @@ def _symbol_pinv(metric: Metric, kind: str):
     2 sigma).  The axes are the model's spectral axes, counted from the end
     of a form's or a block's coefficients.  The kernel Richardson sweeps
     and conjugate gradients, on whitened coefficients (_whitened), apply
-    inv as it is (_symbol_apply).
+    inv as it is (_symbol_apply), and to whitened spectra with no
+    transform for dbar on (3,0).
     """
     bc = kind == "bc"
 
@@ -757,7 +760,8 @@ def _start_block(metric: Metric, kind: str, p, q):
     and round-off, built from the constants.  q = 0: the constants
     themselves.  q = 1: h_c = c + dbar beta_c for each constant c, with
     beta_c = -G''(dbar* c) a Green solve on (p,0), whose kernel is the
-    constants.  q = 2, 3: conj star of the (3-p, 3-q) block (Serre duality:
+    constants (on (3,0), conjugate gradients on spectra, _whitened).
+    q = 2, 3: conj star of the (3-p, 3-q) block (Serre duality:
     conj o star maps (3-p, 3-q) to (p,q) and commutes with Delta'')."""
     C = _channels(metric, p, q)
     if kind != "dbar" or q == 0 or not len(C):
@@ -883,19 +887,49 @@ def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
 
 
 def _whitened(metric: Metric, kind: str, p, q):
-    """Conjugate gradients' maps on whitened (p,q) coefficients y = F x, F
-    the pointwise root of the volume-weighted Gram Q (F^H F = Q): the
-    "chol_inverse" factors of Metric.factors times sqrt(density).  In these
-    coefficients <<a, b>> is the flat grid mean of y_a . conj(y_b).
-    Returns (F, F^{-1}, P, A): F and F^{-1} on blocks (k, d, *grid), and on
-    one whitened form P, the flat projection off the whitened kernel, and
-    A = P F Delta F^{-1}, both Hermitian in the flat inner product."""
-    model, root = metric.model, np.sqrt(metric.density)
+    """Conjugate gradients' coordinates on (p,q)-forms: whitened
+    coefficients y = F x, F the pointwise root of the volume-weighted Gram Q
+    (F^H F = Q), the "chol_inverse" factors of Metric.factors times
+    sqrt(density).  Returns (white, unwhite, proj, image, precondition,
+    scale): F and F^{-1} on blocks (k, d, *grid); on one whitened form the
+    projection off the whitened kernel, A = P F Delta F^{-1} and P S with S
+    the symbol inverse (_symbol_apply); and the scale that makes
+    <<a, b>> = y_a . conj(y_b) / scale.  P and A are Hermitian in that flat
+    inner product.
+
+    Everywhere but dbar on (3,0), y is physical and scale the number of
+    points.  On (3,0) F = sqrt(density / det H) = 2 sqrt 2 and the star is
+    -i, grid constants, so F Delta F^{-1} = Delta = i del star dbar (star
+    from (3,1) to (2,0)), its kernel is the zero mode and S is diagonal in
+    Fourier space: y is the spectrum of F x, scale the squared number of
+    points (Parseval), P zeroes the zero mode, P S is S itself (zero there),
+    and A takes one ifftn and one fftn of three fields."""
+    model, pts = metric.model, math.prod(metric.model.grid_shape)
+    if kind == "dbar" and (p, q) == (3, 0):
+        axes, F = model.spectral_axes, math.sqrt(8.0)
+        zero = (Ellipsis,) + (0,) * len(model.grid_shape)
+        inv = _symbol_pinv(metric, kind)[0]
+
+        def proj(y):
+            y = y.copy()
+            y[zero] = 0.0
+            return y
+
+        def image(y):
+            v = np.fft.ifftn(model.spectral_differential("dbar", 3, 0, y),
+                             axes=axes)
+            w = np.fft.fftn(_apply(metric, "star", 3, 1, v[None])[0],
+                            axes=axes)
+            return proj(1j * model.spectral_differential("del", 2, 0, w))
+        return (lambda X: F * np.fft.fftn(X, axes=axes),
+                lambda Y: np.fft.ifftn(Y, axes=axes) / F,
+                proj, image, lambda r: inv * r, pts * pts)
+
+    root = np.sqrt(metric.density)
     white = lambda X: _apply(metric, "chol_inverse", p, q, X) * root
     unwhite = lambda Y: _apply(metric, "chol", p, q, Y / root)
     K = white(harmonic_basis(metric, kind, p, q).block)
     K = K.reshape(len(K), math.prod(K.shape[1:]))
-    pts = math.prod(model.grid_shape)
 
     def proj(y):
         c = np.conj(K @ np.conj(y.ravel())) / pts       # <<y, K_j>>
@@ -904,21 +938,22 @@ def _whitened(metric: Metric, kind: str, p, q):
     def image(y):
         x = Form(model, p, q, unwhite(y[None])[0])
         return proj(white(laplacian(metric, kind, x).coeffs[None])[0])
-    return white, unwhite, proj, image
+    return (white, unwhite, proj, image,
+            lambda r: proj(_symbol_apply(metric, kind, r)), pts)
 
 
 def _pcg(metric, kind, b, rtol, cap):
-    """Kernel-deflated PCG on whitened coefficients (_whitened), with the
-    symbol inverse S (_symbol_apply) as preconditioner: in exact arithmetic
-    the iterates of PCG in the metric inner product preconditioned by
-    F^{-1} S F."""
+    """Kernel-deflated PCG in the coordinates of _whitened, with the symbol
+    inverse S as preconditioner: in exact arithmetic the iterates of PCG in
+    the metric inner product preconditioned by F^{-1} S F.  One loop serves
+    whitened physical coefficients and, for dbar on (3,0), whitened
+    spectra."""
     _check_pair(metric, b, b)
     model, p, q = metric.model, b.p, b.q
-    pts = math.prod(model.grid_shape)
-    white, unwhite, proj, image = _whitened(metric, kind, p, q)
-    dot = lambda u, v: np.vdot(v, u).real / pts         # Re <<u, v>>
+    white, unwhite, proj, image, precondition, scale = _whitened(
+        metric, kind, p, q)
+    dot = lambda u, v: np.vdot(v, u).real / scale       # Re <<u, v>>
     norm_ = lambda u: math.sqrt(dot(u, u))
-    precondition = lambda r: proj(_symbol_apply(metric, kind, r))
 
     bw = white(b.coeffs[None])[0]
     bp = proj(bw)
@@ -973,7 +1008,8 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     harmonic_basis reads; the grid backend runs kernel-deflated PCG to
     relative residual `tol` on coefficients whitened by the pointwise root
     of the Gram (_pcg), where the preconditioner is the closed-form Fourier
-    symbol and every inner product is flat, and raises SolveDiverged if
+    symbol and every inner product is flat (for dbar on (3,0) the whitened
+    coefficients are held as spectra, _whitened), and raises SolveDiverged if
     the iterate after `max_iter` updates still misses it.  `max_iter` None
     is a cap growing with the grid; 0 only checks the projected right-hand
     side; a negative cap is a ValueError.

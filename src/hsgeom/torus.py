@@ -7,7 +7,8 @@ coordinates; derivatives are exact FFT collocation derivatives, and
 integration is the grid mean (the fundamental domain carries unit mass).
 The model owns the Fourier symbols zh_j = (i/2)(k_{2j-1} - i k_{2j}) of
 d/dz_j and zbh_j = (i/2)(k_{2j-1} + i k_{2j}) of d/dzbar_j, so del and dbar
-are one FFT pair each, and hodge's preconditioner reads the same symbols.
+are one FFT pair each (spectral_differential alone on spectra), and hodge's
+preconditioner reads the same symbols.
 
 Resolutions must be powers of two with at least 4 points per active
 coordinate, and synthesized data must keep its frequencies strictly below a
@@ -96,22 +97,30 @@ class TorusModel:
         }
 
     def apply_differential(self, part, p, q, coeffs):
-        """del or dbar of (p,q) coefficients: one fftn, the symbol of the
-        generator channel c1 (dz^{c1+1} or its conjugate) times each source
-        spectrum per wedge_table row, and one ifftn of the result."""
+        """del or dbar of (p,q) coefficients: one fftn, the symbols of
+        spectral_differential, and one ifftn of the result; no transform
+        where the source or the target bidegree is empty."""
+        d = _basis.degree_dims(self.n, p + (part == "del"), q + (part != "del"))
+        if d == 0 or coeffs.shape[0] == 0:
+            return np.zeros((d,) + self.grid_shape, dtype=np.complex128)
+        spec = np.fft.fftn(coeffs, axes=self.spectral_axes)
+        return np.fft.ifftn(self.spectral_differential(part, p, q, spec),
+                            axes=self.spectral_axes)
+
+    def spectral_differential(self, part, p, q, spec):
+        """del or dbar on the spectra of (p,q) coefficients, with no
+        transform: the symbol of the generator channel c1 (dz^{c1+1} or its
+        conjugate) times each source spectrum per wedge_table row."""
         tgt, sym, gen = (((p + 1, q), self.zh, (1, 0)) if part == "del"
                          else ((p, q + 1), self.zbh, (0, 1)))
         out = np.zeros(
             (_basis.degree_dims(self.n, *tgt),) + self.grid_shape,
             dtype=np.complex128,
         )
-        if out.shape[0] == 0 or coeffs.shape[0] == 0:
-            return out
-        spec = np.fft.fftn(coeffs, axes=self.spectral_axes)
         for c1, c2, c_out, sign in _basis.wedge_table(self.n, *gen, p, q):
             if sym[c1] is not None:
                 out[c_out] += sign * sym[c1] * spec[c2]
-        return np.fft.ifftn(out, axes=self.spectral_axes)
+        return out
 
     def dbar_preimage(self, p, q, v):
         """x of bidegree (p,q) with dbar x = v for dbar-exact (p,q+1)

@@ -829,12 +829,13 @@ def three_coord8():
 
 
 @pytest.mark.parametrize("kind", ["dbar", "bc"])
-@pytest.mark.parametrize("bidegree", [(2, 0), (3, 2), (1, 1)])
+@pytest.mark.parametrize("bidegree", [(2, 0), (3, 2), (1, 1), (3, 0)])
 def test_whitened_laplacian_is_hermitian(three_coord8, kind, bidegree):
     # <A x, y> = <x, A y> in the flat inner product, A the projected
-    # F Delta F^{-1} on whitened coefficients, as conjugate gradients needs
+    # F Delta F^{-1} on whitened coefficients (spectra for dbar on (3,0)),
+    # as conjugate gradients needs
     g, (p, q) = three_coord8, bidegree
-    _, _, proj, image = hodge._whitened(g, kind, p, q)
+    _, _, proj, image, *_ = hodge._whitened(g, kind, p, q)
     rng = np.random.default_rng(7)
     x, y = (proj(random_band_form(g.model, p, q, rng, terms=12).coeffs)
             for _ in range(2))
@@ -879,7 +880,7 @@ def _reference_pcg(g, kind, b, rtol, cap):
 
 @pytest.mark.parametrize("kind, bidegree", [
     ("dbar", (2, 0)), ("dbar", (3, 2)), ("dbar", (0, 2)), ("dbar", (1, 1)),
-    ("bc", (1, 1))])
+    ("bc", (1, 1)), ("dbar", (3, 0))])
 def test_whitened_pcg_matches_the_metric_route(three_coord8, kind, bidegree):
     g, (p, q) = three_coord8, bidegree
     b = random_band_form(g.model, p, q, np.random.default_rng(5), terms=12)
@@ -888,6 +889,106 @@ def test_whitened_pcg_matches_the_metric_route(three_coord8, kind, bidegree):
     assert info.iterations == len(history) - 1
     np.testing.assert_allclose(info.residual_history, history, rtol=1e-8)
     assert norm(g, x - ref) <= 1e-10 * norm(g, ref)
+
+
+def _physical_whitened(g, kind, p, q):
+    """The maps of hodge._whitened on whitened physical coefficients, for
+    every (kind, p, q): the reference of its spectral route for dbar on
+    (3,0)."""
+    pts, root = math.prod(g.model.grid_shape), np.sqrt(g.density)
+    white = lambda X: hodge._apply(g, "chol_inverse", p, q, X) * root
+    unwhite = lambda Y: hodge._apply(g, "chol", p, q, Y / root)
+    K = white(harmonic_basis(g, kind, p, q).block)
+    K = K.reshape(len(K), -1)
+    proj = lambda y: y - (np.conj(K @ np.conj(y.ravel())) / pts @ K
+                          ).reshape(y.shape)
+    image = lambda y: proj(white(laplacian(g, kind, Form(
+        g.model, p, q, unwhite(y[None])[0])).coeffs[None])[0])
+    return (white, unwhite, proj, image,
+            lambda r: proj(hodge._symbol_apply(g, kind, r)), pts)
+
+
+def _offdiagonal_metric():
+    """A constant non-diagonal H_0 plus the band-limited three_coord
+    potential, at N = 8."""
+    model, u = standard_fixture("three_coord", resolution=8, eps=0.1)[:2]
+    H0 = np.array([[0.6, 0.1 + 0.05j, 0.05],
+                   [0.1 - 0.05j, 0.5, -0.08j],
+                   [0.05, 0.08j, 0.7]])
+    return Metric(form_of_11(model, H0) + differential("del", conjugate(u))
+                  + differential("dbar", u))
+
+
+@pytest.fixture(scope="module",
+                params=["8-0.05", "8-0.2", "16-0.05", "16-0.2", "offdiag"])
+def spectral_case(request):
+    """three_coord metrics at N = 8, 16 and eps = 0.05, 0.2, and
+    _offdiagonal_metric."""
+    if request.param == "offdiag":
+        return _offdiagonal_metric()
+    N, eps = request.param.split("-")
+    return Metric(standard_fixture("three_coord", resolution=int(N),
+                                   eps=float(eps))[3])
+
+
+def test_30_whitening_and_star_are_grid_constants(spectral_case):
+    # the premise of the spectral (3,0) route of hodge._whitened: the
+    # whitening F = "chol_inverse" times sqrt(density) is 2 sqrt 2 and the
+    # star is -i at every point, while H itself varies
+    g = spectral_case
+    one = np.ones((1, 1) + g.model.grid_shape)
+    F = hodge._apply(g, "chol_inverse", 3, 0, one)[0, 0] * np.sqrt(g.density)
+    S = hodge._apply(g, "star", 3, 0, one)[0, 0]
+    assert np.abs(F - math.sqrt(8.0)).max() <= 1e-14 * math.sqrt(8.0)
+    assert np.abs(S + 1j).max() <= 1e-14
+    assert np.ptp(g.H.real, axis=tuple(range(6))).max() > 1e-2
+
+
+def test_spectral_30_solves_match_the_physical_route(spectral_case,
+                                                      monkeypatch):
+    # the three (3,0) solves of the (0,2) start block, of dbar* c for the
+    # constant (3,1) channels c: on whitened spectra, and on the whitened
+    # physical coefficients every other bidegree keeps
+    g = spectral_case
+    rhs = [adjoint_diff(g, "dbar", Form(g.model, 3, 1, c))
+           for c in hodge._channels(g, 3, 1)]
+    solve = lambda b: green_solve(g, "dbar", b, tol=hodge._START_TOL,
+                                  with_info=True)
+    spectral = [solve(b) for b in rhs]
+    monkeypatch.setattr(hodge, "_whitened", _physical_whitened)
+    assert len(rhs) == 3
+    for b, (x, info) in zip(rhs, spectral):
+        ref, ref_info = solve(b)
+        assert info.iterations == ref_info.iterations > 0
+        h, h_ref = (np.array(i.residual_history) for i in (info, ref_info))
+        assert np.abs(h - h_ref).max() <= 1e-12 * h_ref[0]
+        assert norm(g, x - ref) <= 1e-12 * norm(g, ref)
+
+
+def test_spectral_30_solves_take_two_transforms_per_iteration(monkeypatch):
+    # one ifftn and one fftn per (3,0) iteration, one of each around the
+    # loop; the (3,0) solves dominate the transforms of the (0,2) basis
+    g = Metric(standard_fixture("three_coord", resolution=16, eps=0.05)[3])
+    count, solves, pcg = collections.Counter(), [], hodge._pcg
+    for name in ("fftn", "ifftn"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _t=transform, **k: (
+            count.update(["all"]), _t(*a, **k))[1])
+
+    def spy(metric, kind, b, *rest):
+        before = count["all"]
+        x, info = pcg(metric, kind, b, *rest)
+        solves.append(((b.p, b.q), info.iterations, count["all"] - before))
+        return x, info
+
+    monkeypatch.setattr(hodge, "_pcg", spy)
+    harmonic_basis(g, "dbar", 0, 2)
+    assert [s[0] for s in solves] == [(3, 0)] * 3
+    assert all(its > 0 and n <= 2 * its + 2 for _, its, n in solves), solves
+    # besides: 2 per right-hand side dbar* c and per h_c = c + dbar beta_c,
+    # and 8 per Laplacian of the (0,2) block, checked once
+    its = sum(s[1] for s in solves)
+    assert count["all"] <= 2 * (its + 3) + 36, (count, solves)
 
 
 def test_preconditioner_root_factors_the_gram(three_coord8):
