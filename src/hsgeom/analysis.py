@@ -122,10 +122,9 @@ def torsion_least_squares(metric: Metric) -> Form:
         return np.stack([model.apply_differential(part, 2, 0, e).ravel()
                          for e in units], axis=1)
 
-    d_omega = model.apply_differential("del", 1, 1, metric.omega.coeffs)
     rho, *_ = min_norm_lstsq(metric, (2, 0), [
         ((3, 0), probe("del"), None),
-        ((2, 1), probe("dbar"), -d_omega),
+        ((2, 1), probe("dbar"), -omega_differential(metric, "del").coeffs),
     ])
     return rho
 
@@ -153,25 +152,29 @@ def torsion_form(metric: Metric, mode: str = "dim3",
                        lambda: _torsion_form(metric, mode, tol))
 
 
-def del_omega_norm(metric: Metric, d_omega: Form = None) -> float:
-    """||del omega||, memoised on the metric; `d_omega` is del omega where
-    the caller has built it.  The memo holds the norm, not the (2,1)-form,
-    which would stay on the metric for as long as it lives."""
+def omega_differential(metric: Metric, part: str) -> Form:
+    """del omega (part "del") or dbar omega (part "dbar"), memoised on the
+    metric, so that every report section and descent step shares one
+    differential of omega per part: treat it as read-only."""
+    return metric.memo(("d_omega", part),
+                       lambda: differential(part, metric.omega))
+
+
+def del_omega_norm(metric: Metric) -> float:
+    """||del omega||, memoised on the metric."""
     return metric.memo(("del_omega_norm",), lambda: norm(
-        metric, differential("del", metric.omega) if d_omega is None
-        else d_omega))
+        metric, omega_differential(metric, "del")))
 
 
 def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     model = metric.model
-    omega = metric.omega
-    d_omega = differential("del", omega)
-    scale = max(1.0, del_omega_norm(metric, d_omega))
+    d_omega = omega_differential(metric, "del")
+    scale = max(1.0, del_omega_norm(metric))
 
     if mode == "skt":
-        ddbar = differential("del", differential("dbar", omega))
+        ddbar = differential("del", omega_differential(metric, "dbar"))
         r = norm(metric, ddbar)
-        if r > tol * max(1.0, norm(metric, omega)):
+        if r > tol * max(1.0, norm(metric, metric.omega)):
             raise NotSKTError(
                 f"deldbar omega has norm {r:.3e}; not pluriclosed at {tol:.1e}"
             )
@@ -399,7 +402,8 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
 
     scale = max(1.0, norm(metric, omega))
     r_kahler = del_omega_norm(metric) / scale
-    r_skt = norm(metric, differential("del", differential("dbar", omega))) / scale
+    r_skt = norm(metric, differential(
+        "del", omega_differential(metric, "dbar"))) / scale
     d_pow = differential("del", omega_pow)
     n_pow = norm(metric, d_pow)
     r_bal = n_pow / scale
@@ -460,8 +464,7 @@ def lefschetz_alpha(metric: Metric):
 def _lefschetz_split(metric: Metric):
     """(alpha, prim, s, residual) of lefschetz_alpha, memoised on the metric."""
     def build():
-        omega = metric.omega
-        d_omega = differential("del", omega)
+        omega, d_omega = metric.omega, omega_differential(metric, "del")
         alpha = 0.5 * contract(metric, d_omega)
         prim = d_omega - wedge(alpha, omega)
         # postcondition: prim really is primitive
@@ -562,9 +565,9 @@ def sg_and_completion(metric: Metric, mode: str = "dim3",
     d_tilde = max(
         coeff_norm(differential("del", rho)),
         coeff_norm(differential("dbar", rho)
-                       + differential("del", omega)),
-        coeff_norm(differential("dbar", omega)
-                       + differential("del", rho02)),
+                   + omega_differential(metric, "del")),
+        coeff_norm(omega_differential(metric, "dbar")
+                   + differential("del", rho02)),
         coeff_norm(differential("dbar", rho02)),
     )
 
@@ -707,7 +710,7 @@ def scalar_volume_derivative(metric: Metric, phi: Form) -> float:
     """Derivative of the volume along i del dbar phi: int phi i del w ^ dbar w."""
     if (phi.p, phi.q) != (0, 0):
         raise ValueError("expected a function")
-    d_omega = differential("del", metric.omega)
+    d_omega = omega_differential(metric, "del")
     integrand = 1j * wedge(phi, wedge(d_omega, conjugate(d_omega)))
     return _real_integral(integrate_top(integrand),
                           what="scalar volume derivative")

@@ -30,8 +30,9 @@ maximizes Vol on (0, STEP_CAP * t_pos]; F is then recomputed from the
 torsion system, which makes the conservation law a per-step check.
 
 The gradient u, its norm and the Kahler defect ||d omega|| are memoised on
-each metric, so a trace row and the closing certificate share them, and
-||del omega|| is the one analysis.del_omega_norm of the metric.
+each metric, so a trace row and the closing certificate share them;
+||del omega|| is the one analysis.del_omega_norm of the metric, and del
+omega and dbar omega are its analysis.omega_differential.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def _d_norm(metric: Metric) -> float:
     """||d omega||, memoised on the metric."""
     return metric.memo(("d_norm",), lambda: float(np.sqrt(
         analysis.del_omega_norm(metric) ** 2
-        + norm(metric, differential("dbar", metric.omega)) ** 2)))
+        + norm(metric, analysis.omega_differential(metric, "dbar")) ** 2)))
 
 
 def certify_critical(metric: Metric,
@@ -166,7 +167,7 @@ def certify_critical(metric: Metric,
     """
     balanced = _gradient_norm(metric)
     skt = norm(metric, differential(
-        "del", differential("dbar", metric.omega)))
+        "del", analysis.omega_differential(metric, "dbar")))
     kahler = _d_norm(metric)
     kahler_tol = _KAHLER_BRIDGE * tol
     return CriticalityCertificate(

@@ -45,13 +45,15 @@ symbol at the grid-mean metric (_symbol_pinv).  The dbar loop starts from
 a block built from the constants (_start_block), which it locks at once
 or polishes; del and bc start from the constants.  The tilde kernel is the
 dbar one (E_2 = E_1 on the torus).  Grid solves run kernel-deflated
-conjugate gradients on whitened coefficients y = F x, F a pointwise root of
-the volume-weighted Gram (_whitened): the operator is F Delta F^{-1}, the
-preconditioner the bare symbol S, and every inner product is flat.  These
-are the iterates of PCG in the metric inner product preconditioned by
-F^{-1} S F, which is self-adjoint there as S alone is not.  For dbar on
-(3,0), where F and the star are grid constants, the same loop runs on the
-spectra of y: S is diagonal there, and a Laplacian takes two transforms.
+conjugate gradients preconditioned by the bare symbol S, in coordinates
+where the operator is Hermitian in a flat inner product (_whitened).  For
+dbar on (0,0) and (3,0) that is the weak form on spectra: on (p,0)
+Delta'' = dbar* dbar, so Q Delta'' = dbar^H Q dbar, Q the volume-weighted
+Gram, needs no whitening; S is diagonal on spectra, and an image takes two
+transforms.  Elsewhere the coefficients are whitened, y = F x with F a
+pointwise root of Q, and the operator is F Delta F^{-1}.  These are the
+iterates of PCG in the metric inner product preconditioned by S Q and by
+F^{-1} S F, which are self-adjoint there as S alone is not.
 """
 
 from __future__ import annotations
@@ -227,14 +229,14 @@ class Metric:
     Per-metric results go through `memo(key, build)`, one dict keyed by
     tagged tuples: min_eigenvalue, compounds and the per-side factors built
     from them, Gram Cholesky factors and inverses, wedge-omega matrices,
-    _lie_ritz, _scale, _symbol_pinv, torsion reports, ||del omega||, the
-    descent gradient and its norms, the feasibility certificate and the
-    Lefschetz split.  Dense pairings, stars and kernels keep their own
-    _pairing_cache, _star_cache and _kernel_cache, because the benchmark
-    tracer (perfbench/spans.py) wraps `pairing` and `star_matrix` by name
-    and counts the misses of those caches.  Only the invariant backend
-    reads the dense pairing and star; a grid pipeline applies `factors`
-    and leaves both caches empty.
+    _lie_ritz, _scale, _symbol_pinv, torsion reports, del omega, dbar
+    omega and ||del omega||, the descent gradient and its norms, the
+    feasibility certificate and the Lefschetz split.  Dense pairings, stars
+    and kernels keep their own _pairing_cache, _star_cache and
+    _kernel_cache, because the benchmark tracer (perfbench/spans.py) wraps
+    `pairing` and `star_matrix` by name and counts the misses of those
+    caches.  Only the invariant backend reads the dense pairing and star;
+    a grid pipeline applies `factors` and leaves both caches empty.
     """
 
     def __init__(self, omega: Form):
@@ -689,9 +691,8 @@ def _symbol_pinv(metric: Metric, kind: str):
     opnorm (k=0 in particular); opnorm is max sigma (bc: max sigma^2 +
     2 sigma).  The axes are the model's spectral axes, counted from the end
     of a form's or a block's coefficients.  The kernel Richardson sweeps
-    and conjugate gradients, on whitened coefficients (_whitened), apply
-    inv as it is (_symbol_apply), and to whitened spectra with no
-    transform for dbar on (3,0).
+    and conjugate gradients (_whitened) apply inv as it is (_symbol_apply),
+    and to spectra with no transform for dbar on (0,0) and (3,0).
     """
     bc = kind == "bc"
 
@@ -760,17 +761,17 @@ def _start_block(metric: Metric, kind: str, p, q):
     and round-off, built from the constants.  q = 0: the constants
     themselves.  q = 1: h_c = c + dbar beta_c for each constant c, with
     beta_c = -G''(dbar* c) a Green solve on (p,0), whose kernel is the
-    constants (on (3,0), conjugate gradients on spectra, _whitened).
-    q = 2, 3: conj star of the (3-p, 3-q) block (Serre duality:
-    conj o star maps (3-p, 3-q) to (p,q) and commutes with Delta'')."""
-    C = _channels(metric, p, q)
-    if kind != "dbar" or q == 0 or not len(C):
-        return C
+    constants (on (0,0) and (3,0), weak-form conjugate gradients on spectra,
+    _whitened).  q = 2, 3: conj star of the (3-p, 3-q) block (Serre
+    duality: conj o star maps (3-p, 3-q) to (p,q) and commutes with
+    Delta''), so the constants of (p,q) are never built there."""
+    if kind != "dbar" or q == 0 or not _basis.degree_dims(metric.n, p, q):
+        return _channels(metric, p, q)
     model = metric.model
     if q == 1:
         V = [c - differential("dbar", green_solve(metric, "dbar", adjoint_diff(
             metric, "dbar", Form(model, p, q, c)), tol=_START_TOL)).coeffs
-             for c in C]
+             for c in _channels(metric, p, q)]
     else:
         perm, sign = _basis.conjugation(3, q, p)
         V = sign * np.conj(_apply(metric, "star", 3 - p, 3 - q, _start_block(
@@ -887,85 +888,108 @@ def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
 
 
 def _whitened(metric: Metric, kind: str, p, q):
-    """Conjugate gradients' coordinates on (p,q)-forms: whitened
-    coefficients y = F x, F the pointwise root of the volume-weighted Gram Q
-    (F^H F = Q), the "chol_inverse" factors of Metric.factors times
-    sqrt(density).  Returns (white, unwhite, proj, image, precondition,
-    scale): F and F^{-1} on blocks (k, d, *grid); on one whitened form the
-    projection off the whitened kernel, A = P F Delta F^{-1} and P S with S
-    the symbol inverse (_symbol_apply); and the scale that makes
-    <<a, b>> = y_a . conj(y_b) / scale.  P and A are Hermitian in that flat
-    inner product.
+    """Conjugate gradients' coordinates on (p,q)-forms: (rhs, solution,
+    image, precondition, scale).  rhs maps the coefficients of b to (f, the
+    norm of b in these coordinates, the metric fraction of b that is
+    harmonic), f the right-hand side with the harmonic part H''b of b
+    removed; solution maps an iterate to x, metric-orthogonal to the
+    kernel; the operator A (image) and the symbol inverse S (precondition,
+    _symbol_pinv) are Hermitian in the flat inner product u . conj(v) /
+    scale, and zero on the kernel.
 
-    Everywhere but dbar on (3,0), y is physical and scale the number of
-    points.  On (3,0) F = sqrt(density / det H) = 2 sqrt 2 and the star is
-    -i, grid constants, so F Delta F^{-1} = Delta = i del star dbar (star
-    from (3,1) to (2,0)), its kernel is the zero mode and S is diagonal in
-    Fourier space: y is the spectrum of F x, scale the squared number of
-    points (Parseval), P zeroes the zero mode, P S is S itself (zero there),
-    and A takes one ifftn and one fftn of three fields."""
+    For dbar on (0,0) and (3,0) the loop runs on spectra, in the weak form.
+    On (p,0) dbar* vanishes, so Delta'' = dbar* dbar, <<Delta'' x, y>> =
+    <<dbar x, dbar y>>, and A = Q Delta'' = dbar^H Q_(p,1) dbar, Q the
+    volume-weighted pointwise Gram and dbar^H the flat adjoint
+    (TorusModel.spectral_adjoint), is Hermitian in the flat inner product
+    whether or not Q is a grid constant.  The iterate is the spectrum of x
+    and f that of Q (b - H''b) (not Q b with its zero mode cut: on (0,0)
+    Q = density varies); scale is the squared number of points (Parseval),
+    the kernel the zero mode, and A one ifftn and one fftn of three fields.
+    These are the iterates of PCG in the metric inner product
+    preconditioned by S Q, and the residual is ||Q (b - H''b - Delta'' x)||:
+    2 sqrt 2 times the metric one on (3,0), where Q = 8.
+
+    Everywhere else, where Q is a matrix on a form of one degree or the
+    Laplacian is not dbar* dbar, the iterate is y = F x, F the pointwise
+    root of Q (F^H F = Q), the "chol_inverse" factors of Metric.factors
+    times sqrt(density): A = P F Delta F^{-1} and P S, P the projection off
+    the whitened kernel, scale the number of points, and the residual the
+    metric one.  These are the iterates of PCG in the metric inner product
+    preconditioned by F^{-1} S F."""
     model, pts = metric.model, math.prod(metric.model.grid_shape)
-    if kind == "dbar" and (p, q) == (3, 0):
-        axes, F = model.spectral_axes, math.sqrt(8.0)
-        zero = (Ellipsis,) + (0,) * len(model.grid_shape)
-        inv = _symbol_pinv(metric, kind)[0]
+    K = harmonic_basis(metric, kind, p, q).block
+    flat_norm = lambda u: math.sqrt(np.vdot(u, u).real / pts)
+    if kind == "dbar" and q == 0 and p in (0, 3):
+        axes, inv = model.spectral_axes, _symbol_pinv(metric, kind)[0]
+        weigh = lambda X, q: _apply(metric, "pairing", p, q, X) \
+            * metric.density
+        QK = weigh(K, 0)
 
-        def proj(y):
-            y = y.copy()
-            y[zero] = 0.0
-            return y
+        def harmonic(Qx):                   # <<x, K_j>> from Q x
+            return np.conj(K.reshape(len(K), -1)) @ Qx.ravel() / pts
+
+        def rhs(b):
+            Qb = weigh(b[None], 0)[0]
+            c = harmonic(Qb)
+            mass = math.sqrt(max(np.vdot(b, Qb).real / pts, 0.0))
+            f = np.fft.fftn(Qb - _combine(c, QK), axes=axes)
+            f[(Ellipsis,) + (0,) * len(model.grid_shape)] = 0.0
+            return f, flat_norm(Qb), \
+                float(np.linalg.norm(c)) / mass if mass else 0.0
+
+        def solution(y):
+            x = np.fft.ifftn(y, axes=axes)
+            return x - _combine(harmonic(weigh(x[None], 0)[0]), K)
 
         def image(y):
-            v = np.fft.ifftn(model.spectral_differential("dbar", 3, 0, y),
+            v = np.fft.ifftn(model.spectral_differential("dbar", p, 0, y),
                              axes=axes)
-            w = np.fft.fftn(_apply(metric, "star", 3, 1, v[None])[0],
-                            axes=axes)
-            return proj(1j * model.spectral_differential("del", 2, 0, w))
-        return (lambda X: F * np.fft.fftn(X, axes=axes),
-                lambda Y: np.fft.ifftn(Y, axes=axes) / F,
-                proj, image, lambda r: inv * r, pts * pts)
+            w = np.fft.fftn(weigh(v[None], 1)[0], axes=axes)
+            return model.spectral_adjoint("dbar", p, 0, w)
+        return rhs, solution, image, lambda r: inv * r, pts * pts
 
     root = np.sqrt(metric.density)
     white = lambda X: _apply(metric, "chol_inverse", p, q, X) * root
     unwhite = lambda Y: _apply(metric, "chol", p, q, Y / root)
-    K = white(harmonic_basis(metric, kind, p, q).block)
+    K = white(K)
     K = K.reshape(len(K), math.prod(K.shape[1:]))
 
     def proj(y):
         c = np.conj(K @ np.conj(y.ravel())) / pts       # <<y, K_j>>
         return y - (c @ K).reshape(y.shape)
 
+    def rhs(b):
+        bw = white(b[None])[0]
+        bp, nb = proj(bw), flat_norm(bw)
+        return bp, nb, flat_norm(bw - bp) / nb if nb else 0.0
+
     def image(y):
         x = Form(model, p, q, unwhite(y[None])[0])
         return proj(white(laplacian(metric, kind, x).coeffs[None])[0])
-    return (white, unwhite, proj, image,
+    return (rhs, lambda y: unwhite(proj(y)[None])[0], image,
             lambda r: proj(_symbol_apply(metric, kind, r)), pts)
 
 
 def _pcg(metric, kind, b, rtol, cap):
     """Kernel-deflated PCG in the coordinates of _whitened, with the symbol
-    inverse S as preconditioner: in exact arithmetic the iterates of PCG in
-    the metric inner product preconditioned by F^{-1} S F.  One loop serves
-    whitened physical coefficients and, for dbar on (3,0), whitened
-    spectra."""
+    inverse S as preconditioner.  One loop serves the weak form on spectra
+    (dbar on (0,0) and (3,0)) and whitened physical coefficients."""
     _check_pair(metric, b, b)
     model, p, q = metric.model, b.p, b.q
-    white, unwhite, proj, image, precondition, scale = _whitened(
+    rhs, solution, image, precondition, scale = _whitened(
         metric, kind, p, q)
-    dot = lambda u, v: np.vdot(v, u).real / scale       # Re <<u, v>>
+    dot = lambda u, v: np.vdot(v, u).real / scale       # Re <u, v>
     norm_ = lambda u: math.sqrt(dot(u, u))
 
-    bw = white(b.coeffs[None])[0]
-    bp = proj(bw)
-    nb_full, nb = norm_(bw), norm_(bp)
-    discarded = norm_(bw - bp) / nb_full if nb_full else 0.0
+    r, nb_full, discarded = rhs(b.coeffs)
+    nb = norm_(r)
     if nb <= 1e-13 * max(nb_full, 1.0):
         # nothing left of the right-hand side after removing harmonic mass
         info = GreenInfo("pcg", 0, nb, 0.0, discarded)
         return zero_form(model, p, q), info
 
-    x = np.zeros_like(bp)
-    r = bp
+    x = np.zeros_like(r)
     z = precondition(r)
     pdir = z
     rz = dot(r, z)
@@ -976,7 +1000,7 @@ def _pcg(metric, kind, b, rtol, cap):
         if res <= rtol * nb:
             info = GreenInfo("pcg", it, res, res / nb, discarded,
                              tuple(history))
-            return Form(model, p, q, unwhite(proj(x)[None])[0]), info
+            return Form(model, p, q, solution(x)), info
         if it == cap:
             raise SolveDiverged(
                 f"cg hit the iteration cap {cap} at relative residual "
@@ -1006,13 +1030,15 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     discarded harmonic mass is reported in the info record.  The invariant
     backend solves directly in the Ritz basis of _lie_ritz, whose kernel
     harmonic_basis reads; the grid backend runs kernel-deflated PCG to
-    relative residual `tol` on coefficients whitened by the pointwise root
-    of the Gram (_pcg), where the preconditioner is the closed-form Fourier
-    symbol and every inner product is flat (for dbar on (3,0) the whitened
-    coefficients are held as spectra, _whitened), and raises SolveDiverged if
-    the iterate after `max_iter` updates still misses it.  `max_iter` None
-    is a cap growing with the grid; 0 only checks the projected right-hand
-    side; a negative cap is a ValueError.
+    relative residual `tol` (_pcg), preconditioned by the closed-form
+    Fourier symbol, with every inner product flat: for dbar on (0,0) and
+    (3,0) in the weak form on spectra, where the residual is that of
+    Q Delta'' x = Q (b - H''b), and elsewhere on coefficients whitened by
+    the pointwise root of the Gram, where it is the metric one
+    (_whitened).  discarded_mass is the metric fraction of b that is
+    harmonic.  SolveDiverged if the iterate after `max_iter` updates still
+    misses `tol`.  `max_iter` None is a cap growing with the grid; 0 only
+    checks the projected right-hand side; a negative cap is a ValueError.
     """
     if max_iter is not None and max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")

@@ -111,29 +111,44 @@ class TorusModel:
         """del or dbar on the spectra of (p,q) coefficients, with no
         transform: the symbol of the generator channel c1 (dz^{c1+1} or its
         conjugate) times each source spectrum per wedge_table row."""
+        tgt, rows = self._symbol_rows(part, p, q)
+        out = np.zeros((_basis.degree_dims(self.n, *tgt),) + self.grid_shape,
+                       dtype=np.complex128)
+        for sym, c2, c_out, sign in rows:
+            out[c_out] += sign * sym * spec[c2]
+        return out
+
+    def spectral_adjoint(self, part, p, q, spec):
+        """The flat adjoint of spectral_differential, with no transform:
+        (p,q) spectra from the spectra of the target bidegree, by the same
+        wedge_table rows with conjugate symbols.  As the transforms are
+        unitary up to one scale, it is also the flat adjoint of
+        apply_differential on spectra; it vanishes on the zero mode."""
+        _, rows = self._symbol_rows(part, p, q)
+        out = np.zeros((_basis.degree_dims(self.n, p, q),) + self.grid_shape,
+                       dtype=np.complex128)
+        for sym, c2, c_out, sign in rows:
+            out[c2] += sign * np.conj(sym) * spec[c_out]
+        return out
+
+    def _symbol_rows(self, part, p, q):
+        """(target bidegree, rows (symbol, source channel, target channel,
+        sign)) of del or dbar on (p,q): the wedge_table rows of the
+        generator whose symbol is not masked out."""
         tgt, sym, gen = (((p + 1, q), self.zh, (1, 0)) if part == "del"
                          else ((p, q + 1), self.zbh, (0, 1)))
-        out = np.zeros(
-            (_basis.degree_dims(self.n, *tgt),) + self.grid_shape,
-            dtype=np.complex128,
-        )
-        for c1, c2, c_out, sign in _basis.wedge_table(self.n, *gen, p, q):
-            if sym[c1] is not None:
-                out[c_out] += sign * sym[c1] * spec[c2]
-        return out
+        return tgt, [(sym[c1], c2, c_out, sign) for c1, c2, c_out, sign
+                     in _basis.wedge_table(self.n, *gen, p, q)
+                     if sym[c1] is not None]
 
     def dbar_preimage(self, p, q, v):
         """x of bidegree (p,q) with dbar x = v for dbar-exact (p,q+1)
-        coefficients v: the adjoint of apply_differential's loop (conjugate
-        symbols) over sum_j |zbh_j|^2.  On a nonzero mode dbar is a ^ with
+        coefficients v: the flat adjoint of dbar (spectral_adjoint) over
+        sum_j |zbh_j|^2.  On a nonzero mode dbar is a ^ with
         a = sum_j zbh_j dzbar^j, and the Koszul identity e e* + e* e = |a|^2
         makes this exact; the zero mode of x is 0."""
-        out = np.zeros((_basis.degree_dims(self.n, p, q),) + self.grid_shape,
-                       dtype=np.complex128)
-        spec = np.fft.fftn(v, axes=self.spectral_axes)
-        for c1, c2, c_out, sign in _basis.wedge_table(self.n, 0, 1, p, q):
-            if self.zbh[c1] is not None:
-                out[c2] += sign * np.conj(self.zbh[c1]) * spec[c_out]
+        out = self.spectral_adjoint(
+            "dbar", p, q, np.fft.fftn(v, axes=self.spectral_axes))
         mass = sum((abs(z) ** 2 for z in self.zbh if z is not None),
                    np.zeros(self.grid_shape))
         mass.flat[0] = np.inf           # the zero mode, where dbar is 0

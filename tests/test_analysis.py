@@ -297,6 +297,31 @@ def test_grid_pipelines_materialise_no_pairing_or_star():
     assert g._pairing_cache == {} and g._star_cache == {}
 
 
+def test_report_sections_differentiate_omega_once_per_part(monkeypatch):
+    """del omega and dbar omega are memoised on the metric: the report
+    sections and the descent certificate share one of each."""
+    from hsgeom import descent
+
+    g = Metric(standard_fixture("three_coord", resolution=16, eps=0.05)[3])
+    model, parts = g.model, []
+    apply = type(model).apply_differential
+
+    def spy(self, part, p, q, coeffs):
+        if coeffs is g.omega.coeffs:
+            parts.append(part)
+        return apply(self, part, p, q, coeffs)
+
+    monkeypatch.setattr(type(model), "apply_differential", spy)
+    energy_and_volume(g)
+    classify_metric(g)
+    lefschetz_alpha(g)
+    sg_and_completion(g)
+    scalar_volume_derivative(g, random_band_form(
+        model, 0, 0, np.random.default_rng(2)))
+    descent.certify_critical(g)
+    assert sorted(parts) == ["dbar", "del"], parts
+
+
 def test_infeasible_torus(two_coord):
     """An x1-wave on the dz2^dzbar2 channel is not hermitian-symplectic."""
     model, _, omega0, _ = two_coord

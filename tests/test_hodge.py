@@ -829,19 +829,24 @@ def three_coord8():
 
 
 @pytest.mark.parametrize("kind", ["dbar", "bc"])
-@pytest.mark.parametrize("bidegree", [(2, 0), (3, 2), (1, 1), (3, 0)])
+@pytest.mark.parametrize("bidegree", [(2, 0), (3, 2), (1, 1), (3, 0), (0, 0)])
 def test_whitened_laplacian_is_hermitian(three_coord8, kind, bidegree):
     # <A x, y> = <x, A y> in the flat inner product, A the projected
-    # F Delta F^{-1} on whitened coefficients (spectra for dbar on (3,0)),
-    # as conjugate gradients needs
+    # F Delta F^{-1} on whitened coefficients, or for dbar on (0,0) and
+    # (3,0) the weak form Q Delta'' on spectra, as conjugate gradients needs
     g, (p, q) = three_coord8, bidegree
-    _, _, proj, image, *_ = hodge._whitened(g, kind, p, q)
+    rhs, _, image, *_ = hodge._whitened(g, kind, p, q)
     rng = np.random.default_rng(7)
-    x, y = (proj(random_band_form(g.model, p, q, rng, terms=12).coeffs)
+    x, y = (rhs(random_band_form(g.model, p, q, rng, terms=12).coeffs)[0]
             for _ in range(2))
     Ax, Ay = image(x), image(y)
     assert abs(np.vdot(y, Ax) - np.vdot(Ay, x)) \
         <= 1e-12 * np.linalg.norm(Ax) * np.linalg.norm(y)
+
+
+def _weigh(g, a):
+    """Q a for a (p,q)-form a, Q the volume-weighted pointwise Gram."""
+    return hodge._apply(g, "pairing", a.p, a.q, a.coeffs[None])[0] * g.density
 
 
 def _reference_precondition(g, kind, p, q, X):
@@ -855,15 +860,25 @@ def _reference_precondition(g, kind, p, q, X):
     return hodge._apply(g, "chol", p, q, Y / root)
 
 
-def _reference_pcg(g, kind, b, rtol, cap):
+def _reference_pcg(g, kind, b, rtol, cap, weak=False):
     """Kernel-deflated PCG in the metric inner product, preconditioned by
-    F^{-1} S F: the route that hodge._pcg runs on whitened coefficients.
-    Returns the solution and the residual history."""
+    F^{-1} S F, the route that hodge._pcg runs on whitened coefficients, or
+    (weak) by S Q, the exact-arithmetic twin of its weak form on spectra:
+    Q S Q is Hermitian, so S Q is self-adjoint in the metric inner product.
+    Returns the solution and the residual history: metric norms, or (weak)
+    the flat norms of Q r."""
     proj = lambda f: f - harmonic_project(g, kind, f)
-    precondition = lambda r: proj(Form(g.model, r.p, r.q, (
-        _reference_precondition(g, kind, r.p, r.q, r.coeffs[None])[0])))
+    if weak:
+        apply = lambda r: hodge._symbol_apply(g, kind, _weigh(g, r)[None])[0]
+        measure = lambda r: math.sqrt(np.vdot(*(_weigh(g, r),) * 2).real
+                                      / math.prod(g.model.grid_shape))
+    else:
+        apply = lambda r: _reference_precondition(
+            g, kind, r.p, r.q, r.coeffs[None])[0]
+        measure = lambda r: norm(g, r)
+    precondition = lambda r: proj(Form(g.model, r.p, r.q, apply(r)))
     r = proj(b)
-    nb, x = norm(g, r), zero_form(g.model, b.p, b.q)
+    nb, x = measure(r), zero_form(g.model, b.p, b.q)
     z = pdir = precondition(r)
     rz = inner(g, r, z).real
     history = [nb]
@@ -874,37 +889,48 @@ def _reference_pcg(g, kind, b, rtol, cap):
         z = precondition(r)
         rz, rz_old = inner(g, r, z).real, rz
         pdir = z + (rz / rz_old) * pdir
-        history.append(norm(g, r))
+        history.append(measure(r))
     return proj(x), history
 
 
 @pytest.mark.parametrize("kind, bidegree", [
     ("dbar", (2, 0)), ("dbar", (3, 2)), ("dbar", (0, 2)), ("dbar", (1, 1)),
-    ("bc", (1, 1)), ("dbar", (3, 0))])
+    ("bc", (1, 1)), ("dbar", (3, 0)), ("dbar", (0, 0))])
 def test_whitened_pcg_matches_the_metric_route(three_coord8, kind, bidegree):
+    # on (0,0) against the weak form's twin; on (3,0), where Q = 8 and
+    # F = 2 sqrt 2 are grid constants, the metric route's twins coincide,
+    # and the weak-form residual ||Q r|| is 2 sqrt 2 times the metric one
     g, (p, q) = three_coord8, bidegree
     b = random_band_form(g.model, p, q, np.random.default_rng(5), terms=12)
     x, info = green_solve(g, kind, b, with_info=True)
-    ref, history = _reference_pcg(g, kind, b, hodge._CG_TOL, 100)
+    ref, history = _reference_pcg(g, kind, b, hodge._CG_TOL, 100,
+                                  weak=bidegree == (0, 0))
+    factor = math.sqrt(8.0) if bidegree == (3, 0) else 1.0
     assert info.iterations == len(history) - 1
-    np.testing.assert_allclose(info.residual_history, history, rtol=1e-8)
+    np.testing.assert_allclose(info.residual_history,
+                               factor * np.array(history), rtol=1e-8)
     assert norm(g, x - ref) <= 1e-10 * norm(g, ref)
 
 
 def _physical_whitened(g, kind, p, q):
     """The maps of hodge._whitened on whitened physical coefficients, for
-    every (kind, p, q): the reference of its spectral route for dbar on
-    (3,0)."""
+    every (kind, p, q): the reference of its weak form on spectra for dbar
+    on (0,0) and (3,0)."""
     pts, root = math.prod(g.model.grid_shape), np.sqrt(g.density)
     white = lambda X: hodge._apply(g, "chol_inverse", p, q, X) * root
     unwhite = lambda Y: hodge._apply(g, "chol", p, q, Y / root)
+    flat_norm = lambda u: math.sqrt(np.vdot(u, u).real / pts)
     K = white(harmonic_basis(g, kind, p, q).block)
     K = K.reshape(len(K), -1)
     proj = lambda y: y - (np.conj(K @ np.conj(y.ravel())) / pts @ K
                           ).reshape(y.shape)
+
+    def rhs(b):
+        bw = white(b[None])[0]
+        return proj(bw), flat_norm(bw), flat_norm(bw - proj(bw)) / flat_norm(bw)
     image = lambda y: proj(white(laplacian(g, kind, Form(
         g.model, p, q, unwhite(y[None])[0])).coeffs[None])[0])
-    return (white, unwhite, proj, image,
+    return (rhs, lambda y: unwhite(proj(y)[None])[0], image,
             lambda r: proj(hodge._symbol_apply(g, kind, r)), pts)
 
 
@@ -944,11 +970,47 @@ def test_30_whitening_and_star_are_grid_constants(spectral_case):
     assert np.ptp(g.H.real, axis=tuple(range(6))).max() > 1e-2
 
 
+@pytest.mark.parametrize("p", [0, 3])
+def test_weak_form_is_the_weighted_laplacian(spectral_case, p):
+    # the premise of the weak form of hodge._whitened: on (p,0) Delta'' =
+    # dbar* dbar, so dbar^H Q_(p,1) dbar x = Q Delta'' x, dbar^H the flat
+    # adjoint, whether or not Q is a grid constant
+    g, model = spectral_case, spectral_case.model
+    x = random_band_form(model, p, 0, np.random.default_rng(3), terms=12)
+    axes = model.spectral_axes
+    weak = np.fft.ifftn(model.spectral_adjoint("dbar", p, 0, np.fft.fftn(
+        _weigh(g, differential("dbar", x)), axes=axes)), axes=axes)
+    want = _weigh(g, laplacian(g, "dbar", x))
+    assert np.abs(weak - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_weak_form_solves_remove_the_metric_harmonic_part(spectral_case, p,
+                                                          monkeypatch):
+    # a right-hand side with a harmonic part: the weak form solves
+    # Delta'' x = b - H''b, H'' the metric harmonic projection, not the
+    # flat mean of Q b; x is metric-orthogonal to the constants, and the
+    # discarded mass is the metric fraction of the physical route
+    g, model = spectral_case, spectral_case.model
+    b = random_band_form(model, p, 0, np.random.default_rng(9), terms=12) \
+        + Form(model, p, 0, np.full((1,) + model.grid_shape, 0.7 - 0.2j))
+    x, info = green_solve(g, "dbar", b, tol=1e-13, with_info=True)
+    target = b - harmonic_project(g, "dbar", b)
+    assert norm(g, laplacian(g, "dbar", x) - target) <= 1e-10 * norm(g, target)
+    h, = harmonic_basis(g, "dbar", p, 0)
+    assert abs(inner(g, x, h)) <= 1e-12 * norm(g, x)
+    monkeypatch.setattr(hodge, "_whitened", _physical_whitened)
+    _, ref_info = green_solve(g, "dbar", b, tol=1e-13, with_info=True)
+    assert 0.1 < info.discarded_mass < 0.9
+    assert abs(info.discarded_mass - ref_info.discarded_mass) <= 1e-12
+
+
 def test_spectral_30_solves_match_the_physical_route(spectral_case,
                                                       monkeypatch):
     # the three (3,0) solves of the (0,2) start block, of dbar* c for the
-    # constant (3,1) channels c: on whitened spectra, and on the whitened
-    # physical coefficients every other bidegree keeps
+    # constant (3,1) channels c: in the weak form on spectra, and on the
+    # whitened physical coefficients every other bidegree keeps; as Q = 8,
+    # the weak residual is 2 sqrt 2 times the metric one
     g = spectral_case
     rhs = [adjoint_diff(g, "dbar", Form(g.model, 3, 1, c))
            for c in hodge._channels(g, 3, 1)]
@@ -961,13 +1023,15 @@ def test_spectral_30_solves_match_the_physical_route(spectral_case,
         ref, ref_info = solve(b)
         assert info.iterations == ref_info.iterations > 0
         h, h_ref = (np.array(i.residual_history) for i in (info, ref_info))
+        h_ref = math.sqrt(8.0) * h_ref
         assert np.abs(h - h_ref).max() <= 1e-12 * h_ref[0]
         assert norm(g, x - ref) <= 1e-12 * norm(g, ref)
 
 
 def test_spectral_30_solves_take_two_transforms_per_iteration(monkeypatch):
-    # one ifftn and one fftn per (3,0) iteration, one of each around the
-    # loop; the (3,0) solves dominate the transforms of the (0,2) basis
+    # one ifftn and one fftn per weak-form iteration, one of each around
+    # the loop: the three (3,0) solves, which dominate the transforms of the
+    # (0,2) basis, and a (0,0) solve like that of the E_2 potential
     g = Metric(standard_fixture("three_coord", resolution=16, eps=0.05)[3])
     count, solves, pcg = collections.Counter(), [], hodge._pcg
     for name in ("fftn", "ifftn"):
@@ -984,11 +1048,14 @@ def test_spectral_30_solves_take_two_transforms_per_iteration(monkeypatch):
     monkeypatch.setattr(hodge, "_pcg", spy)
     harmonic_basis(g, "dbar", 0, 2)
     assert [s[0] for s in solves] == [(3, 0)] * 3
-    assert all(its > 0 and n <= 2 * its + 2 for _, its, n in solves), solves
     # besides: 2 per right-hand side dbar* c and per h_c = c + dbar beta_c,
     # and 8 per Laplacian of the (0,2) block, checked once
     its = sum(s[1] for s in solves)
     assert count["all"] <= 2 * (its + 3) + 36, (count, solves)
+    b = random_band_form(g.model, 0, 0, np.random.default_rng(4), terms=12)
+    green_solve(g, "dbar", b)
+    assert solves[-1][0] == (0, 0)
+    assert all(its > 0 and n <= 2 * its + 2 for _, its, n in solves), solves
 
 
 def test_preconditioner_root_factors_the_gram(three_coord8):
@@ -1014,7 +1081,7 @@ def test_preconditioner_root_factors_the_gram(three_coord8):
 def test_report_green_solves_converge_fast(monkeypatch, three_coord):
     # the Green solves a grid report runs, wherever they are called from:
     # the (0,0) one of the E_2 potential and the three (3,0) ones of the
-    # (0,2) start block; measured at 8, 9, 10 and 10 PCG iterations
+    # (0,2) start block; measured at 7, 9, 10 and 10 PCG iterations
     solves, solve = [], green_solve
 
     def spy(metric, kind, b, *, with_info=False, **kw):

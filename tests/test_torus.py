@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hsgeom import _basis
 from hsgeom.forms import (
     Form,
     coeff_norm,
@@ -120,6 +121,28 @@ def test_dbar_preimage_is_exact(p, q):
     x = Form(m, p, q, m.dbar_preimage(p, q, v.coeffs))
     assert coeff_norm(v) > 0.1
     assert coeff_norm(differential("dbar", x) - v) <= 1e-13 * coeff_norm(v)
+
+
+@pytest.mark.parametrize("part", ["del", "dbar"])
+def test_spectral_adjoint_is_the_flat_adjoint(part):
+    """<D x, y> = <x, D^H y> for random spectra x, y of every (p,q) with a
+    nonzero target, D = spectral_differential and D^H = spectral_adjoint,
+    on the grid of test_dbar_preimage_is_exact."""
+    m = make_torus_model(8, ("x1", "x2", "x3", "x6"))
+    rng = np.random.default_rng(1)
+    shape = lambda p, q: (_basis.degree_dims(3, p, q),) + m.grid_shape
+    spec = lambda p, q: rng.standard_normal(shape(p, q)) \
+        + 1j * rng.standard_normal(shape(p, q))
+    for p in range(4):
+        for q in range(4):
+            tgt = (p + 1, q) if part == "del" else (p, q + 1)
+            if max(tgt) > 3:
+                continue
+            x, y = spec(p, q), spec(*tgt)
+            Dx = m.spectral_differential(part, p, q, x)
+            DHy = m.spectral_adjoint(part, p, q, y)
+            assert abs(np.vdot(y, Dx) - np.vdot(DHy, x)) \
+                <= 1e-13 * np.linalg.norm(Dx) * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("part", ["del", "dbar"])
