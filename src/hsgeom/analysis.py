@@ -131,13 +131,16 @@ def torsion_least_squares(metric: Metric) -> Form:
 
 def torsion_form(metric: Metric, mode: str = "dim3",
                  tol: float = None) -> TorsionReport:
-    """Minimal torsion form.
+    """Minimal torsion form: one extraction, three verdicts.
 
-    hs_min: rho = -G_bc[dbar* del omega + dbar* del del* del omega]
-    dim3:   rho = rho0 - H''(rho0), rho0 = -dbar_preimage(del omega) (n = 3
-            shortcut; dbar on (2,0) is metric-free, H'' is harmonic_project)
-    skt:    the same formula, but only Im(dbar*)-minimality is claimed and
-            the metric must be pluriclosed.
+    Every mode reads the rho of _torsion_core, memoised on the metric, and
+    decides its gate and the kernel that minimality is read against:
+
+    hs_min: the invariant hs_feasibility certificate; the bc kernel, which
+            checks independently that rho is Bott-Chern-minimal
+    dim3:   the same certificate; the dbar kernel
+    skt:    the metric must be pluriclosed; the dbar kernel, and only
+            Im(dbar*)-minimality is claimed.
 
     A successful report is memoised on the metric per (mode, tol), tol
     resolved to the backend default first: treat it as read-only.  A failure
@@ -166,10 +169,32 @@ def del_omega_norm(metric: Metric) -> float:
         metric, omega_differential(metric, "del")))
 
 
-def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
+def _torsion_core(metric: Metric) -> TorsionReport:
+    """rho = rho0 - H''(rho0), rho0 = -dbar_preimage(del omega), with its
+    constraint residuals and F, none of which depends on the mode or on tol
+    (left empty).  dbar on (2,0) is metric-free; only H'' (harmonic_project)
+    reads the metric.  In dimension 3 rho is also the Bott-Chern-minimal
+    torsion: a del-exact holomorphic (3,0)-form has zero L2 norm, so del rho
+    = 0, and every holomorphic 2-form is d-closed, so ker del ^ ker dbar =
+    ker dbar on (2,0)."""
     model = metric.model
     d_omega = omega_differential(metric, "del")
     scale = max(1.0, del_omega_norm(metric))
+    rho = Form(model, 2, 0, -model.dbar_preimage(2, 0, d_omega.coeffs))
+    rho = rho - harmonic_project(metric, "dbar", rho)
+    F = inner(metric, rho, rho).real
+    return TorsionReport(
+        mode=None, rho20=rho, rho02=conjugate(rho),
+        energy=F, volume=metric.volume, generalized_volume=F + metric.volume,
+        dv_mass=None, g_energy=None, g_marker=None,
+        residuals={"del_rho": norm(metric, differential("del", rho)) / scale,
+                   "dbar_rho_plus_del_omega": norm(
+                       metric, differential("dbar", rho) + d_omega) / scale},
+        diagnostics={}, tolerances={})
+
+
+def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
+    model = metric.model
 
     if mode == "skt":
         ddbar = differential("del", omega_differential(metric, "dbar"))
@@ -189,50 +214,21 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
                 certificate=cert,
             )
 
-    if mode == "hs_min":
-        rhs = adjoint_diff(metric, "dbar", d_omega)
-        extra = adjoint_diff(
-            metric, "dbar",
-            differential("del", adjoint_diff(metric, "del", d_omega)),
-        )
-        rho = -1.0 * green_solve(metric, "bc", rhs + extra)
-        min_kind = "bc"
-    else:       # dbar on (2,0) is metric-free; only the minimality is not
-        rho = Form(model, 2, 0, -model.dbar_preimage(2, 0, d_omega.coeffs))
-        rho = rho - harmonic_project(metric, "dbar", rho)
-        min_kind = "dbar"
-
-    res_del = norm(metric, differential("del", rho)) / scale
-    res_dbar = norm(metric, differential("dbar", rho) + d_omega) / scale
-    residuals = {
-        "del_rho": res_del,
-        "dbar_rho_plus_del_omega": res_dbar,
-        "minimality": _harmonic_norm_20(metric, min_kind, rho),
-    }
-    feas_tol = max(tol, 100 * _default_tol(model))
-    if res_dbar > feas_tol or res_del > feas_tol:
+    core = metric.memo(("torsion_core",), lambda: _torsion_core(metric))
+    residuals = dict(core.residuals, minimality=_harmonic_norm_20(
+        metric, "bc" if mode == "hs_min" else "dbar", core.rho20))
+    res_del, res_dbar = core.residuals.values()
+    if max(res_del, res_dbar) > max(tol, 100 * _default_tol(model)):
         raise NotFeasibleError(
             f"torsion constraints violated (del: {res_del:.3e}, "
             f"dbar: {res_dbar:.3e})", residuals=residuals,
         )
 
-    F = inner(metric, rho, rho).real
-    vol = metric.volume
-    A = F + vol
-    rho02 = conjugate(rho)
-    diagnostics = {
-        "del_omega_norm": del_omega_norm(metric),
-        "f_zero_implies_del_omega": (
-            del_omega_norm(metric) if F < tol else None
-        ),
-    }
-    return TorsionReport(
-        mode=mode, rho20=rho, rho02=rho02,
-        energy=F, volume=vol, generalized_volume=A,
-        dv_mass=None, g_energy=None, g_marker=None,
-        residuals=residuals, diagnostics=diagnostics,
-        tolerances={"constraint": tol},
-    )
+    dn = del_omega_norm(metric)
+    return dataclasses.replace(
+        core, mode=mode, residuals=residuals, tolerances={"constraint": tol},
+        diagnostics={"del_omega_norm": dn, "f_zero_implies_del_omega":
+                     dn if core.energy < tol else None})
 
 
 def _harmonic_norm_20(metric: Metric, kind: str, a: Form) -> float:

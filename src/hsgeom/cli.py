@@ -473,7 +473,7 @@ def _add_metric_flags(p):
     p.add_argument("--eps", type=float, default=0.05,
                    help="amplitude for fixture: perturbations")
     p.add_argument("--mode", choices=analysis.TORSION_MODES, default="dim3",
-                   help="torsion extraction mode")
+                   help="torsion mode: its gate and minimality kernel")
 
 
 def build_parser():

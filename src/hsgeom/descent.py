@@ -259,7 +259,8 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
     step that cannot be taken raises with the partial trace and state:
     LineSearchStalled if its volume gain is round-off, PositivityBoundary if
     its metric form is not positive.  A NotFeasibleError, or in hs_min mode
-    a SolveDiverged, from a later iterate's torsion carries the trace too.
+    a SolveDiverged of the bc kernel that its torsion's minimality reads,
+    from a later iterate carries the trace too.
     """
     opts = opts or DescentOptions()
     trace = DescentTrace(options=asdict(opts))

@@ -172,6 +172,33 @@ def test_report_with_tol_builds_one_torsion_report(tmp_path, monkeypatch):
     assert "ma_constants" in json.loads(out.read_text())["completion"]
 
 
+@pytest.mark.parametrize("model", [
+    ["catalogue:torus3"],
+    ["torus", "--resolution", "8", "--mask", "x1,x2",
+     "--perturb", "fixture:two_coord"]], ids=["lie", "grid"])
+def test_hs_min_report_extracts_the_torsion_once_per_metric(
+        tmp_path, monkeypatch, model):
+    # classify_metric asks for the dim3 report and the torsion section for
+    # the hs_min one; both read the one memoised extraction of the metric
+    from hsgeom import analysis, cli
+
+    cores, reports = [], []
+    core, form = analysis._torsion_core, analysis._torsion_form
+    monkeypatch.setattr(analysis, "_torsion_core",
+                        lambda metric: cores.append(metric) or core(metric))
+    monkeypatch.setattr(analysis, "_torsion_form",
+                        lambda metric, mode, tol: reports.append((metric, mode))
+                        or form(metric, mode, tol))
+    out = tmp_path / "report.json"
+    assert cli.main(["report", "--model", *model, "--mode", "hs_min",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["torsion"]["mode"] == "hs_min"
+    metrics = {id(metric) for metric, _ in reports}
+    assert {(id(cores[0]), "dim3"), (id(cores[0]), "hs_min")} <= {
+        (id(metric), mode) for metric, mode in reports}
+    assert len(cores) == len({id(metric) for metric in cores}) == len(metrics)
+
+
 def test_report_unusable_out_fails_before_any_work(tmp_path, monkeypatch,
                                                    capsys):
     from hsgeom import cli
