@@ -45,8 +45,10 @@ class NotFeasibleError(RuntimeError):
         self.certificate = certificate
 
 
-class NotSKTError(RuntimeError):
-    """skt torsion mode called on a metric with deldbar omega != 0."""
+class NotSKTError(NotFeasibleError):
+    """skt torsion mode called on a metric with deldbar omega != 0: the
+    pluriclosed gate fails, an honest negative like any infeasible torsion
+    system, with the norm of deldbar omega as its residual."""
 
 
 class RootFailure(RuntimeError):
@@ -201,8 +203,8 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
         r = norm(metric, ddbar)
         if r > tol * max(1.0, norm(metric, metric.omega)):
             raise NotSKTError(
-                f"deldbar omega has norm {r:.3e}; not pluriclosed at {tol:.1e}"
-            )
+                f"deldbar omega has norm {r:.3e}; not pluriclosed at {tol:.1e}",
+                residuals={"deldbar_omega": r})
 
     if mode in ("hs_min", "dim3") and model.kind == "lie":
         cert = hs_feasibility(metric)

@@ -279,9 +279,7 @@ def _report_body(model, metric, args):
                 "feasible": False,
                 "message": str(exc),
                 "residuals": exc.residuals,
-                "certificate": getattr(exc.certificate, "to_json",
-                                       lambda: None)()
-                if exc.certificate is not None else None,
+                "certificate": _sanitize(exc.certificate),
             }
         except (SolveDiverged, analysis.RootFailure, RuntimeError) as exc:
             doc["errors"].append({"section": name,

@@ -24,15 +24,19 @@ Conventions, locked by the test suite:
   p-th and q-th compound matrices.  Channels run I-major, so a block of
   (p,q)-forms splits for free into (I, J) axes: on a grid the pairing, its
   inverse and the star act as two small contractions, one per side
-  (Metric.factors, _kron), and no (d, d, *grid) pairing or star matrix is
-  formed.  The invariant backend has no grid and applies the dense
-  Kronecker products (Metric.pairing, Metric.star_matrix).
-* The pointwise 3x3 algebra is closed-form (_adjugate, _cholesky): H^{-1},
-  det H, the factor U of H = U U^H, every compound of H^{-T}, H^{-1}, U and
-  U^{-1} and every inverse factor come from H and its 2x2 minors, with no
-  batched det, inv or cholesky.  Positivity is Sylvester's criterion on the
-  same pivots (_positive); eigvalsh runs only for the reported least
-  eigenvalue and on the failure path.
+  (Metric.factors, _kron), and no grid report forms a (d, d, *grid)
+  pairing or star matrix.  The invariant backend has no grid and applies
+  the dense Kronecker products (Metric.pairing, Metric.star_matrix) in
+  inner products and the star; the contraction applies the factors on
+  both.
+* The pointwise 3x3 algebra on the report path is closed-form (_adjugate):
+  H^{-1}, det H, every compound of H^{-T} and H^{-1} and every inverse
+  factor come from H and its 2x2 minors, with no batched det or inv.
+  Positivity is Sylvester's criterion on the same pivots (_positive);
+  eigvalsh runs only for the reported least eigenvalue and on the failure
+  path.  Off that path one LAPACK cholesky gives the root: the factor U of
+  H = U U^H behind the whitened Green solves, and the Cholesky factor of
+  the dense Gram (Metric.gram_cholesky) behind min_norm_lstsq.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
@@ -182,26 +186,6 @@ def _positive(H, tau):
     return bool(np.all((h00 > 0) & (lead > 0) & (d2 > 0)))
 
 
-def _cholesky(H):
-    """Upper triangular U with H = U U^H for a Hermitian positive definite
-    (*, 3, 3) stack, in closed form: the Cholesky factor of H with rows and
-    columns reversed, from the pivots of _adjugate (_pivots) of reversed H.
-    So U^{-H} is the Cholesky factor of H^{-1}, and the Kronecker products of
-    compounds of U^{-1} that Metric.factors builds are Cholesky factors of
-    the Grams."""
-    R = H[..., ::-1, ::-1]
-    lead = (R[..., 0, 0] * R[..., 1, 1] - R[..., 0, 1] * R[..., 1, 0]).real
-    h00, w, d2 = _pivots(R, lead)
-    s0, s1 = np.sqrt(h00), np.sqrt(lead / h00)
-    L = np.zeros(H.shape, np.complex128)
-    L[..., 0, 0] = s0
-    L[..., 1:, 0] = R[..., 1:, 0] / s0[..., None]
-    L[..., 1, 1] = s1
-    L[..., 2, 1] = w / s1
-    L[..., 2, 2] = np.sqrt(d2)
-    return L[..., ::-1, ::-1]
-
-
 def _channel_first(side, C):
     """A (*grid, d, d) compound as a contiguous complex (d, d, *grid) array,
     transposed on side "H^-T"."""
@@ -210,25 +194,18 @@ def _channel_first(side, C):
     return np.ascontiguousarray(_leading(C), dtype=np.complex128)
 
 
-def _kron_dense(A, B, grid):
-    """The dense (d, d, *grid) Kronecker product A (x) B of two per-side
-    factors, flat (d, d, points) arrays or None (the 1x1 identity)."""
-    A, B = (np.ones((1, 1, math.prod(grid))) if F is None else F
-            for F in (A, B))
-    d = len(A) * len(B)
-    return np.einsum("IKg,JLg->IJKLg", A, B).reshape((d, d) + grid)
-
-
 class Metric:
     """A positive (1,1)-form with cached pointwise linear-algebra data.
 
-    H^{-1}, det H, the compounds and their factors are closed forms in H
-    (_adjugate), and positivity is decided by pivots (_positive); the one
-    batched eigvalsh gives min_eigenvalue, on first access.
+    H^{-1}, det H, the compounds and the pairing, inverse and star factors
+    are closed forms in H (_adjugate), and positivity is decided by pivots
+    (_positive); the one batched eigvalsh gives min_eigenvalue, on first
+    access, and the Cholesky roots ("chol" factors, gram_cholesky) are
+    LAPACK's.
 
     Per-metric results go through `memo(key, build)`, one dict keyed by
     tagged tuples: min_eigenvalue, compounds and the per-side factors built
-    from them, Gram Cholesky factors and inverses, wedge-omega matrices,
+    from them, Gram Cholesky factors, wedge-omega matrices,
     _lie_ritz, _scale, _symbol_pinv, torsion reports, del omega, dbar
     omega and ||del omega||, the descent gradient and its norms, the
     feasibility certificate and the Lefschetz split.  Dense pairings, stars
@@ -314,8 +291,10 @@ class Metric:
                    A[J, K'] = (-1)^K' C_q(H^{-T})[rev K', J] and
                    B[I, L'] = (-1)^L' C_p(H^{-1})[rev L', I] i (-1)^p det H.
         "chol":    A = C_p(U)^T, B = C_q(U)^H, H = U U^H with U upper
-                   triangular (_cholesky); memoised on the H^-T side only,
-                   B being the conjugate of the H^-T factor of degree q.
+                   triangular: LAPACK's Cholesky factor of H with rows and
+                   columns reversed, reversed back; memoised on the H^-T
+                   side only, B being the conjugate of the H^-T factor of
+                   degree q.
         "chol_inverse": A = C_p(U^{-1})^T, B = C_q(U^{-1})^H, the inverses
                    of the "chol" factors: the Jacobi complements of the
                    "chol" factors of degree 3 - p and 3 - q over det U =
@@ -327,7 +306,9 @@ class Metric:
         i det H.  As compounds are multiplicative and H^{-1} = U^{-H} U^{-1},
         the "chol_inverse" product times sqrt(density) is a pointwise root F
         of the volume-weighted Gram: <<a, b>> is the grid mean of
-        (a F) . conj(b F), a and b rows of channels (_whitened).
+        (a F) . conj(b F), a and b rows of channels (_whitened).  Its
+        conjugate is lower triangular, the Gram's Cholesky factor that
+        gram_cholesky takes from LAPACK.
         """
         if kind == "star":
             return self._factor(kind, "H^-T", q), self._factor(kind, "H^-1", p)
@@ -355,8 +336,9 @@ class Metric:
                      else self.detH[..., None, None])
                 return flat(_channel_first(side, C))
             if kind == "chol":
-                C = (np.sqrt(self.detH)[..., None, None] if k == 3 else
-                     _cholesky(self.H) if k == 1 else _minors(_cholesky(self.H)))
+                U = np.linalg.cholesky(self.H[..., ::-1, ::-1])[..., ::-1, ::-1]
+                C = U if k == 1 else _minors(U) if k == 2 else \
+                    np.sqrt(self.detH)[..., None, None]
                 return flat(_channel_first(side, C))
             C = flat(self.compound(side, k))
             d = len(C)
@@ -402,27 +384,13 @@ class Metric:
         return np.conj(self.pairing(p, q))
 
     def gram_cholesky(self, p, q):
-        """Pointwise Cholesky factor L of the volume-weighted Gram.
-
-        ||a||^2_{L2} = mean over the grid of |L(x)^H a(x)|^2.  On a grid L
-        is sqrt(density) times the conjugate Kronecker product of the
-        "chol_inverse" factors, lower triangular as they are: the conjugate
-        of the root F of _whitened, with no batched cholesky.
-        """
-        def build():
-            if self.model.kind == "lie":
-                return _leading(np.linalg.cholesky(
-                    _trailing(self.gram(p, q)) * self.density[..., None, None]))
-            return np.conj(_kron_dense(*self.factors("chol_inverse", p, q),
-                                       self.model.grid_shape)) \
-                * np.sqrt(self.density)
-        return self.memo(("chol", p, q), build)
-
-    def _gram_inverse(self, p, q):
-        """Inverse of gram(p, q): the conjugate Kronecker product of the
-        "inverse" factors."""
-        return self.memo(("gram_inv", p, q), lambda: np.conj(_kron_dense(
-            *self.factors("inverse", p, q), self.model.grid_shape)))
+        """Pointwise Cholesky factor L of the volume-weighted Gram, by LAPACK
+        on the dense Gram: ||a||^2_{L2} = mean over the grid of
+        |L(x)^H a(x)|^2.  The weights of min_norm_lstsq and the
+        reference-orthonormal bases of the cohomology tables; no grid
+        report or descent builds it."""
+        return self.memo(("chol", p, q), lambda: _leading(np.linalg.cholesky(
+            _trailing(self.gram(p, q)) * self.density[..., None, None])))
 
     def star_matrix(self, p, q):
         """Channel matrix of star, (p,q) -> (3-q, 3-p): the Kronecker
@@ -1096,23 +1064,18 @@ def decompose_3space(metric: Metric, flavor: str, a: Form):
 
 
 def contract(metric: Metric, a: Form) -> Form:
-    """Pointwise adjoint of omega ^ (.) : the Lefschetz contraction."""
+    """Pointwise adjoint of omega ^ (.) : the Lefschetz contraction.  The
+    pairing of a, the conjugate wedge-omega matrix, then the pairing
+    inverse one degree down: both pairings as factors (_apply), on either
+    backend."""
     p, q = a.p - 1, a.q - 1
-    model = metric.model
-    d_lo = _basis.degree_dims(metric.n, p, q)
-    if d_lo == 0:
-        return zero_form(model, p, q)
-    Lm = metric.wedge_omega_matrix(p, q)
-    if model.kind == "lie":
-        t = np.einsum("uv...,v...->u...", metric.gram(a.p, a.q), a.coeffs)
-    else:
-        t = _apply(metric, "pairing", a.p, a.q, a.coeffs[None])[0]
-    s = np.einsum("uw...,u...->w...", np.conj(Lm), t)
-    if model.kind == "lie":
-        x = np.einsum("uv...,v...->u...", metric._gram_inverse(p, q), s)
-    else:
-        x = _apply(metric, "inverse", p, q, s[None])[0]
-    return Form(model, p, q, x)
+    if not _basis.degree_dims(metric.n, p, q):
+        return zero_form(metric.model, p, q)
+    t = _apply(metric, "pairing", a.p, a.q, a.coeffs[None])[0]
+    Lm = np.conj(metric.wedge_omega_matrix(p, q))
+    s = np.einsum("uw...,u...->w...", Lm, t)
+    x = _apply(metric, "inverse", p, q, s[None])[0]
+    return Form(metric.model, p, q, x)
 
 
 def contract_trace(metric: Metric, gamma: Form):
@@ -1131,15 +1094,3 @@ def primitive_part(metric: Metric, a: Form) -> Form:
     # for k <= 3 the contraction is itself primitive, so one Lefschetz
     # correction suffices
     return a - (1.0 / (5 - k)) * wedge(metric.omega, contract(metric, a))
-
-
-def primitive_star_reference(metric: Metric, v: Form) -> Form:
-    """Closed-form star of a primitive form; test oracle for star()."""
-    n = metric.n
-    k = v.p + v.q
-    sign = (-1) ** ((k * (k + 1)) // 2)
-    phase = 1j ** (v.p - v.q)
-    out = v
-    for _ in range(n - k):
-        out = wedge(metric.omega, out)
-    return (sign * phase / math.factorial(n - k)) * out

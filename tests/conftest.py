@@ -1,11 +1,13 @@
 """Shared fixtures: catalogue models, perturbed-torus fixtures, random forms."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hsgeom import catalogue_model, make_torus_model, standard_fixture, synthesize_form
 from hsgeom import _basis
-from hsgeom.forms import flat_metric_form
+from hsgeom.forms import flat_metric_form, wedge
 from hsgeom.hodge import Metric
 
 RESOLUTION = 16
@@ -112,3 +114,16 @@ def random_metric(model, rng, wobble=0.1):
     if peak > 0:
         pert = (wobble / peak) * pert
     return Metric(omega + pert)
+
+
+def primitive_star_reference(metric, v):
+    """Closed-form star of a primitive k-form v: the sign and phase
+    (-1)^(k(k+1)/2) i^(p-q) / (3-k)! times omega^(3-k) ^ v; the test oracle
+    for hodge.star."""
+    k = v.p + v.q
+    sign = (-1) ** ((k * (k + 1)) // 2)
+    phase = 1j ** (v.p - v.q)
+    out = v
+    for _ in range(metric.n - k):
+        out = wedge(metric.omega, out)
+    return (sign * phase / math.factorial(metric.n - k)) * out

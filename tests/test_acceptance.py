@@ -32,13 +32,13 @@ from hsgeom.hodge import (
     inner,
     norm,
     primitive_part,
-    primitive_star_reference,
     star,
 )
 from hsgeom import analysis, cohomology, descent
 from hsgeom.lie import hs_feasibility
 
-from conftest import random_band_form, random_form, random_metric
+from conftest import (primitive_star_reference, random_band_form,
+                      random_form, random_metric)
 
 RESOLUTION = 16
 EPS = 0.05

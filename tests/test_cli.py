@@ -525,3 +525,83 @@ def test_sanitize_matches_the_isinstance_chain():
     got, want = cli._sanitize(doc), _sanitize_by_isinstance(doc)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert [type(v) for v in got["leaves"]] == [type(v) for v in want["leaves"]]
+
+
+# -- skt gate -----------------------------------------------------------------
+
+
+def test_report_skt_on_non_pluriclosed_is_a_typed_negative():
+    # the pluriclosed gate fails on iwasawa: an honest negative, like an
+    # infeasible torsion system, not a numerical failure
+    code, doc = run_json("report", "--model", "catalogue:iwasawa",
+                         "--mode", "skt")
+    assert code == 0
+    assert doc["errors"] == []
+    t = doc["torsion"]
+    assert t["feasible"] is False and t["certificate"] is None, t
+    assert "not pluriclosed" in t["message"]
+    assert list(t["residuals"]) == ["deldbar_omega"]
+    assert t["residuals"]["deldbar_omega"] > 1.0
+    assert "completion" not in doc
+
+
+def test_descend_skt_on_non_pluriclosed_is_a_typed_negative(tmp_path):
+    # the gate fails at iterate 0: the error document, exit 1, no traceback
+    proc = run_cli("descend", "--model", "catalogue:iwasawa", "--mode", "skt",
+                   "--out", str(tmp_path / "run"))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "NotSKTError"
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
+# -- pointwise linear algebra of grid runs ------------------------------------
+
+
+_LINALG = ("cholesky", "det", "slogdet", "inv", "pinv", "solve", "lstsq",
+           "eig", "eigh", "eigvals", "eigvalsh", "svd", "qr")
+
+
+def test_grid_runs_build_no_cholesky_root(tmp_path, monkeypatch):
+    """A grid report (both invariant-certificate modes) and a grid descent
+    call no batched np.linalg routine but the eigvalsh of min_eigenvalue,
+    once per report; the small ones they call are the inv of the 3x3 grid
+    mean (_symbol_pinv) and eigh on block Grams.  No metric they build
+    holds a Cholesky factor or root: the Green solves they run are in the
+    weak form on spectra."""
+    import numpy as np
+
+    from hsgeom import cli, hodge
+
+    batched, small, built = [], set(), []
+    for name in _LINALG:
+        def spy(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.ndim(args[0]) > 2:
+                batched.append(_name)
+            else:
+                small.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    init = hodge.Metric.__init__
+    monkeypatch.setattr(hodge.Metric, "__init__",
+                        lambda self, *a, **k: built.append(self)
+                        or init(self, *a, **k))
+    for mode in ("dim3", "hs_min"):
+        out = tmp_path / f"{mode}.json"
+        assert cli.main(["report", "--model", "torus", "--resolution", "8",
+                         "--mask", "x1,x3,x5", "--perturb",
+                         "fixture:three_coord", "--eps", "0.2",
+                         "--mode", mode, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["errors"] == []
+    assert cli.main(["descend", "--model", "torus", "--resolution", "8",
+                     "--mask", "x1,x2", "--perturb", "fixture:two_coord",
+                     "--eps", "0.05", "--out", str(tmp_path / "run")]) == 0
+    assert batched == ["eigvalsh"] * 2, batched     # one per report
+    assert small <= {"inv", "eigh"}, small
+    assert len(built) > 2
+    for metric in built:
+        held = [key for key in metric._memo if key[0] == "chol"
+                or key[:2] in (("factor", "chol"), ("factor", "chol_inverse"))]
+        assert not held, held

@@ -40,11 +40,11 @@ from hsgeom.hodge import (
     norm,
     pointwise_inner,
     primitive_part,
-    primitive_star_reference,
     star,
 )
 
-from conftest import random_band_form, random_form, random_metric
+from conftest import (primitive_star_reference, random_band_form,
+                      random_form, random_metric)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -212,9 +212,9 @@ def test_closed_form_inverse_of_ill_conditioned_metric(heis3):
 
 
 def test_metric_algebra_calls_no_batched_det_or_inv(monkeypatch):
-    """A grid Metric, its compounds and factors, the gram inverse and
-    Cholesky factor and root_of_22 are closed forms: np.linalg.det,
-    np.linalg.inv and np.linalg.cholesky never run."""
+    """A grid Metric, its compounds, the pairing, inverse and star factors
+    and root_of_22 are closed forms: np.linalg.det, np.linalg.inv and
+    np.linalg.cholesky never run.  (The Cholesky roots are LAPACK's.)"""
     from hsgeom.analysis import root_of_22
     omega = standard_fixture("three_coord", resolution=8, eps=0.05)[3]
     calls = collections.Counter()
@@ -231,13 +231,10 @@ def test_metric_algebra_calls_no_batched_det_or_inv(monkeypatch):
     for side in ("H^-T", "H^-1"):
         for k in range(4):
             g.compound(side, k)
-    for kind in ("pairing", "inverse", "star", "chol", "chol_inverse"):
+    for kind in ("pairing", "inverse", "star"):
         for p in range(4):
             for q in range(4):
                 g.factors(kind, p, q)
-                if kind == "inverse" and _basis.degree_dims(3, p, q):
-                    g._gram_inverse(p, q)
-                    g.gram_cholesky(p, q)
     root_of_22(wedge(omega, omega))
     assert not calls, dict(calls)
 
@@ -1067,9 +1064,8 @@ def test_preconditioner_root_factors_the_gram(three_coord8):
         for q in range(4):
             if not _basis.degree_dims(3, p, q):
                 continue
-            F, Finv = (np.swapaxes(hodge._trailing(hodge._kron_dense(
-                *g.factors(kind, p, q), grid)), -1, -2)
-                for kind in ("chol_inverse", "chol"))
+            F, Finv = (np.swapaxes(hodge._trailing(_kron_factors(
+                g, kind, p, q)), -1, -2) for kind in ("chol_inverse", "chol"))
             F, Finv = F * root, Finv / root
             Q = hodge._trailing(g.gram(p, q)) * g.density[..., None, None]
             FhF = np.conj(np.swapaxes(F, -1, -2)) @ F
@@ -1237,6 +1233,16 @@ def _dense_contract(g, a):
     return np.einsum("uv...,v...->u...", np.moveaxis(Ginv, (-2, -1), (0, 1)), s)
 
 
+def _kron_factors(g, kind, p, q):
+    """The dense (d, d, *grid) Kronecker product A (x) B of the per-side
+    factors of g.factors(kind, p, q), None being the 1x1 identity."""
+    grid = g.model.grid_shape
+    A, B = (np.ones((1, 1, math.prod(grid))) if F is None else F
+            for F in g.factors(kind, p, q))
+    d = len(A) * len(B)
+    return np.einsum("IKg,JLg->IJKLg", A, B).reshape((d, d) + grid)
+
+
 def _assert_close(x, want):
     assert x.shape == want.shape
     err = np.abs(x - want).max(initial=0.0)
@@ -1245,10 +1251,12 @@ def _assert_close(x, want):
 
 @pytest.mark.parametrize("name", ["two_coord", "three_coord", "heis3"])
 def test_factored_routes_match_dense(heis3, name):
-    """star, _gram, pointwise_inner, contract and gram_cholesky against the
-    dense pairing and star matrices, in all 16 bidegrees; the factored
-    block maps (_apply) on the invariant backend too, which itself uses the
-    dense matrices."""
+    """star, _gram, pointwise_inner and contract against the dense pairing
+    and star matrices, in all 16 bidegrees; the factored block maps
+    (_apply) on the invariant backend too, which itself uses the dense
+    matrices.  The LAPACK gram_cholesky against the closed-form route it
+    replaced: the conjugate Kronecker product of the "chol_inverse"
+    factors times sqrt(density)."""
     rng = np.random.default_rng(31)
     if name == "heis3":
         g = random_metric(heis3, rng)
@@ -1277,9 +1285,7 @@ def test_factored_routes_match_dense(heis3, name):
             _assert_close(hodge._gram(g, p, q, X, X[:2]), np.tensordot(
                 T, np.conj(X[:2]), axes=(axes, axes)) / max(1, T[0, 0].size))
             _assert_close(contract(g, a).coeffs, _dense_contract(g, a))
-            L = np.linalg.cholesky(np.moveaxis(g.gram(p, q), (0, 1), (-2, -1))
-                                   * g.density[..., None, None])
-            _assert_close(g.gram_cholesky(p, q),
-                          np.moveaxis(L, (-2, -1), (0, 1)))
+            _assert_close(g.gram_cholesky(p, q), np.conj(_kron_factors(
+                g, "chol_inverse", p, q)) * np.sqrt(g.density))
             _assert_close(hodge._apply(g, "chol", p, q, hodge._apply(
                 g, "chol_inverse", p, q, X)), X)
