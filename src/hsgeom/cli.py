@@ -181,6 +181,8 @@ def _parse_complex_list(body, want):
             out.append(complex(float(bits[0]), float(bits[1])))
         else:
             raise _InputError(f"bad complex entry {chunk!r}")
+        if not np.isfinite(out[-1]):
+            raise _InputError(f"non-finite complex entry {chunk!r}")
     if len(out) != want:
         raise _InputError(f"expected {want} coefficients, got {len(out)}")
     return np.array(out, dtype=np.complex128)
@@ -197,6 +199,8 @@ def _resolve_perturbation(model, args):
     if spec.startswith("fixture:"):
         if model.kind != "torus":
             raise _InputError("fixture: perturbations need the torus backend")
+        if not math.isfinite(args.eps):
+            raise _InputError(f"--eps must be finite, got {args.eps!r}")
         return standard_potential(model, spec.split(":", 1)[1], args.eps)
     if spec.startswith("coeffs:"):
         vec = _parse_complex_list(spec.split(":", 1)[1], model.n)

@@ -32,14 +32,14 @@ model, so a report builds each of them once; treat them as read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _basis
 from .analysis import NotFeasibleError, torsion_form
-from .forms import (Form, conjugate, differential, flat_metric_form,
-                    integrate_top, wedge)
+from .forms import Form, conjugate, differential, integrate_top, wedge
 from .hodge import Metric, NotPositiveError, min_norm_lstsq, norm
 from .lie import LieModel, _kept, _nullspace
 
@@ -248,12 +248,13 @@ def _page(model, r):
 
 
 class _Complex:
-    """Operator matrices and the reference inner product of one model."""
+    """Operator matrices and the reference inner product of one model.  The
+    flat reference metric has H = I/2 and density 1, so its Gram on
+    (p,q)-forms is 2^(p+q) I and its Cholesky factor 2^((p+q)/2) I."""
 
     def __init__(self, model: LieModel):
         self.model = model
         self.n = model.n
-        self.ref = Metric(flat_metric_form(model))
 
     def dim(self, p, q):
         return _basis.degree_dims(self.n, p, q)
@@ -263,17 +264,17 @@ class _Complex:
 
     def orth(self, cols, p, q):
         """Reference-orthonormal basis of the column span, rank-revealed."""
-        L = self.ref.gram_cholesky(p, q)
-        u, s, _ = np.linalg.svd(L.conj().T @ np.asarray(cols, np.complex128),
+        root = math.sqrt(2.0 ** (p + q))
+        u, s, _ = np.linalg.svd(root * np.asarray(cols, np.complex128),
                                 full_matrices=False)
-        return np.linalg.solve(L.conj().T, u[:, _kept(s)])
+        return u[:, _kept(s)] / root
 
     def project_out(self, cols, onb, p, q):
         """Remove the span of reference-orthonormal `onb` from each column."""
-        return cols - onb @ (onb.conj().T @ (self.ref.gram(p, q) @ cols))
+        return cols - onb @ (onb.conj().T @ (2.0 ** (p + q) * cols))
 
     def coords_against(self, onb, vecs, p, q):
-        return onb.conj().T @ (self.ref.gram(p, q) @ vecs)
+        return onb.conj().T @ (2.0 ** (p + q) * vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,10 @@ Conventions, locked by the test suite:
   factor come from H and its 2x2 minors, with no batched det or inv.
   Positivity is Sylvester's criterion on the same pivots (_positive);
   eigvalsh runs only for the reported least eigenvalue and on the failure
-  path.  Off that path one LAPACK cholesky gives the root: the factor U of
-  H = U U^H behind the whitened Green solves, and the Cholesky factor of
-  the dense Gram (Metric.gram_cholesky) behind min_norm_lstsq.
+  path.  Off it the one root of the volume-weighted Gram is LAPACK's: the
+  Cholesky factor L of the dense Gram and the inverse of L^H, one memoised
+  pair per bidegree (Metric.gram_cholesky), for the whitened Green solves,
+  min_norm_lstsq and lie.hs_feasibility; no grid report or descent builds it.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
@@ -54,10 +55,10 @@ where the operator is Hermitian in a flat inner product (_whitened).  For
 dbar on (0,0) and (3,0) that is the weak form on spectra: on (p,0)
 Delta'' = dbar* dbar, so Q Delta'' = dbar^H Q dbar, Q the volume-weighted
 Gram, needs no whitening; S is diagonal on spectra, and an image takes two
-transforms.  Elsewhere the coefficients are whitened, y = F x with F a
-pointwise root of Q, and the operator is F Delta F^{-1}.  These are the
-iterates of PCG in the metric inner product preconditioned by S Q and by
-F^{-1} S F, which are self-adjoint there as S alone is not.
+transforms.  Elsewhere the coefficients are whitened, y = L^H x with L
+the pointwise Cholesky factor of Q, and the operator is L^H Delta L^{-H}.
+These are the iterates of PCG in the metric inner product preconditioned
+by S Q and by L^{-H} S L^H, which are self-adjoint there as S alone is not.
 """
 
 from __future__ import annotations
@@ -200,20 +201,20 @@ class Metric:
     H^{-1}, det H, the compounds and the pairing, inverse and star factors
     are closed forms in H (_adjugate), and positivity is decided by pivots
     (_positive); the one batched eigvalsh gives min_eigenvalue, on first
-    access, and the Cholesky roots ("chol" factors, gram_cholesky) are
-    LAPACK's.
+    access, and the root of the Gram (gram_cholesky) is LAPACK's.
 
     Per-metric results go through `memo(key, build)`, one dict keyed by
     tagged tuples: min_eigenvalue, compounds and the per-side factors built
-    from them, Gram Cholesky factors, wedge-omega matrices,
+    from them, Gram Cholesky pairs, wedge-omega matrices,
     _lie_ritz, _scale, _symbol_pinv, torsion reports, del omega, dbar
     omega and ||del omega||, the descent gradient and its norms, the
     feasibility certificate and the Lefschetz split.  Dense pairings, stars
     and kernels keep their own _pairing_cache, _star_cache and
     _kernel_cache, because the benchmark tracer (perfbench/spans.py) wraps
     `pairing` and `star_matrix` by name and counts the misses of those
-    caches.  Only the invariant backend reads the dense pairing and star;
-    a grid pipeline applies `factors` and leaves both caches empty.
+    caches.  Only the invariant backend and gram_cholesky read the dense
+    pairing and star; a grid report or descent applies `factors` and leaves
+    both caches empty.
     """
 
     def __init__(self, omega: Form):
@@ -290,55 +291,29 @@ class Metric:
         "star":    star(a) is the I <-> J swap of a times A (x) B, with
                    A[J, K'] = (-1)^K' C_q(H^{-T})[rev K', J] and
                    B[I, L'] = (-1)^L' C_p(H^{-1})[rev L', I] i (-1)^p det H.
-        "chol":    A = C_p(U)^T, B = C_q(U)^H, H = U U^H with U upper
-                   triangular: LAPACK's Cholesky factor of H with rows and
-                   columns reversed, reversed back; memoised on the H^-T
-                   side only, B being the conjugate of the H^-T factor of
-                   degree q.
-        "chol_inverse": A = C_p(U^{-1})^T, B = C_q(U^{-1})^H, the inverses
-                   of the "chol" factors: the Jacobi complements of the
-                   "chol" factors of degree 3 - p and 3 - q over det U =
-                   sqrt(det H), memoised like "chol".
         The star is a ^ star(conj b) = <a, b>_pt dV_omega solved: the (q,p)
         pairing of conj b (conjugation sign (-1)^(pq)), each channel wedged
         with its complement to the top channel (sign (-1)^(p(3-q) + K' + L');
         at n = 3, rev, the reversed subset index, is the complement), times
-        i det H.  As compounds are multiplicative and H^{-1} = U^{-H} U^{-1},
-        the "chol_inverse" product times sqrt(density) is a pointwise root F
-        of the volume-weighted Gram: <<a, b>> is the grid mean of
-        (a F) . conj(b F), a and b rows of channels (_whitened).  Its
-        conjugate is lower triangular, the Gram's Cholesky factor that
-        gram_cholesky takes from LAPACK.
+        i det H.  Any other kind is a ValueError.
         """
         if kind == "star":
             return self._factor(kind, "H^-T", q), self._factor(kind, "H^-1", p)
         return self._factor(kind, "H^-T", p), self._factor(kind, "H^-1", q)
 
     def _factor(self, kind, side, k):
+        if kind not in ("pairing", "inverse", "star"):
+            raise ValueError(f"unknown channel map {kind!r}")
         if k == 0 and (kind != "star" or side == "H^-T"):
             return None
         flat = lambda C: C.reshape(len(C), len(C), -1)
         if kind == "pairing":
             return flat(self.compound(side, k))
-        if kind in ("chol", "chol_inverse") and side == "H^-1":
-            return np.conj(self._factor(kind, "H^-T", k))
 
         def build():
-            if kind == "chol_inverse":
-                R, det_U = self._factor("chol", side, 3 - k), \
-                    np.sqrt(self.detH).reshape(-1)
-                if R is None:
-                    return (1.0 / det_U).reshape(1, 1, -1)
-                return np.ascontiguousarray(np.swapaxes(
-                    _ALT[..., None] * R[::-1, ::-1], 0, 1) / det_U)
             if kind == "inverse":
                 C = (self.H if k == 1 else _minors(self.H) if k == 2
                      else self.detH[..., None, None])
-                return flat(_channel_first(side, C))
-            if kind == "chol":
-                U = np.linalg.cholesky(self.H[..., ::-1, ::-1])[..., ::-1, ::-1]
-                C = U if k == 1 else _minors(U) if k == 2 else \
-                    np.sqrt(self.detH)[..., None, None]
                 return flat(_channel_first(side, C))
             C = flat(self.compound(side, k))
             d = len(C)
@@ -384,13 +359,18 @@ class Metric:
         return np.conj(self.pairing(p, q))
 
     def gram_cholesky(self, p, q):
-        """Pointwise Cholesky factor L of the volume-weighted Gram, by LAPACK
-        on the dense Gram: ||a||^2_{L2} = mean over the grid of
-        |L(x)^H a(x)|^2.  The weights of min_norm_lstsq and the
-        reference-orthonormal bases of the cohomology tables; no grid
+        """(L, L^{-H}), channel-first, memoised together: L the pointwise
+        Cholesky factor of the volume-weighted Gram, by LAPACK on the dense
+        Gram (||a||^2_{L2} is the grid mean of |L^H a|^2), and the inverse
+        of L^H by one batched LAPACK inverse.  The whitening of _whitened
+        and the weights of min_norm_lstsq and lie.hs_feasibility; no grid
         report or descent builds it."""
-        return self.memo(("chol", p, q), lambda: _leading(np.linalg.cholesky(
-            _trailing(self.gram(p, q)) * self.density[..., None, None])))
+        def build():
+            L = np.linalg.cholesky(
+                _trailing(self.gram(p, q)) * self.density[..., None, None])
+            return _leading(L), _leading(np.linalg.inv(
+                np.conj(np.swapaxes(L, -1, -2))))
+        return self.memo(("chol", p, q), build)
 
     def star_matrix(self, p, q):
         """Channel matrix of star, (p,q) -> (3-q, 3-p): the Kronecker
@@ -546,32 +526,33 @@ def min_norm_lstsq(metric: Metric, src, rows):
 
     Each row is (target bidegree, A, b): A dense on flattened channel-major
     coefficients, b the target coefficients or None for zero.  Targets and
-    unknowns are weighted per grid point by W = L^H / sqrt(points), L from
-    gram_cholesky, and one lstsq solves for y = W_src x.  Returns x, the
-    metric norms of the residual and of b, and the weighted matrix acting
-    on y (the 1/sqrt(points) cancels from it and from x).
+    unknowns are weighted per grid point by W = L^H / sqrt(points), (L,
+    L^{-H}) from gram_cholesky, and one lstsq solves for y = W_src x.
+    Returns x, the metric norms of the residual and of b, and the weighted
+    matrix acting on y (the 1/sqrt(points) cancels from it and from x).
     """
     grid = metric.model.grid_shape
     pts = math.prod(grid)
     points = lambda X, d: X.reshape(d, pts, -1).swapaxes(0, 1)   # (pts, d, k)
     flat = lambda X: X.swapaxes(0, 1).reshape(-1, X.shape[-1])
 
-    def weight(p, q):
-        L = metric.gram_cholesky(p, q)
-        return L.reshape(len(L), len(L), pts).T.conj()     # L^H per point
+    def weights(p, q):          # (L^H, L^{-H}) per point, (pts, d, d)
+        L, L_inv = (M.reshape(len(M), len(M), pts)
+                    for M in metric.gram_cholesky(p, q))
+        return L.T.conj(), L_inv.transpose(2, 0, 1)
 
     A_w, b_w = [], []
     for tgt, A, b in rows:
-        W = weight(*tgt)
+        W = weights(*tgt)[0]
         A_w.append(flat(W @ points(A, len(W[0]))))
         b_w.append(np.zeros(len(A), np.complex128) if b is None
                    else flat(W @ points(b, len(W[0]))).ravel())
-    A_w, b_w, W = np.vstack(A_w), np.concatenate(b_w), weight(*src)
-    k, d = len(A_w), len(W[0])
-    A_w = (A_w.reshape(k, d, pts).transpose(2, 0, 1) @ np.linalg.inv(W)
+    A_w, b_w, W_inv = np.vstack(A_w), np.concatenate(b_w), weights(*src)[1]
+    k, d = len(A_w), len(W_inv[0])
+    A_w = (A_w.reshape(k, d, pts).transpose(2, 0, 1) @ W_inv
            ).transpose(1, 2, 0).reshape(k, -1)
     y = np.linalg.lstsq(A_w, b_w, rcond=None)[0]
-    x = flat(np.linalg.solve(W, points(y, d))).reshape((d,) + grid)
+    x = flat(W_inv @ points(y, d)).reshape((d,) + grid)
     root = math.sqrt(pts)
     return (Form(metric.model, *src, x),
             float(np.linalg.norm(A_w @ y - b_w)) / root,
@@ -879,12 +860,12 @@ def _whitened(metric: Metric, kind: str, p, q):
     2 sqrt 2 times the metric one on (3,0), where Q = 8.
 
     Everywhere else, where Q is a matrix on a form of one degree or the
-    Laplacian is not dbar* dbar, the iterate is y = F x, F the pointwise
-    root of Q (F^H F = Q), the "chol_inverse" factors of Metric.factors
-    times sqrt(density): A = P F Delta F^{-1} and P S, P the projection off
-    the whitened kernel, scale the number of points, and the residual the
-    metric one.  These are the iterates of PCG in the metric inner product
-    preconditioned by F^{-1} S F."""
+    Laplacian is not dbar* dbar, the iterate is y = L^H x per point, L the
+    Cholesky factor of Q (L L^H = Q) and x = L^{-H} y, both from
+    Metric.gram_cholesky: A = P L^H Delta L^{-H} and P S, P the projection
+    off the whitened kernel, scale the number of points, and the residual
+    the metric one.  These are the iterates of PCG in the metric inner
+    product preconditioned by L^{-H} S L^H."""
     model, pts = metric.model, math.prod(metric.model.grid_shape)
     K = harmonic_basis(metric, kind, p, q).block
     flat_norm = lambda u: math.sqrt(np.vdot(u, u).real / pts)
@@ -917,9 +898,9 @@ def _whitened(metric: Metric, kind: str, p, q):
             return model.spectral_adjoint("dbar", p, 0, w)
         return rhs, solution, image, lambda r: inv * r, pts * pts
 
-    root = np.sqrt(metric.density)
-    white = lambda X: _apply(metric, "chol_inverse", p, q, X) * root
-    unwhite = lambda Y: _apply(metric, "chol", p, q, Y / root)
+    L, L_inv = metric.gram_cholesky(p, q)
+    white = lambda X: np.einsum("ju...,uw...->jw...", X, np.conj(L))
+    unwhite = lambda Y: np.einsum("ju...,wu...->jw...", Y, L_inv)
     K = white(K)
     K = K.reshape(len(K), math.prod(K.shape[1:]))
 

@@ -366,8 +366,7 @@ def _hs_feasibility(metric):
     ])
     if resid <= _HS_TOL * max(1.0, nb):
         # nullspace of the stacked operator, in geometric coordinates
-        W_src = metric.gram_cholesky(2, 0).conj().T
-        null = [Form(model, 2, 0, np.linalg.solve(W_src, v))
-                for v in _nullspace(Aw).T]
+        W_inv = metric.gram_cholesky(2, 0)[1]       # L^{-H}
+        null = [Form(model, 2, 0, W_inv @ v) for v in _nullspace(Aw).T]
         return FeasibilityCertificate(True, resid, rho, tuple(null))
     return FeasibilityCertificate(False, resid, None, ())

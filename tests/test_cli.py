@@ -150,8 +150,9 @@ def test_report_builds_each_metric_once(tmp_path, monkeypatch):
                         or init(self, *a, **k))
     out = tmp_path / "report.json"
     assert cli.main(["report", "--model", str(model), "--out", str(out)]) == 0
-    # the metric and the flat reference metric of the cohomology complex
-    assert len(built) == 2
+    # the metric; the cohomology complex scales by its flat reference Gram,
+    # 2^(p+q) I, and builds no Metric
+    assert len(built) == 1
 
 
 def test_report_with_tol_builds_one_torsion_report(tmp_path, monkeypatch):
@@ -408,6 +409,38 @@ def test_unmeetable_tol_or_negative_max_iters_is_rejected(argv, monkeypatch,
     assert f"argument {flag}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["--model", "torus", "--resolution", "8", "--mask", "x1,x2",
+      "--perturb", "fixture:two_coord", "--eps", "nan"], "nan"),
+    (["--model", "torus", "--resolution", "8", "--mask", "x1,x2",
+      "--perturb", "fixture:two_coord", "--eps", "inf"], "inf"),
+    (["--model", "catalogue:heis3", "--perturb", "coeffs:nan,0;0,0;0,0"],
+     "'nan,0'"),
+    (["--model", "catalogue:heis3", "--perturb", "coeffs:0,0;0,inf;0,0"],
+     "'0,inf'"),
+], ids=["eps-nan", "eps-inf", "coeffs-nan", "coeffs-inf"])
+def test_non_finite_perturbation_is_an_input_error(argv, value, monkeypatch,
+                                                   capsys):
+    # named in the error document, before any potential or metric is built
+    # and with no floating-point warning on the way
+    import warnings
+
+    from hsgeom import cli, hodge
+
+    built = []
+    monkeypatch.setattr(hodge.Metric, "__init__",
+                        lambda self, *a, **k: built.append(self))
+    monkeypatch.setattr(cli, "standard_potential",
+                        lambda *a: built.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["report", *argv]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "_InputError", error
+    assert value in error["message"], error
+    assert built == []
+
+
 def test_descend_nan_tol_exits_2(tmp_path):
     out = tmp_path / "run"
     proc = run_cli(*DESCEND_ARGS[:-4], "--tol", "nan", "--out", str(out))
@@ -569,8 +602,10 @@ def test_grid_runs_build_no_cholesky_root(tmp_path, monkeypatch):
     call no batched np.linalg routine but the eigvalsh of min_eigenvalue,
     once per report; the small ones they call are the inv of the 3x3 grid
     mean (_symbol_pinv) and eigh on block Grams.  No metric they build
-    holds a Cholesky factor or root: the Green solves they run are in the
-    weak form on spectra."""
+    holds the root of its Gram, the (L, L^{-H}) pair that
+    Metric.gram_cholesky memoises under ("chol", p, q) by a batched
+    cholesky and inv: the Green solves they run are in the weak form on
+    spectra."""
     import numpy as np
 
     from hsgeom import cli, hodge
@@ -602,6 +637,5 @@ def test_grid_runs_build_no_cholesky_root(tmp_path, monkeypatch):
     assert small <= {"inv", "eigh"}, small
     assert len(built) > 2
     for metric in built:
-        held = [key for key in metric._memo if key[0] == "chol"
-                or key[:2] in (("factor", "chol"), ("factor", "chol_inverse"))]
+        held = [key for key in metric._memo if key[0] == "chol"]
         assert not held, held

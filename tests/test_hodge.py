@@ -239,6 +239,14 @@ def test_metric_algebra_calls_no_batched_det_or_inv(monkeypatch):
     assert not calls, dict(calls)
 
 
+@pytest.mark.parametrize("kind", ["chol", "chol_inverse", "gram"])
+def test_unknown_channel_map_raises(eps_metric, kind):
+    # the root of the Gram is Metric.gram_cholesky, not a factor kind
+    with pytest.raises(ValueError, match="unknown channel map"):
+        eps_metric.factors(kind, 1, 1)
+    assert not [key for key in eps_metric._memo if key[:2] == ("factor", kind)]
+
+
 def test_pairing_matches_minor_determinants(heis3, eps_metric):
     metrics = [random_metric(heis3, np.random.default_rng(3)), eps_metric]
     for g in metrics:
@@ -846,15 +854,39 @@ def _weigh(g, a):
     return hodge._apply(g, "pairing", a.p, a.q, a.coeffs[None])[0] * g.density
 
 
+def _reference_root(g, p, q, inverse=False):
+    """The pointwise root F of the volume-weighted Gram Q on (p,q)-forms,
+    built apart from Metric.gram_cholesky, as a dense (d, d, *grid) matrix
+    acting on rows of channels: (a F) . conj(b F) = <a, b>_pt density.  With
+    H = U U^H, U upper triangular (LAPACK's Cholesky factor of H with rows
+    and columns reversed, reversed back), H^{-1} = U^{-H} U^{-1} and
+    compounds are multiplicative, so F = (C_p(U^{-1})^T (x) C_q(U^{-1})^H)
+    sqrt(density), one compound per side, by LAPACK determinants, and their
+    Kronecker product by one einsum; its conjugate is lower triangular, the
+    Cholesky factor of Q.  inverse: F^{-1}, the same from U over
+    sqrt(density)."""
+    U = np.linalg.cholesky(g.H[..., ::-1, ::-1])[..., ::-1, ::-1]
+    M = U if inverse else np.linalg.inv(U)
+    A, B = (_lapack_compound(M, k).swapaxes(0, 1) for k in (p, q))
+    d = len(A) * len(B)
+    F = np.einsum("IK...,JL...->IJKL...", A, np.conj(B)).reshape(
+        (d, d) + g.model.grid_shape)
+    root = np.sqrt(g.density)
+    return F / root if inverse else F * root
+
+
+def _root_apply(F, X):
+    """The rows of the block X of (p,q)-forms times the dense root F."""
+    return np.einsum("ju...,uw...->jw...", X, F)
+
+
 def _reference_precondition(g, kind, p, q, X):
     """F^{-1} S F on a block X of (p,q)-forms, F the pointwise root of the
-    volume-weighted Gram (F^H F = Q) and S the symbol inverse: Q F^{-1} S F
-    = F^H S F is Hermitian, so this is self-adjoint in the metric inner
-    product."""
-    root = np.sqrt(g.density)
-    Y = hodge._symbol_apply(
-        g, kind, hodge._apply(g, "chol_inverse", p, q, X) * root)
-    return hodge._apply(g, "chol", p, q, Y / root)
+    volume-weighted Gram (_reference_root) and S the symbol inverse:
+    Q F^{-1} S F = F^H S F is Hermitian, so this is self-adjoint in the
+    metric inner product."""
+    Y = hodge._symbol_apply(g, kind, _root_apply(_reference_root(g, p, q), X))
+    return _root_apply(_reference_root(g, p, q, inverse=True), Y)
 
 
 def _reference_pcg(g, kind, b, rtol, cap, weak=False):
@@ -911,11 +943,12 @@ def test_whitened_pcg_matches_the_metric_route(three_coord8, kind, bidegree):
 
 def _physical_whitened(g, kind, p, q):
     """The maps of hodge._whitened on whitened physical coefficients, for
-    every (kind, p, q): the reference of its weak form on spectra for dbar
-    on (0,0) and (3,0)."""
-    pts, root = math.prod(g.model.grid_shape), np.sqrt(g.density)
-    white = lambda X: hodge._apply(g, "chol_inverse", p, q, X) * root
-    unwhite = lambda Y: hodge._apply(g, "chol", p, q, Y / root)
+    every (kind, p, q), with the root of _reference_root: the reference of
+    its weak form on spectra for dbar on (0,0) and (3,0)."""
+    pts = math.prod(g.model.grid_shape)
+    F, F_inv = (_reference_root(g, p, q, inverse) for inverse in (False, True))
+    white = lambda X: _root_apply(F, X)
+    unwhite = lambda Y: _root_apply(F_inv, Y)
     flat_norm = lambda u: math.sqrt(np.vdot(u, u).real / pts)
     K = white(harmonic_basis(g, kind, p, q).block)
     K = K.reshape(len(K), -1)
@@ -956,11 +989,11 @@ def spectral_case(request):
 
 def test_30_whitening_and_star_are_grid_constants(spectral_case):
     # the premise of the spectral (3,0) route of hodge._whitened: the
-    # whitening F = "chol_inverse" times sqrt(density) is 2 sqrt 2 and the
+    # whitening F, the root of the volume-weighted Gram, is 2 sqrt 2 and the
     # star is -i at every point, while H itself varies
     g = spectral_case
     one = np.ones((1, 1) + g.model.grid_shape)
-    F = hodge._apply(g, "chol_inverse", 3, 0, one)[0, 0] * np.sqrt(g.density)
+    F = _root_apply(_reference_root(g, 3, 0), one)[0, 0]
     S = hodge._apply(g, "star", 3, 0, one)[0, 0]
     assert np.abs(F - math.sqrt(8.0)).max() <= 1e-14 * math.sqrt(8.0)
     assert np.abs(S + 1j).max() <= 1e-14
@@ -1056,22 +1089,25 @@ def test_spectral_30_solves_take_two_transforms_per_iteration(monkeypatch):
 
 
 def test_preconditioner_root_factors_the_gram(three_coord8):
-    # F^H F = Q pointwise, Q the volume-weighted Gram, F the root of
-    # hodge._whitened in column form; F^{-1} from the "chol" factors
+    # F^H F = Q pointwise, Q the volume-weighted Gram, for the reference
+    # root F of _reference_root in column form and F^{-1} its inverse; and
+    # for the root of hodge._whitened, F = L^H with (L, L^{-H}) the pair of
+    # Metric.gram_cholesky
     g, grid = three_coord8, three_coord8.model.grid_shape
-    root = np.sqrt(g.density)[..., None, None]
     for p in range(4):
         for q in range(4):
             if not _basis.degree_dims(3, p, q):
                 continue
-            F, Finv = (np.swapaxes(hodge._trailing(_kron_factors(
-                g, kind, p, q)), -1, -2) for kind in ("chol_inverse", "chol"))
-            F, Finv = F * root, Finv / root
             Q = hodge._trailing(g.gram(p, q)) * g.density[..., None, None]
-            FhF = np.conj(np.swapaxes(F, -1, -2)) @ F
-            assert np.abs(FhF - Q).max() <= 1e-13 * np.abs(Q).max()
             eye = np.eye(len(Q[(0,) * len(grid)]))
-            assert np.abs(Finv @ F - eye).max() <= 1e-13
+            L, L_inv = (hodge._trailing(M) for M in g.gram_cholesky(p, q))
+            F, Finv = (np.swapaxes(hodge._trailing(_reference_root(
+                g, p, q, inverse)), -1, -2) for inverse in (False, True))
+            for F, Finv in ((F, Finv), (np.conj(np.swapaxes(L, -1, -2)),
+                                        L_inv)):
+                FhF = np.conj(np.swapaxes(F, -1, -2)) @ F
+                assert np.abs(FhF - Q).max() <= 1e-13 * np.abs(Q).max()
+                assert np.abs(Finv @ F - eye).max() <= 1e-13
 
 
 def test_report_green_solves_converge_fast(monkeypatch, three_coord):
@@ -1233,16 +1269,6 @@ def _dense_contract(g, a):
     return np.einsum("uv...,v...->u...", np.moveaxis(Ginv, (-2, -1), (0, 1)), s)
 
 
-def _kron_factors(g, kind, p, q):
-    """The dense (d, d, *grid) Kronecker product A (x) B of the per-side
-    factors of g.factors(kind, p, q), None being the 1x1 identity."""
-    grid = g.model.grid_shape
-    A, B = (np.ones((1, 1, math.prod(grid))) if F is None else F
-            for F in g.factors(kind, p, q))
-    d = len(A) * len(B)
-    return np.einsum("IKg,JLg->IJKLg", A, B).reshape((d, d) + grid)
-
-
 def _assert_close(x, want):
     assert x.shape == want.shape
     err = np.abs(x - want).max(initial=0.0)
@@ -1254,9 +1280,9 @@ def test_factored_routes_match_dense(heis3, name):
     """star, _gram, pointwise_inner and contract against the dense pairing
     and star matrices, in all 16 bidegrees; the factored block maps
     (_apply) on the invariant backend too, which itself uses the dense
-    matrices.  The LAPACK gram_cholesky against the closed-form route it
-    replaced: the conjugate Kronecker product of the "chol_inverse"
-    factors times sqrt(density)."""
+    matrices.  The LAPACK pair (L, L^{-H}) of gram_cholesky against the
+    per-side compound root of _reference_root: L its conjugate, L^{-H} the
+    transpose of its inverse."""
     rng = np.random.default_rng(31)
     if name == "heis3":
         g = random_metric(heis3, rng)
@@ -1285,7 +1311,9 @@ def test_factored_routes_match_dense(heis3, name):
             _assert_close(hodge._gram(g, p, q, X, X[:2]), np.tensordot(
                 T, np.conj(X[:2]), axes=(axes, axes)) / max(1, T[0, 0].size))
             _assert_close(contract(g, a).coeffs, _dense_contract(g, a))
-            _assert_close(g.gram_cholesky(p, q), np.conj(_kron_factors(
-                g, "chol_inverse", p, q)) * np.sqrt(g.density))
-            _assert_close(hodge._apply(g, "chol", p, q, hodge._apply(
-                g, "chol_inverse", p, q, X)), X)
+            L, L_inv = g.gram_cholesky(p, q)
+            _assert_close(L, np.conj(_reference_root(g, p, q)))
+            _assert_close(L_inv, np.swapaxes(
+                _reference_root(g, p, q, inverse=True), 0, 1))
+            _assert_close(np.einsum("ju...,wu...->jw...", _root_apply(
+                np.conj(L), X), L_inv), X)
