@@ -31,7 +31,6 @@ from .hodge import (_POS_TOL, Metric, _adjugate, _positive, _trailing,
                     adjoint_diff, contract, contract_trace, form_of_11,
                     green_solve, harmonic_basis, harmonic_project, inner,
                     laplacian, min_norm_lstsq, norm, pointwise_inner)
-from .lie import hs_feasibility
 
 TORSION_MODES = ("hs_min", "dim3", "skt")
 
@@ -39,10 +38,9 @@ TORSION_MODES = ("hs_min", "dim3", "skt")
 class NotFeasibleError(RuntimeError):
     """No torsion form satisfies the constraints at tolerance."""
 
-    def __init__(self, message, residuals=None, certificate=None):
+    def __init__(self, message, residuals=None):
         super().__init__(message)
         self.residuals = dict(residuals or {})
-        self.certificate = certificate
 
 
 class NotSKTError(NotFeasibleError):
@@ -133,21 +131,22 @@ def torsion_least_squares(metric: Metric) -> Form:
 
 def torsion_form(metric: Metric, mode: str = "dim3",
                  tol: float = None) -> TorsionReport:
-    """Minimal torsion form: one extraction, three verdicts.
+    """Minimal torsion form: one extraction, one verdict, three modes.
 
-    Every mode reads the rho of _torsion_core, memoised on the metric, and
-    decides its gate and the kernel that minimality is read against:
+    The verdict, one on both backends, comes before any kernel: the
+    constraint residuals of _torsion_start must be at most tol.  A metric
+    that passes goes on to _torsion_core.  The modes differ in their gate
+    and in the kernel that minimality is read against:
 
-    hs_min: the invariant hs_feasibility certificate; the bc kernel, which
-            checks independently that rho is Bott-Chern-minimal
-    dim3:   the same certificate; the dbar kernel
-    skt:    the metric must be pluriclosed; the dbar kernel, and only
+    hs_min: the bc kernel, which checks independently that rho is
+            Bott-Chern-minimal
+    dim3:   the dbar kernel
+    skt:    the metric must be pluriclosed first; the dbar kernel, and only
             Im(dbar*)-minimality is claimed.
 
     A successful report is memoised on the metric per (mode, tol), tol
     resolved to the backend default first: treat it as read-only.  A failure
-    is raised on every call; on the invariant backend each rests on the one
-    memoised lie.hs_feasibility certificate of the metric.
+    is raised on every call, from the one memoised first stage.
     """
     if mode not in TORSION_MODES:
         raise ValueError(f"unknown torsion mode {mode!r}")
@@ -171,33 +170,37 @@ def del_omega_norm(metric: Metric) -> float:
         metric, omega_differential(metric, "del")))
 
 
+def _torsion_start(metric: Metric):
+    """(rho0, residuals), memoised on the metric: rho0 = -x, x the dbar
+    preimage of del omega (_dbar_preimage), with ||del rho0|| and
+    ||dbar rho0 + del omega||, each over max(1, ||del omega||).  dbar on
+    (2,0) is metric-free, so no kernel, Gram root or least squares runs."""
+    def build():
+        x, r_dbar = _dbar_preimage(metric, omega_differential(metric, "del"))
+        scale = max(1.0, del_omega_norm(metric))
+        return -x, {"del_rho": norm(metric, differential("del", x)) / scale,
+                    "dbar_rho_plus_del_omega": r_dbar / scale}
+    return metric.memo(("torsion_start",), build)
+
+
 def _torsion_core(metric: Metric) -> TorsionReport:
-    """rho = rho0 - H''(rho0), rho0 = -dbar_preimage(del omega), with its
-    constraint residuals and F, none of which depends on the mode or on tol
-    (left empty).  dbar on (2,0) is metric-free; only H'' (harmonic_project)
-    reads the metric.  In dimension 3 rho is also the Bott-Chern-minimal
-    torsion: a del-exact holomorphic (3,0)-form has zero L2 norm, so del rho
-    = 0, and every holomorphic 2-form is d-closed, so ker del ^ ker dbar =
-    ker dbar on (2,0)."""
-    model = metric.model
-    d_omega = omega_differential(metric, "del")
-    scale = max(1.0, del_omega_norm(metric))
-    rho = Form(model, 2, 0, -model.dbar_preimage(2, 0, d_omega.coeffs))
-    rho = rho - harmonic_project(metric, "dbar", rho)
+    """rho = rho0 - H''(rho0) of _torsion_start, with F and the residuals of
+    rho0, which are those of rho: in dimension 3 every holomorphic 2-form is
+    d-closed.  None depends on the mode or on tol (left empty).  For the
+    same reason rho is also the Bott-Chern-minimal torsion: a del-exact
+    holomorphic (3,0)-form has zero L2 norm, so del rho = 0, and
+    ker del ^ ker dbar = ker dbar on (2,0)."""
+    rho0, residuals = _torsion_start(metric)
+    rho = rho0 - harmonic_project(metric, "dbar", rho0)
     F = inner(metric, rho, rho).real
     return TorsionReport(
         mode=None, rho20=rho, rho02=conjugate(rho),
         energy=F, volume=metric.volume, generalized_volume=F + metric.volume,
-        dv_mass=None, g_energy=None, g_marker=None,
-        residuals={"del_rho": norm(metric, differential("del", rho)) / scale,
-                   "dbar_rho_plus_del_omega": norm(
-                       metric, differential("dbar", rho) + d_omega) / scale},
+        dv_mass=None, g_energy=None, g_marker=None, residuals=residuals,
         diagnostics={}, tolerances={})
 
 
 def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
-    model = metric.model
-
     if mode == "skt":
         ddbar = differential("del", omega_differential(metric, "dbar"))
         r = norm(metric, ddbar)
@@ -206,26 +209,16 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
                 f"deldbar omega has norm {r:.3e}; not pluriclosed at {tol:.1e}",
                 residuals={"deldbar_omega": r})
 
-    if mode in ("hs_min", "dim3") and model.kind == "lie":
-        cert = hs_feasibility(metric)
-        if not cert.feasible:
-            raise NotFeasibleError(
-                f"invariant torsion system infeasible "
-                f"(residual {cert.residual:.3e})",
-                residuals={"least_squares": cert.residual},
-                certificate=cert,
-            )
+    constraints = _torsion_start(metric)[1]
+    if max(constraints.values()) > tol:
+        raise NotFeasibleError(
+            "torsion constraints violated (del: {del_rho:.3e}, dbar: "
+            "{dbar_rho_plus_del_omega:.3e})".format(**constraints),
+            residuals=constraints)
 
     core = metric.memo(("torsion_core",), lambda: _torsion_core(metric))
     residuals = dict(core.residuals, minimality=_harmonic_norm_20(
         metric, "bc" if mode == "hs_min" else "dbar", core.rho20))
-    res_del, res_dbar = core.residuals.values()
-    if max(res_del, res_dbar) > max(tol, 100 * _default_tol(model)):
-        raise NotFeasibleError(
-            f"torsion constraints violated (del: {res_del:.3e}, "
-            f"dbar: {res_dbar:.3e})", residuals=residuals,
-        )
-
     dn = del_omega_norm(metric)
     return dataclasses.replace(
         core, mode=mode, residuals=residuals, tolerances={"constraint": tol},
@@ -388,9 +381,9 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     Strongly Gauduchon means del omega^2 is dbar-exact: sg_membership is the
     relative residual ||dbar x - del omega^2|| / ||del omega^2|| of its
     metric-free preimage x (_dbar_preimage), so no Green solve runs.  The HS
-    verdict is whether the memoised dim3 torsion_form exists; on the
-    invariant backend that rests on lie.hs_feasibility, and a failure
-    carries its least-squares residual.
+    verdict is whether the dim3 torsion_form exists, one test on both
+    backends; hs is the larger of its two constraint residuals, feasible or
+    not.
     """
     model = metric.model
     if tol is None:

@@ -283,7 +283,7 @@ def _report_body(model, metric, args):
                 "feasible": False,
                 "message": str(exc),
                 "residuals": exc.residuals,
-                "certificate": _sanitize(exc.certificate),
+                "certificate": None,
             }
         except (SolveDiverged, analysis.RootFailure, RuntimeError) as exc:
             doc["errors"].append({"section": name,

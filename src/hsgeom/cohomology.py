@@ -671,8 +671,7 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
         try:
             torsion_report = torsion_form(metric, mode="dim3")
         except NotFeasibleError as exc:
-            raise HypothesisFailed("hermitian-symplectic metric",
-                                   exc.certificate) from exc
+            raise HypothesisFailed("hermitian-symplectic metric") from exc
     rho, rho02 = torsion_report.rho20, torsion_report.rho02
     page, coords, vanishing = _e2_coordinates(metric, rho02)
     if not vanishing:

@@ -37,7 +37,8 @@ Conventions, locked by the test suite:
   path.  Off it the one root of the volume-weighted Gram is LAPACK's: the
   Cholesky factor L of the dense Gram and the inverse of L^H, one memoised
   pair per bidegree (Metric.gram_cholesky), for the whitened Green solves,
-  min_norm_lstsq and lie.hs_feasibility; no grid report or descent builds it.
+  min_norm_lstsq and lie.hs_feasibility; no torsion verdict, grid report or
+  descent builds it.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
@@ -206,9 +207,9 @@ class Metric:
     Per-metric results go through `memo(key, build)`, one dict keyed by
     tagged tuples: min_eigenvalue, compounds and the per-side factors built
     from them, Gram Cholesky pairs, wedge-omega matrices,
-    _lie_ritz, _scale, _symbol_pinv, torsion reports, del omega, dbar
-    omega and ||del omega||, the descent gradient and its norms, the
-    feasibility certificate and the Lefschetz split.  Dense pairings, stars
+    _lie_ritz, _scale, _symbol_pinv, the torsion verdict, core and reports,
+    del omega, dbar omega and ||del omega||, the descent gradient and its
+    norms, and the Lefschetz split.  Dense pairings, stars
     and kernels keep their own _pairing_cache, _star_cache and
     _kernel_cache, because the benchmark tracer (perfbench/spans.py) wraps
     `pairing` and `star_matrix` by name and counts the misses of those
@@ -673,15 +674,17 @@ def _scale(metric: Metric, kind: str):
     """Size of the Laplacian `kind`, from outside the spectrum it cuts: the
     opnorm of _symbol_pinv on the grid; on the invariant backend
     s = c^2 lam_max(H^{-1}), c the largest entry of the model's del and dbar
-    matrices (bc: s^2 + 2s), so s = 0 (torus3) is a zero operator."""
+    matrices, memoised on the model (bc: s^2 + 2s), so s = 0 (torus3) is a
+    zero operator."""
     if metric.model.kind != "lie":
         return _symbol_pinv(metric, kind)[1]
 
     def build():
         n, ops = metric.n, metric.model.operator_matrix
-        c = max(float(np.abs(ops(part, p, q)).max(initial=0.0))
-                for part in ("del", "dbar")
-                for p in range(n + 1) for q in range(n + 1))
+        c = metric.model.memo(("largest_entry",), lambda: max(
+            float(np.abs(ops(part, p, q)).max(initial=0.0))
+            for part in ("del", "dbar")
+            for p in range(n + 1) for q in range(n + 1)))
         return c * c * float(np.linalg.eigvalsh(metric.Hinv)[-1])
     s = metric.memo(("scale",), build)
     return s * s + 2 * s if kind == "bc" else s

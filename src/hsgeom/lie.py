@@ -42,8 +42,8 @@ _HS_TOL = 1e-10            # relative residual of a feasible torsion system
 def _kept(s):
     """Mask of the singular values `s` (descending) counted into a rank.
 
-    The one rank rule of the invariant backend: `_nullspace` and every
-    rank in `cohomology` count through it.
+    The one rank rule of the invariant backend: `_nullspace`,
+    `LieModel.dbar_preimage` and every rank in `cohomology` count by it.
     """
     return s > _RANK_TOL * max(1.0, s[0] if s.size else 0.0)
 
@@ -183,7 +183,8 @@ class LieModel:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.name = spec.name
-        # (del, dbar) of basis forms, operator matrices, cohomology.py objects
+        # (del, dbar) of basis forms, operator matrices, dbar pseudo-inverses,
+        # the largest operator entry of hodge._scale, cohomology.py objects
         self._memo: dict = {("d",) + g: dg for g, dg in self._generator_d()}
         self._validate()
 
@@ -255,9 +256,13 @@ class LieModel:
 
     def dbar_preimage(self, p, q, v):
         """x of bidegree (p,q) with dbar x = v for dbar-exact v: the
-        memoised pseudo-inverse of the dbar matrix applied to v."""
-        return self.memo(("dbar_pinv", p, q), lambda: np.linalg.pinv(
-            self.operator_matrix("dbar", p, q), rcond=_RANK_TOL)) @ v
+        memoised pseudo-inverse of the dbar matrix, of `_kept` rank, on v."""
+        def build():
+            u, s, vh = np.linalg.svd(self.operator_matrix("dbar", p, q),
+                                     full_matrices=False)
+            r = int(np.sum(_kept(s)))
+            return vh[:r].conj().T @ (u[:, :r].conj().T / s[:r, None])
+        return self.memo(("dbar_pinv", p, q), build) @ v
 
     @staticmethod
     def mean(field):
@@ -346,19 +351,14 @@ def hs_feasibility(metric) -> FeasibilityCertificate:
     the system: the residual is the metric L2 norm over the stacked target
     spaces, and the solution the minimal-norm one.  The system is feasible
     when that residual is at most _HS_TOL relative to the right-hand side.
-    The certificate, feasible or not, is memoised on the metric, so the
-    classification and every torsion extraction on that metric share one
-    solve.  A grid metric raises ValueError; `analysis.torsion_form` solves
-    the grid system instead.
+    The exact invariant certificate, and the reference route for the
+    verdict of analysis.torsion_form, which never calls it.  A grid metric
+    raises ValueError.
     """
-    if metric.model.kind != "lie":
+    model = metric.model
+    if model.kind != "lie":
         raise ValueError("hs_feasibility decides invariant metrics on the "
                          "lie backend only")
-    return metric.memo(("hs",), lambda: _hs_feasibility(metric))
-
-
-def _hs_feasibility(metric):
-    model = metric.model
     rho, resid, nb, Aw = min_norm_lstsq(metric, (2, 0), [
         ((3, 0), model.operator_matrix("del", 2, 0), None),
         ((2, 1), model.operator_matrix("dbar", 2, 0),

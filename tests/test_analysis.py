@@ -22,7 +22,6 @@ from hsgeom import analysis
 from hsgeom.hodge import (Metric, adjoint_diff, green_solve, harmonic_basis,
                           harmonic_project, inner, laplacian, norm,
                           pointwise_inner)
-from hsgeom.lie import hs_feasibility
 from hsgeom.analysis import (
     TORSION_MODES,
     MACoefficients,
@@ -267,8 +266,8 @@ def test_minimality_is_the_norm_of_the_harmonic_part(torus3, backend, mode,
 def test_feasibility_and_lefschetz_split_memoised_per_metric(
         torus3, iwasawa, monkeypatch):
     g = Metric(flat_metric_form(torus3))
-    cert = hs_feasibility(g)
-    assert hs_feasibility(g) is cert
+    start = analysis._torsion_start(g)
+    assert analysis._torsion_start(g) is start
     alpha, prim, residual = lefschetz_alpha(g)
     again = lefschetz_alpha(g)
     assert again[0] is alpha and again[1] is prim and again[2] == residual
@@ -278,14 +277,65 @@ def test_feasibility_and_lefschetz_split_memoised_per_metric(
                         lambda *a: calls.append(a) or pointwise_inner(*a))
     classify_metric(g)
     assert calls == []
-    # every failing torsion extraction on one metric shares one certificate
+    # every failing torsion extraction on one metric reads one memoised
+    # first stage, one dbar preimage of del omega, and raises its residuals
     g = Metric(flat_metric_form(iwasawa))
-    certs = []
-    for _ in range(2):
+    solved, preimage = [], analysis._dbar_preimage
+    monkeypatch.setattr(analysis, "_dbar_preimage",
+                        lambda *a: solved.append(a) or preimage(*a))
+    raised = []
+    for mode in ("dim3", "hs_min", "dim3"):
         with pytest.raises(NotFeasibleError) as ei:
-            torsion_form(g)
-        certs.append(ei.value.certificate)
-    assert certs[0] is certs[1] is hs_feasibility(g)
+            torsion_form(g, mode)
+        raised.append(ei.value.residuals)
+    assert len(solved) == 1
+    start = analysis._torsion_start(g)[1]
+    assert raised[0] == raised[1] == raised[2] == start
+    assert list(start) == ["del_rho", "dbar_rho_plus_del_omega"]
+    assert all(r is not start for r in raised)      # the memo stays intact
+
+
+@pytest.mark.parametrize("case,mode", [
+    ("iwasawa", "dim3"), ("iwasawa perturbed", "dim3"),
+    ("heis3 perturbed", "skt"), ("two_coord wave", "dim3")])
+def test_failing_extraction_builds_no_kernel(lie_models, case, mode,
+                                             monkeypatch):
+    """The verdict comes before any kernel: on a metric that is not HS the
+    classification and torsion sections raise from the one (2,0) dbar
+    preimage of del omega, with no least squares, no Gram root and no
+    harmonic basis.  The wave is test_infeasible_torus's, at N=8."""
+    from hsgeom import cohomology, hodge, lie
+
+    if case == "two_coord wave":
+        model, _, omega0, _ = standard_fixture("two_coord", resolution=8,
+                                               eps=EPS)
+        g = Metric(omega0 + synthesize_form(model, 1, 1, [
+            (((2,), (2,)), (1, 0, 0, 0, 0, 0), 0.05)], real=True))
+    else:
+        name, *perturbed = case.split()
+        model = lie_models[name]
+        g = (random_metric(model, np.random.default_rng(35)) if perturbed
+             else Metric(flat_metric_form(model)))
+    calls = []
+    for module in (hodge, analysis, lie, cohomology):
+        if hasattr(module, "min_norm_lstsq"):
+            monkeypatch.setattr(module, "min_norm_lstsq",
+                                lambda *a: calls.append("lstsq"))
+    monkeypatch.setattr(Metric, "gram_cholesky",
+                        lambda *a: calls.append("gram_cholesky"))
+    preimage = type(g.model).dbar_preimage
+
+    def spy(self, p, q, v):
+        calls.append(("preimage", p, q))
+        return preimage(self, p, q, v)
+    monkeypatch.setattr(type(g.model), "dbar_preimage", spy)
+
+    assert not classify_metric(g).hs_feasible
+    with pytest.raises(NotFeasibleError, match="torsion constraints"):
+        energy_and_volume(g, mode=mode)
+    assert [c for c in calls if c[0] != "preimage"] == [], calls
+    assert calls.count(("preimage", 2, 0)) == 1, calls
+    assert g._kernel_cache == {}
 
 
 def test_energy_and_volume_leaves_memo_intact(torus3):

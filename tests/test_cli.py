@@ -126,8 +126,13 @@ def test_report_torus3():
 def test_report_iwasawa_honest_negative():
     code, doc = run_json("report", "--model", "catalogue:iwasawa")
     assert code == 0  # infeasibility is a result, not a failure
-    assert doc["torsion"]["feasible"] is False
-    assert doc["torsion"]["certificate"]["feasible"] is False
+    t = doc["torsion"]
+    assert t["feasible"] is False and t["certificate"] is None, t
+    # the one verdict of both backends: the dbar preimage of del omega
+    assert set(t["residuals"]) == {"del_rho", "dbar_rho_plus_del_omega"}
+    assert t["residuals"]["dbar_rho_plus_del_omega"] >= 0.5, t
+    assert "torsion constraints violated" in t["message"]
+    assert doc["classification"]["hs_feasible"] is False
     assert "completion" not in doc
     assert doc["e2_torsion_class"]["feasible"] is False
     assert doc["e2_intersection"]["hypothesis_failed"] == "hermitian-symplectic metric"

@@ -483,6 +483,26 @@ def test_orth_drops_repeated_vector(lie_models, two_coord8):
                 < 1e-12 * norm(g, f) ** 2
 
 
+def test_scale_reads_the_model_constant_once(monkeypatch):
+    """_scale's c, the largest entry of the model's del and dbar matrices,
+    is memoised on the model: the scale of a second metric on the same
+    model reads no operator matrix and is c^2 lam_max(H^{-1})."""
+    from hsgeom.lie import load_model
+
+    model = load_model("name heis\ndim 3\nd phi3 = 1 * phi1^phibar1\n")
+    rng = np.random.default_rng(35)
+    lam_max = lambda g: float(np.linalg.eigvalsh(g.Hinv)[-1])
+    g = random_metric(model, rng)
+    c2 = hodge._scale(g, "dbar") / lam_max(g)
+    read = []
+    monkeypatch.setattr(model, "operator_matrix",
+                        lambda *a: read.append(a) or None)
+    g = random_metric(model, rng)
+    assert hodge._scale(g, "dbar") == pytest.approx(c2 * lam_max(g),
+                                                    rel=1e-15)
+    assert read == []
+
+
 @pytest.mark.parametrize("name", ["heis3", "iwasawa"])
 @pytest.mark.parametrize("kind", LAPLACIAN_KINDS)
 def test_ritz_matches_dense_pencil(lie_models, name, kind):

@@ -17,6 +17,7 @@ from hsgeom.lie import (
     JacobiError,
     ModelFormatError,
     UnimodularityError,
+    _kept,
     catalogue_model,
     hs_feasibility,
     load_model,
@@ -345,6 +346,72 @@ def test_feasibility_json_round_trips(torus3):
     cert = hs_feasibility(Metric(flat_metric_form(torus3)))
     blob = json.dumps(cert.to_json())
     assert json.loads(blob)["feasible"] is True
+
+
+def test_torsion_verdict_matches_the_least_squares_certificate(lie_models):
+    """Dual route of the HS verdict: analysis.torsion_form, the dbar
+    preimage of del omega gated at tol, is feasible exactly when the exact
+    invariant certificate hs_feasibility is, on the catalogue and on random
+    nilpotent normal forms, each with a random metric.  Only torus3 is HS
+    (Enrietti-Fino-Vezzoni), and every failing residual is far from tol."""
+    from hsgeom.analysis import NotFeasibleError, torsion_form
+
+    from conftest import random_metric
+
+    rng = np.random.default_rng(35)
+    models = list(lie_models.values()) + [
+        load_model(normal_form_text(rng)) for _ in range(120)]
+    feasible, smallest = [], np.inf
+    for model in models:
+        g = random_metric(model, rng)
+        try:
+            torsion_form(g, "dim3")
+            feasible.append(model.name)
+        except NotFeasibleError as exc:
+            smallest = min(smallest, max(exc.residuals.values()))
+        assert (model.name in feasible) == hs_feasibility(g).feasible, \
+            model.spec
+    assert feasible == ["torus3"]
+    assert smallest >= 0.1
+
+
+@pytest.mark.parametrize("s,hs", [(1e-8, False), (1e-9, False),
+                                  (1e-11, True)])
+def test_scaled_iwasawa_verdict(s, hs):
+    """d phi3 = s phi1^phi2 on the flat metric: dbar vanishes on (2,0), so
+    the torsion residual is ||del omega|| = sqrt(2) s, gated at the lie
+    default tol 1e-9 on both routes.  A slack of 100 times that tol called
+    s = 1e-8 and 1e-9 HS."""
+    from hsgeom.analysis import NotFeasibleError, torsion_form
+
+    g = Metric(flat_metric_form(load_model(
+        f"name iw\ndim 3\nd phi3 = {s} * phi1^phi2\n")))
+    assert hs_feasibility(g).feasible is hs
+    if hs:
+        torsion_form(g, "dim3")
+    else:
+        with pytest.raises(NotFeasibleError):
+            torsion_form(g, "dim3")
+
+
+def test_dbar_preimage_counts_rank_by_kept(lie_models):
+    """The pseudo-inverse P of LieModel.dbar_preimage keeps the singular
+    values of dbar that _kept keeps, so dbar P, the orthogonal projector on
+    the kept range, has the _kept rank as its trace in every bidegree.  On
+    d phi3 = 1e-12 phi1^phibar1 every dbar block is below the cut: a pinv
+    cutting relative to the largest singular value alone kept rank 8."""
+    tiny = load_model("name tiny\ndim 3\nd phi3 = 1e-12 * phi1^phibar1\n")
+    total = {}
+    for model in [*lie_models.values(), tiny]:
+        total[model.name] = 0
+        for p in range(4):
+            for q in range(3):
+                A = model.operator_matrix("dbar", p, q)
+                P = model.dbar_preimage(p, q, np.eye(len(A)))
+                rank = int(np.sum(_kept(np.linalg.svd(A, compute_uv=False))))
+                assert abs(np.trace(A @ P) - rank) <= 1e-9, (model.name, p, q)
+                total[model.name] += rank
+    assert total["tiny"] == 0 and total["heis3"] > 0, total
 
 
 def test_dbar_preimage_is_exact(heis3):
