@@ -135,13 +135,13 @@ def torsion_form(metric: Metric, mode: str = "dim3",
 
     The verdict, one on both backends, comes before any kernel: the
     constraint residuals of _torsion_start must be at most tol.  A metric
-    that passes goes on to _torsion_core.  The modes differ in their gate
-    and in the kernel that minimality is read against:
+    that passes goes on to _torsion_core, and minimality is read against
+    the dbar (2,0) kernel in every mode.  The modes differ in their gate:
 
-    hs_min: the bc kernel, which checks independently that rho is
-            Bott-Chern-minimal
-    dim3:   the dbar kernel
-    skt:    the metric must be pluriclosed first; the dbar kernel, and only
+    hs_min: none; the Bott-Chern-minimal torsion, which in dimension 3 is
+            the dim3 one with the same report (_torsion_core)
+    dim3:   none
+    skt:    the metric must be pluriclosed first, and only
             Im(dbar*)-minimality is claimed.
 
     A successful report is memoised on the metric per (mode, tol), tol
@@ -217,8 +217,8 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
             residuals=constraints)
 
     core = metric.memo(("torsion_core",), lambda: _torsion_core(metric))
-    residuals = dict(core.residuals, minimality=_harmonic_norm_20(
-        metric, "bc" if mode == "hs_min" else "dbar", core.rho20))
+    residuals = dict(core.residuals,
+                     minimality=_harmonic_norm_20(metric, core.rho20))
     dn = del_omega_norm(metric)
     return dataclasses.replace(
         core, mode=mode, residuals=residuals, tolerances={"constraint": tol},
@@ -226,14 +226,14 @@ def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
                      dn if core.energy < tol else None})
 
 
-def _harmonic_norm_20(metric: Metric, kind: str, a: Form) -> float:
+def _harmonic_norm_20(metric: Metric, a: Form) -> float:
     """||harmonic part of the (2,0)-form a|| = |(<<a, h_j>>)_j| over the
-    orthonormal harmonic basis h_j, by the wedge route, independent of the
-    Gram pairing that harmonic_project uses: a (2,0)-form is primitive, so
-    star conj h = omega ^ conj h and <<a, h>> = int a ^ omega ^ conj h.  One
+    orthonormal dbar-harmonic basis h_j, by the wedge route, independent of
+    the Gram pairing that harmonic_project uses: a (2,0)-form is primitive,
+    so star conj h = omega ^ conj h and <<a, h>> = int a ^ omega ^ conj h.  One
     wedge b = a ^ omega, its (3,1) channels laid on the (0,2) channels of
     conj h by the wedge table, and one contraction with the basis block."""
-    K = harmonic_basis(metric, kind, 2, 0).block
+    K = harmonic_basis(metric, "dbar", 2, 0).block
     b = wedge(a, metric.omega).coeffs
     perm, s = _basis.conjugation(3, 2, 0)   # (conj h)[c] = s conj(h[perm[c]])
     B = np.zeros_like(b)

@@ -475,7 +475,7 @@ def _add_metric_flags(p):
     p.add_argument("--eps", type=float, default=0.05,
                    help="amplitude for fixture: perturbations")
     p.add_argument("--mode", choices=analysis.TORSION_MODES, default="dim3",
-                   help="torsion mode: its gate and minimality kernel")
+                   help="torsion mode and its gate (hs_min is dim3 here)")
 
 
 def build_parser():

@@ -258,9 +258,10 @@ def descend(metric0: Metric, opts: DescentOptions = None) -> DescentResult:
     `armijo_trials` (name kept) counts the one Metric each step builds.  A
     step that cannot be taken raises with the partial trace and state:
     LineSearchStalled if its volume gain is round-off, PositivityBoundary if
-    its metric form is not positive.  A NotFeasibleError, or in hs_min mode
-    a SolveDiverged of the bc kernel that its torsion's minimality reads,
-    from a later iterate carries the trace too.
+    its metric form is not positive.  A NotFeasibleError, or a SolveDiverged
+    of the dbar (2,0) kernel that its torsion's minimality reads (a Ritz
+    check on the invariant backend; the grid kernel is the constants), from
+    a later iterate carries the trace too.
     """
     opts = opts or DescentOptions()
     trace = DescentTrace(options=asdict(opts))

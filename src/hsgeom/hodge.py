@@ -3,10 +3,9 @@
 Inner products, the metric-weighted minimal-norm least squares that the
 torsion certificate, its dense oracle and the E_2 potentials share
 (min_norm_lstsq), the complex-linear Hodge star, adjoint differentials, the
-four Laplacians (holomorphic, antiholomorphic, the six-term fourth-order
-one, and the projector-twisted second-order one), harmonic projection,
-Green operators, orthogonal three-space splittings, and the Lefschetz
-contraction.
+two Laplacians (the antiholomorphic Delta'' and Popovici's
+projector-twisted second-order one), harmonic projection, Green
+operators, and the Lefschetz contraction.
 
 Conventions, locked by the test suite:
 
@@ -47,17 +46,17 @@ whole space (_lie_ritz): Ritz value <= _EIG_CUTOFF times a scale taken from
 outside the spectrum (_scale); it solves directly.  A grid kernel is the
 block a Richardson loop returns once every vector's Laplacian is small
 (_deflated_kernel), preconditioned by S = 1/sigma(k), the closed-form
-symbol at the grid-mean metric (_symbol_pinv).  The dbar loop starts from
-a block built from the constants (_start_block), which it locks at once
-or polishes; del and bc start from the constants.  The tilde kernel is the
-dbar one (E_2 = E_1 on the torus).  Grid solves run kernel-deflated
-conjugate gradients preconditioned by the bare symbol S, in coordinates
-where the operator is Hermitian in a flat inner product (_whitened).  For
-dbar on (0,0) and (3,0) that is the weak form on spectra: on (p,0)
-Delta'' = dbar* dbar, so Q Delta'' = dbar^H Q dbar, Q the volume-weighted
-Gram, needs no whitening; S is diagonal on spectra, and an image takes two
-transforms.  Elsewhere the coefficients are whitened, y = L^H x with L
-the pointwise Cholesky factor of Q, and the operator is L^H Delta L^{-H}.
+symbol at the grid-mean metric (_symbol_pinv).  The loop starts from a
+block built from the constants (_start_block), which it locks at once or
+polishes.  The tilde kernel is the dbar one (E_2 = E_1 on the torus).
+Grid solves run kernel-deflated conjugate gradients preconditioned by the
+bare symbol S, in coordinates where the operator is Hermitian in a flat
+inner product (_whitened).  For dbar on (0,0) and (3,0) that is the weak
+form on spectra: on (p,0) Delta'' = dbar* dbar, so Q Delta'' = dbar^H Q
+dbar, Q the volume-weighted Gram, needs no whitening; S is diagonal on
+spectra, and an image takes two transforms.  Elsewhere the coefficients
+are whitened, y = L^H x with L the pointwise Cholesky factor of Q, and the
+operator is L^H Delta L^{-H}.
 These are the iterates of PCG in the metric inner product preconditioned
 by S Q and by L^{-H} S L^H, which are self-adjoint there as S alone is not.
 """
@@ -73,7 +72,7 @@ from . import _basis
 from .forms import (BidegreeError, Form, differential, is_real, wedge,
                     zero_form)
 
-LAPLACIAN_KINDS = ("del", "dbar", "bc", "tilde")
+LAPLACIAN_KINDS = ("dbar", "tilde")
 
 _POS_TOL = 1e-9           # least eigenvalue of a positive (1,1) or (2,2) form
 _EIG_CUTOFF = 1e-10        # Ritz values <= this * scale are kernel
@@ -586,23 +585,12 @@ def adjoint_diff(metric: Metric, part: str, a: Form) -> Form:
 
 
 def laplacian(metric: Metric, kind: str, a: Form) -> Form:
-    """Apply one of the four Laplacians."""
+    """Apply one of the two Laplacians of LAPLACIAN_KINDS."""
     d, dbar = (lambda f: differential("del", f)), (lambda f: differential("dbar", f))
     ds = lambda f: adjoint_diff(metric, "del", f)
     dbs = lambda f: adjoint_diff(metric, "dbar", f)
-    if kind == "del":
-        return d(ds(a)) + ds(d(a))
     if kind == "dbar":
         return dbar(dbs(a)) + dbs(dbar(a))
-    if kind == "bc":
-        return (
-            ds(d(a))
-            + dbs(dbar(a))
-            + dbs(ds(d(dbar(a))))
-            + d(dbar(dbs(ds(a))))
-            + dbs(d(ds(dbar(a))))
-            + ds(dbar(dbs(d(a))))
-        )
     if kind == "tilde":
         proj = lambda f: harmonic_project(metric, "dbar", f)
         return (
@@ -624,28 +612,20 @@ def _images(metric: Metric, kind: str, p, q, X):
 # harmonic bases
 
 
-def _symbol_pinv(metric: Metric, kind: str):
+def _symbol_pinv(metric: Metric):
     """Closed-form inverse of the Fourier symbol: (inv, opnorm, axes).
 
-    At the constant (so Kaehler) metric Hbar, the grid mean of H, the del,
-    dbar and tilde Laplacians act on each channel as the scalar
+    At the constant (so Kaehler) metric Hbar, the grid mean of H, the dbar
+    and tilde Laplacians act on each channel as the scalar
     sigma(k) = -sum_{j,l} (Hbar^{-1})_{lj} zh_j zbh_l >= 0, where zh_j and
     zbh_j are the torus model's symbols of d/dz_j and d/dzbar_j (harmonic
-    projection there removes only k=0).  The Bott-Chern symbol lies between
-    sigma^2 and sigma^2 + 2 sigma, so bc takes 1/(sigma^2 + sigma): the
-    preconditioned spectrum is inside [sigma/(sigma+1), (sigma+2)/(sigma+1)],
-    [1/3, 5/3] where sigma >= 1/2 as on the fixtures.  Where the lowest
-    value sigma_min < 1/4, the bc kernel is searched at 2 sigma_min omega,
-    whose kernel is the same (each adjoint scales by 1/lam under omega ->
-    lam omega).  inv is zero where the symbol is at most _SYMBOL_RCOND *
-    opnorm (k=0 in particular); opnorm is max sigma (bc: max sigma^2 +
-    2 sigma).  The axes are the model's spectral axes, counted from the end
-    of a form's or a block's coefficients.  The kernel Richardson sweeps
-    and conjugate gradients (_whitened) apply inv as it is (_symbol_apply),
-    and to spectra with no transform for dbar on (0,0) and (3,0).
+    projection there removes only k=0).  inv is zero where sigma is at most
+    _SYMBOL_RCOND * opnorm (k=0 in particular); opnorm is max sigma.  The
+    axes are the model's spectral axes, counted from the end of a form's or
+    a block's coefficients.  The kernel Richardson sweeps and conjugate
+    gradients (_whitened) apply inv as it is (_symbol_apply), and to spectra
+    with no transform for dbar on (0,0) and (3,0).
     """
-    bc = kind == "bc"
-
     def build():
         model, n = metric.model, metric.n
         zh, zbh, grid = model.zh, model.zbh, model.grid_shape
@@ -654,30 +634,26 @@ def _symbol_pinv(metric: Metric, kind: str):
                       for j in range(n) for l in range(n)
                       if zh[j] is not None and zbh[l] is not None),
                      np.zeros(grid)).real
-        if bc:
-            sym, top = sigma ** 2 + sigma, sigma ** 2 + 2 * sigma
-        else:
-            sym = top = sigma
-        opnorm = float(np.max(top))
-        cut = sym > _SYMBOL_RCOND * max(opnorm, 1e-300)
-        inv = np.where(cut, 1.0 / np.where(cut, sym, 1.0), 0.0)
+        opnorm = float(np.max(sigma))
+        cut = sigma > _SYMBOL_RCOND * max(opnorm, 1e-300)
+        inv = np.where(cut, 1.0 / np.where(cut, sigma, 1.0), 0.0)
         return inv, opnorm, model.spectral_axes
-    return metric.memo(("symbol", bc), build)
+    return metric.memo(("symbol",), build)
 
 
-def _symbol_apply(metric: Metric, kind: str, x):
-    inv, _, axes = _symbol_pinv(metric, kind)
+def _symbol_apply(metric: Metric, x):
+    inv, _, axes = _symbol_pinv(metric)
     return np.fft.ifftn(np.fft.fftn(x, axes=axes) * inv, axes=axes)
 
 
-def _scale(metric: Metric, kind: str):
-    """Size of the Laplacian `kind`, from outside the spectrum it cuts: the
+def _scale(metric: Metric):
+    """Size of the Laplacians, from outside the spectrum they cut: the
     opnorm of _symbol_pinv on the grid; on the invariant backend
     s = c^2 lam_max(H^{-1}), c the largest entry of the model's del and dbar
-    matrices, memoised on the model (bc: s^2 + 2s), so s = 0 (torus3) is a
-    zero operator."""
+    matrices, memoised on the model, so s = 0 (torus3) is a zero
+    operator."""
     if metric.model.kind != "lie":
-        return _symbol_pinv(metric, kind)[1]
+        return _symbol_pinv(metric)[1]
 
     def build():
         n, ops = metric.n, metric.model.operator_matrix
@@ -686,8 +662,7 @@ def _scale(metric: Metric, kind: str):
             for part in ("del", "dbar")
             for p in range(n + 1) for q in range(n + 1)))
         return c * c * float(np.linalg.eigvalsh(metric.Hinv)[-1])
-    s = metric.memo(("scale",), build)
-    return s * s + 2 * s if kind == "bc" else s
+    return metric.memo(("scale",), build)
 
 
 def _channels(metric: Metric, p, q):
@@ -698,26 +673,17 @@ def _channels(metric: Metric, p, q):
     return _orth(metric, p, q, E)
 
 
-def _check_kernel(metric: Metric, kind: str, p, q, AK):
-    """SolveDiverged if a Laplacian in the block AK tops _KERNEL_RESIDUAL."""
-    r = math.sqrt(np.diag(_gram(metric, p, q, AK, AK)).real.max(
-        initial=0.0)) / _scale(metric, kind)
-    if r > _KERNEL_RESIDUAL:
-        raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
-                            f"stalled at relative residual {r:.2e}")
-
-
-def _start_block(metric: Metric, kind: str, p, q):
-    """Orthonormal start block of the grid kernel search: the constants for
-    del and bc; for dbar a block already harmonic up to the solve tolerance
-    and round-off, built from the constants.  q = 0: the constants
-    themselves.  q = 1: h_c = c + dbar beta_c for each constant c, with
-    beta_c = -G''(dbar* c) a Green solve on (p,0), whose kernel is the
-    constants (on (0,0) and (3,0), weak-form conjugate gradients on spectra,
-    _whitened).  q = 2, 3: conj star of the (3-p, 3-q) block (Serre
-    duality: conj o star maps (3-p, 3-q) to (p,q) and commutes with
-    Delta''), so the constants of (p,q) are never built there."""
-    if kind != "dbar" or q == 0 or not _basis.degree_dims(metric.n, p, q):
+def _start_block(metric: Metric, p, q):
+    """Orthonormal start block of the grid Delta'' kernel search, already
+    harmonic up to the solve tolerance and round-off, built from the
+    constants.  q = 0: the constants themselves.  q = 1: h_c = c + dbar
+    beta_c for each constant c, with beta_c = -G''(dbar* c) a Green solve on
+    (p,0), whose kernel is the constants (on (0,0) and (3,0), weak-form
+    conjugate gradients on spectra, _whitened).  q = 2, 3: conj star of the
+    (3-p, 3-q) block (Serre duality: conj o star maps (3-p, 3-q) to (p,q)
+    and commutes with Delta''), so the constants of (p,q) are never built
+    there."""
+    if q == 0 or not _basis.degree_dims(metric.n, p, q):
         return _channels(metric, p, q)
     model = metric.model
     if q == 1:
@@ -727,12 +693,12 @@ def _start_block(metric: Metric, kind: str, p, q):
     else:
         perm, sign = _basis.conjugation(3, q, p)
         V = sign * np.conj(_apply(metric, "star", 3 - p, 3 - q, _start_block(
-            metric, kind, 3 - p, 3 - q))[:, perm])
+            metric, 3 - p, 3 - q))[:, perm])
     return _orth(metric, p, q, np.asarray(V))
 
 
-def _deflated_kernel(metric: Metric, kind: str, p, q):
-    """Grid kernel basis by preconditioned Richardson on a block.
+def _deflated_kernel(metric: Metric, p, q):
+    """Grid Delta'' kernel basis by preconditioned Richardson on a block.
 
     From the start block of _start_block, V <- orth(V - sigma^{-1} AV), AV
     the Laplacians of V, checked before each sweep.  A row with ||AV_j|| <=
@@ -740,25 +706,19 @@ def _deflated_kernel(metric: Metric, kind: str, p, q):
     projected out of the rows still updated.  SolveDiverged if
     _KERNEL_SWEEPS sweeps leave a row unlocked.  The rule is stricter than
     _KERNEL_RESIDUAL, so the locked block needs no Rayleigh-Ritz.  A built
-    dbar block locks at sweep 0 where the grid resolves the metric (N >= 16
-    on the fixtures); at N = 8 the star route misses the rule, because
+    block locks at sweep 0 where the grid resolves the metric (N >= 16 on
+    the fixtures); at N = 8 the star route misses the rule, because
     conj(dbar x) = del(conj x) fails at the Nyquist mode, and the sweeps
-    polish it.  The constants of a (p,0) dbar kernel are returned with no
-    sweep: dbar kills them exactly and dbar* vanishes on (p,0)."""
-    top = float(_symbol_pinv(metric, "dbar")[0].max())     # 1 / sigma_min
-    if kind == "bc" and top > 4.0:     # same kernel, faster (_symbol_pinv)
-        at = metric.memo(("bc_search",), lambda: Metric(2 / top * metric.omega))
-        V = _orth(metric, p, q, _deflated_kernel(at, kind, p, q))
-        _check_kernel(metric, kind, p, q, _images(metric, kind, p, q, V))
-        return V
-    V, scale = _start_block(metric, kind, p, q), _scale(metric, kind)
-    if kind == "dbar" and q == 0:       # dbar kills constants exactly
+    polish it.  The constants of a (p,0) kernel are returned with no sweep:
+    dbar kills them exactly and dbar* vanishes on (p,0)."""
+    V, scale = _start_block(metric, p, q), _scale(metric)
+    if q == 0:                          # dbar kills constants exactly
         # constant fields: one grid point is held, broadcast (read-only)
         point = (slice(None),) * 2 + (slice(1),) * len(metric.model.grid_shape)
         return np.broadcast_to(V[point].copy(), V.shape)
     locked = V[:0].copy()       # not a view: V's first block is freed
     for sweep in range(_KERNEL_SWEEPS + 1):
-        AV = _images(metric, kind, p, q, V)
+        AV = _images(metric, "dbar", p, q, V)
         r = np.sqrt(np.maximum(np.diag(_gram(metric, p, q, AV, AV)).real, 0))
         done = r <= 1e-12 * scale
         if done.all():
@@ -767,10 +727,10 @@ def _deflated_kernel(metric: Metric, kind: str, p, q):
             locked = np.concatenate([locked, V[done]])
             V, AV = V[~done], AV[~done]
         if sweep == _KERNEL_SWEEPS:
-            raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
+            raise SolveDiverged(f"harmonic basis for dbar on ({p},{q}) "
                                 f"stalled at relative residual "
                                 f"{r.max() / scale:.2e}")
-        V = V - _symbol_apply(metric, kind, AV)
+        V = V - _symbol_apply(metric, AV)
         if len(locked):
             V -= _combine(_gram(metric, p, q, V, locked), locked)
         V = _orth(metric, p, q, V)
@@ -778,9 +738,10 @@ def _deflated_kernel(metric: Metric, kind: str, p, q):
 
 def _lie_ritz(metric: Metric, kind: str, p, q):
     """Memoised Rayleigh-Ritz on a whole invariant space: ascending Ritz
-    values lam, Ritz vectors W, kernel mask lam <= _EIG_CUTOFF * _scale."""
+    values lam, Ritz vectors W, kernel mask lam <= _EIG_CUTOFF * _scale.
+    SolveDiverged if a kernel vector's Laplacian tops _KERNEL_RESIDUAL."""
     def build():
-        V, scale = _channels(metric, p, q), _scale(metric, kind)
+        V, scale = _channels(metric, p, q), _scale(metric)
         if scale <= 0 or not len(V):
             return np.zeros(len(V)), V, np.ones(len(V), bool)
         AV = _images(metric, kind, p, q, V)
@@ -788,7 +749,12 @@ def _lie_ritz(metric: Metric, kind: str, p, q):
         lam, U = np.linalg.eigh(0.5 * (R + R.conj().T))
         W, AW = (_combine(U.T, X) for X in (V, AV))
         kernel = lam <= _EIG_CUTOFF * scale
-        _check_kernel(metric, kind, p, q, AW[kernel])
+        AK = AW[kernel]
+        r = math.sqrt(np.diag(_gram(metric, p, q, AK, AK)).real.max(
+            initial=0.0)) / scale
+        if r > _KERNEL_RESIDUAL:
+            raise SolveDiverged(f"harmonic basis for {kind} on ({p},{q}) "
+                                f"stalled at relative residual {r:.2e}")
         return lam, W, kernel
     return metric.memo(("ritz", kind, p, q), build)
 
@@ -797,8 +763,8 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
     """Metric-orthonormal basis of ker(Laplacian) in bidegree (p,q).
 
     The kernel Ritz vectors of _lie_ritz, or the Richardson block of
-    _deflated_kernel on the grid (for dbar and tilde started from a block
-    built from the constants, _start_block), as a tuple of Forms whose
+    _deflated_kernel on the grid (started from a block built from the
+    constants, _start_block), as a tuple of Forms whose
     `block` holds their coefficients (harmonic_project reads it; a grid
     (p,0) dbar block, constant, is one point broadcast read-only); empty
     outside 0 <= p, q <= 3.  As <tilde h, h> = |p''del* h|^2 +
@@ -806,7 +772,11 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
     pseudo-Laplacian; dimension dim E_2) lies in ker Delta''.  On the torus
     every nonzero Fourier mode has an exact dbar-Koszul complex, so the
     constants, which del kills, span H_dbar: E_2 = E_1, ker tilde = ker dbar.
+    Any kind outside LAPLACIAN_KINDS is a ValueError, checked here because
+    a zero invariant scale (torus3) returns before any Laplacian runs.
     """
+    if kind not in LAPLACIAN_KINDS:
+        raise ValueError(f"unknown Laplacian kind {kind!r}")
     if kind == "tilde" and metric.model.kind != "lie":
         kind = "dbar"
     key = (kind, p, q)
@@ -815,7 +785,7 @@ def harmonic_basis(metric: Metric, kind: str, p, q):
             _, W, kernel = _lie_ritz(metric, kind, p, q)
             K = W[kernel]
         else:
-            K = _deflated_kernel(metric, kind, p, q)
+            K = _deflated_kernel(metric, p, q)
         metric._kernel_cache[key] = _Kernel(metric.model, p, q, K)
     return metric._kernel_cache[key]
 
@@ -873,7 +843,7 @@ def _whitened(metric: Metric, kind: str, p, q):
     K = harmonic_basis(metric, kind, p, q).block
     flat_norm = lambda u: math.sqrt(np.vdot(u, u).real / pts)
     if kind == "dbar" and q == 0 and p in (0, 3):
-        axes, inv = model.spectral_axes, _symbol_pinv(metric, kind)[0]
+        axes, inv = model.spectral_axes, _symbol_pinv(metric)[0]
         weigh = lambda X, q: _apply(metric, "pairing", p, q, X) \
             * metric.density
         QK = weigh(K, 0)
@@ -920,7 +890,7 @@ def _whitened(metric: Metric, kind: str, p, q):
         x = Form(model, p, q, unwhite(y[None])[0])
         return proj(white(laplacian(metric, kind, x).coeffs[None])[0])
     return (rhs, lambda y: unwhite(proj(y)[None])[0], image,
-            lambda r: proj(_symbol_apply(metric, kind, r)), pts)
+            lambda r: proj(_symbol_apply(metric, r)), pts)
 
 
 def _pcg(metric, kind, b, rtol, cap):
@@ -990,8 +960,11 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     (_whitened).  discarded_mass is the metric fraction of b that is
     harmonic.  SolveDiverged if the iterate after `max_iter` updates still
     misses `tol`.  `max_iter` None is a cap growing with the grid; 0 only
-    checks the projected right-hand side; a negative cap is a ValueError.
+    checks the projected right-hand side; a negative cap, or a kind outside
+    LAPLACIAN_KINDS, is a ValueError.
     """
+    if kind not in LAPLACIAN_KINDS:
+        raise ValueError(f"unknown Laplacian kind {kind!r}")
     if max_iter is not None and max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     model = metric.model
@@ -1012,35 +985,6 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
         max_iter = max(50, int(10 * math.sqrt(active)))
     out, info = _pcg(metric, kind, b, rtol, max_iter)
     return (out, info) if with_info else out
-
-
-# ---------------------------------------------------------------------------
-# three-space decompositions
-
-
-def decompose_3space(metric: Metric, flavor: str, a: Form):
-    """Orthogonal splitting (harmonic, middle, co-part) of a bidegree slice.
-
-    flavor 'bc':    harmonic + image of deldbar + (image of del* + dbar*)
-    flavor 'tilde': harmonic + (image of dbar + del(ker dbar))
-                    + (image of del*-after-projection + dbar*)
-    """
-    if flavor not in ("bc", "tilde"):
-        raise ValueError(f"unknown decomposition flavor {flavor!r}")
-    kind = flavor
-    h = harmonic_project(metric, kind, a)
-    g = green_solve(metric, kind, a)
-    d = lambda f: differential("del", f)
-    dbar = lambda f: differential("dbar", f)
-    ds = lambda f: adjoint_diff(metric, "del", f)
-    dbs = lambda f: adjoint_diff(metric, "dbar", f)
-    if flavor == "bc":
-        mid = d(dbar(dbs(ds(g))))
-    else:
-        pr = lambda f: harmonic_project(metric, "dbar", f)
-        mid = d(pr(ds(g))) + dbar(dbs(g))
-    co = a - h - mid
-    return h, mid, co
 
 
 # ---------------------------------------------------------------------------

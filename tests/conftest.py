@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hsgeom import catalogue_model, make_torus_model, standard_fixture, synthesize_form
-from hsgeom import _basis
-from hsgeom.forms import flat_metric_form, wedge
-from hsgeom.hodge import Metric
+from hsgeom import _basis, hodge
+from hsgeom.forms import Form, differential, flat_metric_form, wedge, zero_form
+from hsgeom.hodge import Metric, adjoint_diff, inner, norm
 
 RESOLUTION = 16
 EPS = 0.05
@@ -65,8 +65,6 @@ def random_band_form(model, p, q, rng, terms=4, scale=1.0):
     """Random torus form with frequencies inside the aliasing headroom."""
     d = _basis.degree_dims(model.n, p, q)
     if d == 0:
-        from hsgeom.forms import zero_form
-
         return zero_form(model, p, q)
     rows = []
     for _ in range(terms):
@@ -82,8 +80,6 @@ def random_band_form(model, p, q, rng, terms=4, scale=1.0):
 
 def random_lie_form(model, p, q, rng, scale=1.0):
     """Random invariant form on a Lie model (constant channels)."""
-    from hsgeom.forms import zero_form
-
     out = zero_form(model, p, q)
     d = out.coeffs.shape[0]
     if d:
@@ -127,3 +123,132 @@ def primitive_star_reference(metric, v):
     for _ in range(metric.n - k):
         out = wedge(metric.omega, out)
     return (sign * phase / math.factorial(metric.n - k)) * out
+
+
+# -- references for the Laplacians that src does not carry --------------------
+
+
+def laplacian_reference(metric, kind, a):
+    """The del (kind "del") and fourth-order Bott-Chern (kind "bc")
+    Laplacians, composed of the public differential and adjoint_diff; any
+    other kind is hodge.laplacian's."""
+    d = lambda f: differential("del", f)
+    dbar = lambda f: differential("dbar", f)
+    ds = lambda f: adjoint_diff(metric, "del", f)
+    dbs = lambda f: adjoint_diff(metric, "dbar", f)
+    if kind == "del":
+        return d(ds(a)) + ds(d(a))
+    if kind == "bc":
+        return (ds(d(a)) + dbs(dbar(a)) + dbs(ds(d(dbar(a))))
+                + d(dbar(dbs(ds(a)))) + dbs(d(ds(dbar(a))))
+                + ds(dbar(dbs(d(a)))))
+    return hodge.laplacian(metric, kind, a)
+
+
+def bc_symbol_pinv(metric):
+    """(inv, opnorm) of the Bott-Chern symbol at the grid-mean metric: it
+    lies between sigma^2 and sigma^2 + 2 sigma, sigma the Delta'' symbol of
+    hodge._symbol_pinv, so inv = 1 / (sigma^2 + sigma), zero where sigma's
+    inverse is, and opnorm = max sigma^2 + 2 sigma.  The preconditioned
+    spectrum is inside [sigma/(sigma+1), (sigma+2)/(sigma+1)]."""
+    inv = hodge._symbol_pinv(metric)[0]
+    kept = inv > 0
+    sigma = np.where(kept, 1.0 / np.where(kept, inv, 1.0), 0.0)
+    bc = np.where(kept, 1.0 / np.where(kept, sigma ** 2 + sigma, 1.0), 0.0)
+    return bc, float(np.max(sigma ** 2 + 2 * sigma))
+
+
+def bott_chern_20(metric):
+    """ker del ^ ker dbar on (2,0), found without the metric and
+    orthonormalised in it, as harmonic_basis returns a kernel: on an
+    invariant model the SVD null space of the stacked del and dbar matrices;
+    on the torus, whose holomorphic (2,0)-forms are the constants, the
+    constant channels."""
+    model = metric.model
+    if model.kind == "lie":
+        A = np.vstack([model.operator_matrix(part, 2, 0)
+                       for part in ("del", "dbar")])
+        _, s, Vh = np.linalg.svd(A)
+        rank = int(np.sum(s > 1e-10 * max(1.0, s.max(initial=0.0))))
+        block = hodge._orth(metric, 2, 0, np.conj(Vh[rank:]))
+    else:
+        block = hodge._channels(metric, 2, 0)
+    return hodge._Kernel(model, 2, 0, block)
+
+
+def lapack_compound(M, k):
+    """k-th compound of the (*grid, 3, 3) stack M, one batched det per
+    minor, channel-first."""
+    S = _basis.subsets(3, k)
+    return np.moveaxis(np.linalg.det(M[..., S[:, None, :, None],
+                                       S[None, :, None, :]]), (-2, -1), (0, 1))
+
+
+def weigh(g, a):
+    """Q a for a (p,q)-form a, Q the volume-weighted pointwise Gram."""
+    return hodge._apply(g, "pairing", a.p, a.q, a.coeffs[None])[0] * g.density
+
+
+def reference_root(g, p, q, inverse=False):
+    """The pointwise root F of the volume-weighted Gram Q on (p,q)-forms,
+    built apart from Metric.gram_cholesky, as a dense (d, d, *grid) matrix
+    acting on rows of channels: (a F) . conj(b F) = <a, b>_pt density.  With
+    H = U U^H, U upper triangular (LAPACK's Cholesky factor of H with rows
+    and columns reversed, reversed back), H^{-1} = U^{-H} U^{-1} and
+    compounds are multiplicative, so F = (C_p(U^{-1})^T (x) C_q(U^{-1})^H)
+    sqrt(density), one compound per side, by LAPACK determinants, and their
+    Kronecker product by one einsum; its conjugate is lower triangular, the
+    Cholesky factor of Q.  inverse: F^{-1}, the same from U over
+    sqrt(density)."""
+    U = np.linalg.cholesky(g.H[..., ::-1, ::-1])[..., ::-1, ::-1]
+    M = U if inverse else np.linalg.inv(U)
+    A, B = (lapack_compound(M, k).swapaxes(0, 1) for k in (p, q))
+    d = len(A) * len(B)
+    F = np.einsum("IK...,JL...->IJKL...", A, np.conj(B)).reshape(
+        (d, d) + g.model.grid_shape)
+    root = np.sqrt(g.density)
+    return F / root if inverse else F * root
+
+
+def root_apply(F, X):
+    """The rows of the block X of (p,q)-forms times the dense root F."""
+    return np.einsum("ju...,uw...->jw...", X, F)
+
+
+def reference_pcg(g, b, operator, project, inv, rtol, cap, weak=False):
+    """Kernel-deflated PCG in the metric inner product for a Laplacian:
+    `operator` applies it to a Form, `project` takes a Form's kernel part
+    off, and `inv` is its symbol inverse on the model's spectral axes.  The
+    preconditioner is F^{-1} S F, S the multiplier inv and F the pointwise
+    root of the volume-weighted Gram Q (reference_root): the route that
+    hodge._pcg runs on whitened coefficients, as Q F^{-1} S F = F^H S F is
+    Hermitian.  weak: S Q, the exact-arithmetic twin of its weak form on
+    spectra (Q S Q is Hermitian).  Returns the solution and the residual
+    history: metric norms, or (weak) the flat norms of Q r."""
+    axes = g.model.spectral_axes
+    symbol = lambda X: np.fft.ifftn(np.fft.fftn(X, axes=axes) * inv, axes=axes)
+    if weak:
+        apply = lambda r: symbol(weigh(g, r)[None])[0]
+        measure = lambda r: math.sqrt(np.vdot(*(weigh(g, r),) * 2).real
+                                      / math.prod(g.model.grid_shape))
+    else:
+        F, F_inv = (reference_root(g, b.p, b.q, inverse)
+                    for inverse in (False, True))
+        apply = lambda r: root_apply(F_inv, symbol(root_apply(
+            F, r.coeffs[None])))[0]
+        measure = lambda r: norm(g, r)
+    precondition = lambda r: project(Form(g.model, r.p, r.q, apply(r)))
+    r = project(b)
+    nb, x = measure(r), zero_form(g.model, b.p, b.q)
+    z = pdir = precondition(r)
+    rz = inner(g, r, z).real
+    history = [nb]
+    while history[-1] > rtol * nb and len(history) <= cap:
+        Ap = project(operator(pdir))
+        alpha = rz / inner(g, Ap, pdir).real
+        x, r = x + alpha * pdir, r - alpha * Ap
+        z = precondition(r)
+        rz, rz_old = inner(g, r, z).real, rz
+        pdir = z + (rz / rz_old) * pdir
+        history.append(measure(r))
+    return project(x), history

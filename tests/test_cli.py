@@ -185,24 +185,48 @@ def test_report_with_tol_builds_one_torsion_report(tmp_path, monkeypatch):
 def test_hs_min_report_extracts_the_torsion_once_per_metric(
         tmp_path, monkeypatch, model):
     # classify_metric asks for the dim3 report and the torsion section for
-    # the hs_min one; both read the one memoised extraction of the metric
-    from hsgeom import analysis, cli
+    # the hs_min one; both read the one memoised extraction of the metric.
+    # In dimension 3 hs_min is dim3 with another label: its minimality reads
+    # the dbar (2,0) kernel, so a report builds only dbar kernels (and on
+    # the invariant backend the tilde (0,2) one of the E_2 pairings), and
+    # it equals the dim3 report but for the mode and the output path
+    from hsgeom import analysis, cli, hodge
 
-    cores, reports = [], []
+    cores, reports, built = [], [], []
     core, form = analysis._torsion_core, analysis._torsion_form
     monkeypatch.setattr(analysis, "_torsion_core",
                         lambda metric: cores.append(metric) or core(metric))
     monkeypatch.setattr(analysis, "_torsion_form",
                         lambda metric, mode, tol: reports.append((metric, mode))
                         or form(metric, mode, tol))
-    out = tmp_path / "report.json"
-    assert cli.main(["report", "--model", *model, "--mode", "hs_min",
-                     "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["torsion"]["mode"] == "hs_min"
+    init = hodge.Metric.__init__
+    monkeypatch.setattr(hodge.Metric, "__init__",
+                        lambda self, *a, **k: built.append(self)
+                        or init(self, *a, **k))
+
+    def report(mode):
+        out = tmp_path / f"{mode}.json"
+        assert cli.main(["report", "--model", *model, "--mode", mode,
+                         "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    doc = report("hs_min")
+    assert doc["torsion"]["mode"] == "hs_min"
     metrics = {id(metric) for metric, _ in reports}
     assert {(id(cores[0]), "dim3"), (id(cores[0]), "hs_min")} <= {
         (id(metric), mode) for metric, mode in reports}
     assert len(cores) == len({id(metric) for metric in cores}) == len(metrics)
+    keys = [(metric.model.kind, key) for metric in built
+            for key in metric._kernel_cache]
+    assert ("lie" if model == ["catalogue:torus3"] else "torus",
+            ("dbar", 2, 0)) in keys
+    assert all(key[0] == "dbar" or (kind, key) == ("lie", ("tilde", 0, 2))
+               for kind, key in keys), keys
+    want = report("dim3")
+    for section, key in (("config", "mode"), ("torsion", "mode"),
+                         ("config", "out")):
+        assert doc[section].pop(key) != want[section].pop(key)
+    assert doc == want
 
 
 def test_report_unusable_out_fails_before_any_work(tmp_path, monkeypatch,
