@@ -251,10 +251,11 @@ def _dbar_preimage(metric: Metric, v: Form, coclosed: bool = False):
     residual is 0 exactly when v is dbar-exact, and never below the metric
     distance of v from im dbar.
 
-    coclosed makes x co-closed by one Green solve on (p,q-2), x - dbar
-    G''(dbar* x): dbar x is unchanged, and dbar* of the result is the
-    harmonic part of dbar* x, which is 0, as im dbar* is orthogonal to ker
-    Delta''.  So Delta'' x = dbar* dbar x for the returned x."""
+    coclosed makes x co-closed by one Green solve on (p,0), so v is a
+    (p,2)-form: x - dbar G''(dbar* x), dbar x unchanged, and dbar* of the
+    result is the harmonic part of dbar* x, which is 0, as im dbar* is
+    orthogonal to ker Delta''.  So Delta'' x = dbar* dbar x for the
+    returned x."""
     model = metric.model
     x = Form(model, v.p, v.q - 1, model.dbar_preimage(v.p, v.q - 1, v.coeffs))
     if coclosed:

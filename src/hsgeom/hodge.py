@@ -35,8 +35,8 @@ Conventions, locked by the test suite:
   eigvalsh runs only for the reported least eigenvalue and on the failure
   path.  Off it the one root of the volume-weighted Gram is LAPACK's: the
   Cholesky factor L of the dense Gram and the inverse of L^H, one memoised
-  pair per bidegree (Metric.gram_cholesky), for the whitened Green solves,
-  min_norm_lstsq and lie.hs_feasibility; no torsion verdict, grid report or
+  pair per bidegree (Metric.gram_cholesky), for min_norm_lstsq and
+  lie.hs_feasibility; no torsion verdict, Green solve, grid report or
   descent builds it.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
@@ -49,16 +49,14 @@ block a Richardson loop returns once every vector's Laplacian is small
 symbol at the grid-mean metric (_symbol_pinv).  The loop starts from a
 block built from the constants (_start_block), which it locks at once or
 polishes.  The tilde kernel is the dbar one (E_2 = E_1 on the torus).
-Grid solves run kernel-deflated conjugate gradients preconditioned by the
-bare symbol S, in coordinates where the operator is Hermitian in a flat
-inner product (_whitened).  For dbar on (0,0) and (3,0) that is the weak
-form on spectra: on (p,0) Delta'' = dbar* dbar, so Q Delta'' = dbar^H Q
-dbar, Q the volume-weighted Gram, needs no whitening; S is diagonal on
-spectra, and an image takes two transforms.  Elsewhere the coefficients
-are whitened, y = L^H x with L the pointwise Cholesky factor of Q, and the
-operator is L^H Delta L^{-H}.
-These are the iterates of PCG in the metric inner product preconditioned
-by S Q and by L^{-H} S L^H, which are self-adjoint there as S alone is not.
+A grid solve is dbar on (p,0), the one Green operator the grid objects
+invert: kernel-deflated conjugate gradients preconditioned by the bare
+symbol S, in the weak form on spectra (_weak_form): on (p,0) Delta'' =
+dbar* dbar, so Q Delta'' = dbar^H Q dbar, Q the volume-weighted Gram, is
+Hermitian in the flat inner product and needs no whitening; S is diagonal
+on spectra, and an image takes two transforms.  These are the iterates of
+PCG in the metric inner product preconditioned by S Q, which is
+self-adjoint there as S alone is not.
 """
 
 from __future__ import annotations
@@ -362,9 +360,9 @@ class Metric:
         """(L, L^{-H}), channel-first, memoised together: L the pointwise
         Cholesky factor of the volume-weighted Gram, by LAPACK on the dense
         Gram (||a||^2_{L2} is the grid mean of |L^H a|^2), and the inverse
-        of L^H by one batched LAPACK inverse.  The whitening of _whitened
-        and the weights of min_norm_lstsq and lie.hs_feasibility; no grid
-        report or descent builds it."""
+        of L^H by one batched LAPACK inverse.  The weights of
+        min_norm_lstsq and lie.hs_feasibility; no Green solve, grid report
+        or descent builds it."""
         def build():
             L = np.linalg.cholesky(
                 _trailing(self.gram(p, q)) * self.density[..., None, None])
@@ -622,9 +620,9 @@ def _symbol_pinv(metric: Metric):
     projection there removes only k=0).  inv is zero where sigma is at most
     _SYMBOL_RCOND * opnorm (k=0 in particular); opnorm is max sigma.  The
     axes are the model's spectral axes, counted from the end of a form's or
-    a block's coefficients.  The kernel Richardson sweeps and conjugate
-    gradients (_whitened) apply inv as it is (_symbol_apply), and to spectra
-    with no transform for dbar on (0,0) and (3,0).
+    a block's coefficients.  The kernel Richardson sweeps apply inv as it
+    is (_symbol_apply), and the conjugate gradients of _weak_form to
+    spectra, with no transform.
     """
     def build():
         model, n = metric.model, metric.n
@@ -678,11 +676,10 @@ def _start_block(metric: Metric, p, q):
     harmonic up to the solve tolerance and round-off, built from the
     constants.  q = 0: the constants themselves.  q = 1: h_c = c + dbar
     beta_c for each constant c, with beta_c = -G''(dbar* c) a Green solve on
-    (p,0), whose kernel is the constants (on (0,0) and (3,0), weak-form
-    conjugate gradients on spectra, _whitened).  q = 2, 3: conj star of the
-    (3-p, 3-q) block (Serre duality: conj o star maps (3-p, 3-q) to (p,q)
-    and commutes with Delta''), so the constants of (p,q) are never built
-    there."""
+    (p,0), whose kernel is the constants (weak-form conjugate gradients on
+    spectra, _weak_form).  q = 2, 3: conj star of the (3-p, 3-q) block
+    (Serre duality: conj o star maps (3-p, 3-q) to (p,q) and commutes with
+    Delta''), so the constants of (p,q) are never built there."""
     if q == 0 or not _basis.degree_dims(metric.n, p, q):
         return _channels(metric, p, q)
     model = metric.model
@@ -809,98 +806,64 @@ def harmonic_project(metric: Metric, kind: str, a: Form) -> Form:
 # Green operators
 
 
-def _whitened(metric: Metric, kind: str, p, q):
-    """Conjugate gradients' coordinates on (p,q)-forms: (rhs, solution,
-    image, precondition, scale).  rhs maps the coefficients of b to (f, the
-    norm of b in these coordinates, the metric fraction of b that is
-    harmonic), f the right-hand side with the harmonic part H''b of b
+def _weak_form(metric: Metric, p):
+    """Conjugate gradients' coordinates for dbar on (p,0)-forms: (rhs,
+    solution, image, precondition, scale).  rhs maps the coefficients of b
+    to (f, the norm of b in these coordinates, the metric fraction of b that
+    is harmonic), f the right-hand side with the harmonic part H''b of b
     removed; solution maps an iterate to x, metric-orthogonal to the
     kernel; the operator A (image) and the symbol inverse S (precondition,
     _symbol_pinv) are Hermitian in the flat inner product u . conj(v) /
     scale, and zero on the kernel.
 
-    For dbar on (0,0) and (3,0) the loop runs on spectra, in the weak form.
     On (p,0) dbar* vanishes, so Delta'' = dbar* dbar, <<Delta'' x, y>> =
     <<dbar x, dbar y>>, and A = Q Delta'' = dbar^H Q_(p,1) dbar, Q the
     volume-weighted pointwise Gram and dbar^H the flat adjoint
     (TorusModel.spectral_adjoint), is Hermitian in the flat inner product
     whether or not Q is a grid constant.  The iterate is the spectrum of x
-    and f that of Q (b - H''b) (not Q b with its zero mode cut: on (0,0)
-    Q = density varies); scale is the squared number of points (Parseval),
-    the kernel the zero mode, and A one ifftn and one fftn of three fields.
-    These are the iterates of PCG in the metric inner product
-    preconditioned by S Q, and the residual is ||Q (b - H''b - Delta'' x)||:
-    2 sqrt 2 times the metric one on (3,0), where Q = 8.
-
-    Everywhere else, where Q is a matrix on a form of one degree or the
-    Laplacian is not dbar* dbar, the iterate is y = L^H x per point, L the
-    Cholesky factor of Q (L L^H = Q) and x = L^{-H} y, both from
-    Metric.gram_cholesky: A = P L^H Delta L^{-H} and P S, P the projection
-    off the whitened kernel, scale the number of points, and the residual
-    the metric one.  These are the iterates of PCG in the metric inner
-    product preconditioned by L^{-H} S L^H."""
+    and f that of Q (b - H''b) (not Q b with its zero mode cut, as Q varies
+    over the grid but on (3,0), where Q = 8); scale is the squared number
+    of points (Parseval), the kernel of A the zero mode, and A one ifftn
+    and one fftn of a block of fields.  These are the iterates of PCG in
+    the metric inner product preconditioned by S Q, and the residual is
+    ||Q (b - H''b - Delta'' x)||: 2 sqrt 2 times the metric one on (3,0)."""
     model, pts = metric.model, math.prod(metric.model.grid_shape)
-    K = harmonic_basis(metric, kind, p, q).block
+    K = harmonic_basis(metric, "dbar", p, 0).block
     flat_norm = lambda u: math.sqrt(np.vdot(u, u).real / pts)
-    if kind == "dbar" and q == 0 and p in (0, 3):
-        axes, inv = model.spectral_axes, _symbol_pinv(metric)[0]
-        weigh = lambda X, q: _apply(metric, "pairing", p, q, X) \
-            * metric.density
-        QK = weigh(K, 0)
+    axes, inv = model.spectral_axes, _symbol_pinv(metric)[0]
+    weigh = lambda X, q: _apply(metric, "pairing", p, q, X) * metric.density
+    QK = weigh(K, 0)
 
-        def harmonic(Qx):                   # <<x, K_j>> from Q x
-            return np.conj(K.reshape(len(K), -1)) @ Qx.ravel() / pts
-
-        def rhs(b):
-            Qb = weigh(b[None], 0)[0]
-            c = harmonic(Qb)
-            mass = math.sqrt(max(np.vdot(b, Qb).real / pts, 0.0))
-            f = np.fft.fftn(Qb - _combine(c, QK), axes=axes)
-            f[(Ellipsis,) + (0,) * len(model.grid_shape)] = 0.0
-            return f, flat_norm(Qb), \
-                float(np.linalg.norm(c)) / mass if mass else 0.0
-
-        def solution(y):
-            x = np.fft.ifftn(y, axes=axes)
-            return x - _combine(harmonic(weigh(x[None], 0)[0]), K)
-
-        def image(y):
-            v = np.fft.ifftn(model.spectral_differential("dbar", p, 0, y),
-                             axes=axes)
-            w = np.fft.fftn(weigh(v[None], 1)[0], axes=axes)
-            return model.spectral_adjoint("dbar", p, 0, w)
-        return rhs, solution, image, lambda r: inv * r, pts * pts
-
-    L, L_inv = metric.gram_cholesky(p, q)
-    white = lambda X: np.einsum("ju...,uw...->jw...", X, np.conj(L))
-    unwhite = lambda Y: np.einsum("ju...,wu...->jw...", Y, L_inv)
-    K = white(K)
-    K = K.reshape(len(K), math.prod(K.shape[1:]))
-
-    def proj(y):
-        c = np.conj(K @ np.conj(y.ravel())) / pts       # <<y, K_j>>
-        return y - (c @ K).reshape(y.shape)
+    def harmonic(Qx):                   # <<x, K_j>> from Q x
+        return np.conj(K.reshape(len(K), -1)) @ Qx.ravel() / pts
 
     def rhs(b):
-        bw = white(b[None])[0]
-        bp, nb = proj(bw), flat_norm(bw)
-        return bp, nb, flat_norm(bw - bp) / nb if nb else 0.0
+        Qb = weigh(b[None], 0)[0]
+        c = harmonic(Qb)
+        mass = math.sqrt(max(np.vdot(b, Qb).real / pts, 0.0))
+        f = np.fft.fftn(Qb - _combine(c, QK), axes=axes)
+        f[(Ellipsis,) + (0,) * len(model.grid_shape)] = 0.0
+        return f, flat_norm(Qb), \
+            float(np.linalg.norm(c)) / mass if mass else 0.0
+
+    def solution(y):
+        x = np.fft.ifftn(y, axes=axes)
+        return x - _combine(harmonic(weigh(x[None], 0)[0]), K)
 
     def image(y):
-        x = Form(model, p, q, unwhite(y[None])[0])
-        return proj(white(laplacian(metric, kind, x).coeffs[None])[0])
-    return (rhs, lambda y: unwhite(proj(y)[None])[0], image,
-            lambda r: proj(_symbol_apply(metric, r)), pts)
+        v = np.fft.ifftn(model.spectral_differential("dbar", p, 0, y),
+                         axes=axes)
+        w = np.fft.fftn(weigh(v[None], 1)[0], axes=axes)
+        return model.spectral_adjoint("dbar", p, 0, w)
+    return rhs, solution, image, lambda r: inv * r, pts * pts
 
 
-def _pcg(metric, kind, b, rtol, cap):
-    """Kernel-deflated PCG in the coordinates of _whitened, with the symbol
-    inverse S as preconditioner.  One loop serves the weak form on spectra
-    (dbar on (0,0) and (3,0)) and whitened physical coefficients."""
+def _pcg(metric, b, rtol, cap):
+    """Kernel-deflated PCG for dbar on the (p,0)-form b, in the coordinates
+    of _weak_form, with the symbol inverse S as preconditioner."""
     _check_pair(metric, b, b)
     model, p, q = metric.model, b.p, b.q
-    rhs, solution, image, precondition, scale = _whitened(
-        metric, kind, p, q)
+    rhs, solution, image, precondition, scale = _weak_form(metric, p)
     dot = lambda u, v: np.vdot(v, u).real / scale       # Re <u, v>
     norm_ = lambda u: math.sqrt(dot(u, u))
 
@@ -951,17 +914,17 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     The right-hand side is projected onto the operator's range first; the
     discarded harmonic mass is reported in the info record.  The invariant
     backend solves directly in the Ritz basis of _lie_ritz, whose kernel
-    harmonic_basis reads; the grid backend runs kernel-deflated PCG to
-    relative residual `tol` (_pcg), preconditioned by the closed-form
-    Fourier symbol, with every inner product flat: for dbar on (0,0) and
-    (3,0) in the weak form on spectra, where the residual is that of
-    Q Delta'' x = Q (b - H''b), and elsewhere on coefficients whitened by
-    the pointwise root of the Gram, where it is the metric one
-    (_whitened).  discarded_mass is the metric fraction of b that is
-    harmonic.  SolveDiverged if the iterate after `max_iter` updates still
-    misses `tol`.  `max_iter` None is a cap growing with the grid; 0 only
-    checks the projected right-hand side; a negative cap, or a kind outside
-    LAPLACIAN_KINDS, is a ValueError.
+    harmonic_basis reads.  The grid backend solves only dbar on (p,0), the
+    one Green operator its objects invert (the torsion, the co-closed E_2
+    potential and the kernel start blocks): kernel-deflated PCG to relative
+    residual `tol` in the weak form on spectra (_pcg, _weak_form),
+    preconditioned by the closed-form Fourier symbol, where the residual is
+    that of Q Delta'' x = Q (b - H''b).  discarded_mass is the metric
+    fraction of b that is harmonic.  SolveDiverged if the iterate after
+    `max_iter` updates still misses `tol`.  `max_iter` None is a cap growing
+    with the grid; 0 only checks the projected right-hand side.  A kind
+    outside LAPLACIAN_KINDS, any other grid solve (checked before a kernel
+    is built) and a negative cap are ValueErrors.
     """
     if kind not in LAPLACIAN_KINDS:
         raise ValueError(f"unknown Laplacian kind {kind!r}")
@@ -969,6 +932,9 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     model = metric.model
     p, q = b.p, b.q
+    if model.kind != "lie" and (kind, q) != ("dbar", 0):
+        raise ValueError(f"the grid solves dbar on (p,0) only, not {kind} "
+                         f"on ({p},{q})")
     if model.kind == "lie":
         lam, W, kernel = _lie_ritz(metric, kind, p, q)
         y = _gram(metric, p, q, b.coeffs[None], W)[0]
@@ -983,7 +949,7 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     if max_iter is None:
         active = math.prod(model.resolutions[a] for a in model.active)
         max_iter = max(50, int(10 * math.sqrt(active)))
-    out, info = _pcg(metric, kind, b, rtol, max_iter)
+    out, info = _pcg(metric, b, rtol, max_iter)
     return (out, info) if with_info else out
 
 

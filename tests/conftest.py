@@ -252,3 +252,16 @@ def reference_pcg(g, b, operator, project, inv, rtol, cap, weak=False):
         pdir = z + (rz / rz_old) * pdir
         history.append(measure(r))
     return project(x), history
+
+
+def reference_green(g, kind, b):
+    """(x, residual history) of the Green solve of a hodge.laplacian kind
+    on b, for the solves that the grid's green_solve, dbar on (p,0) only,
+    does not run: hodge.green_solve on an invariant model (no history), and
+    on the grid the metric route of reference_pcg, off the kernel of
+    harmonic_project and preconditioned by the symbol of _symbol_pinv."""
+    if g.model.kind == "lie":
+        return hodge.green_solve(g, kind, b), []
+    return reference_pcg(g, b, lambda f: hodge.laplacian(g, kind, f),
+                         lambda f: f - hodge.harmonic_project(g, kind, f),
+                         hodge._symbol_pinv(g)[0], hodge._CG_TOL, 500)

@@ -46,7 +46,7 @@ from hsgeom.analysis import (
 
 from conftest import (EPS, bc_symbol_pinv, bott_chern_20, laplacian_reference,
                       random_band_form, random_form, random_metric,
-                      reference_pcg)
+                      reference_green, reference_pcg)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -180,8 +180,8 @@ def _pcg_spy(monkeypatch):
     from hsgeom import hodge
 
     solved, pcg = [], hodge._pcg
-    monkeypatch.setattr(hodge, "_pcg", lambda metric, kind, b, *rest:
-                        solved.append((b.p, b.q)) or pcg(metric, kind, b, *rest))
+    monkeypatch.setattr(hodge, "_pcg", lambda metric, b, *rest:
+                        solved.append((b.p, b.q)) or pcg(metric, b, *rest))
     return solved
 
 
@@ -530,8 +530,9 @@ def test_classify_three_coord(three_coord):
 def _dbar_potential(metric, v):
     """(xi, ||dbar xi - v||) for the metric-minimal xi = dbar* G''(v), so
     that dbar xi is the projection of v onto im dbar: a Green solve on v's
-    own bidegree, the reference route to analysis._dbar_preimage."""
-    xi = adjoint_diff(metric, "dbar", green_solve(metric, "dbar", v))
+    own bidegree (reference_green), the reference route to
+    analysis._dbar_preimage."""
+    xi = adjoint_diff(metric, "dbar", reference_green(metric, "dbar", v)[0])
     return xi, norm(metric, differential("dbar", xi) - v)
 
 

@@ -44,8 +44,8 @@ from hsgeom.hodge import (
 
 from conftest import (bc_symbol_pinv, lapack_compound, laplacian_reference,
                       primitive_star_reference, random_band_form,
-                      random_form, random_metric, reference_pcg,
-                      reference_root, root_apply, weigh)
+                      random_form, random_metric, reference_green,
+                      reference_pcg, reference_root, root_apply, weigh)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -400,6 +400,21 @@ def test_unknown_kernel_and_green_kinds_raise(lie_models, name, kind):
     assert not g._kernel_cache
 
 
+def test_grid_green_solve_is_p0_only():
+    # the grid solves dbar on (p,0), the one Green operator its objects
+    # invert; any other solve is refused before a kernel or a Gram root is
+    # built
+    g = Metric(standard_fixture("two_coord", resolution=8, eps=0.05)[3])
+    rng = np.random.default_rng(6)
+    cases = [("dbar", 1, 1), ("dbar", 0, 2), ("dbar", 3, 2), ("tilde", 2, 0)]
+    for kind, p, q in cases:
+        b = random_band_form(g.model, p, q, rng)
+        with pytest.raises(ValueError, match=r"dbar on \(p,0\) only"):
+            green_solve(g, kind, b)
+    assert not g._kernel_cache
+    assert not [key for key in g._memo if key[0] == "chol"]
+
+
 def test_harmonic_dims_torus3(torus3_metric):
     # flat abelian model: every invariant form is harmonic
     import math
@@ -599,13 +614,13 @@ def test_green_solve_torus(eps_metric):
     assert info.relative_residual < 1e-10
 
 
-def test_green_solve_diverges_on_tiny_cap(eps_metric):
-    from hsgeom.hodge import SolveDiverged
-
-    rng = np.random.default_rng(13)
-    b = random_form(eps_metric.model, 2, 0, rng)
+def test_green_solve_diverges_on_tiny_cap():
+    # a (2,0) right-hand side that needs tens of iterations: on two_coord
+    # the weak form solves a random one in two
+    g = Metric(standard_fixture("three_coord", resolution=16, eps=0.2)[3])
+    b = random_band_form(g.model, 2, 0, np.random.default_rng(13))
     with pytest.raises(SolveDiverged):
-        green_solve(eps_metric, "dbar", b, tol=1e-13, max_iter=2)
+        green_solve(g, "dbar", b, tol=1e-13, max_iter=2)
 
 
 def test_green_solve_converges_at_its_own_iteration_count(eps_metric):
@@ -735,7 +750,7 @@ def _decompose_tilde(g, a):
     Laplacian, from one tilde Green solve x: harmonic + (image of dbar +
     del(ker dbar)) + (image of del*-after-projection + dbar*)."""
     h = harmonic_project(g, "tilde", a)
-    x = green_solve(g, "tilde", a)
+    x = reference_green(g, "tilde", a)[0]
     mid = differential("del", harmonic_project(g, "dbar", adjoint_diff(
         g, "del", x))) + differential("dbar", adjoint_diff(g, "dbar", x))
     return h, mid, a - h - mid
@@ -837,14 +852,15 @@ def three_coord8():
     return Metric(standard_fixture("three_coord", resolution=8, eps=0.05)[3])
 
 
-@pytest.mark.parametrize("kind", ["dbar"])
-@pytest.mark.parametrize("bidegree", [(2, 0), (3, 2), (1, 1), (3, 0), (0, 0)])
-def test_whitened_laplacian_is_hermitian(three_coord8, kind, bidegree):
-    # <A x, y> = <x, A y> in the flat inner product, A the projected
-    # F Delta F^{-1} on whitened coefficients, or for dbar on (0,0) and
-    # (3,0) the weak form Q Delta'' on spectra, as conjugate gradients needs
-    g, (p, q) = three_coord8, bidegree
-    rhs, _, image, *_ = hodge._whitened(g, kind, p, q)
+# the ids number the bidegrees as they were with the (3,2) and (1,1) cases
+# of the whitened physical route, which the grid solves no more
+@pytest.mark.parametrize("p", [2, 3, 0, 1],
+                         ids=[f"bidegree{i}-dbar" for i in (0, 3, 4, 5)])
+def test_whitened_laplacian_is_hermitian(three_coord8, p):
+    # <A x, y> = <x, A y> in the flat inner product, A the weak form
+    # Q Delta'' of dbar on (p,0) on spectra, as conjugate gradients needs
+    g, q = three_coord8, 0
+    rhs, _, image, *_ = hodge._weak_form(g, p)
     rng = np.random.default_rng(7)
     x, y = (rhs(random_band_form(g.model, p, q, rng, terms=12).coeffs)[0]
             for _ in range(2))
@@ -853,35 +869,32 @@ def test_whitened_laplacian_is_hermitian(three_coord8, kind, bidegree):
         <= 1e-12 * np.linalg.norm(Ax) * np.linalg.norm(y)
 
 
-# the ids number the bidegrees as they were with a Bott-Chern (1,1) case
-# at index 4, whose solve is a test reference now (reference_pcg)
+# the ids number the bidegrees as they were with the Bott-Chern (1,1) case
+# and the (3,2), (0,2) and (1,1) cases of the whitened physical route, whose
+# solves are test references now (reference_pcg, reference_green)
 @pytest.mark.parametrize("kind, bidegree", [
-    ("dbar", (2, 0)), ("dbar", (3, 2)), ("dbar", (0, 2)), ("dbar", (1, 1)),
-    ("dbar", (3, 0)), ("dbar", (0, 0))],
-    ids=[f"dbar-bidegree{i}" for i in (0, 1, 2, 3, 5, 6)])
+    ("dbar", (2, 0)), ("dbar", (3, 0)), ("dbar", (0, 0))],
+    ids=[f"dbar-bidegree{i}" for i in (0, 5, 6)])
 def test_whitened_pcg_matches_the_metric_route(three_coord8, kind, bidegree):
-    # on (0,0) against the weak form's twin; on (3,0), where Q = 8 and
-    # F = 2 sqrt 2 are grid constants, the metric route's twins coincide,
-    # and the weak-form residual ||Q r|| is 2 sqrt 2 times the metric one
+    # against the exact-arithmetic twin of the weak form: the same
+    # iterations and the same residuals ||Q r||
     g, (p, q) = three_coord8, bidegree
     b = random_band_form(g.model, p, q, np.random.default_rng(5), terms=12)
     x, info = green_solve(g, kind, b, with_info=True)
     ref, history = reference_pcg(
         g, b, lambda f: laplacian(g, kind, f),
         lambda f: f - harmonic_project(g, kind, f), hodge._symbol_pinv(g)[0],
-        hodge._CG_TOL, 100, weak=bidegree == (0, 0))
-    factor = math.sqrt(8.0) if bidegree == (3, 0) else 1.0
+        hodge._CG_TOL, 100, weak=q == 0)
     assert info.iterations == len(history) - 1
-    np.testing.assert_allclose(info.residual_history,
-                               factor * np.array(history), rtol=1e-8)
+    np.testing.assert_allclose(info.residual_history, history, rtol=1e-8)
     assert norm(g, x - ref) <= 1e-10 * norm(g, ref)
 
 
-def _physical_whitened(g, kind, p, q):
-    """The maps of hodge._whitened on whitened physical coefficients, for
-    every (kind, p, q), with the root of reference_root: the reference of
-    its weak form on spectra for dbar on (0,0) and (3,0)."""
-    pts = math.prod(g.model.grid_shape)
+def _physical_whitened(g, p):
+    """The maps of hodge._weak_form for dbar on (p,0) on whitened physical
+    coefficients, with the root of reference_root: the reference of the
+    weak form on spectra."""
+    pts, kind, q = math.prod(g.model.grid_shape), "dbar", 0
     F, F_inv = (reference_root(g, p, q, inverse) for inverse in (False, True))
     white = lambda X: root_apply(F, X)
     unwhite = lambda Y: root_apply(F_inv, Y)
@@ -924,7 +937,7 @@ def spectral_case(request):
 
 
 def test_30_whitening_and_star_are_grid_constants(spectral_case):
-    # the premise of the spectral (3,0) route of hodge._whitened: the
+    # the premise of the (3,0) twins of hodge._weak_form: the
     # whitening F, the root of the volume-weighted Gram, is 2 sqrt 2 and the
     # star is -i at every point, while H itself varies
     g = spectral_case
@@ -936,9 +949,9 @@ def test_30_whitening_and_star_are_grid_constants(spectral_case):
     assert np.ptp(g.H.real, axis=tuple(range(6))).max() > 1e-2
 
 
-@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("p", [0, 3, 1, 2])
 def test_weak_form_is_the_weighted_laplacian(spectral_case, p):
-    # the premise of the weak form of hodge._whitened: on (p,0) Delta'' =
+    # the premise of hodge._weak_form: on (p,0) Delta'' =
     # dbar* dbar, so dbar^H Q_(p,1) dbar x = Q Delta'' x, dbar^H the flat
     # adjoint, whether or not Q is a grid constant
     g, model = spectral_case, spectral_case.model
@@ -950,7 +963,7 @@ def test_weak_form_is_the_weighted_laplacian(spectral_case, p):
     assert np.abs(weak - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("p", [0, 3, 1, 2])
 def test_weak_form_solves_remove_the_metric_harmonic_part(spectral_case, p,
                                                           monkeypatch):
     # a right-hand side with a harmonic part: the weak form solves
@@ -958,14 +971,15 @@ def test_weak_form_solves_remove_the_metric_harmonic_part(spectral_case, p,
     # flat mean of Q b; x is metric-orthogonal to the constants, and the
     # discarded mass is the metric fraction of the physical route
     g, model = spectral_case, spectral_case.model
+    d = _basis.degree_dims(3, p, 0)
     b = random_band_form(model, p, 0, np.random.default_rng(9), terms=12) \
-        + Form(model, p, 0, np.full((1,) + model.grid_shape, 0.7 - 0.2j))
+        + Form(model, p, 0, np.full((d,) + model.grid_shape, 0.7 - 0.2j))
     x, info = green_solve(g, "dbar", b, tol=1e-13, with_info=True)
     target = b - harmonic_project(g, "dbar", b)
     assert norm(g, laplacian(g, "dbar", x) - target) <= 1e-10 * norm(g, target)
-    h, = harmonic_basis(g, "dbar", p, 0)
-    assert abs(inner(g, x, h)) <= 1e-12 * norm(g, x)
-    monkeypatch.setattr(hodge, "_whitened", _physical_whitened)
+    for h in harmonic_basis(g, "dbar", p, 0):
+        assert abs(inner(g, x, h)) <= 1e-12 * norm(g, x)
+    monkeypatch.setattr(hodge, "_weak_form", _physical_whitened)
     _, ref_info = green_solve(g, "dbar", b, tol=1e-13, with_info=True)
     assert 0.1 < info.discarded_mass < 0.9
     assert abs(info.discarded_mass - ref_info.discarded_mass) <= 1e-12
@@ -973,25 +987,32 @@ def test_weak_form_solves_remove_the_metric_harmonic_part(spectral_case, p,
 
 def test_spectral_30_solves_match_the_physical_route(spectral_case,
                                                       monkeypatch):
-    # the three (3,0) solves of the (0,2) start block, of dbar* c for the
-    # constant (3,1) channels c: in the weak form on spectra, and on the
-    # whitened physical coefficients every other bidegree keeps; as Q = 8,
-    # the weak residual is 2 sqrt 2 times the metric one
+    # the start-block solves of dbar* c for the constant (p,1) channels c:
+    # in the weak form on spectra, and on the whitened physical
+    # coefficients.  On (3,0), those of the (0,2) block, Q = 8, so the
+    # iterations agree and the weak residual is 2 sqrt 2 times the metric
+    # one; on (1,0) and (2,0), of the test-only (1,1) and (2,1) blocks, Q
+    # varies over the grid, so only the solutions are compared
     g = spectral_case
-    rhs = [adjoint_diff(g, "dbar", Form(g.model, 3, 1, c))
-           for c in hodge._channels(g, 3, 1)]
+    rhs = {p: [adjoint_diff(g, "dbar", Form(g.model, p, 1, c))
+               for c in hodge._channels(g, p, 1)] for p in (3, 1, 2)}
     solve = lambda b: green_solve(g, "dbar", b, tol=hodge._START_TOL,
                                   with_info=True)
-    spectral = [solve(b) for b in rhs]
-    monkeypatch.setattr(hodge, "_whitened", _physical_whitened)
-    assert len(rhs) == 3
-    for b, (x, info) in zip(rhs, spectral):
+    spectral = {p: [solve(b) for b in bs] for p, bs in rhs.items()}
+    monkeypatch.setattr(hodge, "_weak_form", _physical_whitened)
+    assert [len(rhs[p]) for p in (3, 1, 2)] == [3, 9, 9]
+    for b, (x, info) in zip(rhs[3], spectral[3]):
         ref, ref_info = solve(b)
         assert info.iterations == ref_info.iterations > 0
         h, h_ref = (np.array(i.residual_history) for i in (info, ref_info))
         h_ref = math.sqrt(8.0) * h_ref
         assert np.abs(h - h_ref).max() <= 1e-12 * h_ref[0]
         assert norm(g, x - ref) <= 1e-12 * norm(g, ref)
+    for p in (1, 2):
+        for b, (x, info) in zip(rhs[p], spectral[p]):
+            ref = solve(b)[0]
+            assert info.iterations > 0
+            assert norm(g, x - ref) <= 1e-10 * norm(g, ref)
 
 
 def test_spectral_30_solves_take_two_transforms_per_iteration(monkeypatch):
@@ -1005,9 +1026,9 @@ def test_spectral_30_solves_take_two_transforms_per_iteration(monkeypatch):
         monkeypatch.setattr(np.fft, name, lambda *a, _t=transform, **k: (
             count.update(["all"]), _t(*a, **k))[1])
 
-    def spy(metric, kind, b, *rest):
+    def spy(metric, b, *rest):
         before = count["all"]
-        x, info = pcg(metric, kind, b, *rest)
+        x, info = pcg(metric, b, *rest)
         solves.append(((b.p, b.q), info.iterations, count["all"] - before))
         return x, info
 
@@ -1027,8 +1048,8 @@ def test_spectral_30_solves_take_two_transforms_per_iteration(monkeypatch):
 def test_preconditioner_root_factors_the_gram(three_coord8):
     # F^H F = Q pointwise, Q the volume-weighted Gram, for the reference
     # root F of reference_root in column form and F^{-1} its inverse; and
-    # for the root of hodge._whitened, F = L^H with (L, L^{-H}) the pair of
-    # Metric.gram_cholesky
+    # for the weights of hodge.min_norm_lstsq, F = L^H with (L, L^{-H}) the
+    # pair of Metric.gram_cholesky
     g, grid = three_coord8, three_coord8.model.grid_shape
     for p in range(4):
         for q in range(4):
@@ -1066,18 +1087,18 @@ def test_report_green_solves_converge_fast(monkeypatch, three_coord):
 
 
 def test_strongly_gauduchon_solve_converges_fast():
-    # a gate on the public green_solve, on solves no report runs: the
+    # a gate on the reference Green route, on solves no report runs: the
     # (3,2) solve of del omega^2 took 26 iterations with the symbol alone
     # as preconditioner; the (0,2) solve of dbar(conj star del omega^2),
     # its Serre dual, is as fast.  The tests keep the (3,2) one as the sG
     # reference.
     g = Metric(standard_fixture("three_coord", resolution=16, eps=0.05)[3])
     d_pow = differential("del", wedge(g.omega, g.omega))
-    _, info = green_solve(g, "dbar", d_pow, with_info=True)
-    assert info.iterations <= 12
+    _, history = reference_green(g, "dbar", d_pow)
+    assert len(history) - 1 <= 12
     w = conjugate(star(g, d_pow))
-    _, info = green_solve(g, "dbar", differential("dbar", w), with_info=True)
-    assert info.iterations <= 12
+    _, history = reference_green(g, "dbar", differential("dbar", w))
+    assert len(history) - 1 <= 12
 
 
 # -- three-space decomposition -----------------------------------------------------------
