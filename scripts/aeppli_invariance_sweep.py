@@ -66,7 +66,7 @@ def sweep(fixture, resolution, eps, samples, seed):
     for _ in range(samples):
         u = random_potential(model, rng)
         try:
-            _, rep = aeppli_perturb(g, u, mode="dim3")
+            _, rep = aeppli_perturb(g, u)
         except NotFeasibleError:
             failed += 1
             continue

@@ -32,7 +32,7 @@ from .hodge import (_POS_TOL, Metric, _adjugate, _positive, _trailing,
                     green_solve, harmonic_basis, harmonic_project, inner,
                     laplacian, min_norm_lstsq, norm, pointwise_inner)
 
-TORSION_MODES = ("hs_min", "dim3", "skt")
+TORSION_MODES = ("dim3", "skt")
 
 
 class NotFeasibleError(RuntimeError):
@@ -131,15 +131,15 @@ def torsion_least_squares(metric: Metric) -> Form:
 
 def torsion_form(metric: Metric, mode: str = "dim3",
                  tol: float = None) -> TorsionReport:
-    """Minimal torsion form: one extraction, one verdict, three modes.
+    """Minimal torsion form: one extraction, one verdict, two modes.
 
     The verdict, one on both backends, comes before any kernel: the
     constraint residuals of _torsion_start must be at most tol.  A metric
     that passes goes on to _torsion_core, and minimality is read against
-    the dbar (2,0) kernel in every mode.  The modes differ in their gate:
+    the dbar (2,0) kernel in both modes.  In dimension 3 this rho is also
+    the Bott-Chern-minimal torsion (_torsion_core).  The modes differ in
+    their gate:
 
-    hs_min: none; the Bott-Chern-minimal torsion, which in dimension 3 is
-            the dim3 one with the same report (_torsion_core)
     dim3:   none
     skt:    the metric must be pluriclosed first, and only
             Im(dbar*)-minimality is claimed.
@@ -402,7 +402,7 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
     r_gau = norm(metric, differential("dbar", d_pow)) / scale
     r_sg = _dbar_preimage(metric, d_pow)[1] / n_pow if n_pow else 0.0
     try:
-        rep = torsion_form(metric, mode="dim3", tol=tol)
+        rep = torsion_form(metric, tol=tol)
         hs_ok = True
         r_hs = max(rep.residuals["del_rho"],
                    rep.residuals["dbar_rho_plus_del_omega"])
@@ -528,12 +528,9 @@ def root_of_22(Omega: Form) -> Form:
     return form_of_11(Omega.model, adjM / np.sqrt(det)[..., None, None])
 
 
-def sg_and_completion(metric: Metric, mode: str = "dim3",
-                      tol: float = None) -> SGCompletion:
+def sg_and_completion(metric: Metric, tol: float = None) -> SGCompletion:
     """The associated positive (2,2)-form, its root, and the completion."""
-    if tol is None:
-        tol = _default_tol(metric.model)
-    report = torsion_form(metric, mode=mode, tol=tol)
+    report = torsion_form(metric, tol=tol)
     rho, rho02 = report.rho20, report.rho02
     omega = metric.omega
     Omega = wedge(omega, omega) + 2.0 * wedge(rho, rho02)
@@ -597,18 +594,16 @@ class PerturbReport:
                 for k, v in self.__dict__.items()}
 
 
-def _perturbation(metric: Metric, omega2: Form, du, weight, mode, tol):
+def _perturbation(metric: Metric, omega2: Form, du, weight, tol):
     """Torsion on both sides of omega -> omega2 and the report.
 
     du is the expected torsion shift (rho' = rho + du; None for no shift).
     weight is omega2 - omega when the torsion form is unchanged, so that
     F' = F + int rho ^ conj rho ^ weight exactly, and None otherwise.
     """
-    if tol is None:
-        tol = _default_tol(metric.model)
     metric2 = Metric(omega2)
-    rep1 = torsion_form(metric, mode=mode, tol=tol)
-    rep2 = torsion_form(metric2, mode=mode, tol=tol)
+    rep1 = torsion_form(metric, tol=tol)
+    rep2 = torsion_form(metric2, tol=tol)
     transported = rep1.rho20 if du is None else rep1.rho20 + du
     tres = norm(metric2, rep2.rho20 - transported) / max(
         1.0, norm(metric2, transported))
@@ -628,8 +623,7 @@ def _perturbation(metric: Metric, omega2: Form, du, weight, mode, tol):
     )
 
 
-def aeppli_perturb(metric: Metric, u: Form, mode: str = "dim3",
-                   tol: float = None):
+def aeppli_perturb(metric: Metric, u: Form, tol: float = None):
     """Perturb omega by del(conj u) + dbar(u) and track the torsion.
 
     Returns the new metric and a report of the exact transport identity
@@ -646,11 +640,10 @@ def aeppli_perturb(metric: Metric, u: Form, mode: str = "dim3",
     # del u = 0: same torsion, re-weighted by omega2 - omega
     closed = norm(metric, du) <= tol * max(1.0, norm(metric, u))
     weight = omega2 - metric.omega if closed else None
-    return _perturbation(metric, omega2, du, weight, mode, tol)
+    return _perturbation(metric, omega2, du, weight, tol)
 
 
-def bc_perturb(metric: Metric, phi: Form, mode: str = "dim3",
-               tol: float = None):
+def bc_perturb(metric: Metric, phi: Form, tol: float = None):
     """Perturb omega by i del dbar phi (phi a real function).
 
     The torsion form must be unchanged; the energy moves by the re-weighting
@@ -659,7 +652,7 @@ def bc_perturb(metric: Metric, phi: Form, mode: str = "dim3",
     if (phi.p, phi.q) != (0, 0):
         raise ValueError("expected a function")
     bump = 1j * differential("del", differential("dbar", phi))
-    return _perturbation(metric, metric.omega + bump, None, bump, mode, tol)
+    return _perturbation(metric, metric.omega + bump, None, bump, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +723,10 @@ class MACoefficients:
         }
 
 
-def ma_constants(metric: Metric, gamma: Metric, mode: str = "dim3",
+def ma_constants(metric: Metric, gamma: Metric,
                  tol: float = None) -> MACoefficients:
     """Normalization constants of the volume-comparison problem."""
-    report = torsion_form(metric, mode=mode, tol=tol)
+    report = torsion_form(metric, tol=tol)
     A = report.generalized_volume
     omega, g = metric.omega, gamma.omega
     vol_gamma = _real_integral(

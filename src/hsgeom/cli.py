@@ -309,12 +309,10 @@ def _report_body(model, metric, args):
 
     if isinstance(doc.get("torsion"), dict) and doc["torsion"].get("feasible"):
         def completion():
-            comp = analysis.sg_and_completion(metric, mode=args.mode,
-                                              tol=args.tol)
+            comp = analysis.sg_and_completion(metric, tol=args.tol)
             out = comp.to_json()
-            gamma_metric = Metric(comp.gamma)
             out["ma_constants"] = analysis.ma_constants(
-                metric, gamma_metric, mode=args.mode, tol=args.tol).to_json()
+                metric, Metric(comp.gamma), tol=args.tol).to_json()
             return out
         section("completion", completion)
 
@@ -475,7 +473,8 @@ def _add_metric_flags(p):
     p.add_argument("--eps", type=float, default=0.05,
                    help="amplitude for fixture: perturbations")
     p.add_argument("--mode", choices=analysis.TORSION_MODES, default="dim3",
-                   help="torsion mode and its gate (hs_min is dim3 here)")
+                   help="torsion mode and its gate: dim3 (none) or skt "
+                   "(pluriclosed)")
 
 
 def build_parser():
@@ -516,8 +515,9 @@ def main(argv=None):
     a rebound cmd_* function is the one that runs."""
     args = _parser().parse_args(argv)
     if args.command == "descend" and not args.out:
-        sys.stderr.write("descend requires --out DIRECTORY\n")
-        return EXIT_INPUT
+        exc = _InputError("descend requires --out DIRECTORY")
+        sys.stderr.write(f"{exc}\n")
+        return _input_error(args, exc)
     if args.command == "descend" and args.tol is None:
         args.tol = 1e-6
     command = {"validate": cmd_validate, "report": cmd_report,

@@ -466,14 +466,16 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
     image of the class under the page-2 differential (must vanish) and a
     recomputation of the coordinates after a random admissible perturbation
     of the metric.  A precomputed torsion analysis may be injected through
-    `torsion_report`; the perturbation recheck is skipped in that case.
+    `torsion_report`; the perturbation recheck is skipped in that case,
+    and its drift is None, as when no halving of the random bump keeps the
+    metric positive.
     """
     model = metric.model
     _require_lie(model)
     injected = torsion_report is not None
     if not injected:
         try:
-            torsion_report = torsion_form(metric, mode="dim3")
+            torsion_report = torsion_form(metric)
         except NotFeasibleError as exc:
             raise NotHSError(str(exc)) from exc
     rho02 = torsion_report.rho02
@@ -498,26 +500,24 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
     certificate["d2_image_norm"] = float(np.linalg.norm(d2_coords))
 
     # independence of the representative metric inside the fixed class
-    if injected:
-        certificate["perturbed_coordinate_drift"] = None
-    else:
+    certificate["perturbed_coordinate_drift"] = None
+    if not injected:
         rng = np.random.default_rng(perturbation_seed)
         d10 = cx.dim(1, 0)
         eta = Form(model, 1, 0,
                    0.05 * (rng.standard_normal(d10)
                            + 1j * rng.standard_normal(d10)))
         bump = differential("del", conjugate(eta)) + differential("dbar", eta)
-        m2 = metric
         for _ in range(8):
             try:
                 m2 = Metric(metric.omega + bump)
-                break
             except NotPositiveError:
                 bump = 0.5 * bump
-        report2 = torsion_form(m2, mode="dim3")
-        coords2 = page.coordinates(0, 2, report2.rho02.coeffs[:, None])[:, 0]
-        certificate["perturbed_coordinate_drift"] = float(
-            np.linalg.norm(coords2 - coords))
+                continue
+            coords2 = _e2_coordinates(m2, torsion_form(m2).rho02)[1]
+            certificate["perturbed_coordinate_drift"] = float(
+                np.linalg.norm(coords2 - coords))
+            break
 
     return CohomClass("E_2", (0, 2), rho02, coords), certificate
 
@@ -669,7 +669,7 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
         raise HypothesisFailed("page-1 identity-map isomorphisms", table)
     if torsion_report is None:
         try:
-            torsion_report = torsion_form(metric, mode="dim3")
+            torsion_report = torsion_form(metric)
         except NotFeasibleError as exc:
             raise HypothesisFailed("hermitian-symplectic metric") from exc
     rho, rho02 = torsion_report.rho20, torsion_report.rho02

@@ -169,15 +169,13 @@ class TorusModel:
 
 def make_torus_model(resolution, mask) -> TorusModel:
     """Build a torus model from a scalar resolution and a coordinate mask."""
-    if isinstance(resolution, int):
-        ids = sorted(_coord_id(c) for c in mask)
-        if len(set(ids)) != len(ids):
-            raise GridError("duplicate coordinates in mask")
-        res = [1] * (2 * DIM)
-        for i in ids:
-            res[i] = resolution
-        return TorusModel(res)
-    return TorusModel(resolution)
+    ids = sorted(_coord_id(c) for c in mask)
+    if len(set(ids)) != len(ids):
+        raise GridError("duplicate coordinates in mask")
+    res = [1] * (2 * DIM)
+    for i in ids:
+        res[i] = resolution
+    return TorusModel(res)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ def family16(eps_metric):
     out = []
     for _ in range(20):
         u = small_potential(model, rng)
-        g2, rep = analysis.aeppli_perturb(eps_metric, u, mode="dim3")
+        g2, rep = analysis.aeppli_perturb(eps_metric, u)
         out.append((u, g2, rep))
     return out
 
@@ -247,7 +247,7 @@ def test_criterion_05_torsion_transport(eps_metric, family16):
         worst_shift = 0.0
         for k, freqs in enumerate([(1, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0)]):
             phi = synthesize_form(model, 0, 0, [(0, freqs, 0.02)], real=True)
-            _, rep = analysis.bc_perturb(eps_metric, phi, mode="dim3")
+            _, rep = analysis.bc_perturb(eps_metric, phi)
             worst_same = max(worst_same, rep.transport_residual)
             worst_shift = max(worst_shift, rep.quadratic_residual)
         assert worst_same < 1e-7
@@ -332,7 +332,7 @@ def test_criterion_08_completion_identities(eps_metric, three_coord,
     with runtime_cap(120.0) as box:
         worst = 0.0
         for g in (eps_metric, Metric(three_coord[3]), flat16, torus3_metric):
-            idn = analysis.sg_and_completion(g, mode="dim3").identities
+            idn = analysis.sg_and_completion(g).identities
             for key in keys:
                 worst = max(worst, idn[key])
         assert worst < 1e-7

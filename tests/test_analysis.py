@@ -108,11 +108,11 @@ def green_torsion(metric):
 
 
 def bc_green_torsion(metric):
-    """The Bott-Chern Green route to the hs_min torsion, rho = -G_bc(dbar*
-    del omega + dbar* del del* del omega), a fourth-order PCG solve of the
-    reference Laplacian off the Bott-Chern (2,0) kernel, preconditioned by
-    its symbol bracket: the reference for the claim that the one
-    extraction is Bott-Chern-minimal."""
+    """The Bott-Chern Green route to the Bott-Chern-minimal torsion,
+    rho = -G_bc(dbar* del omega + dbar* del del* del omega), a fourth-order
+    PCG solve of the reference Laplacian off the Bott-Chern (2,0) kernel,
+    preconditioned by its symbol bracket: the reference for the claim that
+    the one extraction is Bott-Chern-minimal."""
     d_omega = differential("del", metric.omega)
     rhs = adjoint_diff(metric, "dbar", d_omega) + adjoint_diff(
         metric, "dbar",
@@ -139,13 +139,16 @@ def _harmonic_part(g, kind, a):
     return harmonic_project(g, kind, a)
 
 
-@pytest.mark.parametrize("eps,mode", [(0.05, "dim3"), (0.2, "dim3"),
-                                      (0.05, "hs_min"), (0.2, "hs_min")],
-                         ids=["0.05", "0.2", "hs_min-0.05", "hs_min-0.2"])
-def test_torsion_matches_green_reference(eps, mode):
+@pytest.mark.parametrize("eps,reference", [
+    (0.05, green_torsion), (0.2, green_torsion),
+    (0.05, bc_green_torsion), (0.2, bc_green_torsion)],
+    ids=["0.05", "0.2", "bc-0.05", "bc-0.2"])
+def test_torsion_matches_green_reference(eps, reference):
+    # the dim3 torsion against the dbar Green route and, being also the
+    # Bott-Chern-minimal torsion in dimension 3, against the Bott-Chern one
     g = Metric(standard_fixture("three_coord", resolution=8, eps=eps)[3])
-    rep = torsion_form(g, mode=mode)
-    ref = {"dim3": green_torsion, "hs_min": bc_green_torsion}[mode](g)
+    rep = torsion_form(g)
+    ref = reference(g)
     assert norm(g, rep.rho20 - ref) <= 1e-9 * norm(g, ref)
     # the preimage is exact where the solve stops at its tolerance
     assert rep.residuals["dbar_rho_plus_del_omega"] <= 1e-13
@@ -246,8 +249,9 @@ def test_report_json_schema(eps_metric):
 
 
 def test_mode_guard(eps_metric):
-    with pytest.raises(ValueError):
-        torsion_form(eps_metric, mode="bogus")
+    for mode in ("bogus", "hs_min"):
+        with pytest.raises(ValueError):
+            torsion_form(eps_metric, mode=mode)
 
 
 def test_infeasible_lie(iwasawa):
@@ -265,13 +269,12 @@ def test_torsion_form_memoised_per_metric(torus3):
     assert torsion_form(g, "dim3") is rep
     assert torsion_form(g, "dim3", tol=1e-9) is rep     # the lie default
     assert torsion_form(g, "dim3", tol=1e-8) is not rep
-    assert torsion_form(g, "hs_min") is not rep
+    assert torsion_form(g, "skt") is not rep
 
 
-@pytest.mark.parametrize("mode,kind", [("dim3", "dbar"), ("hs_min", "bc")])
+@pytest.mark.parametrize("kind", ["dbar", "bc"], ids=["dim3-dbar", "dim3-bc"])
 @pytest.mark.parametrize("backend", ["lie", "grid"])
-def test_minimality_is_the_norm_of_the_harmonic_part(torus3, backend, mode,
-                                                     kind):
+def test_minimality_is_the_norm_of_the_harmonic_part(torus3, backend, kind):
     # basis-free: independent of which orthonormal kernel basis eigh returns.
     # Read by the wedge route; where it is round-off, as here, it need not
     # equal the Gram-route norm bit for bit (test_minimality_by_the_wedge_route
@@ -280,7 +283,7 @@ def test_minimality_is_the_norm_of_the_harmonic_part(torus3, backend, mode,
         g = random_metric(torus3, np.random.default_rng(7))
     else:
         g = Metric(standard_fixture("two_coord", resolution=8, eps=EPS)[3])
-    rep = torsion_form(g, mode)
+    rep = torsion_form(g)
     got = rep.residuals["minimality"]
     assert got == analysis._harmonic_norm_20(g, rep.rho20)
     assert got < 1e-9
@@ -308,9 +311,9 @@ def test_feasibility_and_lefschetz_split_memoised_per_metric(
     monkeypatch.setattr(analysis, "_dbar_preimage",
                         lambda *a: solved.append(a) or preimage(*a))
     raised = []
-    for mode in ("dim3", "hs_min", "dim3"):
+    for tol in (None, 1e-8, None):
         with pytest.raises(NotFeasibleError) as ei:
-            torsion_form(g, mode)
+            torsion_form(g, tol=tol)
         raised.append(ei.value.residuals)
     assert len(solved) == 1
     start = analysis._torsion_start(g)[1]
@@ -674,7 +677,7 @@ def test_lefschetz_flat(flat16):
 
 def test_completion_identities(eps_metric, three_coord, torus3_metric):
     for g in (eps_metric, Metric(three_coord[3]), torus3_metric):
-        comp = sg_and_completion(g, mode="dim3")
+        comp = sg_and_completion(g)
         idn = comp.identities
         assert idn["sixth_integral_residual"] < 1e-7
         assert idn["dbar_Omega_residual"] < 1e-7
@@ -751,7 +754,7 @@ def test_aeppli_sweep_sample_13_at_n32():
     rng = np.random.default_rng(2026)
     for _ in range(14):
         u = sweep.random_potential(model, rng)
-    _, rep = aeppli_perturb(Metric(omega), u, mode="dim3")
+    _, rep = aeppli_perturb(Metric(omega), u)
     assert abs(rep.a_change) < 1e-9
 
 

@@ -182,11 +182,11 @@ def test_report_with_tol_builds_one_torsion_report(tmp_path, monkeypatch):
     ["catalogue:torus3"],
     ["torus", "--resolution", "8", "--mask", "x1,x2",
      "--perturb", "fixture:two_coord"]], ids=["lie", "grid"])
-def test_hs_min_report_extracts_the_torsion_once_per_metric(
+def test_skt_report_extracts_the_torsion_once_per_metric(
         tmp_path, monkeypatch, model):
     # classify_metric asks for the dim3 report and the torsion section for
-    # the hs_min one; both read the one memoised extraction of the metric.
-    # In dimension 3 hs_min is dim3 with another label: its minimality reads
+    # the skt one; both read the one memoised extraction of the metric.  On
+    # a pluriclosed metric skt is dim3 behind its gate: its minimality reads
     # the dbar (2,0) kernel, so a report builds only dbar kernels (and on
     # the invariant backend the tilde (0,2) one of the E_2 pairings), and
     # it equals the dim3 report but for the mode and the output path
@@ -210,10 +210,10 @@ def test_hs_min_report_extracts_the_torsion_once_per_metric(
                          "--out", str(out)]) == 0
         return json.loads(out.read_text())
 
-    doc = report("hs_min")
-    assert doc["torsion"]["mode"] == "hs_min"
+    doc = report("skt")
+    assert doc["torsion"]["mode"] == "skt"
     metrics = {id(metric) for metric, _ in reports}
-    assert {(id(cores[0]), "dim3"), (id(cores[0]), "hs_min")} <= {
+    assert {(id(cores[0]), "dim3"), (id(cores[0]), "skt")} <= {
         (id(metric), mode) for metric, mode in reports}
     assert len(cores) == len({id(metric) for metric in cores}) == len(metrics)
     keys = [(metric.model.kind, key) for metric in built
@@ -387,6 +387,22 @@ def test_descend_requires_out():
     proc = run_cli(*DESCEND_ARGS)
     assert proc.returncode == 2
     assert "requires --out" in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "_InputError"
+    assert "requires --out" in doc["error"]["message"]
+    assert doc["config"]["command"] == "descend"
+
+
+@pytest.mark.parametrize("command", ["report", "descend"])
+def test_hs_min_mode_is_rejected(tmp_path, command):
+    # the modes are the gates: dim3 (none) and skt (pluriclosed)
+    out = tmp_path / "run"
+    proc = run_cli(command, "--model", "catalogue:torus3", "--mode", "hs_min",
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr and "hs_min" in proc.stderr
+    assert not out.exists()
 
 
 def test_descend_out_below_a_file_is_input_error(tmp_path):
@@ -627,9 +643,9 @@ _LINALG = ("cholesky", "det", "slogdet", "inv", "pinv", "solve", "lstsq",
 
 
 def test_grid_runs_build_no_cholesky_root(tmp_path, monkeypatch):
-    """A grid report (both invariant-certificate modes) and a grid descent
-    call no batched np.linalg routine but the eigvalsh of min_eigenvalue,
-    once per report; the small ones they call are the inv of the 3x3 grid
+    """A grid report in both torsion modes and a grid descent call no
+    batched np.linalg routine but the eigvalsh of min_eigenvalue, once per
+    report; the small ones they call are the inv of the 3x3 grid
     mean (_symbol_pinv) and eigh on block Grams.  No metric they build
     holds the root of its Gram, the (L, L^{-H}) pair that
     Metric.gram_cholesky memoises under ("chol", p, q) by a batched
@@ -652,7 +668,7 @@ def test_grid_runs_build_no_cholesky_root(tmp_path, monkeypatch):
     monkeypatch.setattr(hodge.Metric, "__init__",
                         lambda self, *a, **k: built.append(self)
                         or init(self, *a, **k))
-    for mode in ("dim3", "hs_min"):
+    for mode in ("dim3", "skt"):
         out = tmp_path / f"{mode}.json"
         assert cli.main(["report", "--model", "torus", "--resolution", "8",
                          "--mask", "x1,x3,x5", "--perturb",

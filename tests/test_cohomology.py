@@ -19,8 +19,8 @@ from hsgeom.forms import (
     wedge,
     zero_form,
 )
-from hsgeom.hodge import Metric, inner
-from hsgeom.lie import _nullspace
+from hsgeom.hodge import Metric, form_of_11, inner
+from hsgeom.lie import _nullspace, load_model
 from hsgeom.analysis import TorsionReport, torsion_form
 from hsgeom.cohomology import (
     CohomClass,
@@ -421,6 +421,22 @@ def test_torsion_class_nonzero_when_injected(torus3_metric, torus3):
     assert abs(cert["witness_pairing"]) > 0.1
     assert np.max(np.abs(cls.coordinates)) > 0.1
     assert cert["perturbed_coordinate_drift"] is None
+
+
+def test_torsion_class_drift_is_none_when_no_recheck_ran():
+    # diag(5e-9, 1/2, 1/2) is a Kahler metric so thin along phi1 that no
+    # halving of the random bump keeps it positive: no recheck ran, so no
+    # drift is reported (at 1e-6 five halvings suffice)
+    model = load_model("name thin\ndim 3\n"
+                       "d phi1 = 0.5j * phi1^phi2 + 0.5j * phi1^phibar2\n")
+    g = Metric(form_of_11(model, np.diag([5e-9, 0.5, 0.5])))
+    assert torsion_form(g).energy == 0.0
+    cert = e2_torsion_class(g)[1]
+    assert cert["vanishing"]
+    assert cert["perturbed_coordinate_drift"] is None
+    drift = e2_torsion_class(Metric(form_of_11(
+        model, np.diag([1e-6, 0.5, 0.5]))))[1]["perturbed_coordinate_drift"]
+    assert drift is not None and drift < 1e-10
 
 
 @pytest.mark.parametrize("which", ["flat", "random"])
