@@ -12,10 +12,11 @@ Three subcommands share one model/metric resolution pipeline:
 
 Exit codes: 0 success (honest negative results such as an infeasible torsion
 system are still reports), 1 numerical failure mid-computation (partial
-output is written), 2 invalid input (model, metric and output location are
-checked before any work; the error document goes to stdout).  Outputs are
-deterministic for a fixed config and seed: JSON keys are sorted and no
-timestamps are embedded.  Files are written atomically (temp file + rename).
+output is written), 2 invalid input (arguments, model, metric and output
+location are checked before any work; every exit 2 writes one error document
+to stdout).  Outputs are deterministic for a fixed config and seed: JSON keys
+are sorted and no timestamps are embedded.  Files are written atomically
+(temp file + rename).
 
 `hsgeom.cli.main(argv)` returns the exit code and may be called repeatedly
 in one process: it builds its argument parser once, and each call parses
@@ -81,7 +82,8 @@ def _sanitize(obj):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": _sanitize(float(obj.real)),
+                "im": _sanitize(float(obj.imag))}
     if isinstance(obj, np.ndarray):
         return _sanitize(obj.tolist())
     if isinstance(obj, str):
@@ -91,8 +93,66 @@ def _sanitize(obj):
     return repr(obj)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, append, indent):
+    """Append the indented JSON text of `obj` one chunk at a time.  Exact
+    floats, strings, ints and None are written here, dicts (string keys,
+    last value wins, sorted) and lists or tuples are walked, and every other
+    object is written as `_sanitize` makes it.  A module-level function
+    taking `append`, not a closure calling itself, so a report leaves no
+    reference cycle behind."""
+    kind = type(obj)
+    if kind is int:
+        append(int.__repr__(obj))
+    elif kind is float:
+        append(float.__repr__(obj) if math.isfinite(obj)
+               else _encode_str(repr(obj)))
+    elif kind is str:
+        append(_encode_str(obj))
+    elif obj is None:
+        append("null")
+    elif isinstance(obj, dict):
+        if not obj:
+            append("{}")
+            return
+        inner = indent + "  "
+        lead = "{\n" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            append(lead + _encode_str(key) + ": ")
+            lead = ",\n" + inner
+            _write_json(value, append, inner)
+        append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            append("[]")
+            return
+        inner = indent + "  "
+        lead = "[\n" + inner
+        for value in obj:
+            append(lead)
+            lead = ",\n" + inner
+            _write_json(value, append, inner)
+        append("\n" + indent + "]")
+    else:
+        obj = _sanitize(obj)
+        if obj is True or obj is False:
+            append("true" if obj else "false")
+        elif isinstance(obj, str):      # a str subclass, kept by _sanitize
+            append(_encode_str(obj))
+        else:
+            _write_json(obj, append, indent)
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n"
+    """The text of `json.dumps(_sanitize(obj), sort_keys=True, indent=2)`
+    plus a newline, written in one walk of `obj`: `json` falls back to its
+    pure-Python encoder whenever `indent` is set."""
+    chunks = []
+    _write_json(obj, chunks.append, "")
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _flatten(obj, prefix=""):
@@ -145,8 +205,10 @@ def _check_out(args, directory=False):
 
 
 def _emit(args, obj, path=None):
-    """Write `obj` in the requested format to `path`, or to stdout."""
-    text = _dump_csv(obj) if args.format == "csv" else _dump_json(obj)
+    """Write `obj` in the requested format to `path`, or to stdout; JSON
+    if rejected arguments left no format."""
+    csv = getattr(args, "format", None) == "csv"
+    text = _dump_csv(obj) if csv else _dump_json(obj)
     if path:
         _atomic_write(path, text)
     else:
@@ -477,8 +539,19 @@ def _add_metric_flags(p):
                    "(pluriclosed)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise `_InputError` after printing
+    argparse's usage and message to stderr, so that `main` writes the
+    error document; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _InputError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hsgeom",
         description="Hermitian-symplectic geometry workbench",
     )
@@ -512,8 +585,15 @@ def _parser():
 def main(argv=None):
     """Run one subcommand and return its exit code.  The command is looked
     up at call time, not through the `fn` default of the cached parser, so
-    a rebound cmd_* function is the one that runs."""
-    args = _parser().parse_args(argv)
+    a rebound cmd_* function is the one that runs.  Rejected arguments
+    write the error document of the namespace parsed so far: argparse
+    copies a subcommand's options into it only once their parse succeeds,
+    so a bad option value leaves the command name alone."""
+    args = argparse.Namespace()
+    try:
+        _parser().parse_args(argv, namespace=args)
+    except _InputError as exc:
+        return _input_error(args, exc)
     if args.command == "descend" and not args.out:
         exc = _InputError("descend requires --out DIRECTORY")
         sys.stderr.write(f"{exc}\n")

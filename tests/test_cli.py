@@ -402,6 +402,8 @@ def test_hs_min_mode_is_rejected(tmp_path, command):
                    "--out", str(out))
     assert proc.returncode == 2
     assert "invalid choice" in proc.stderr and "hs_min" in proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "_InputError" and "hs_min" in error["message"]
     assert not out.exists()
 
 
@@ -439,19 +441,26 @@ def test_descend_zero_iters(tmp_path):
         "descend-tol-zero", "descend-max-iters-neg"])
 def test_unmeetable_tol_or_negative_max_iters_is_rejected(argv, monkeypatch,
                                                           capsys):
-    # argparse exits 2 before any command runs; the library's
-    # DescentOptions(tol=0.0) stays valid, and --max-iters 0 is a run
+    # argparse rejects it before any command runs, and main writes the error
+    # document of exit 2; the library's DescentOptions(tol=0.0) stays valid,
+    # and --max-iters 0 is a run
     from hsgeom import cli
 
     ran = []
     for name in ("cmd_report", "cmd_descend"):
         monkeypatch.setattr(cli, name, lambda args: ran.append(args) or 0)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    assert cli.main(argv) == 2
     assert ran == []
     flag = "--max-iters" if "--max-iters" in argv else "--tol"
-    assert f"argument {flag}: must be" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be" in captured.err
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "_InputError"
+    assert doc["error"]["message"].startswith(f"argument {flag}: must be")
+    # only the command name was parsed before the rejected value
+    assert doc["config"]["command"] == argv[0]
+    assert {v for k, v in doc["config"].items() if k != "command"} == {None}
 
 
 @pytest.mark.parametrize("argv, value", [
@@ -509,7 +518,8 @@ def test_descend_then_report_round_trip(tmp_path):
     assert abs(doc["torsion"]["A"] - 1.0) < 1e-6
 
 
-def test_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys):
+def test_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys,
+                                                            monkeypatch):
     """One process runs descend, report, validate, a rejected argv and
     report again through cli.main; every document it writes is the one a
     fresh process writes to the same path."""
@@ -518,6 +528,16 @@ def test_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys):
     def outputs():
         return {str(f.relative_to(tmp_path)): f.read_bytes()
                 for f in sorted(tmp_path.rglob("*")) if f.is_file()}
+
+    written = []
+    cli_dump_json = cli._dump_json
+
+    def dump_json(obj):
+        # the writer's text beside the stdlib encoder's, per document
+        written.append((cli_dump_json(obj), _stdlib_json(cli, obj)))
+        return written[-1][0]
+
+    monkeypatch.setattr(cli, "_dump_json", dump_json)
 
     runs = [
         # no --tol: main sets 1e-6 on this namespace only
@@ -534,12 +554,20 @@ def test_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys):
     ]
     for argv in runs[:3]:
         assert cli.main(argv) == 0
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["report", "--model", "catalogue:torus3", "--no-such-flag"])
-    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["report", "--model", "catalogue:torus3",
+                     "--no-such-flag"]) == 2
+    rejected = json.loads(capsys.readouterr().out)
+    assert rejected["error"] == {"type": "_InputError", "message":
+                                 "unrecognized arguments: --no-such-flag"}
+    assert rejected["config"]["model"] == "catalogue:torus3"
     assert cli.main(runs[3]) == 0
     capsys.readouterr()
     reused = outputs()
+    # descent trace, certificate and summary, two reports, validate, error
+    assert len(written) == 7
+    for text, reference in written:
+        assert text == reference
     assert json.loads(reused["heis3.json"])["config"]["tol"] is None
 
     for entry in tmp_path.iterdir():
@@ -573,7 +601,8 @@ def _sanitize_by_isinstance(obj):
         v = float(obj)
         return v if np.isfinite(v) else repr(v)
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": _sanitize_by_isinstance(float(obj.real)),
+                "im": _sanitize_by_isinstance(float(obj.imag))}
     if isinstance(obj, np.ndarray):
         return _sanitize_by_isinstance(obj.tolist())
     if obj is None or isinstance(obj, str):
@@ -594,15 +623,91 @@ def test_sanitize_matches_the_isinstance_chain():
         def to_json(self):
             return {"inner": [np.float32(0.5), (1, "x")]}
 
+    class Name(str):
+        pass
+
     leaves = [1, -7, True, False, np.bool_(True), np.int64(3), 2.5, -0.0,
               float("nan"), float("inf"), -float("inf"), np.float64(1e-300),
-              np.float64("nan"), 1 + 2j, np.complex128(3 - 4j), None, "s",
+              np.float64("nan"), 1 + 2j, np.complex128(3 - 4j),
+              complex(float("nan"), -float("inf")), None, "s", Name("n\u00e9"),
               np.arange(3.0), np.array([[1, 2]]), (4, 5.5), Doc(), object]
     doc = {"leaves": leaves, 3: {"nested": leaves[::-1]},
            "ordered": collections.OrderedDict(b=1.0, a=[None])}
     got, want = cli._sanitize(doc), _sanitize_by_isinstance(doc)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert [type(v) for v in got["leaves"]] == [type(v) for v in want["leaves"]]
+    assert cli._dump_json(doc) == _stdlib_json(cli, doc)
+
+
+def _stdlib_json(cli, obj):
+    """The text cli._dump_json must write: the stdlib encoder's."""
+    return json.dumps(cli._sanitize(obj), sort_keys=True, indent=2) + "\n"
+
+
+class _ToJson:
+    def __init__(self, payload):
+        self.payload = payload
+
+    def to_json(self):
+        return self.payload
+
+
+def _json_documents():
+    import numpy as np
+    from hypothesis import strategies as st
+
+    special = st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
+                               -float("inf"), 1e-300, 1e300])
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), special,
+        st.text(),              # non-ASCII and control characters included
+        st.floats(width=32).map(np.float32),
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_), st.complex_numbers(),
+        st.lists(st.floats(), max_size=3).map(np.array),
+        st.lists(st.complex_numbers(), max_size=2).map(np.array),
+        st.just({}), st.just([]), st.just(()))
+    # 1 and True are one dict key; str() makes "1" and "True" collide too
+    keys = st.sampled_from([1, "1", True, "True", "b", "\u00e9", "\n"])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=5), inner.map(_ToJson)),
+        max_leaves=24)
+
+
+def test_dump_json_matches_the_stdlib_encoder():
+    from hypothesis import given, settings
+
+    from hsgeom import cli
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_json_documents())
+    def check(doc):
+        assert cli._dump_json(doc) == _stdlib_json(cli, doc)
+
+    check()
+    # the last value of colliding keys wins, as in _sanitize
+    assert cli._dump_json({1: "a", "1": "b"}) == '{\n  "1": "b"\n}\n'
+
+
+def test_dump_json_leaves_no_cyclic_garbage():
+    import gc
+
+    from hsgeom import cli
+
+    args = cli._parser().parse_args(["report", "--model", "catalogue:heis3"])
+    model = cli._resolve_model(args)
+    doc, failed = cli._report_body(model, cli._resolve_metric(model, args),
+                                   args)
+    assert not failed
+    gc.collect()
+    gc.disable()
+    try:
+        text = cli._dump_json(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == _stdlib_json(cli, doc)
 
 
 # -- skt gate -----------------------------------------------------------------
