@@ -27,10 +27,11 @@ import numpy as np
 from . import _basis
 from .forms import (Form, coeff_norm, conjugate, differential,
                     integrate_top, wedge)
-from .hodge import (_POS_TOL, Metric, _adjugate, _positive, _trailing,
-                    adjoint_diff, contract, contract_trace, form_of_11,
-                    green_solve, harmonic_basis, harmonic_project, inner,
-                    laplacian, min_norm_lstsq, norm, pointwise_inner)
+from .hodge import (_POS_TOL, Metric, SolveDiverged, _adjugate, _apply,
+                    _positive, _trailing, adjoint_diff, contract,
+                    contract_trace, form_of_11, green_solve, harmonic_basis,
+                    harmonic_project, inner, laplacian, norm, pointwise_inner)
+from .lie import torsion_solve
 
 TORSION_MODES = ("dim3", "skt")
 
@@ -105,28 +106,52 @@ class TorsionReport:
 
 
 def torsion_least_squares(metric: Metric) -> Form:
-    """Minimal-norm torsion by brute-force constrained least squares.
-
-    Independent oracle for torsion_form: probes apply_differential into the
-    dense stacked system {del rho = 0, dbar rho = -del omega} over all (2,0)
-    degrees of freedom (channels times grid points) and solves it by
-    hodge.min_norm_lstsq, so both the residual and the minimized norm are
-    the metric L2 ones.  No Green operators, stars, or adjoints are involved.
-    """
+    """Minimal-norm least squares of A rho = b = (0, -del omega), A = (del,
+    dbar) on (2,0), in the metric norms: the oracle for torsion_form.  Exact
+    on the invariant backend (lie.torsion_solve); on the grid CGLS from rho
+    = 0, with A* = P^{-1} A^H Q (Q the "pairing" factor times the density on
+    a target, A^H the flat adjoint by spectral_adjoint, P^{-1} the "inverse"
+    factor over the density), to ||A*(b - A rho)|| <= 1e-14 ||A* b||, else
+    SolveDiverged after max(50, 10 sqrt(points)) steps or on a curvature
+    <= 0.  No Green operator, harmonic projection, star or 1/|zbh|^2 runs."""
     model = metric.model
-    grid = model.grid_shape
-    d_src = _basis.degree_dims(model.n, 2, 0)
-    units = np.eye(d_src * math.prod(grid)).reshape((-1, d_src) + grid)
+    if model.kind == "lie":
+        return torsion_solve(metric)[0]
+    axes, pts = model.spectral_axes, math.prod(model.grid_shape)
+    targets = (("del", 3, 0), ("dbar", 2, 1))
 
-    def probe(part):
-        return np.stack([model.apply_differential(part, 2, 0, e).ravel()
-                         for e in units], axis=1)
+    def weigh(ys):                      # Q y on each target
+        return [_apply(metric, "pairing", p, q, y[None])[0] * metric.density
+                for (_, p, q), y in zip(targets, ys)]
 
-    rho, *_ = min_norm_lstsq(metric, (2, 0), [
-        ((3, 0), probe("del"), None),
-        ((2, 1), probe("dbar"), -omega_differential(metric, "del").coeffs),
-    ])
-    return rho
+    def normal(Qr):                     # A* r from Q r, and ||A* r||^2
+        u = np.fft.ifftn(sum(model.spectral_adjoint(
+            part, 2, 0, np.fft.fftn(y, axes=axes))
+            for (part, *_), y in zip(targets, Qr)), axes=axes)
+        s = _apply(metric, "inverse", 2, 0, u[None])[0] / metric.density
+        return s, np.vdot(s, u).real / pts
+
+    Qr = weigh([np.zeros((1,) + model.grid_shape),
+                -omega_differential(metric, "del").coeffs])
+    direction, gamma = normal(Qr)
+    x, gamma0 = np.zeros_like(direction), gamma
+    cap = max(50, int(10 * math.sqrt(pts)))
+    for it in range(cap + 1):
+        if gamma <= 1e-28 * gamma0:     # ||A* r|| <= 1e-14 ||A* b||
+            return Form(model, 2, 0, x)
+        if it == cap:
+            raise SolveDiverged(f"cgls hit the iteration cap {cap} at "
+                                f"{math.sqrt(gamma / gamma0):.2e} relative")
+        Ad = [model.apply_differential(part, 2, 0, direction)
+              for part, *_ in targets]
+        QAd = weigh(Ad)
+        curvature = sum(np.vdot(y, Qy).real for y, Qy in zip(Ad, QAd)) / pts
+        if not curvature > 0.0:
+            raise SolveDiverged(f"cgls curvature {curvature:.2e} <= 0")
+        x = x + gamma / curvature * direction
+        Qr = [Qy - gamma / curvature * Qz for Qy, Qz in zip(Qr, QAd)]
+        s, gamma_new = normal(Qr)
+        direction, gamma = s + gamma_new / gamma * direction, gamma_new
 
 
 def torsion_form(metric: Metric, mode: str = "dim3",
@@ -170,6 +195,13 @@ def del_omega_norm(metric: Metric) -> float:
         metric, omega_differential(metric, "del")))
 
 
+def deldbar_omega_norm(metric: Metric) -> float:
+    """||del dbar omega||, memoised on the metric: the pluriclosed residual
+    of the classification, of the skt gate and of a descent certificate."""
+    return metric.memo(("deldbar_omega_norm",), lambda: norm(
+        metric, differential("del", omega_differential(metric, "dbar"))))
+
+
 def _torsion_start(metric: Metric):
     """(rho0, residuals), memoised on the metric: rho0 = -x, x the dbar
     preimage of del omega (_dbar_preimage), with ||del rho0|| and
@@ -202,8 +234,7 @@ def _torsion_core(metric: Metric) -> TorsionReport:
 
 def _torsion_form(metric: Metric, mode: str, tol: float) -> TorsionReport:
     if mode == "skt":
-        ddbar = differential("del", omega_differential(metric, "dbar"))
-        r = norm(metric, ddbar)
+        r = deldbar_omega_norm(metric)
         if r > tol * max(1.0, norm(metric, metric.omega)):
             raise NotSKTError(
                 f"deldbar omega has norm {r:.3e}; not pluriclosed at {tol:.1e}",
@@ -394,8 +425,7 @@ def classify_metric(metric: Metric, tol: float = None) -> MetricClassification:
 
     scale = max(1.0, norm(metric, omega))
     r_kahler = del_omega_norm(metric) / scale
-    r_skt = norm(metric, differential(
-        "del", omega_differential(metric, "dbar"))) / scale
+    r_skt = deldbar_omega_norm(metric) / scale
     d_pow = differential("del", omega_pow)
     n_pow = norm(metric, d_pow)
     r_bal = n_pow / scale

@@ -41,7 +41,7 @@ from .hodge import Metric, NotPositiveError, SolveDiverged
 from .lie import (IntegrabilityError, JacobiError, ModelFormatError,
                   UnimodularityError, catalogue_model, load_model)
 from .torus import (AliasingError, GridError, load_form, make_torus_model,
-                    save_form, standard_potential)
+                    save_form, standard_potential, write_atomically)
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -177,16 +177,7 @@ def _dump_csv(obj) -> str:
 
 
 def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".hsgeom-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomically([(path, text)])
 
 
 def _check_out(args, directory=False):

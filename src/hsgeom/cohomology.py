@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _basis
-from .analysis import NotFeasibleError, torsion_form
+from .analysis import NotFeasibleError, _dbar_preimage, torsion_form
 from .forms import Form, conjugate, differential, integrate_top, wedge
-from .hodge import Metric, NotPositiveError, min_norm_lstsq, norm
-from .lie import LieModel, _kept, _nullspace
+from .hodge import Metric, NotPositiveError, harmonic_project, norm
+from .lie import LieModel, _kept, _nullspace, _pinv
 
 _ER_TOL = 1e-8     # relative residual of a page-r tower membership
 
@@ -127,12 +127,12 @@ class _BlockSystem:
 
     def member(self, A):
         """Fix the first block to the (d, k) columns A and solve for the
-        other blocks by minimum-norm least squares.  Returns those blocks
-        (the witnesses) and one residual per column."""
+        other blocks by `_pinv`.  Returns those blocks (the witnesses) and
+        one residual per column."""
         A = np.asarray(A, dtype=np.complex128)
         M = self.assemble()
         d = A.shape[0]
-        X, *_ = np.linalg.lstsq(M[:, d:], -(M[:, :d] @ A), rcond=None)
+        X = _pinv(M[:, d:]) @ -(M[:, :d] @ A)
         resid = np.linalg.norm(M[:, :d] @ A + M[:, d:] @ X, axis=0)
         parts = self.split(np.vstack([A, X]))
         del parts[next(iter(self.pq))]
@@ -461,7 +461,9 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
     """The obstruction class of the conjugate torsion form, with certificate.
 
     Returns (CohomClass, certificate dict).  The certificate holds either an
-    explicit potential xi with dbar xi = rho02 (vanishing case) or a
+    explicit potential xi with dbar xi = rho02 (vanishing case), the
+    metric-minimal one (the co-closed preimage of e2_obstruction minus its
+    harmonic part), or a
     reference-orthogonal witness pairing nontrivially with rho02; plus the
     image of the class under the page-2 differential (must vanish) and a
     recomputation of the coordinates after a random admissible perturbation
@@ -484,8 +486,9 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
     cx = page.cx
     certificate = {"vanishing": vanishing}
     if vanishing:
-        certificate["xi"], certificate["xi_residual"], *_ = min_norm_lstsq(
-            metric, (0, 1), [((0, 2), cx.op("dbar", 0, 1), rho02.coeffs)])
+        xi, certificate["xi_residual"] = _dbar_preimage(metric, rho02,
+                                                        coclosed=True)
+        certificate["xi"] = xi - harmonic_project(metric, "dbar", xi)
     else:
         img = cx.orth(cx.op("dbar", 0, 1), 0, 2)
         w = cx.project_out(rho02.coeffs.reshape(-1, 1), img, 0, 2)[:, 0]
@@ -657,10 +660,11 @@ class IntersectionResult:
 def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
     """Generalized volume as an intersection number (lie backend).
 
-    Lifts the square completion of the metric to a d-closed (2,2)-form in two
-    minimal steps and integrates against the metric form; the result must be
-    six times the generalized volume.  `torsion_report` may supply a
-    precomputed torsion analysis to reuse (or to inject in tests).
+    Lifts the square completion Omega to a d-closed (2,2)-form in two steps,
+    u12 of del dbar u12 = dbar Omega minimal in the reference norm (`_pinv`,
+    memoised on the model), and integrates against the metric form: six
+    times the generalized volume, whatever u12 (Stokes).  `torsion_report`
+    may supply a precomputed torsion analysis to reuse (or to inject).
     """
     model = metric.model
     _require_lie(model)
@@ -684,10 +688,10 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
     omega = metric.omega
     Omega = wedge(omega, omega) + 2.0 * wedge(rho, rho02)
     b = differential("dbar", Omega)
-    ddb = cx.op("del", 1, 3) @ cx.op("dbar", 1, 2)
-    u12, resid, nb, _ = min_norm_lstsq(metric, (1, 2),
-                                       [((2, 3), ddb, b.coeffs)])
-    if resid > 1e-10 * max(1.0, nb):
+    u12 = Form(model, 1, 2, model.memo(("ddbar_pinv", 1, 2), lambda: _pinv(
+        cx.op("del", 1, 3) @ cx.op("dbar", 1, 2))) @ b.coeffs)
+    resid = norm(metric, differential("del", differential("dbar", u12)) - b)
+    if resid > 1e-10 * max(1.0, norm(metric, b)):
         raise StageUnsolvable("stage-1 potential equation", resid)
     u21 = conjugate(u12)
     # the conjugated potential solves the second lift automatically

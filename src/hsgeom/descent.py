@@ -166,8 +166,7 @@ def certify_critical(metric: Metric,
     independently.
     """
     balanced = _gradient_norm(metric)
-    skt = norm(metric, differential(
-        "del", analysis.omega_differential(metric, "dbar")))
+    skt = analysis.deldbar_omega_norm(metric)
     kahler = _d_norm(metric)
     kahler_tol = _KAHLER_BRIDGE * tol
     return CriticalityCertificate(

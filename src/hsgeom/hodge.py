@@ -1,8 +1,6 @@
 """Metric-dependent operators on the bicomplex.
 
-Inner products, the metric-weighted minimal-norm least squares that the
-torsion certificate, its dense oracle and the E_2 potentials share
-(min_norm_lstsq), the complex-linear Hodge star, adjoint differentials, the
+Inner products, the complex-linear Hodge star, adjoint differentials, the
 two Laplacians (the antiholomorphic Delta'' and Popovici's
 projector-twisted second-order one), harmonic projection, Green
 operators, and the Lefschetz contraction.
@@ -33,11 +31,10 @@ Conventions, locked by the test suite:
   factor come from H and its 2x2 minors, with no batched det or inv.
   Positivity is Sylvester's criterion on the same pivots (_positive);
   eigvalsh runs only for the reported least eigenvalue and on the failure
-  path.  Off it the one root of the volume-weighted Gram is LAPACK's: the
-  Cholesky factor L of the dense Gram and the inverse of L^H, one memoised
-  pair per bidegree (Metric.gram_cholesky), for min_norm_lstsq and
-  lie.hs_feasibility; no torsion verdict, Green solve, grid report or
-  descent builds it.
+  path.  No route takes a root of the volume-weighted Gram: the Green
+  solves are in the weak form below, and the least squares of the torsion
+  oracles are lie.torsion_solve and the CGLS of
+  analysis.torsion_least_squares, which apply the pairing and its inverse.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
@@ -199,20 +196,19 @@ class Metric:
     H^{-1}, det H, the compounds and the pairing, inverse and star factors
     are closed forms in H (_adjugate), and positivity is decided by pivots
     (_positive); the one batched eigvalsh gives min_eigenvalue, on first
-    access, and the root of the Gram (gram_cholesky) is LAPACK's.
+    access.
 
     Per-metric results go through `memo(key, build)`, one dict keyed by
     tagged tuples: min_eigenvalue, compounds and the per-side factors built
-    from them, Gram Cholesky pairs, wedge-omega matrices,
-    _lie_ritz, _scale, _symbol_pinv, the torsion verdict, core and reports,
-    del omega, dbar omega and ||del omega||, the descent gradient and its
-    norms, and the Lefschetz split.  Dense pairings, stars
-    and kernels keep their own _pairing_cache, _star_cache and
-    _kernel_cache, because the benchmark tracer (perfbench/spans.py) wraps
-    `pairing` and `star_matrix` by name and counts the misses of those
-    caches.  Only the invariant backend and gram_cholesky read the dense
-    pairing and star; a grid report or descent applies `factors` and leaves
-    both caches empty.
+    from them, wedge-omega matrices, _lie_ritz, _scale, _symbol_pinv, the
+    torsion verdict, core and reports, del omega, dbar omega, ||del omega||
+    and ||del dbar omega||, the descent gradient and its norms, and the
+    Lefschetz split.  Dense pairings, stars and kernels keep their own
+    _pairing_cache, _star_cache and _kernel_cache, because the benchmark
+    tracer (perfbench/spans.py) wraps `pairing` and `star_matrix` by name
+    and counts the misses of those caches.  Only the invariant backend reads
+    the dense pairing and star; a grid report or descent applies `factors`
+    and leaves both caches empty.
     """
 
     def __init__(self, omega: Form):
@@ -351,24 +347,6 @@ class Metric:
                     P.imag = (A.real * B.imag + A.imag * B.real).reshape(d, d)
             self._pairing_cache[key] = P
         return self._pairing_cache[key]
-
-    def gram(self, p, q):
-        """Numpy-convention Gram: pointwise <a,b> = b^H G a."""
-        return np.conj(self.pairing(p, q))
-
-    def gram_cholesky(self, p, q):
-        """(L, L^{-H}), channel-first, memoised together: L the pointwise
-        Cholesky factor of the volume-weighted Gram, by LAPACK on the dense
-        Gram (||a||^2_{L2} is the grid mean of |L^H a|^2), and the inverse
-        of L^H by one batched LAPACK inverse.  The weights of
-        min_norm_lstsq and lie.hs_feasibility; no Green solve, grid report
-        or descent builds it."""
-        def build():
-            L = np.linalg.cholesky(
-                _trailing(self.gram(p, q)) * self.density[..., None, None])
-            return _leading(L), _leading(np.linalg.inv(
-                np.conj(np.swapaxes(L, -1, -2))))
-        return self.memo(("chol", p, q), build)
 
     def star_matrix(self, p, q):
         """Channel matrix of star, (p,q) -> (3-q, 3-p): the Kronecker
@@ -517,44 +495,6 @@ def _orth(metric: Metric, p, q, X):
         keep = lam > _RANK_RCOND * lam.max(initial=0.0)
         X = _combine((U[:, keep].conj() / np.sqrt(lam[keep])).T, X)
     return X
-
-
-def min_norm_lstsq(metric: Metric, src, rows):
-    """Least squares over (p,q) = src forms x, minimal in the metric norm.
-
-    Each row is (target bidegree, A, b): A dense on flattened channel-major
-    coefficients, b the target coefficients or None for zero.  Targets and
-    unknowns are weighted per grid point by W = L^H / sqrt(points), (L,
-    L^{-H}) from gram_cholesky, and one lstsq solves for y = W_src x.
-    Returns x, the metric norms of the residual and of b, and the weighted
-    matrix acting on y (the 1/sqrt(points) cancels from it and from x).
-    """
-    grid = metric.model.grid_shape
-    pts = math.prod(grid)
-    points = lambda X, d: X.reshape(d, pts, -1).swapaxes(0, 1)   # (pts, d, k)
-    flat = lambda X: X.swapaxes(0, 1).reshape(-1, X.shape[-1])
-
-    def weights(p, q):          # (L^H, L^{-H}) per point, (pts, d, d)
-        L, L_inv = (M.reshape(len(M), len(M), pts)
-                    for M in metric.gram_cholesky(p, q))
-        return L.T.conj(), L_inv.transpose(2, 0, 1)
-
-    A_w, b_w = [], []
-    for tgt, A, b in rows:
-        W = weights(*tgt)[0]
-        A_w.append(flat(W @ points(A, len(W[0]))))
-        b_w.append(np.zeros(len(A), np.complex128) if b is None
-                   else flat(W @ points(b, len(W[0]))).ravel())
-    A_w, b_w, W_inv = np.vstack(A_w), np.concatenate(b_w), weights(*src)[1]
-    k, d = len(A_w), len(W_inv[0])
-    A_w = (A_w.reshape(k, d, pts).transpose(2, 0, 1) @ W_inv
-           ).transpose(1, 2, 0).reshape(k, -1)
-    y = np.linalg.lstsq(A_w, b_w, rcond=None)[0]
-    x = flat(W_inv @ points(y, d)).reshape((d,) + grid)
-    root = math.sqrt(pts)
-    return (Form(metric.model, *src, x),
-            float(np.linalg.norm(A_w @ y - b_w)) / root,
-            float(np.linalg.norm(b_w)) / root, A_w)
 
 
 # ---------------------------------------------------------------------------

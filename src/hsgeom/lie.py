@@ -32,7 +32,7 @@ import numpy as np
 from . import _basis
 from ._basis import DIM
 from .forms import Form, basis_form, conjugate, differential, wedge, zero_form
-from .hodge import min_norm_lstsq
+from .hodge import _combine, _gram, _orth, norm
 
 _RANK_TOL = 1e-10
 _JACOBI_TOL = 1e-13        # largest entry of d^2, or of d on 5-forms
@@ -42,8 +42,8 @@ _HS_TOL = 1e-10            # relative residual of a feasible torsion system
 def _kept(s):
     """Mask of the singular values `s` (descending) counted into a rank.
 
-    The one rank rule of the invariant backend: `_nullspace`,
-    `LieModel.dbar_preimage` and every rank in `cohomology` count by it.
+    The one rank rule of the invariant backend: `_nullspace`, `_pinv` and
+    every rank in `cohomology` count by it.
     """
     return s > _RANK_TOL * max(1.0, s[0] if s.size else 0.0)
 
@@ -53,6 +53,15 @@ def _nullspace(M):
     rank: the one null space of the invariant backend."""
     _, s, vh = np.linalg.svd(np.asarray(M, dtype=np.complex128))
     return vh[int(np.sum(_kept(s))):].conj().T
+
+
+def _pinv(M):
+    """Pseudo-inverse of M, its SVD cut at the `_kept` rank: the one least
+    squares of the invariant backend, minimal in the coefficient norm."""
+    u, s, vh = np.linalg.svd(np.asarray(M, dtype=np.complex128),
+                             full_matrices=False)
+    r = int(np.sum(_kept(s)))
+    return vh[:r].conj().T @ (u[:, :r].conj().T / s[:r, None])
 
 
 class ModelFormatError(ValueError):
@@ -256,13 +265,9 @@ class LieModel:
 
     def dbar_preimage(self, p, q, v):
         """x of bidegree (p,q) with dbar x = v for dbar-exact v: the
-        memoised pseudo-inverse of the dbar matrix, of `_kept` rank, on v."""
-        def build():
-            u, s, vh = np.linalg.svd(self.operator_matrix("dbar", p, q),
-                                     full_matrices=False)
-            r = int(np.sum(_kept(s)))
-            return vh[:r].conj().T @ (u[:, :r].conj().T / s[:r, None])
-        return self.memo(("dbar_pinv", p, q), build) @ v
+        memoised `_pinv` of the dbar matrix, on v."""
+        return self.memo(("dbar_pinv", p, q), lambda: _pinv(
+            self.operator_matrix("dbar", p, q))) @ v
 
     @staticmethod
     def mean(field):
@@ -344,29 +349,37 @@ class FeasibilityCertificate:
         }
 
 
-def hs_feasibility(metric) -> FeasibilityCertificate:
-    """Decide solvability of the torsion system for an invariant metric.
-
-    `metric` is a hodge.Metric on a LieModel.  hodge.min_norm_lstsq solves
-    the system: the residual is the metric L2 norm over the stacked target
-    spaces, and the solution the minimal-norm one.  The system is feasible
-    when that residual is at most _HS_TOL relative to the right-hand side.
-    The exact invariant certificate, and the reference route for the
-    verdict of analysis.torsion_form, which never calls it.  A grid metric
-    raises ValueError.
-    """
+def torsion_solve(metric):
+    """(rho, residual, ||del omega||, K) of del rho = 0, dbar rho = -del
+    omega on invariant (2,0)-forms: rho is `_pinv` of the stacked [del;
+    dbar] (memoised on the model with its null space) on (0, -del omega),
+    minus its metric projection on the null space, so metric-minimal when
+    the system is consistent; K is that null space, metric-orthonormal
+    (hodge._orth).  The norms are metric ones.  ValueError off the lie
+    backend."""
     model = metric.model
     if model.kind != "lie":
-        raise ValueError("hs_feasibility decides invariant metrics on the "
-                         "lie backend only")
-    rho, resid, nb, Aw = min_norm_lstsq(metric, (2, 0), [
-        ((3, 0), model.operator_matrix("del", 2, 0), None),
-        ((2, 1), model.operator_matrix("dbar", 2, 0),
-         -(model.operator_matrix("del", 1, 1) @ metric.omega.coeffs)),
-    ])
-    if resid <= _HS_TOL * max(1.0, nb):
-        # nullspace of the stacked operator, in geometric coordinates
-        W_inv = metric.gram_cholesky(2, 0)[1]       # L^{-H}
-        null = [Form(model, 2, 0, W_inv @ v) for v in _nullspace(Aw).T]
-        return FeasibilityCertificate(True, resid, rho, tuple(null))
+        raise ValueError("torsion_solve runs on the lie backend only")
+    M = np.vstack([model.operator_matrix(part, 2, 0)
+                   for part in ("del", "dbar")])
+    P, N = model.memo(("torsion_pinv",), lambda: (_pinv(M), _nullspace(M)))
+    d_omega = differential("del", metric.omega)
+    K = _orth(metric, 2, 0, N.T)
+    x = P @ np.concatenate([[0.0], -d_omega.coeffs])    # (3,0) has 1 channel
+    x = x - _combine(_gram(metric, 2, 0, x[None], K)[0], K)
+    rho = Form(model, 2, 0, x)
+    residual = np.hypot(norm(metric, differential("del", rho)),
+                        norm(metric, differential("dbar", rho) + d_omega))
+    return rho, float(residual), norm(metric, d_omega), tuple(
+        Form(model, 2, 0, k) for k in K)
+
+
+def hs_feasibility(metric) -> FeasibilityCertificate:
+    """Decide solvability of the torsion system for an invariant metric:
+    feasible when the residual of torsion_solve is at most _HS_TOL times
+    max(1, ||del omega||), certified by its rho and K.  The reference route
+    for the verdict of analysis.torsion_form, which never calls it."""
+    rho, resid, dn, K = torsion_solve(metric)
+    if resid <= _HS_TOL * max(1.0, dn):
+        return FeasibilityCertificate(True, resid, rho, K)
     return FeasibilityCertificate(False, resid, None, ())

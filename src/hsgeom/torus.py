@@ -18,7 +18,10 @@ below the Nyquist limit without dealiasing.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 
@@ -315,7 +318,7 @@ def standard_fixture(name: str, resolution: int = 16, eps: float = 0.05):
 
 
 def save_form(form: Form, prefix: str):
-    """Write <prefix>.json (header) and <prefix>.npy (channel payload)."""
+    """Write <prefix>.json (header) and <prefix>.npy (payload) atomically."""
     model = form.model
     header = {
         "schema": 1,
@@ -328,9 +331,26 @@ def save_form(form: Form, prefix: str):
         "dim": model.n,
         "dtype": "complex128",
     }
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-    np.save(f"{prefix}.npy", form.coeffs)
+    payload = io.BytesIO()
+    np.save(payload, form.coeffs)
+    write_atomically([(f"{prefix}.npy", payload.getvalue()), (
+        f"{prefix}.json", json.dumps(header, indent=2, sort_keys=True))])
+
+
+def write_atomically(files):
+    """Write each (path, text or bytes) through a temporary file beside the
+    path and os.replace, so no reader sees a partial file; a failed write
+    leaves none behind."""
+    for path, data in files:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".hsgeom-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def load_form(model: TorusModel, prefix: str) -> Form:

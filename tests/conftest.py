@@ -191,7 +191,7 @@ def weigh(g, a):
 
 def reference_root(g, p, q, inverse=False):
     """The pointwise root F of the volume-weighted Gram Q on (p,q)-forms,
-    built apart from Metric.gram_cholesky, as a dense (d, d, *grid) matrix
+    built apart from hodge, as a dense (d, d, *grid) matrix
     acting on rows of channels: (a F) . conj(b F) = <a, b>_pt density.  With
     H = U U^H, U upper triangular (LAPACK's Cholesky factor of H with rows
     and columns reversed, reversed back), H^{-1} = U^{-H} U^{-1} and

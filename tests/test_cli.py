@@ -748,27 +748,36 @@ _LINALG = ("cholesky", "det", "slogdet", "inv", "pinv", "solve", "lstsq",
 
 
 def test_grid_runs_build_no_cholesky_root(tmp_path, monkeypatch):
-    """A grid report in both torsion modes and a grid descent call no
-    batched np.linalg routine but the eigvalsh of min_eigenvalue, once per
-    report; the small ones they call are the inv of the 3x3 grid
-    mean (_symbol_pinv) and eigh on block Grams.  No metric they build
-    holds the root of its Gram, the (L, L^{-H}) pair that
-    Metric.gram_cholesky memoises under ("chol", p, q) by a batched
-    cholesky and inv: the Green solves they run are in the weak form on
-    spectra."""
+    """No np.linalg.cholesky or lstsq runs in the catalogue reports in both
+    torsion modes, in hs_feasibility, in a grid report or in a descent.  A
+    grid report in both torsion modes and a grid descent call no batched
+    np.linalg routine but the eigvalsh of min_eigenvalue, once per report;
+    the small ones they call are the inv of the 3x3 grid mean
+    (_symbol_pinv) and eigh on block Grams."""
     import numpy as np
 
     from hsgeom import cli, hodge
+    from hsgeom.lie import catalogue_model, hs_feasibility
 
-    batched, small, built = [], set(), []
+    from conftest import random_metric
+
+    calls, built = [], []
     for name in _LINALG:
         def spy(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            if np.ndim(args[0]) > 2:
-                batched.append(_name)
-            else:
-                small.add(_name)
+            calls.append((_name, np.ndim(args[0]) > 2))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, spy)
+    for name in ("torus3", "iwasawa", "heis3"):
+        for mode in ("dim3", "skt"):
+            out = tmp_path / f"{name}-{mode}.json"
+            assert cli.main(["report", "--model", f"catalogue:{name}",
+                             "--mode", mode, "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["errors"] == []
+        model = catalogue_model(name)
+        hs_feasibility(random_metric(model, np.random.default_rng(7)))
+    lie_calls = {name for name, _ in calls}
+    assert not lie_calls & {"cholesky", "lstsq"}, lie_calls
+    calls.clear()
     init = hodge.Metric.__init__
     monkeypatch.setattr(hodge.Metric, "__init__",
                         lambda self, *a, **k: built.append(self)
@@ -783,9 +792,7 @@ def test_grid_runs_build_no_cholesky_root(tmp_path, monkeypatch):
     assert cli.main(["descend", "--model", "torus", "--resolution", "8",
                      "--mask", "x1,x2", "--perturb", "fixture:two_coord",
                      "--eps", "0.05", "--out", str(tmp_path / "run")]) == 0
+    batched = [name for name, many in calls if many]
     assert batched == ["eigvalsh"] * 2, batched     # one per report
-    assert small <= {"inv", "eigh"}, small
+    assert {name for name, many in calls if not many} <= {"inv", "eigh"}
     assert len(built) > 2
-    for metric in built:
-        held = [key for key in metric._memo if key[0] == "chol"]
-        assert not held, held

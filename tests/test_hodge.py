@@ -207,7 +207,7 @@ def test_closed_form_inverse_of_ill_conditioned_metric(heis3):
 def test_metric_algebra_calls_no_batched_det_or_inv(monkeypatch):
     """A grid Metric, its compounds, the pairing, inverse and star factors
     and root_of_22 are closed forms: np.linalg.det, np.linalg.inv and
-    np.linalg.cholesky never run.  (The Cholesky roots are LAPACK's.)"""
+    np.linalg.cholesky never run."""
     from hsgeom.analysis import root_of_22
     omega = standard_fixture("three_coord", resolution=8, eps=0.05)[3]
     calls = collections.Counter()
@@ -234,7 +234,7 @@ def test_metric_algebra_calls_no_batched_det_or_inv(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["chol", "chol_inverse", "gram"])
 def test_unknown_channel_map_raises(eps_metric, kind):
-    # the root of the Gram is Metric.gram_cholesky, not a factor kind
+    # a root of the Gram is no factor kind
     with pytest.raises(ValueError, match="unknown channel map"):
         eps_metric.factors(kind, 1, 1)
     assert not [key for key in eps_metric._memo if key[:2] == ("factor", kind)]
@@ -412,7 +412,6 @@ def test_grid_green_solve_is_p0_only():
         with pytest.raises(ValueError, match=r"dbar on \(p,0\) only"):
             green_solve(g, kind, b)
     assert not g._kernel_cache
-    assert not [key for key in g._memo if key[0] == "chol"]
 
 
 def test_harmonic_dims_torus3(torus3_metric):
@@ -540,7 +539,7 @@ def test_ritz_matches_dense_pencil(lie_models, name, kind):
             d = _basis.degree_dims(g.n, p, q)
             A = np.stack([laplacian(g, kind, Form(g.model, p, q, e)).coeffs
                           for e in np.eye(d, dtype=np.complex128)], axis=1)
-            G = g.gram(p, q) * g.density
+            G = np.conj(g.pairing(p, q)) * g.density
             Linv = np.linalg.inv(np.linalg.cholesky(G))
             C = Linv @ G @ A @ Linv.conj().T
             assert np.abs(C - C.conj().T).max() < 1e-10 * scale
@@ -1047,24 +1046,20 @@ def test_spectral_30_solves_take_two_transforms_per_iteration(monkeypatch):
 
 def test_preconditioner_root_factors_the_gram(three_coord8):
     # F^H F = Q pointwise, Q the volume-weighted Gram, for the reference
-    # root F of reference_root in column form and F^{-1} its inverse; and
-    # for the weights of hodge.min_norm_lstsq, F = L^H with (L, L^{-H}) the
-    # pair of Metric.gram_cholesky
+    # root F of reference_root in column form and F^{-1} its inverse
     g, grid = three_coord8, three_coord8.model.grid_shape
     for p in range(4):
         for q in range(4):
             if not _basis.degree_dims(3, p, q):
                 continue
-            Q = hodge._trailing(g.gram(p, q)) * g.density[..., None, None]
+            Q = hodge._trailing(np.conj(g.pairing(p, q))) \
+                * g.density[..., None, None]
             eye = np.eye(len(Q[(0,) * len(grid)]))
-            L, L_inv = (hodge._trailing(M) for M in g.gram_cholesky(p, q))
             F, Finv = (np.swapaxes(hodge._trailing(reference_root(
                 g, p, q, inverse)), -1, -2) for inverse in (False, True))
-            for F, Finv in ((F, Finv), (np.conj(np.swapaxes(L, -1, -2)),
-                                        L_inv)):
-                FhF = np.conj(np.swapaxes(F, -1, -2)) @ F
-                assert np.abs(FhF - Q).max() <= 1e-13 * np.abs(Q).max()
-                assert np.abs(Finv @ F - eye).max() <= 1e-13
+            FhF = np.conj(np.swapaxes(F, -1, -2)) @ F
+            assert np.abs(FhF - Q).max() <= 1e-13 * np.abs(Q).max()
+            assert np.abs(Finv @ F - eye).max() <= 1e-13
 
 
 def test_report_green_solves_converge_fast(monkeypatch, three_coord):
@@ -1117,48 +1112,6 @@ def test_decompose_3space(lie_models, seed):
     assert abs(inner(g, h, mid)) < 1e-8
     assert abs(inner(g, h, co)) < 1e-8
     assert abs(inner(g, mid, co)) < 1e-8
-
-
-# -- minimal-norm least squares ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", ["lie", "grid"])
-def test_min_norm_lstsq(backend, lie_models, two_coord8):
-    rng = np.random.default_rng(31)
-    g = (random_metric(lie_models["iwasawa"], rng) if backend == "lie"
-         else two_coord8)
-    pts = int(np.prod(g.model.grid_shape))
-    src = (1, 0)
-    m = _basis.degree_dims(3, *src) * pts
-    rank = m // 2                  # a rank-deficient, inconsistent system
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    C = cplx(rank, m)
-    rows = [(t, cplx(_basis.degree_dims(3, *t) * pts, rank) @ C,
-             random_form(g.model, *t, rng).coeffs) for t in ((1, 1), (2, 0))]
-    x, resid, nb, _ = hodge.min_norm_lstsq(g, src, rows)
-
-    # the residual and the right-hand side norms are metric norms
-    r = [norm(g, Form(g.model, *t, (A @ x.coeffs.ravel()).reshape(b.shape)
-                      - b)) for t, A, b in rows]
-    assert resid > 0.1 * nb
-    assert abs(resid - np.hypot(*r)) < 1e-12 * nb
-    assert abs(nb - np.hypot(*(norm(g, Form(g.model, *t, b))
-                               for t, _, b in rows))) < 1e-12 * nb
-
-    # x is metric-orthogonal to the null space of the stacked matrix
-    _, s, vh = np.linalg.svd(np.vstack([A for _, A, _ in rows]))
-    assert s[rank - 1] > 1e6 * s[rank]
-    for v in vh[rank:].conj():
-        n = Form(g.model, *src, v.reshape(x.coeffs.shape))
-        assert abs(inner(g, x, n)) < 1e-10 * norm(g, x) * norm(g, n)
-
-    # a zero right-hand side gives x = 0
-    x0, r0, nb0, _ = hodge.min_norm_lstsq(
-        g, src, [(t, A, None) for t, A, _ in rows])
-    assert not np.any(x0.coeffs) and r0 == nb0 == 0.0
 
 
 # -- contraction and primitivity ------------------------------------------------------------
@@ -1215,9 +1168,10 @@ def _dense_contract(g, a):
     p, q = a.p - 1, a.q - 1
     if not _basis.degree_dims(3, p, q):
         return zero_form(g.model, p, q).coeffs
-    t = np.einsum("uv...,v...->u...", g.gram(a.p, a.q), a.coeffs)
+    t = np.einsum("uv...,v...->u...", np.conj(g.pairing(a.p, a.q)), a.coeffs)
     s = np.einsum("uw...,u...->w...", np.conj(g.wedge_omega_matrix(p, q)), t)
-    Ginv = np.linalg.inv(np.moveaxis(g.gram(p, q), (0, 1), (-2, -1)))
+    Ginv = np.linalg.inv(np.moveaxis(np.conj(g.pairing(p, q)), (0, 1),
+                                     (-2, -1)))
     return np.einsum("uv...,v...->u...", np.moveaxis(Ginv, (-2, -1), (0, 1)), s)
 
 
@@ -1232,9 +1186,7 @@ def test_factored_routes_match_dense(heis3, name):
     """star, _gram, pointwise_inner and contract against the dense pairing
     and star matrices, in all 16 bidegrees; the factored block maps
     (_apply) on the invariant backend too, which itself uses the dense
-    matrices.  The LAPACK pair (L, L^{-H}) of gram_cholesky against the
-    per-side compound root of reference_root: L its conjugate, L^{-H} the
-    transpose of its inverse."""
+    matrices."""
     rng = np.random.default_rng(31)
     if name == "heis3":
         g = random_metric(heis3, rng)
@@ -1263,9 +1215,3 @@ def test_factored_routes_match_dense(heis3, name):
             _assert_close(hodge._gram(g, p, q, X, X[:2]), np.tensordot(
                 T, np.conj(X[:2]), axes=(axes, axes)) / max(1, T[0, 0].size))
             _assert_close(contract(g, a).coeffs, _dense_contract(g, a))
-            L, L_inv = g.gram_cholesky(p, q)
-            _assert_close(L, np.conj(reference_root(g, p, q)))
-            _assert_close(L_inv, np.swapaxes(
-                reference_root(g, p, q, inverse=True), 0, 1))
-            _assert_close(np.einsum("ju...,wu...->jw...", root_apply(
-                np.conj(L), X), L_inv), X)

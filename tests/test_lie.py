@@ -7,6 +7,7 @@ from hsgeom.forms import (
     Form,
     basis_form,
     coeff_norm,
+    conjugate,
     differential,
     flat_metric_form,
     wedge,
@@ -22,8 +23,9 @@ from hsgeom.lie import (
     hs_feasibility,
     load_model,
     parse_model_text,
+    torsion_solve,
 )
-from hsgeom.hodge import Metric
+from hsgeom.hodge import Metric, form_of_11, inner, norm
 
 from conftest import random_lie_form
 
@@ -392,6 +394,64 @@ def test_scaled_iwasawa_verdict(s, hs):
     else:
         with pytest.raises(NotFeasibleError):
             torsion_form(g, "dim3")
+
+
+def test_torsion_solve_norms_are_metric_norms_of_the_targets(lie_models):
+    """On the inconsistent system of a random metric on the Iwasawa
+    manifold, the residual of torsion_solve is the metric norm of (del rho,
+    dbar rho + del omega) over both targets, and its right-hand-side norm
+    that of del omega."""
+    from conftest import random_metric
+
+    g = random_metric(lie_models["iwasawa"], np.random.default_rng(31))
+    rho, resid, dn, K = torsion_solve(g)
+    d_omega = differential("del", g.omega)
+    assert abs(dn - norm(g, d_omega)) <= 1e-15 * dn
+    want = np.hypot(norm(g, differential("del", rho)),
+                    norm(g, differential("dbar", rho) + d_omega))
+    assert resid > 0.1 * dn
+    assert abs(resid - want) <= 1e-12 * dn
+    assert len(K) == 3 - np.linalg.matrix_rank(np.vstack([
+        g.model.operator_matrix(part, 2, 0) for part in ("del", "dbar")]))
+
+
+def test_torsion_solve_is_metric_minimal_on_a_consistent_system():
+    """omega = omega_K + dbar xi + del conj(xi), omega_K Kaehler, is HS with
+    torsion del xi up to the null space K: the system is consistent and
+    rank-deficient here, rho solves it exactly, and rho is
+    metric-orthogonal to the metric-orthonormal K."""
+    model = load_model("name solv\ndim 3\n"
+                       "d phi1 = 0.5j * phi1^phi2 + 0.5j * phi1^phibar2\n"
+                       "d phi3 = -0.5j * phi3^phi2 + -0.5j * phi3^phibar2\n")
+    rng = np.random.default_rng(3)
+    xi = Form(model, 1, 0, 0.05 * (rng.standard_normal(3)
+                                   + 1j * rng.standard_normal(3)))
+    g = Metric(form_of_11(model, np.diag([0.5, 0.7, 0.4]))
+               + differential("dbar", xi) + differential("del", conjugate(xi)))
+    rho, resid, dn, K = torsion_solve(g)
+    assert dn > 0.01 and len(K) == 1
+    assert resid <= 1e-15 * dn
+    assert coeff_norm(differential("del", rho)) <= 1e-15
+    assert coeff_norm(differential("dbar", rho)
+                      + differential("del", g.omega)) <= 1e-15
+    assert norm(g, rho) > 0.01
+    gram = np.array([[inner(g, a, b) for b in K] for a in K])
+    assert np.abs(gram - np.eye(len(K))).max() <= 1e-13
+    assert all(abs(inner(g, rho, k)) <= 1e-13 * norm(g, rho) for k in K)
+    assert hs_feasibility(g).feasible
+
+
+def test_torsion_solve_of_a_zero_right_hand_side_is_zero(torus3):
+    """del omega = 0 on the flat abelian model: rho = 0 exactly, with a zero
+    residual and right-hand side, and every (2,0)-form in K."""
+    rho, resid, dn, K = torsion_solve(Metric(flat_metric_form(torus3)))
+    assert not np.any(rho.coeffs) and resid == dn == 0.0
+    assert len(K) == 3
+
+
+def test_torsion_solve_rejects_grid_metric(two_coord):
+    with pytest.raises(ValueError, match="lie backend"):
+        torsion_solve(Metric(two_coord[3]))
 
 
 def test_dbar_preimage_counts_rank_by_kept(lie_models):

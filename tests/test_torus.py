@@ -201,6 +201,27 @@ def test_save_load_round_trip(tmp_path, two_coord):
     assert np.array_equal(again.coeffs, omega.coeffs)
 
 
+def test_failed_export_leaves_the_earlier_pair(tmp_path, two_coord,
+                                              monkeypatch):
+    """An export whose np.save raises writes no header and no partial
+    payload, and leaves an earlier pair under the prefix as it was."""
+    m, u, _, omega = two_coord
+    fresh, prefix = str(tmp_path / "fresh"), str(tmp_path / "omega")
+    save_form(omega, prefix)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def failing_save(fh, arr):
+        fh.write(b"partial")
+        raise OSError("disk full")
+    monkeypatch.setattr(np, "save", failing_save)
+    for target, form in ((prefix, u), (fresh, omega)):
+        with pytest.raises(OSError, match="disk full"):
+            save_form(form, target)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    assert np.array_equal(load_form(m, prefix).coeffs, omega.coeffs)
+
+
 def test_load_checks_grid(tmp_path, two_coord):
     _, u, _, _ = two_coord
     prefix = str(tmp_path / "u")
