@@ -7,7 +7,7 @@ operators, torsion extraction with its energy functionals, cohomological
 diagnostics, and a descent loop over fixed generalized-volume classes.
 """
 
-from .forms import Form, wedge, conjugate, differential, d_split, integrate_top
+from .forms import Form, wedge, conjugate, differential, integrate_top
 from .lie import LieModel, load_model, catalogue_model, hs_feasibility
 from .torus import (
     TorusModel,
@@ -23,7 +23,6 @@ __all__ = [
     "wedge",
     "conjugate",
     "differential",
-    "d_split",
     "integrate_top",
     "LieModel",
     "load_model",

@@ -9,8 +9,9 @@ with minimal metric L2 norm.  On top of rho sit the torsion energy
 F = ||rho||^2, the generalized volume A = F + Vol, the co-closedness energy
 of the conjugate torsion, a metric classification with its pointwise sign
 field, the positive square-root completion of omega^2 + 2 rho ^ conj(rho),
-perturbations which move omega inside its generalized-volume class, and the
-first variation of all three functionals.
+and the Aeppli perturbation, which moves omega inside its generalized-volume
+class.  The first variation, the del dbar perturbation and the holomorphic
+1-form audit are test references (tests/conftest.py).
 
 Every derived number that admits two independent formulas is computed both
 ways and cross-asserted; disagreement raises instead of warning.
@@ -618,11 +619,6 @@ class PerturbReport:
     closed_direction: bool         # del u = 0 within tolerance
     quadratic_residual: float | None
 
-    def to_json(self):
-        return {k: (float(v) if v is not None and not isinstance(v, bool)
-                    else v)
-                for k, v in self.__dict__.items()}
-
 
 def _perturbation(metric: Metric, omega2: Form, du, weight, tol):
     """Torsion on both sides of omega -> omega2 and the report.
@@ -673,64 +669,6 @@ def aeppli_perturb(metric: Metric, u: Form, tol: float = None):
     return _perturbation(metric, omega2, du, weight, tol)
 
 
-def bc_perturb(metric: Metric, phi: Form, tol: float = None):
-    """Perturb omega by i del dbar phi (phi a real function).
-
-    The torsion form must be unchanged; the energy moves by the re-weighting
-    integral only.
-    """
-    if (phi.p, phi.q) != (0, 0):
-        raise ValueError("expected a function")
-    bump = 1j * differential("del", differential("dbar", phi))
-    return _perturbation(metric, metric.omega + bump, None, bump, tol)
-
-
-# ---------------------------------------------------------------------------
-# first variation
-
-
-@dataclass
-class FirstVariation:
-    dF: float
-    dVol: float
-    dA: float
-    gradient_norm: float     # || dbar* omega ||
-
-    def to_json(self):
-        return {k: float(v) for k, v in self.__dict__.items()}
-
-
-def first_variation(metric: Metric, u: Form) -> FirstVariation:
-    """Directional derivatives of F, Vol, A along del(conj u) + dbar(u).
-
-    dF comes from the variational formula (the cubic correction term is
-    absent in dimension 3); dVol from differentiating the volume integral
-    directly, an independent route; their sum is the derivative of the
-    generalized volume and must vanish.
-    """
-    if (u.p, u.q) != (1, 0):
-        raise ValueError("direction potential must be a (1,0)-form")
-    grad = adjoint_diff(metric, "dbar", metric.omega)
-    pairing = inner(metric, u, grad).real
-    dF = -2.0 * pairing
-    gamma = differential("del", conjugate(u)) + differential("dbar", u)
-    dVol = _real_integral(
-        integrate_top(wedge(gamma, wedge(metric.omega, metric.omega))) / 2.0,
-        what="volume derivative")
-    return FirstVariation(dF=dF, dVol=dVol, dA=dF + dVol,
-                          gradient_norm=norm(metric, grad))
-
-
-def scalar_volume_derivative(metric: Metric, phi: Form) -> float:
-    """Derivative of the volume along i del dbar phi: int phi i del w ^ dbar w."""
-    if (phi.p, phi.q) != (0, 0):
-        raise ValueError("expected a function")
-    d_omega = omega_differential(metric, "del")
-    integrand = 1j * wedge(phi, wedge(d_omega, conjugate(d_omega)))
-    return _real_integral(integrate_top(integrand),
-                          what="scalar volume derivative")
-
-
 # ---------------------------------------------------------------------------
 # Monge-Ampere constants
 
@@ -773,43 +711,3 @@ def ma_constants(metric: Metric, gamma: Metric,
     f = np.real(contract_trace(gamma, omega))
     b = report.volume / A
     return MACoefficients(c=c, holder_gap=gap, b_lower=b, f_normaliser=f)
-
-
-# ---------------------------------------------------------------------------
-# holomorphic 1-form audit
-
-
-@dataclass
-class OneFormAudit:
-    entries: list
-    max_d_residual: float
-    passes: bool
-
-    def to_json(self):
-        return {
-            "entries": [{k: float(v) for k, v in e.items()}
-                        for e in self.entries],
-            "max_d_residual": float(self.max_d_residual),
-            "passes": self.passes,
-        }
-
-
-def holo_oneform_audit(metric: Metric, tol: float = None) -> OneFormAudit:
-    """Check that every dbar-closed (1,0)-form is d-closed.
-
-    The basis audited is the numerically computed dbar-harmonic space on
-    (1,0) (harmonic forms are automatically dbar-closed).  A violation is
-    an obstruction to the existence of a compatible d-closed completion for
-    any metric on the model.
-    """
-    if tol is None:
-        tol = _default_tol(metric.model)
-    entries = []
-    worst = 0.0
-    for h in harmonic_basis(metric, "dbar", 1, 0):
-        r_dbar = norm(metric, differential("dbar", h))
-        r_d = norm(metric, differential("del", h))
-        entries.append({"dbar_residual": r_dbar, "d_residual": r_d})
-        worst = max(worst, r_d)
-    return OneFormAudit(entries=entries, max_d_residual=worst,
-                        passes=worst <= max(tol, 1e2 * _default_tol(metric.model)))

@@ -16,7 +16,7 @@ output is written), 2 invalid input (arguments, model, metric and output
 location are checked before any work; every exit 2 writes one error document
 to stdout).  Outputs are deterministic for a fixed config and seed: JSON keys
 are sorted and no timestamps are embedded.  Files are written atomically
-(temp file + rename).
+(temp file + rename), with the mode that the umask gives a new file.
 
 `hsgeom.cli.main(argv)` returns the exit code and may be called repeatedly
 in one process: it builds its argument parser once, and each call parses
@@ -176,10 +176,6 @@ def _dump_csv(obj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path, text):
-    write_atomically([(path, text)])
-
-
 def _check_out(args, directory=False):
     """Raise OSError now, before any work, if `--out` cannot take results:
     a file path needs an existing directory, a directory is created."""
@@ -201,7 +197,7 @@ def _emit(args, obj, path=None):
     csv = getattr(args, "format", None) == "csv"
     text = _dump_csv(obj) if csv else _dump_json(obj)
     if path:
-        _atomic_write(path, text)
+        write_atomically([(path, text)])
     else:
         sys.stdout.write(text)
 
@@ -433,10 +429,10 @@ def cmd_descend(args):
                                   torsion_mode=args.mode)
 
     def write_outputs(trace, final_metric, certificate, error=None):
-        _atomic_write(os.path.join(args.out, "descent_trace.csv"),
-                      trace.to_csv())
-        _atomic_write(os.path.join(args.out, "descent_trace.json"),
-                      _dump_json(trace.to_json()))
+        write_atomically([
+            (os.path.join(args.out, "descent_trace.csv"), trace.to_csv()),
+            (os.path.join(args.out, "descent_trace.json"),
+             _dump_json(trace.to_json()))])
         if final_metric is not None:
             save_form(final_metric.omega,
                       os.path.join(args.out, "final_metric"))
@@ -450,10 +446,10 @@ def cmd_descend(args):
             "error": error,
         }
         if certificate is not None:
-            _atomic_write(os.path.join(args.out, "certificate.json"),
-                          _dump_json(certificate.to_json()))
+            write_atomically([(os.path.join(args.out, "certificate.json"),
+                               _dump_json(certificate.to_json()))])
         text = _dump_json(summary)
-        _atomic_write(os.path.join(args.out, "summary.json"), text)
+        write_atomically([(os.path.join(args.out, "summary.json"), text)])
         sys.stdout.write(text)
 
     try:

@@ -8,7 +8,7 @@ information, so those models are rejected.
 
 Contents: the classical groups, the spectral-filtration pages with their
 differentials (pure-form subquotient model), the page-2 torsion obstruction
-class of a metric, the two-tower closed/exact membership solvers, the
+class of a metric, the page-r closed/exact block systems, the
 higher-page Bott-Chern/Aeppli groups with the identity-induced comparison
 maps, and the intersection-number computation of the generalized volume.
 The classical Dolbeault, Bott-Chern and Aeppli groups are the r = 1 groups
@@ -23,8 +23,9 @@ Each page-r condition (the page ladder, page-r closedness, page-r
 exactness) is written once, as one homogeneous `_BlockSystem` whose first
 variable is the form, with its zig-zag towers laid out by one builder,
 `_zigzag`.  The tables read the system's span, the first block of its null
-space; the membership tests fix that block to the given form and solve for
-the other blocks, which are the witnesses.
+space; the membership tests (page coordinates and d_r here, page-r
+closedness and exactness in the test suite) fix that block to the given
+form and solve for the other blocks, which are the witnesses.
 The metric-free objects (operator complex, page data and page summary per
 r, page-r Bott-Chern/Aeppli tables, Betti numbers) are memoised on the
 model, so a report builds each of them once; treat them as read-only.
@@ -42,8 +43,6 @@ from .analysis import NotFeasibleError, _dbar_preimage, torsion_form
 from .forms import Form, conjugate, differential, integrate_top, wedge
 from .hodge import Metric, NotPositiveError, harmonic_project, norm
 from .lie import LieModel, _kept, _nullspace, _pinv
-
-_ER_TOL = 1e-8     # relative residual of a page-r tower membership
 
 
 class NotHSError(RuntimeError):
@@ -347,9 +346,6 @@ class PageSummary:
     d_maps: dict                # (p,q) -> matrix into page (p+r, q-r+1)
     degenerates: bool           # all d_r vanish
 
-    def total(self, k):
-        return sum(v for (p, q), v in self.dims.items() if p + q == k)
-
     def to_json(self):
         return {
             "r": self.r,
@@ -534,40 +530,6 @@ def _e2_coordinates(metric: Metric, rho02: Form):
 
 
 # ---------------------------------------------------------------------------
-# two-tower closedness / exactness
-
-
-def er_closed_exact(form: Form, r: int = 2):
-    """Joint tower membership: is the form page-r closed and/or exact?
-
-    Closedness: deldbar-closed plus one del-absorbing tower and one
-    dbar-absorbing tower of length r-1 each.  Exactness: a presentation
-    form = del zeta + del dbar xi + dbar eta where zeta and eta carry their
-    own (r-2)-step side towers ending in closedness.  Each is `member` of
-    the system whose span gives the page-r tables (`_closed_system`,
-    `_exact_system`): a residual of the whole system, the deldbar row of
-    closedness included, at most _ER_TOL times the form's scale; the other
-    blocks are returned as witnesses.
-    """
-    model = form.model
-    _require_lie(model)
-    if r not in (2, 3):
-        raise ValueError("r = 2 or 3")
-    cx = _complex(model)
-    a = np.asarray(form.coeffs, dtype=np.complex128)[:, None]
-    scale = max(1.0, float(np.linalg.norm(a)))
-    out = {}
-    for kind, build in (("closed", _closed_system), ("exact", _exact_system)):
-        sys = build(cx, form.p, form.q, r)
-        parts, res = sys.member(a)
-        out[kind] = bool(res[0] <= _ER_TOL * scale)
-        out[f"{kind}_residual"] = float(res[0]) / scale
-        out[f"{kind}_witnesses"] = {
-            nm: Form(model, *sys.pq[nm], x[:, 0]) for nm, x in parts.items()}
-    return out
-
-
-# ---------------------------------------------------------------------------
 # higher-page Bott-Chern / Aeppli groups
 
 
@@ -596,7 +558,7 @@ def higher_page_groups(model: LieModel, r: int = 2) -> HigherPageTable:
 
     E_{r,BC} is the d-closed forms modulo the span of `_exact_system`, and
     E_{r,A} the span of `_closed_system` modulo im del + im dbar: the same
-    systems `er_closed_exact` decides membership with.
+    systems whose `member` decides membership.
     Memoised on the model per r; treat the table as read-only.
     """
     return _memo(model, ("higher", r), lambda: _higher_page_groups(model, r))

@@ -89,9 +89,6 @@ class DescentTrace:
     def final(self):
         return self.iterates[-1]
 
-    def column(self, key):
-        return [row.get(key) for row in self.iterates]
-
     _COLUMNS = ("k", "F", "vol", "gen_vol", "grad_norm", "d_omega_norm",
                 "step", "armijo_trials", "slope_formula", "slope_secant",
                 "slope_rel_err")

@@ -122,11 +122,6 @@ def differential(part: str, a: Form) -> Form:
     return Form(a.model, p, q, coeffs)
 
 
-def d_split(a: Form):
-    """Both pieces of the exterior derivative, as (del a, dbar a)."""
-    return differential("del", a), differential("dbar", a)
-
-
 def integrate_top(a: Form) -> complex:
     """Integrate an (n,n)-form against the unit-mass reference volume."""
     n = a.model.n
@@ -163,11 +158,3 @@ def flat_metric_form(model) -> Form:
     """The reference metric form (i/2) * sum_k phi^k ^ phibar^k."""
     vals = {((k,), (k,)): 0.5j for k in range(1, model.n + 1)}
     return from_channels(model, 1, 1, vals)
-
-
-def reference_volume_form(model) -> Form:
-    """The unit-mass reference volume form as an (n,n)-form."""
-    n = model.n
-    z = zero_form(model, n, n)
-    z.coeffs[0] = 1.0 / _basis.top_channel_integral(n)
-    return z

@@ -64,8 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _basis
-from .forms import (BidegreeError, Form, differential, is_real, wedge,
-                    zero_form)
+from .forms import BidegreeError, Form, differential, is_real, zero_form
 
 LAPLACIAN_KINDS = ("dbar", "tilde")
 
@@ -894,7 +893,7 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
 
 
 # ---------------------------------------------------------------------------
-# Lefschetz contraction and primitive parts
+# Lefschetz contraction
 
 
 def contract(metric: Metric, a: Form) -> Form:
@@ -916,15 +915,3 @@ def contract_trace(metric: Metric, gamma: Form):
     """The contraction of a (1,1)-form against the metric: tr(H^{-1} G)."""
     G = _matrix_of_11(gamma)
     return np.einsum("...jk,...kj->...", metric.Hinv, G)
-
-
-def primitive_part(metric: Metric, a: Form) -> Form:
-    """Orthogonal projection onto primitive forms (degree <= 3)."""
-    k = a.p + a.q
-    if k > 3:
-        raise ValueError("primitive projection implemented for degree <= 3")
-    if k <= 1:
-        return a
-    # for k <= 3 the contraction is itself primitive, so one Lefschetz
-    # correction suffices
-    return a - (1.0 / (5 - k)) * wedge(metric.omega, contract(metric, a))

@@ -340,13 +340,17 @@ def save_form(form: Form, prefix: str):
 def write_atomically(files):
     """Write each (path, text or bytes) through a temporary file beside the
     path and os.replace, so no reader sees a partial file; a failed write
-    leaves none behind."""
+    leaves none behind.  Files get the mode a plain open would give,
+    0o666 less the umask, not mkstemp's 0o600."""
+    umask = os.umask(0)
+    os.umask(umask)
     for path, data in files:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".hsgeom-", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
                 fh.write(data)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hsgeom import catalogue_model, make_torus_model, standard_fixture, synthesize_form
-from hsgeom import _basis, hodge
-from hsgeom.forms import Form, differential, flat_metric_form, wedge, zero_form
+from hsgeom import _basis, analysis, cohomology, hodge
+from hsgeom.forms import (Form, conjugate, differential, flat_metric_form,
+                          integrate_top, wedge, zero_form)
 from hsgeom.hodge import Metric, adjoint_diff, inner, norm
 
 RESOLUTION = 16
@@ -101,8 +102,6 @@ def random_metric(model, rng, wobble=0.1):
     `wobble`, keeping the matrix safely inside the positivity cone
     (flat eigenvalues sit at 1/2).
     """
-    from hsgeom.forms import conjugate
-
     omega = flat_metric_form(model)
     pert = random_form(model, 1, 1, rng)
     pert = 0.5 * (pert + conjugate(pert))
@@ -265,3 +264,94 @@ def reference_green(g, kind, b):
     return reference_pcg(g, b, lambda f: hodge.laplacian(g, kind, f),
                          lambda f: f - hodge.harmonic_project(g, kind, f),
                          hodge._symbol_pinv(g)[0], hodge._CG_TOL, 500)
+
+
+# -- references for the paper identities that no report section reads ---------
+
+
+def first_variation(metric, u):
+    """(dF, dVol, ||dbar* omega||) along del(conj u) + dbar(u).  dF comes
+    from the variational formula -2 Re <u, dbar* omega> (the cubic
+    correction term is absent in dimension 3); dVol from differentiating
+    the volume integral directly, an independent route; their sum is the
+    derivative of the generalized volume and must vanish."""
+    if (u.p, u.q) != (1, 0):
+        raise ValueError("direction potential must be a (1,0)-form")
+    grad = adjoint_diff(metric, "dbar", metric.omega)
+    gamma = differential("del", conjugate(u)) + differential("dbar", u)
+    dVol = analysis._real_integral(
+        integrate_top(wedge(gamma, wedge(metric.omega, metric.omega))) / 2.0,
+        what="volume derivative")
+    return -2.0 * inner(metric, u, grad).real, dVol, norm(metric, grad)
+
+
+def bc_perturb(metric, phi, tol=None):
+    """(metric, report) of omega + i del dbar phi, phi a real function: the
+    torsion form is unchanged and the energy moves by the re-weighting
+    integral only."""
+    if (phi.p, phi.q) != (0, 0):
+        raise ValueError("expected a function")
+    bump = 1j * differential("del", differential("dbar", phi))
+    return analysis._perturbation(metric, metric.omega + bump, None, bump,
+                                  tol)
+
+
+def scalar_volume_derivative(metric, phi):
+    """Derivative of the volume along i del dbar phi: int phi i del w ^
+    dbar w, with del omega read from the metric's memo."""
+    if (phi.p, phi.q) != (0, 0):
+        raise ValueError("expected a function")
+    d_omega = analysis.omega_differential(metric, "del")
+    integrand = 1j * wedge(phi, wedge(d_omega, conjugate(d_omega)))
+    return analysis._real_integral(integrate_top(integrand),
+                                   what="scalar volume derivative")
+
+
+def holo_oneform_audit(metric):
+    """(d residuals, passes): ||del h|| over the dbar-harmonic (1,0) basis,
+    whose forms are dbar-closed, and whether every one is d-closed.  A
+    violation obstructs a compatible d-closed completion for any metric on
+    the model."""
+    residuals = [norm(metric, differential("del", h))
+                 for h in hodge.harmonic_basis(metric, "dbar", 1, 0)]
+    tol = 1e2 * analysis._default_tol(metric.model)
+    return residuals, max(residuals, default=0.0) <= tol
+
+
+ER_TOL = 1e-8     # relative residual of a page-r tower membership
+
+
+def er_closed_exact(form, r=2):
+    """Joint tower membership: is the form page-r closed and/or exact?
+    Each is `member` of the system whose span gives the page-r tables
+    (cohomology._closed_system, _exact_system): a residual of the whole
+    system, the deldbar row of closedness included, at most ER_TOL times
+    the form's scale; the other blocks are returned as witnesses."""
+    if r not in (2, 3):
+        raise ValueError("r = 2 or 3")
+    model = form.model
+    cx = cohomology._complex(model)      # ValueError off the lie backend
+    a = np.asarray(form.coeffs, dtype=np.complex128)[:, None]
+    scale = max(1.0, float(np.linalg.norm(a)))
+    out = {}
+    for kind, build in (("closed", cohomology._closed_system),
+                        ("exact", cohomology._exact_system)):
+        sys = build(cx, form.p, form.q, r)
+        parts, res = sys.member(a)
+        out[kind] = bool(res[0] <= ER_TOL * scale)
+        out[f"{kind}_residual"] = float(res[0]) / scale
+        out[f"{kind}_witnesses"] = {
+            nm: Form(model, *sys.pq[nm], x[:, 0]) for nm, x in parts.items()}
+    return out
+
+
+def primitive_part(metric, a):
+    """Orthogonal projection onto primitive forms of degree <= 3: for
+    k <= 3 the contraction is itself primitive, so one Lefschetz
+    correction suffices."""
+    k = a.p + a.q
+    if k > 3:
+        raise ValueError("primitive projection implemented for degree <= 3")
+    if k <= 1:
+        return a
+    return a - (1.0 / (5 - k)) * wedge(metric.omega, hodge.contract(metric, a))

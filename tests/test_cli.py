@@ -427,6 +427,28 @@ def test_descend_zero_iters(tmp_path):
     assert summary["termination"] == "max_iters"
 
 
+def test_outputs_take_the_umask_mode(tmp_path, capsys):
+    """Every output file has the mode a plain open gives, 0o666 less the
+    umask: 0o644 under umask 0o022, not the 0o600 of a bare mkstemp."""
+    from hsgeom import cli
+
+    report = tmp_path / "report.json"
+    run = tmp_path / "run"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["report", "--model", "catalogue:torus3",
+                         "--out", str(report)]) == 0
+        assert cli.main(["descend", "--model", "torus", "--resolution", "8",
+                         "--mask", "x1,x2", "--perturb", "fixture:two_coord",
+                         "--max-iters", "0", "--out", str(run)]) == 0
+    finally:
+        os.umask(old)
+    files = [report] + sorted(run.iterdir())
+    assert len(files) == 7
+    for path in files:
+        assert path.stat().st_mode & 0o777 == 0o644, path
+
+
 @pytest.mark.parametrize("argv", [
     ["report", "--model", "catalogue:torus3", "--tol", "-1"],
     ["report", "--model", "catalogue:torus3", "--tol", "nan"],

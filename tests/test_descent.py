@@ -25,6 +25,8 @@ from hsgeom.descent import (
     gradient_direction,
 )
 
+from conftest import first_variation
+
 
 def test_options_defaults():
     opts = DescentOptions()
@@ -58,11 +60,15 @@ def test_volume_polynomial_is_exact(eps_metric, three_coord):
 
 
 def test_volume_slope_is_first_variation(eps_metric, three_coord):
-    """dVol/dt at 0 is -dF/dt = 2 ||dbar* omega||^2."""
+    """dVol/dt at 0 is -dF/dt = 2 ||dbar* omega||^2, both derivatives also
+    read from the first-variation reference."""
     for g in (eps_metric, Metric(three_coord[3])):
         u, gamma = _direction(g)
         coeffs, _ = descent._volume_polynomial(g, gamma)
         assert abs(coeffs[1] - 2.0 * norm(g, u) ** 2) < 1e-10
+        dF, dVol, _ = first_variation(g, u)
+        assert abs(coeffs[1] - dVol) < 1e-10
+        assert abs(coeffs[1] + dF) < 1e-10
 
 
 def test_step_beats_brute_force_volume(eps_metric, three_coord):
@@ -232,10 +238,10 @@ def test_descend_makes_progress(eps_metric):
     res = descend(eps_metric, opts)
     trace = res.trace
     assert trace.termination == "converged"
-    f_vals = trace.column("F")
+    f_vals = [row["F"] for row in trace.iterates]
     assert all(b < a + 1e-15 for a, b in zip(f_vals, f_vals[1:]))
     assert f_vals[-1] < 0.5 * f_vals[0]
-    a_vals = trace.column("gen_vol")
+    a_vals = [row["gen_vol"] for row in trace.iterates]
     assert max(abs(a - a_vals[0]) for a in a_vals) < 1e-9
     assert trace.final["grad_norm"] < 2e-3
     # the analytic slope agrees with the observed secant on accepted steps
@@ -260,7 +266,7 @@ def test_descend_f_never_rises_near_the_floor():
     res = descend(g, DescentOptions(tol=1e-6))
     assert res.trace.termination == "converged"
     assert res.certificate.kahler
-    f_vals = res.trace.column("F")
+    f_vals = [row["F"] for row in res.trace.iterates]
     assert all(b <= a for a, b in zip(f_vals, f_vals[1:]))
 
 
@@ -268,8 +274,8 @@ def test_descend_deterministic(eps_metric):
     opts = DescentOptions(tol=1e-3, max_iters=40)
     t1 = descend(eps_metric, opts).trace
     t2 = descend(eps_metric, opts).trace
-    assert t1.column("F") == t2.column("F")
-    assert t1.column("step") == t2.column("step")
+    for key in ("F", "step"):
+        assert [r[key] for r in t1.iterates] == [r[key] for r in t2.iterates]
 
 
 def test_descend_keeps_iterates_real_and_positive(eps_metric):
@@ -317,7 +323,7 @@ def test_descent_step_runs_no_grid_lapack(name, resolution, monkeypatch):
         monkeypatch.setattr(np.linalg, fn,
                             pointwise_only(getattr(np.linalg, fn)))
     trace = descend(Metric(omega), DescentOptions(max_iters=3)).trace
-    assert trace.column("step")[0] > 0
+    assert trace.iterates[0]["step"] > 0
 
 
 def test_one_gradient_per_metric(monkeypatch):
@@ -365,10 +371,11 @@ def test_opening_step_outside_cone_backtracks(eps_metric, monkeypatch):
     monkeypatch.setattr(descent, "_volume_polynomial", spy)
     trace = descend(eps_metric, DescentOptions(tol=5e-3, max_iters=60)).trace
     assert trace.termination == "converged"
-    steps = trace.column("step")[:-1]
+    steps = [row["step"] for row in trace.iterates[:-1]]
     assert steps and len(steps) == len(caps)
     assert all(0 < s <= c for s, c in zip(steps, caps))
-    assert trace.column("armijo_trials")[:-1] == [1] * len(steps)
+    assert [row["armijo_trials"] for row in trace.iterates[:-1]] == \
+        [1] * len(steps)
 
 
 def test_positivity_boundary_when_no_trial_is_positive(eps_metric,

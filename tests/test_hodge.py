@@ -38,14 +38,14 @@ from hsgeom.hodge import (
     laplacian,
     norm,
     pointwise_inner,
-    primitive_part,
     star,
 )
 
 from conftest import (bc_symbol_pinv, lapack_compound, laplacian_reference,
-                      primitive_star_reference, random_band_form,
-                      random_form, random_metric, reference_green,
-                      reference_pcg, reference_root, root_apply, weigh)
+                      primitive_part, primitive_star_reference,
+                      random_band_form, random_form, random_metric,
+                      reference_green, reference_pcg, reference_root,
+                      root_apply, weigh)
 
 seeds = st.integers(0, 2**32 - 1)
 
