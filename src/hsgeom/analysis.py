@@ -28,8 +28,8 @@ import numpy as np
 from . import _basis
 from .forms import (Form, coeff_norm, conjugate, differential,
                     integrate_top, wedge)
-from .hodge import (_POS_TOL, Metric, SolveDiverged, _adjugate, _apply,
-                    _positive, _trailing, adjoint_diff, contract,
+from .hodge import (_POS_TOL, Metric, _adjugate, _apply, _cg, _positive,
+                    _symbol_apply, _trailing, adjoint_diff, contract,
                     contract_trace, form_of_11, green_solve, harmonic_basis,
                     harmonic_project, inner, laplacian, norm, pointwise_inner)
 from .lie import torsion_solve
@@ -109,50 +109,37 @@ class TorsionReport:
 def torsion_least_squares(metric: Metric) -> Form:
     """Minimal-norm least squares of A rho = b = (0, -del omega), A = (del,
     dbar) on (2,0), in the metric norms: the oracle for torsion_form.  Exact
-    on the invariant backend (lie.torsion_solve); on the grid CGLS from rho
-    = 0, with A* = P^{-1} A^H Q (Q the "pairing" factor times the density on
-    a target, A^H the flat adjoint by spectral_adjoint, P^{-1} the "inverse"
-    factor over the density), to ||A*(b - A rho)|| <= 1e-14 ||A* b||, else
-    SolveDiverged after max(50, 10 sqrt(points)) steps or on a curvature
-    <= 0.  No Green operator, harmonic projection, star or 1/|zbh|^2 runs."""
+    on the invariant backend (lie.torsion_solve).  On the grid, hodge._cg
+    from rho = 0 on A^H Q A rho = A^H Q b (Q the "pairing" factor times the
+    density on a target, A^H the flat adjoint by spectral_adjoint), to a
+    residual of 1e-14 relative, preconditioned by P^{-1} S P^{-1} (P^{-1}
+    the "inverse" factor over the density on (2,0), S the symbol inverse).
+    S zeroes the zero mode, so each step is metric-orthogonal to ker A, the
+    constants: the limit is the metric-minimal solution whatever S is, with
+    no Green operator, harmonic projection, star or 1/|zbh|^2.
+    SolveDiverged as in _cg."""
     model = metric.model
     if model.kind == "lie":
         return torsion_solve(metric)[0]
     axes, pts = model.spectral_axes, math.prod(model.grid_shape)
     targets = (("del", 3, 0), ("dbar", 2, 1))
 
-    def weigh(ys):                      # Q y on each target
-        return [_apply(metric, "pairing", p, q, y[None])[0] * metric.density
-                for (_, p, q), y in zip(targets, ys)]
+    def normal(ys):                     # A^H Q y from y on each target
+        return np.fft.ifftn(sum(model.spectral_adjoint(part, 2, 0, np.fft.fftn(
+            _apply(metric, "pairing", p, q, y[None])[0] * metric.density,
+            axes=axes)) for (part, p, q), y in zip(targets, ys)), axes=axes)
 
-    def normal(Qr):                     # A* r from Q r, and ||A* r||^2
-        u = np.fft.ifftn(sum(model.spectral_adjoint(
-            part, 2, 0, np.fft.fftn(y, axes=axes))
-            for (part, *_), y in zip(targets, Qr)), axes=axes)
-        s = _apply(metric, "inverse", 2, 0, u[None])[0] / metric.density
-        return s, np.vdot(s, u).real / pts
+    def unweigh(u):                     # P^{-1} u
+        return _apply(metric, "inverse", 2, 0, u[None])[0] / metric.density
 
-    Qr = weigh([np.zeros((1,) + model.grid_shape),
-                -omega_differential(metric, "del").coeffs])
-    direction, gamma = normal(Qr)
-    x, gamma0 = np.zeros_like(direction), gamma
-    cap = max(50, int(10 * math.sqrt(pts)))
-    for it in range(cap + 1):
-        if gamma <= 1e-28 * gamma0:     # ||A* r|| <= 1e-14 ||A* b||
-            return Form(model, 2, 0, x)
-        if it == cap:
-            raise SolveDiverged(f"cgls hit the iteration cap {cap} at "
-                                f"{math.sqrt(gamma / gamma0):.2e} relative")
-        Ad = [model.apply_differential(part, 2, 0, direction)
-              for part, *_ in targets]
-        QAd = weigh(Ad)
-        curvature = sum(np.vdot(y, Qy).real for y, Qy in zip(Ad, QAd)) / pts
-        if not curvature > 0.0:
-            raise SolveDiverged(f"cgls curvature {curvature:.2e} <= 0")
-        x = x + gamma / curvature * direction
-        Qr = [Qy - gamma / curvature * Qz for Qy, Qz in zip(Qr, QAd)]
-        s, gamma_new = normal(Qr)
-        direction, gamma = s + gamma_new / gamma * direction, gamma_new
+    rho, _ = _cg(
+        lambda x: normal([model.apply_differential(part, 2, 0, x)
+                          for part, *_ in targets]),
+        lambda r: unweigh(_symbol_apply(metric, unweigh(r))),
+        normal([np.zeros((1,) + model.grid_shape),
+                -omega_differential(metric, "del").coeffs]),
+        lambda u, v: np.vdot(v, u).real / pts, 1e-14)
+    return Form(model, 2, 0, rho)
 
 
 def torsion_form(metric: Metric, mode: str = "dim3",

@@ -546,19 +546,16 @@ def build_parser():
 
     p = sub.add_parser("validate", help="load a model with eager checks")
     _add_common(p)
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("report", help="full metric report")
     _add_common(p)
     _add_metric_flags(p)
-    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("descend", help="energy descent over the Aeppli class")
     _add_common(p)
     _add_metric_flags(p)
     p.add_argument("--max-iters", type=_iteration_count, default=200,
                    dest="max_iters")
-    p.set_defaults(fn=cmd_descend)
     return ap
 
 
@@ -571,11 +568,10 @@ def _parser():
 
 def main(argv=None):
     """Run one subcommand and return its exit code.  The command is looked
-    up at call time, not through the `fn` default of the cached parser, so
-    a rebound cmd_* function is the one that runs.  Rejected arguments
-    write the error document of the namespace parsed so far: argparse
-    copies a subcommand's options into it only once their parse succeeds,
-    so a bad option value leaves the command name alone."""
+    up at call time, so a rebound cmd_* function is the one that runs.
+    Rejected arguments write the error document of the namespace parsed so
+    far: argparse copies a subcommand's options into it only once their
+    parse succeeds, so a bad option value leaves the command name alone."""
     args = argparse.Namespace()
     try:
         _parser().parse_args(argv, namespace=args)

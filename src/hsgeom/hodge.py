@@ -33,8 +33,9 @@ Conventions, locked by the test suite:
   eigvalsh runs only for the reported least eigenvalue and on the failure
   path.  No route takes a root of the volume-weighted Gram: the Green
   solves are in the weak form below, and the least squares of the torsion
-  oracles are lie.torsion_solve and the CGLS of
-  analysis.torsion_least_squares, which apply the pairing and its inverse.
+  oracles are lie.torsion_solve and, on the grid, the conjugate gradients
+  (_cg) of analysis.torsion_least_squares on the normal equations, which
+  apply the pairing and its inverse.
 
 Harmonic bases and Green operators: k forms of one bidegree are one
 (k, d, *grid) block, whose Gram matrices are one contraction (_gram).  The
@@ -53,7 +54,8 @@ dbar* dbar, so Q Delta'' = dbar^H Q dbar, Q the volume-weighted Gram, is
 Hermitian in the flat inner product and needs no whitening; S is diagonal
 on spectra, and an image takes two transforms.  These are the iterates of
 PCG in the metric inner product preconditioned by S Q, which is
-self-adjoint there as S alone is not.
+self-adjoint there as S alone is not.  _cg is the one conjugate-gradient
+loop of the package: these solves (_pcg) and the grid torsion oracle run it.
 """
 
 from __future__ import annotations
@@ -559,9 +561,9 @@ def _symbol_pinv(metric: Metric):
     projection there removes only k=0).  inv is zero where sigma is at most
     _SYMBOL_RCOND * opnorm (k=0 in particular); opnorm is max sigma.  The
     axes are the model's spectral axes, counted from the end of a form's or
-    a block's coefficients.  The kernel Richardson sweeps apply inv as it
-    is (_symbol_apply), and the conjugate gradients of _weak_form to
-    spectra, with no transform.
+    a block's coefficients.  The kernel Richardson sweeps and the grid
+    torsion oracle apply inv as it is (_symbol_apply), and the conjugate
+    gradients of _weak_form to spectra, with no transform.
     """
     def build():
         model, n = metric.model, metric.n
@@ -797,22 +799,17 @@ def _weak_form(metric: Metric, p):
     return rhs, solution, image, lambda r: inv * r, pts * pts
 
 
-def _pcg(metric, b, rtol, cap):
-    """Kernel-deflated PCG for dbar on the (p,0)-form b, in the coordinates
-    of _weak_form, with the symbol inverse S as preconditioner."""
-    _check_pair(metric, b, b)
-    model, p, q = metric.model, b.p, b.q
-    rhs, solution, image, precondition, scale = _weak_form(metric, p)
-    dot = lambda u, v: np.vdot(v, u).real / scale       # Re <u, v>
+def _cg(image, precondition, r, dot, rtol, cap=None):
+    """Preconditioned conjugate gradients for image(x) = r from x = 0, with
+    image and precondition Hermitian positive semidefinite in the real inner
+    product dot: (x, residual norms), at the first residual of at most rtol
+    times that of r.  SolveDiverged after cap updates (None: max(50, 10
+    sqrt(points)), points the size of one channel of r) or on a curvature
+    <= 0."""
+    if cap is None:
+        cap = max(50, int(10 * math.sqrt(math.prod(r.shape[1:]))))
     norm_ = lambda u: math.sqrt(dot(u, u))
-
-    r, nb_full, discarded = rhs(b.coeffs)
     nb = norm_(r)
-    if nb <= 1e-13 * max(nb_full, 1.0):
-        # nothing left of the right-hand side after removing harmonic mass
-        info = GreenInfo("pcg", 0, nb, 0.0, discarded)
-        return zero_form(model, p, q), info
-
     x = np.zeros_like(r)
     z = precondition(r)
     pdir = z
@@ -822,9 +819,7 @@ def _pcg(metric, b, rtol, cap):
         res = norm_(r)
         history.append(res)
         if res <= rtol * nb:
-            info = GreenInfo("pcg", it, res, res / nb, discarded,
-                             tuple(history))
-            return Form(model, p, q, solution(x)), info
+            return x, history
         if it == cap:
             raise SolveDiverged(
                 f"cg hit the iteration cap {cap} at relative residual "
@@ -846,6 +841,26 @@ def _pcg(metric, b, rtol, cap):
         pdir = z + beta * pdir
 
 
+def _pcg(metric, b, rtol, cap):
+    """Kernel-deflated PCG (_cg) for dbar on the (p,0)-form b, in the
+    coordinates of _weak_form, with the symbol inverse S as preconditioner."""
+    _check_pair(metric, b, b)
+    model, p, q = metric.model, b.p, b.q
+    rhs, solution, image, precondition, scale = _weak_form(metric, p)
+    dot = lambda u, v: np.vdot(v, u).real / scale       # Re <u, v>
+
+    r, nb_full, discarded = rhs(b.coeffs)
+    nb = math.sqrt(dot(r, r))
+    if nb <= 1e-13 * max(nb_full, 1.0):
+        # nothing left of the right-hand side after removing harmonic mass
+        info = GreenInfo("pcg", 0, nb, 0.0, discarded)
+        return zero_form(model, p, q), info
+    x, history = _cg(image, precondition, r, dot, rtol, cap)
+    res = history[-1]
+    return Form(model, p, q, solution(x)), GreenInfo(
+        "pcg", len(history) - 1, res, res / nb, discarded, tuple(history))
+
+
 def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
                 max_iter: int = None, with_info: bool = False):
     """Solve Laplacian x = (b minus its harmonic part), x orthogonal to ker.
@@ -860,8 +875,8 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
     preconditioned by the closed-form Fourier symbol, where the residual is
     that of Q Delta'' x = Q (b - H''b).  discarded_mass is the metric
     fraction of b that is harmonic.  SolveDiverged if the iterate after
-    `max_iter` updates still misses `tol`.  `max_iter` None is a cap growing
-    with the grid; 0 only checks the projected right-hand side.  A kind
+    `max_iter` updates still misses `tol`.  `max_iter` None is _cg's cap,
+    growing with the grid; 0 only checks the projected right-hand side.  A kind
     outside LAPLACIAN_KINDS, any other grid solve (checked before a kernel
     is built) and a negative cap are ValueErrors.
     """
@@ -885,9 +900,6 @@ def green_solve(metric: Metric, kind: str, b: Form, *, tol: float = None,
         return (out, info) if with_info else out
 
     rtol = _CG_TOL if tol is None else tol
-    if max_iter is None:
-        active = math.prod(model.resolutions[a] for a in model.active)
-        max_iter = max(50, int(10 * math.sqrt(active)))
     out, info = _pcg(metric, b, rtol, max_iter)
     return (out, info) if with_info else out
 

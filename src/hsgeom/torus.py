@@ -175,6 +175,8 @@ def make_torus_model(resolution, mask) -> TorusModel:
     ids = sorted(_coord_id(c) for c in mask)
     if len(set(ids)) != len(ids):
         raise GridError("duplicate coordinates in mask")
+    if ids and resolution == 1:         # TorusModel reads 1 as masked
+        raise GridError("active resolutions must be powers of two >= 4, got 1")
     res = [1] * (2 * DIM)
     for i in ids:
         res[i] = resolution

@@ -87,17 +87,24 @@ def three_coord8_eps02():
     return Metric(standard_fixture("three_coord", resolution=8, eps=0.2)[3])
 
 
-def test_routes_agree(eps_metric, three_coord8_eps02):
+def test_routes_agree(monkeypatch, eps_metric, three_coord8_eps02):
     """Every mode's rho is the one extraction, and the least-squares oracle
-    (CGLS on the grid) agrees with it, at N=16 on three_coord too."""
+    (preconditioned conjugate gradients on the grid) agrees with it, at
+    N=16 on three_coord too, in at most 100 iterations there: two
+    differentials per iteration."""
     g16 = Metric(standard_fixture("three_coord", resolution=16, eps=0.2)[3])
     for g in (eps_metric, three_coord8_eps02, g16):
         reps = {m: torsion_form(g, mode=m) for m in TORSION_MODES}
         base = reps["dim3"].rho20
         for m in TORSION_MODES:     # one extraction, read by every mode
             assert reps[m].rho20.coeffs.tobytes() == base.coeffs.tobytes()
+        calls, apply = [], g.model.apply_differential
+        monkeypatch.setattr(g.model, "apply_differential", lambda *args:
+                            calls.append(args[:3]) or apply(*args))
         lsq = torsion_least_squares(g)
+        monkeypatch.undo()
         assert norm(g, lsq - base) < 1e-8
+    assert len(calls) <= 200, len(calls)        # those of g16
 
 
 def test_grid_oracle_is_matrix_free():
@@ -117,8 +124,8 @@ def test_grid_oracle_is_matrix_free():
 
 
 def test_grid_oracle_raises_on_zero_curvature(monkeypatch):
-    """CGLS divides by the curvature ||A d||^2: where A d = 0 it raises
-    SolveDiverged instead of returning NaN."""
+    """The conjugate gradients divide by the curvature <d, A^H Q A d>:
+    where A d = 0 it raises SolveDiverged instead of returning NaN."""
     g = Metric(standard_fixture("two_coord", resolution=8, eps=0.05)[3])
     analysis.omega_differential(g, "del")       # the right-hand side
     apply = g.model.apply_differential

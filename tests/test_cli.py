@@ -52,6 +52,15 @@ def test_validate_bad_mask():
     assert doc["error"]["type"] == "GridError"
 
 
+def test_validate_masked_resolution_one_is_input_error():
+    # a resolution of 1 on an active coordinate would compute on one point
+    code, doc = run_json("validate", "--model", "torus", "--resolution", "1",
+                         "--mask", "x1,x2")
+    assert code == 2
+    assert doc["ok"] is False
+    assert doc["error"]["type"] == "GridError"
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize("command", ["validate", "report", "descend"])
 def test_other_dimension_is_input_error(tmp_path, command, dim):

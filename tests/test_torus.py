@@ -44,6 +44,9 @@ def test_grid_guards():
     with pytest.raises(GridError):
         make_torus_model(2, ("x1",))  # too coarse
     with pytest.raises(GridError):
+        make_torus_model(1, ("x1", "x2"))  # 1 would read as masked
+    assert make_torus_model(1, ()).active == ()  # an empty mask stays legal
+    with pytest.raises(GridError):
         make_torus_model(16, ("x1", "x1"))
     with pytest.raises(GridError):
         make_torus_model(16, ("t",))
