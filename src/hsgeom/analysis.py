@@ -476,13 +476,13 @@ def _lefschetz_split(metric: Metric):
     def build():
         omega, d_omega = metric.omega, omega_differential(metric, "del")
         alpha = 0.5 * contract(metric, d_omega)
-        prim = d_omega - wedge(alpha, omega)
+        a_wedge = wedge(alpha, omega)
+        prim = d_omega - a_wedge
         # postcondition: prim really is primitive
         lp = contract(metric, prim)
-        if norm(metric, lp) > 1e-8 * max(1.0, norm(metric, d_omega)):
+        if norm(metric, lp) > 1e-8 * max(1.0, del_omega_norm(metric)):
             raise RuntimeError("primitive part failed the contraction test")
 
-        a_wedge = wedge(alpha, omega)
         s = (pointwise_inner(metric, a_wedge, a_wedge).real
              - pointwise_inner(metric, prim, prim).real)
         lhs = 1j * wedge(d_omega, conjugate(d_omega)).coeffs[0]
@@ -551,7 +551,11 @@ def sg_and_completion(metric: Metric, tol: float = None) -> SGCompletion:
     report = torsion_form(metric, tol=tol)
     rho, rho02 = report.rho20, report.rho02
     omega = metric.omega
-    Omega = wedge(omega, omega) + 2.0 * wedge(rho, rho02)
+    omega2, rho_rho02 = wedge(omega, omega), wedge(rho, rho02)
+    Omega = omega2 + 2.0 * rho_rho02
+    # completion integrand: the (3,3)-part of (rho + omega + rho02)^3 / 3!
+    top = wedge(omega2, omega) + 6.0 * wedge(rho_rho02, omega)
+    del omega2, rho_rho02       # two (2,2)-forms off the section's peak
     gamma = root_of_22(Omega)
     root_res = coeff_norm(wedge(gamma, gamma) - Omega) / max(
         1.0, coeff_norm(Omega))
@@ -564,9 +568,6 @@ def sg_and_completion(metric: Metric, tol: float = None) -> SGCompletion:
     closure = dbar_Omega + 2.0 * differential("del", wedge(rho02, omega))
     r2 = coeff_norm(closure) / max(1.0, coeff_norm(dbar_Omega))
 
-    # completion integral: the (3,3)-part of (rho + omega + rho02)^3 / 3!
-    top = wedge(wedge(omega, omega), omega) \
-        + 6.0 * wedge(wedge(rho, rho02), omega)
     tilde_vol = _real_integral(integrate_top(top) / 6.0,
                                what="completion volume")
     d_tilde = max(
@@ -684,10 +685,11 @@ def ma_constants(metric: Metric, gamma: Metric,
     report = torsion_form(metric, tol=tol)
     A = report.generalized_volume
     omega, g = metric.omega, gamma.omega
+    g2 = wedge(g, g)
     vol_gamma = _real_integral(
-        integrate_top(wedge(wedge(g, g), g)) / 6.0, what="gamma volume")
+        integrate_top(wedge(g2, g)) / 6.0, what="gamma volume")
     mixed = _real_integral(
-        integrate_top(wedge(omega, wedge(g, g))) / 2.0, what="mixed volume")
+        integrate_top(wedge(omega, g2)) / 2.0, what="mixed volume")
     c = 6.0 * A * vol_gamma ** 2 / mixed ** 3
 
     ratio = (metric.detH / gamma.detH) ** (1.0 / 3.0)

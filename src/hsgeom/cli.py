@@ -15,8 +15,12 @@ system are still reports), 1 numerical failure mid-computation (partial
 output is written), 2 invalid input (arguments, model, metric and output
 location are checked before any work; every exit 2 writes one error document
 to stdout).  Outputs are deterministic for a fixed config and seed: JSON keys
-are sorted and no timestamps are embedded.  Files are written atomically
-(temp file + rename), with the mode that the umask gives a new file.
+are sorted and no timestamps are embedded.  A JSON document is the text of
+`json.dumps(doc, sort_keys=True, indent=2)`, with non-finite floats written
+as the strings "nan", "inf" and "-inf"; its values are JSON-native (dicts,
+lists, tuples, strings, ints, floats, True, False, None), and any other
+value raises TypeError.  Files are written atomically (temp file + rename),
+with the mode that the umask gives a new file.
 
 `hsgeom.cli.main(argv)` returns the exit code and may be called repeatedly
 in one process: it builds its argument parser once, and each call parses
@@ -60,66 +64,39 @@ class _InputError(ValueError):
 # serialization helpers
 
 
-def _sanitize(obj):
-    """Make an object JSON-serializable and deterministic.  Python ints,
-    strings, None and floats, the commonest leaves, are matched by exact
-    type first; subclasses such as bool and np.float64 take the isinstance
-    chain."""
-    kind = type(obj)
-    if kind is int or kind is str or obj is None:
-        return obj
-    if kind is float:
-        return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": _sanitize(float(obj.real)),
-                "im": _sanitize(float(obj.imag))}
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, str):
-        return obj
-    if hasattr(obj, "to_json"):
-        return _sanitize(obj.to_json())
-    return repr(obj)
-
-
 _encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _write_json(obj, append, indent):
-    """Append the indented JSON text of `obj` one chunk at a time.  Exact
-    floats, strings, ints and None are written here, dicts (string keys,
-    last value wins, sorted) and lists or tuples are walked, and every other
-    object is written as `_sanitize` makes it.  A module-level function
-    taking `append`, not a closure calling itself, so a report leaves no
+    """Append the text of `json.dumps(obj, sort_keys=True, indent=2)` one
+    chunk at a time, with non-finite floats written as the strings "nan",
+    "inf" and "-inf".  Like `json.dumps` it takes dicts, lists, tuples,
+    strings, ints, floats (subclasses included), True, False and None, and
+    raises TypeError on any other value.  A module-level function taking
+    `append`, not a closure calling itself, so a report leaves no
     reference cycle behind."""
-    kind = type(obj)
-    if kind is int:
-        append(int.__repr__(obj))
-    elif kind is float:
-        append(float.__repr__(obj) if math.isfinite(obj)
-               else _encode_str(repr(obj)))
-    elif kind is str:
+    if isinstance(obj, str):
         append(_encode_str(obj))
-    elif obj is None:
-        append("null")
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        append(text if math.isfinite(obj) else _encode_str(text))
+    elif obj is None or obj is True or obj is False:
+        append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        append(int.__repr__(obj))
     elif isinstance(obj, dict):
         if not obj:
             append("{}")
             return
         inner = indent + "  "
         lead = "{\n" + inner
-        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or "
+                                    f"None, not {type(key).__name__}")
+                key = json.dumps(key)
             append(lead + _encode_str(key) + ": ")
             lead = ",\n" + inner
             _write_json(value, append, inner)
@@ -136,19 +113,15 @@ def _write_json(obj, append, indent):
             _write_json(value, append, inner)
         append("\n" + indent + "]")
     else:
-        obj = _sanitize(obj)
-        if obj is True or obj is False:
-            append("true" if obj else "false")
-        elif isinstance(obj, str):      # a str subclass, kept by _sanitize
-            append(_encode_str(obj))
-        else:
-            _write_json(obj, append, indent)
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(obj) -> str:
-    """The text of `json.dumps(_sanitize(obj), sort_keys=True, indent=2)`
-    plus a newline, written in one walk of `obj`: `json` falls back to its
-    pure-Python encoder whenever `indent` is set."""
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)` plus a
+    newline, non-finite floats written as strings, in one walk of `obj`
+    (`_write_json`): `json` falls back to its pure-Python encoder whenever
+    `indent` is set.  Raises TypeError on a value `json.dumps` rejects."""
     chunks = []
     _write_json(obj, chunks.append, "")
     chunks.append("\n")
@@ -159,7 +132,7 @@ def _flatten(obj, prefix=""):
     if isinstance(obj, dict):
         for k in sorted(obj):
             yield from _flatten(obj[k], f"{prefix}{k}.")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from _flatten(v, f"{prefix}{i}.")
     else:
@@ -168,7 +141,7 @@ def _flatten(obj, prefix=""):
 
 def _dump_csv(obj) -> str:
     lines = ["key,value"]
-    for key, val in _flatten(_sanitize(obj)):
+    for key, val in _flatten(obj):
         sval = "" if val is None else str(val)
         if "," in sval or '"' in sval:
             sval = '"' + sval.replace('"', '""') + '"'
@@ -381,7 +354,7 @@ def _report_body(model, metric, args):
         def torsion_class():
             try:
                 cls, cert = cohomology.e2_torsion_class(
-                    metric, perturbation_seed=args.seed)
+                    metric, perturbation_seed=args.seed, tol=args.tol)
             except cohomology.NotHSError as exc:
                 return {"feasible": False, "message": str(exc)}
             return {
@@ -396,7 +369,7 @@ def _report_body(model, metric, args):
 
         def intersection():
             try:
-                res = cohomology.e2_intersection(metric)
+                res = cohomology.e2_intersection(metric, tol=args.tol)
             except cohomology.HypothesisFailed as exc:
                 return {"hypothesis_failed": exc.which}
             return res.to_json()

@@ -453,7 +453,7 @@ class CohomClass:
 
 
 def e2_torsion_class(metric: Metric, torsion_report=None,
-                     perturbation_seed: int = 11):
+                     perturbation_seed: int = 11, tol: float = None):
     """The obstruction class of the conjugate torsion form, with certificate.
 
     Returns (CohomClass, certificate dict).  The certificate holds either an
@@ -466,14 +466,15 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
     of the metric.  A precomputed torsion analysis may be injected through
     `torsion_report`; the perturbation recheck is skipped in that case,
     and its drift is None, as when no halving of the random bump keeps the
-    metric positive.
+    metric positive.  Otherwise both torsion extractions run at `tol`
+    (torsion_form).
     """
     model = metric.model
     _require_lie(model)
     injected = torsion_report is not None
     if not injected:
         try:
-            torsion_report = torsion_form(metric)
+            torsion_report = torsion_form(metric, tol=tol)
         except NotFeasibleError as exc:
             raise NotHSError(str(exc)) from exc
     rho02 = torsion_report.rho02
@@ -513,7 +514,8 @@ def e2_torsion_class(metric: Metric, torsion_report=None,
             except NotPositiveError:
                 bump = 0.5 * bump
                 continue
-            coords2 = _e2_coordinates(m2, torsion_form(m2).rho02)[1]
+            rho2 = torsion_form(m2, tol=tol).rho02
+            coords2 = _e2_coordinates(m2, rho2)[1]
             certificate["perturbed_coordinate_drift"] = float(
                 np.linalg.norm(coords2 - coords))
             break
@@ -619,14 +621,16 @@ class IntersectionResult:
         }
 
 
-def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
+def e2_intersection(metric: Metric, torsion_report=None,
+                    tol: float = None) -> IntersectionResult:
     """Generalized volume as an intersection number (lie backend).
 
     Lifts the square completion Omega to a d-closed (2,2)-form in two steps,
     u12 of del dbar u12 = dbar Omega minimal in the reference norm (`_pinv`,
     memoised on the model), and integrates against the metric form: six
     times the generalized volume, whatever u12 (Stokes).  `torsion_report`
-    may supply a precomputed torsion analysis to reuse (or to inject).
+    may supply a precomputed torsion analysis to reuse (or to inject);
+    otherwise the torsion is extracted at `tol` (torsion_form).
     """
     model = metric.model
     _require_lie(model)
@@ -635,7 +639,7 @@ def e2_intersection(metric: Metric, torsion_report=None) -> IntersectionResult:
         raise HypothesisFailed("page-1 identity-map isomorphisms", table)
     if torsion_report is None:
         try:
-            torsion_report = torsion_form(metric)
+            torsion_report = torsion_form(metric, tol=tol)
         except NotFeasibleError as exc:
             raise HypothesisFailed("hermitian-symplectic metric") from exc
     rho, rho02 = torsion_report.rho20, torsion_report.rho02

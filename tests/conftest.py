@@ -89,6 +89,26 @@ def random_lie_form(model, p, q, rng, scale=1.0):
     return out
 
 
+def normal_form_text(rng, name="nf"):
+    """Model text of a random nilpotent complex structure in the normal form
+    d phi1 = 0, d phi2 = e phi1^phibar1,
+    d phi3 = r phi1^phi2 + (1-e) A phi1^phibar1 + B phi1^phibar2
+             + C phi2^phibar1 + (1-e) D phi2^phibar2,
+    with e, r in {0, 1} and A..D Gaussian integers in [-2, 2]."""
+    e, r = rng.integers(0, 2, size=2)
+    A, B, C, D = rng.integers(-2, 3, size=4) + 1j * rng.integers(-2, 3, size=4)
+    rule3 = [(r, "phi1^phi2"), ((1 - e) * A, "phi1^phibar1"),
+             (B, "phi1^phibar2"), (C, "phi2^phibar1"),
+             ((1 - e) * D, "phi2^phibar2")]
+    lines = [f"name {name}", "dim 3"]
+    if e:
+        lines.append("d phi2 = 1 * phi1^phibar1")
+    terms = [f"{complex(c)} * {w}" for c, w in rule3 if c != 0]
+    if terms:
+        lines.append("d phi3 = " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
 def random_form(model, p, q, rng, scale=1.0):
     if model.kind == "lie":
         return random_lie_form(model, p, q, rng, scale=scale)

@@ -448,6 +448,29 @@ def test_report_sections_differentiate_omega_once_per_part(monkeypatch):
     assert sorted(parts) == ["dbar", "del"], parts
 
 
+def test_sections_form_each_wedge_product_once(monkeypatch):
+    """Inside one section no wedge product is formed twice from the same
+    inputs: the Lefschetz split wedges alpha ^ omega once and reads
+    ||del omega|| from its memo, the sG completion forms omega ^ omega and
+    rho ^ conj(rho) once each for Omega and for its top form, and the
+    Monge-Ampere constants form gamma ^ gamma once."""
+    g = Metric(standard_fixture("three_coord", resolution=8, eps=0.2)[3])
+    gamma = Metric(sg_and_completion(g).gamma)
+    d_omega = analysis.omega_differential(g, "del")
+    products, normed = [], []
+    monkeypatch.setattr(analysis, "wedge", lambda a, b: products.append(
+        (a.p, a.q, a.coeffs.tobytes(), b.p, b.q, b.coeffs.tobytes()))
+        or wedge(a, b))
+    monkeypatch.setattr(analysis, "norm", lambda metric, a: normed.append(
+        a is d_omega) or norm(metric, a))
+    for section in (lefschetz_alpha, sg_and_completion,
+                    lambda g: ma_constants(g, gamma)):
+        products.clear()
+        section(g)
+        assert products and len(set(products)) == len(products), section
+    assert normed and not any(normed)
+
+
 def test_infeasible_torus(two_coord):
     """An x1-wave on the dz2^dzbar2 channel is not hermitian-symplectic."""
     model, _, omega0, _ = two_coord

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, document schemas, output files."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -187,6 +188,33 @@ def test_report_with_tol_builds_one_torsion_report(tmp_path, monkeypatch):
     assert "ma_constants" in json.loads(out.read_text())["completion"]
 
 
+def test_report_tol_reaches_the_e2_sections(tmp_path, monkeypatch):
+    # a scaled Iwasawa structure, HS at --tol 1e-3 (||dbar rho + del omega||
+    # is 1.4e-6): the E_2 class, its perturbation recheck and the
+    # intersection number read the torsion at --tol, as the other sections do
+    from hsgeom import analysis, cli
+
+    tols = []
+    build = analysis._torsion_form
+    monkeypatch.setattr(analysis, "_torsion_form",
+                        lambda metric, mode, tol: tols.append(tol)
+                        or build(metric, mode, tol))
+    model = tmp_path / "small.model"
+    model.write_text("name small\ndim 3\nd phi3 = 1e-6 * phi1^phi2\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["report", "--model", str(model), "--tol", "1e-3",
+                     "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert set(tols) == {1e-3}
+    assert doc["torsion"]["feasible"] and doc["classification"]["hs_feasible"]
+    cls = doc["e2_torsion_class"]
+    assert cls["feasible"] and cls["vanishing"], cls
+    assert cls["perturbed_coordinate_drift"] is not None
+    inter = doc["e2_intersection"]
+    assert "hypothesis_failed" not in inter, inter
+    assert abs(inter["integral"] - 6.0 * doc["torsion"]["A"]) <= 1e-9
+
+
 @pytest.mark.parametrize("model", [
     ["catalogue:torus3"],
     ["torus", "--resolution", "8", "--mask", "x1,x2",
@@ -297,6 +325,9 @@ def test_report_csv_format():
     keys = {ln.split(",", 1)[0] for ln in lines[1:]}
     assert "torsion.F" in keys
     assert "classification.kahler" in keys
+    # a tuple is flattened as a list is, one row per entry
+    routes = "torsion.diagnostics.g_routes"
+    assert {f"{routes}.{i}" for i in range(3)} <= keys and routes not in keys
 
 
 def test_report_coeff_perturbation():
@@ -565,7 +596,7 @@ def test_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys,
 
     def dump_json(obj):
         # the writer's text beside the stdlib encoder's, per document
-        written.append((cli_dump_json(obj), _stdlib_json(cli, obj)))
+        written.append((cli_dump_json(obj), _stdlib_json(obj)))
         return written[-1][0]
 
     monkeypatch.setattr(cli, "_dump_json", dump_json)
@@ -615,72 +646,29 @@ def test_main_reused_in_one_process_matches_fresh_processes(tmp_path, capsys,
         assert reused[name] == fresh[name], name
 
 
-def _sanitize_by_isinstance(obj):
-    """The isinstance chain that cli._sanitize falls back to, with no
-    exact-type shortcut: the reference for its output."""
-    import numpy as np
-
+def _finite_or_repr(obj):
+    """`obj` with each non-finite float value replaced by its repr string,
+    as the writer spells it; dict keys are left to the encoder."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else float.__repr__(obj)
     if isinstance(obj, dict):
-        return {str(k): _sanitize_by_isinstance(v) for k, v in obj.items()}
+        return {k: _finite_or_repr(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize_by_isinstance(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": _sanitize_by_isinstance(float(obj.real)),
-                "im": _sanitize_by_isinstance(float(obj.imag))}
-    if isinstance(obj, np.ndarray):
-        return _sanitize_by_isinstance(obj.tolist())
-    if obj is None or isinstance(obj, str):
-        return obj
-    if hasattr(obj, "to_json"):
-        return _sanitize_by_isinstance(obj.to_json())
-    return repr(obj)
+        return [_finite_or_repr(v) for v in obj]
+    return obj
 
 
-def test_sanitize_matches_the_isinstance_chain():
-    import collections
-
-    import numpy as np
-
-    from hsgeom import cli
-
-    class Doc:
-        def to_json(self):
-            return {"inner": [np.float32(0.5), (1, "x")]}
-
-    class Name(str):
-        pass
-
-    leaves = [1, -7, True, False, np.bool_(True), np.int64(3), 2.5, -0.0,
-              float("nan"), float("inf"), -float("inf"), np.float64(1e-300),
-              np.float64("nan"), 1 + 2j, np.complex128(3 - 4j),
-              complex(float("nan"), -float("inf")), None, "s", Name("n\u00e9"),
-              np.arange(3.0), np.array([[1, 2]]), (4, 5.5), Doc(), object]
-    doc = {"leaves": leaves, 3: {"nested": leaves[::-1]},
-           "ordered": collections.OrderedDict(b=1.0, a=[None])}
-    got, want = cli._sanitize(doc), _sanitize_by_isinstance(doc)
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert [type(v) for v in got["leaves"]] == [type(v) for v in want["leaves"]]
-    assert cli._dump_json(doc) == _stdlib_json(cli, doc)
-
-
-def _stdlib_json(cli, obj):
+def _stdlib_json(obj):
     """The text cli._dump_json must write: the stdlib encoder's."""
-    return json.dumps(cli._sanitize(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_finite_or_repr(obj), sort_keys=True, indent=2) + "\n"
 
 
-class _ToJson:
-    def __init__(self, payload):
-        self.payload = payload
+class _Name(str):
+    pass
 
-    def to_json(self):
-        return self.payload
+
+class _Count(int):
+    pass
 
 
 def _json_documents():
@@ -692,18 +680,18 @@ def _json_documents():
     leaves = st.one_of(
         st.none(), st.booleans(), st.integers(), st.floats(), special,
         st.text(),              # non-ASCII and control characters included
-        st.floats(width=32).map(np.float32),
-        st.integers(-2**63, 2**63 - 1).map(np.int64),
-        st.booleans().map(np.bool_), st.complex_numbers(),
-        st.lists(st.floats(), max_size=3).map(np.array),
-        st.lists(st.complex_numbers(), max_size=2).map(np.array),
-        st.just({}), st.just([]), st.just(()))
-    # 1 and True are one dict key; str() makes "1" and "True" collide too
-    keys = st.sampled_from([1, "1", True, "True", "b", "\u00e9", "\n"])
+        st.floats().map(np.float64), st.text().map(_Name),
+        st.integers().map(_Count), st.just({}), st.just([]), st.just(()))
+    # json.dumps sorts the keys of one dict among themselves, so a dict has
+    # string keys or number keys (True is 1, and keys print as JSON does)
+    words = st.sampled_from(["1", "True", "b", "\u00e9", "\n", _Name("n")])
+    numbers = st.sampled_from([1, True, False, -3, 2.5, float("inf"),
+                               np.float64(0.5), _Count(7)])
     return st.recursive(leaves, lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-        st.dictionaries(keys, inner, max_size=5), inner.map(_ToJson)),
-        max_leaves=24)
+        st.dictionaries(words, inner, max_size=5),
+        st.dictionaries(numbers, inner, max_size=4),
+        st.dictionaries(st.none(), inner, max_size=1)), max_leaves=24)
 
 
 def test_dump_json_matches_the_stdlib_encoder():
@@ -714,11 +702,35 @@ def test_dump_json_matches_the_stdlib_encoder():
     @settings(max_examples=400, deadline=None)
     @given(doc=_json_documents())
     def check(doc):
-        assert cli._dump_json(doc) == _stdlib_json(cli, doc)
+        assert cli._dump_json(doc) == _stdlib_json(doc)
 
     check()
-    # the last value of colliding keys wins, as in _sanitize
-    assert cli._dump_json({1: "a", "1": "b"}) == '{\n  "1": "b"\n}\n'
+
+
+class _ToJson:
+    def to_json(self):
+        return {}
+
+
+@pytest.mark.parametrize("value", [
+    "int64", "bool_", "ndarray", "complex", "to_json", "tuple key",
+    "mixed keys"])
+def test_dump_json_rejects_what_json_dumps_rejects(value):
+    # a value that is not JSON-native raises, as in the stdlib encoder,
+    # instead of being coerced; so does a dict whose keys do not sort
+    import numpy as np
+
+    from hsgeom import cli
+
+    obj = {"int64": np.int64(3), "bool_": np.bool_(True),
+           "ndarray": np.arange(3.0), "complex": 1 + 2j,
+           "to_json": _ToJson(), "tuple key": {(1, 2): 0},
+           "mixed keys": {1: "a", "1": "b"}}[value]
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    for doc in (obj, {"a": [None, obj]}, (obj,)):
+        with pytest.raises(TypeError):
+            cli._dump_json(doc)
 
 
 def test_dump_json_leaves_no_cyclic_garbage():
@@ -738,7 +750,7 @@ def test_dump_json_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert text == _stdlib_json(cli, doc)
+    assert text == _stdlib_json(doc)
 
 
 # -- skt gate -----------------------------------------------------------------

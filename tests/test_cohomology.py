@@ -6,7 +6,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from conftest import er_closed_exact, random_lie_form, random_metric
+from conftest import (er_closed_exact, normal_form_text, random_lie_form,
+                      random_metric)
 
 from hsgeom import analysis, cli, cohomology
 from hsgeom.forms import (
@@ -231,6 +232,23 @@ def test_higher_duality_all_pages(lie_models):
         for r in (1, 2, 3):
             hp = higher_page_groups(model, r=r)
             assert hp.bc_dims.tolist() == hp.a_dims[::-1, ::-1].tolist()
+
+
+def test_page3_duality_needs_the_closing_rows():
+    """Page-3 Bott-Chern/Aeppli duality where the r=3 closing rows of
+    _exact_system (dbar v0 = 0, del u0 = 0) bind: without them h^{0,2} and
+    h^{2,0} of E_{3,BC} read 1 on the deformed Iwasawa structure, and the
+    duality fails there and on about a fifth of the normal-form draws."""
+    model = load_model("name x\ndim 3\n"
+                       "d phi3 = 1 * phi1^phi2 + 1 * phi1^phibar1\n")
+    hp = higher_page_groups(model, r=3)
+    assert hp.bc_dims[0, 2] == hp.bc_dims[2, 0] == 2
+    assert hp.bc_dims.tolist() == hp.a_dims[::-1, ::-1].tolist()
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        text = normal_form_text(rng)
+        hp = higher_page_groups(load_model(text), r=3)
+        assert hp.bc_dims.tolist() == hp.a_dims[::-1, ::-1].tolist(), text
 
 
 def test_page_diagnostic_flags(lie_models):
